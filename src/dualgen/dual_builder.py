@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     MissingDerivative,
@@ -30,7 +29,8 @@ from .generator_core import (
     SeparableJumpKernel,
     map_target,
 )
-from .state_space import Grid
+from .matrix_lab import SurvivalTransform
+from .state_space import Cone, Grid
 
 __all__ = [
     "DualReport",
@@ -67,6 +67,8 @@ class DualReport:
 
 def probe_points(box, n: int = N_PROBES_DEFAULT) -> np.ndarray:
     """Deterministic quasi-random probes inside a box [(lo, hi), ...]."""
+    from scipy.stats import qmc      # costs about a second; import on use
+
     box = np.atleast_2d(np.asarray(box, dtype=float))
     d = box.shape[0]
     sampler = qmc.Halton(d=d, scramble=False)
@@ -430,49 +432,17 @@ def dual_jump_1d(nu: JumpKernel, boundary: str = "none", box=(-8.0, 8.0),
 # ---------------------------------------------------------------------------
 # multidimensional jump dual (Pareto order)
 
-def _pareto_suffix_sum(arr: np.ndarray) -> np.ndarray:
-    for axis in range(arr.ndim):
-        arr = np.flip(np.cumsum(np.flip(arr, axis=axis), axis=axis), axis=axis)
-    return arr
-
-
-def _mixed_backward_difference(arr: np.ndarray, n_axes: int = None) -> np.ndarray:
-    """Product over the leading axes of (identity - backward shift), zero
-    extension."""
-    out = arr
-    for axis in range(arr.ndim if n_axes is None else n_axes):
-        shifted = np.zeros_like(out)
-        sl_dst = [slice(None)] * arr.ndim
-        sl_src = [slice(None)] * arr.ndim
-        sl_dst[axis] = slice(1, None)
-        sl_src[axis] = slice(0, -1)
-        shifted[tuple(sl_dst)] = out[tuple(sl_src)]
-        out = out - shifted
-    return out
-
-
 def pareto_dual_jump_rates(rates: np.ndarray, grid: Grid) -> np.ndarray:
     """Discrete Pareto dual of a jump-rate matrix, including the diagonal.
 
-    Built from the tail sums G(x, y) = nu(x, {w >= y}) - 1_{x >= y} nu(x, .)
-    by mixed differencing in x; this realizes the death / face / interior
+    The conjugation F Q' F^-1 of the jump generator Q = R - diag(R 1)
+    (R the off-diagonal rates); it realizes the death / face / interior
     decomposition of the closed-form dual exactly at grid resolution.
     """
-    n = grid.n_points
-    shape = grid.shape
     R = rates.copy()
     np.fill_diagonal(R, 0.0)
-    total = R.sum(axis=1)
-    # TG[x, y] = nu(x, {w >= y}): per-row suffix sums over the w lattice
-    TG = np.empty((n, n))
-    for i in range(n):
-        TG[i] = _pareto_suffix_sum(R[i].reshape(shape)).ravel(order="C")
-    pts = grid.points()
-    geq = np.all(pts[:, None, :] >= pts[None, :, :] - 1e-12, axis=-1)
-    G = TG - geq * total[:, None]
-    # QD[y, m] = mixed backward difference of G(. , y) in x evaluated at m
-    Gd = _mixed_backward_difference(G.reshape(shape + (n,)), n_axes=grid.dim)
-    return Gd.reshape(n, n).T
+    np.fill_diagonal(R, -R.sum(axis=1))
+    return SurvivalTransform(grid, Cone.pareto(grid.dim)).conjugate(R)
 
 
 @dataclass(frozen=True)

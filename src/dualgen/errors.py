@@ -21,10 +21,6 @@ class DimensionMismatch(DualgenError):
     """Inputs defined on incompatible state spaces."""
 
 
-class NonLatticeCone(DualgenError):
-    """Cone basis vectors are not commensurate with the grid lattice."""
-
-
 class SingularityUnhandled(DualgenError):
     """A point mass coincides with an evaluation point of a singular kernel."""
 
@@ -67,6 +63,10 @@ class MissingDerivative(DualgenError):
 
 class RateBoundExceeded(DualgenError):
     """Observed jump rate exceeds the supplied thinning bound."""
+
+
+class UnsupportedScheme(DualgenError):
+    """The simulation scheme cannot simulate a part of the process."""
 
 
 class InadmissibleDual(DualgenError):

@@ -456,7 +456,7 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
     return QMatrix(entries=Q, state_grid=grid)
 
 
-def adjoint(q: QMatrix, g: Grid = None) -> QMatrix:
+def adjoint(q: QMatrix) -> QMatrix:
     """Discrete standard dual L': transpose under the counting pairing."""
     return QMatrix(entries=q.entries.T.copy(), state_grid=q.state_grid)
 

@@ -23,6 +23,7 @@ from .errors import (
     NonConvergent,
     RateBoundExceeded,
     StepTooCoarseWarning,
+    UnsupportedScheme,
 )
 from .generator_core import AtomicJumpKernel, JumpKernel, ProcessSpec
 from .order_transform import TranslationKernel
@@ -207,17 +208,8 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x0: np.ndarray,
     frozen = np.zeros(m, dtype=bool)
     absorbing = spec.domain == "half_line" and spec.boundary == "absorb"
 
-    stable = None
-    if cfg.scheme == "stable_euler":
-        if spec.has_diffusion():
-            raise ValueError("stable_euler excludes a diffusion part")
-        if not isinstance(spec.jump, StableLikeKernel):
-            raise ValueError("stable_euler needs a StableLikeKernel jump part")
-        stable = spec.jump
-
+    stable = spec.jump if cfg.scheme == "stable_euler" else None
     thinning = cfg.scheme == "euler_jump_thinning"
-    if thinning and cfg.rate_bound is None:
-        raise ValueError("euler_jump_thinning needs cfg.rate_bound")
 
     for _ in range(n_steps):
         x_prev = x.copy()
@@ -273,6 +265,30 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x0: np.ndarray,
     return x
 
 
+def _check_scheme(spec: ProcessSpec, cfg: PathConfig):
+    """Raise UnsupportedScheme unless cfg.scheme simulates every part of
+    spec; a part the scheme skipped would bias the estimate silently."""
+    jump = spec.jump
+    if cfg.scheme == "euler_maruyama" and jump is not None:
+        raise UnsupportedScheme(
+            f"euler_maruyama cannot simulate the jump part "
+            f"({type(jump).__name__}); use euler_jump_thinning or "
+            f"stable_euler")
+    if cfg.scheme == "euler_jump_thinning":
+        if cfg.rate_bound is None:
+            raise UnsupportedScheme("euler_jump_thinning needs rate_bound")
+        if jump is not None and not isinstance(jump, AtomicJumpKernel):
+            raise UnsupportedScheme(
+                f"euler_jump_thinning cannot simulate a "
+                f"{type(jump).__name__} jump part, only atomic jumps")
+    if cfg.scheme == "stable_euler":
+        if spec.has_diffusion():
+            raise UnsupportedScheme("stable_euler excludes a diffusion part")
+        if not isinstance(jump, StableLikeKernel):
+            raise UnsupportedScheme(
+                "stable_euler needs a StableLikeKernel jump part")
+
+
 def simulate_paths(spec: ProcessSpec, cfg: PathConfig, x0,
                    stream_salt: int = 0) -> np.ndarray:
     """Terminal states at t_end, shape (n_paths, dim).
@@ -282,9 +298,7 @@ def simulate_paths(spec: ProcessSpec, cfg: PathConfig, x0,
     DUALGEN_THREADS cannot change the output.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if cfg.scheme == "euler_jump_thinning" and spec.jump is not None \
-            and not isinstance(spec.jump, AtomicJumpKernel):
-        raise ValueError("thinning simulation needs an AtomicJumpKernel")
+    _check_scheme(spec, cfg)
     b0 = spec.eval_drift(x0)
     if spec.has_diffusion():
         a0 = np.diag(spec.eval_diffusion(x0))

@@ -1,14 +1,8 @@
-"""The dressing operator F and its inverses.
+"""The dressing operator F for translation-invariant duality functions.
 
-For a cone order, F maps a measure to its multidimensional survival
-function g(y) = sum of mass over {x : x - y in C}.  The discrete inverse
-is a mixed forward differencing chosen so that F and F^-1 are exact
-mutual inverses on the grid (Pareto case), or the cone-directional
-analogue with the basis determinant (general lattice cones, exact only
-up to O(h) away from the Pareto case).
-
-For translation-invariant duality functions, F is a convolution with the
-Riesz, Newtonian or 2-D logarithmic kernel.
+Here F is a convolution with the Riesz, Newtonian or 2-D logarithmic
+kernel.  For cone orders F is the survival transform, implemented once
+as `matrix_lab.SurvivalTransform`.
 """
 
 from __future__ import annotations
@@ -18,18 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma
 
-from .errors import (
-    DimensionMismatch,
-    NonLatticeCone,
-    SingularityUnhandled,
-)
-from .state_space import Cone, Grid, GridFunction, GridMeasure, duality_indicator_matrix
+from .errors import DimensionMismatch, SingularityUnhandled
+from .state_space import Grid, GridFunction, GridMeasure
 
 __all__ = [
     "TranslationKernel",
-    "forward_F",
-    "inverse_F_pareto",
-    "inverse_F_cone",
     "potential_F",
     "riesz_normalizer",
     "sphere_area",
@@ -111,91 +98,6 @@ def _check_compat(obj_len: int, grid: Grid):
     if obj_len != grid.n_points:
         raise DimensionMismatch(
             f"array of length {obj_len} on a grid of {grid.n_points} points")
-
-
-def forward_F(q: GridMeasure, g: Grid, c: Cone) -> GridFunction:
-    """Survival transform: value at y = total mass of {x : x - y in C}."""
-    _check_compat(len(q.weights), g)
-    if g.dim != c.dim:
-        raise DimensionMismatch("grid and cone dimensions differ")
-    if np.allclose(c.basis, np.eye(c.dim)):
-        # Pareto fast path: suffix cumulative sums along every axis
-        w = q.weights.reshape(g.shape)
-        for axis in range(g.dim):
-            w = np.flip(np.cumsum(np.flip(w, axis=axis), axis=axis), axis=axis)
-        return GridFunction(values=w.ravel(order="C"))
-    fmat = duality_indicator_matrix(g, c)    # [ix, iy]
-    return GridFunction(values=fmat.T @ q.weights)
-
-
-def inverse_F_pareto(g: GridFunction, grid: Grid) -> GridMeasure:
-    """Exact inverse of forward_F for the Pareto cone.
-
-    Tensor application of q(y) = g(y) - g(y + h e_axis) with g = 0 beyond
-    the upper grid edge.
-    """
-    _check_compat(len(g.values), grid)
-    v = g.values.reshape(grid.shape).copy()
-    for axis in range(grid.dim):
-        shifted = np.zeros_like(v)
-        sl_dst = [slice(None)] * grid.dim
-        sl_src = [slice(None)] * grid.dim
-        sl_dst[axis] = slice(0, -1)
-        sl_src[axis] = slice(1, None)
-        shifted[tuple(sl_dst)] = v[tuple(sl_src)]
-        v = v - shifted
-    return GridMeasure(weights=v.ravel(order="C"))
-
-
-def cone_lattice_offsets(grid: Grid, c: Cone, tol: float = 1e-9) -> np.ndarray:
-    """Index offsets of the cone basis vectors on the grid lattice.
-
-    Basis vector e_j must displace a grid point by a whole number of steps
-    per axis; the physical displacement of e_j is e_j * h componentwise.
-    """
-    offsets = np.empty((c.dim, c.dim), dtype=int)
-    for j in range(c.dim):
-        e = c.basis[:, j]
-        if np.any(np.abs(e - np.rint(e)) > tol):
-            raise NonLatticeCone(
-                f"basis vector {e} is not an integer lattice displacement")
-        offsets[j] = np.rint(e).astype(int)
-    return offsets
-
-
-def inverse_F_cone(g: GridFunction, grid: Grid, c: Cone) -> GridMeasure:
-    """Cone-directional mixed difference, generalizing inverse_F_pareto.
-
-    q(y) = (-1)^d Delta_{e_1} ... Delta_{e_d} g(y) / |det(e_1..e_d)| with
-    Delta_e g(y) = g(y + e*h) - g(y) and zero extension beyond the grid.
-    The identity basis reproduces inverse_F_pareto exactly.
-    """
-    _check_compat(len(g.values), grid)
-    if grid.dim != c.dim:
-        raise DimensionMismatch("grid and cone dimensions differ")
-    offsets = cone_lattice_offsets(grid, c)
-    v = g.values.reshape(grid.shape).astype(float)
-
-    def shift(arr, off):
-        """arr evaluated at index + off, zero-filled outside the grid."""
-        out = np.zeros_like(arr)
-        src = []
-        dst = []
-        for k, o in enumerate(off):
-            n = arr.shape[k]
-            if o >= 0:
-                dst.append(slice(0, n - o))
-                src.append(slice(o, n))
-            else:
-                dst.append(slice(-o, n))
-                src.append(slice(0, n + o))
-        out[tuple(dst)] = arr[tuple(src)]
-        return out
-
-    for j in range(c.dim):
-        v = shift(v, offsets[j]) - v
-    v *= (-1.0) ** c.dim / c.det_abs
-    return GridMeasure(weights=v.ravel(order="C"))
 
 
 def potential_F(q: GridMeasure, grid: Grid, k: TranslationKernel,

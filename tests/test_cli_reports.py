@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,13 @@ from dualgen.scenario import (
     run_scenario,
     serialize,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC, os.environ.get("PYTHONPATH", "")])}
 
 
 def _bm_mc(**over):
@@ -202,3 +213,38 @@ def test_dual_mode_reports_probe_values(tmp_path):
     # dual drift = a' - b = 0 - (-x) = x
     assert row["dual_drift"][0] == pytest.approx(1.0)
     assert row["dual_diffusion_diag"][0] == pytest.approx(1.0)
+
+
+def _birth_death_mc(y, **pc):
+    return {
+        "name": "birth-death", "mode": "mc",
+        "process": {"dim": 1,
+                    "jumps": [{"displacement": [1.0], "rate": 1.2},
+                              {"displacement": [-1.0], "rate": 0.8}]},
+        "probes": [{"x": [0.0], "y": [y], "t": 1.0}],
+        "path_config": {"n_paths": 1000, "dt": 0.01, "seed": 3, **pc},
+    }
+
+
+@pytest.mark.parametrize("y,pc", [
+    # thinning simulates X, but Y's jump part is the Siegmund dual kernel
+    (0.0, {"scheme": "euler_jump_thinning", "rate_bound": 2.0}),
+    # Euler-Maruyama would drop the jumps and report lhs = rhs = 0
+    (0.5, {}),
+])
+def test_cli_exit_two_on_jumps_the_scheme_cannot_simulate(tmp_path, capsys,
+                                                          y, pc):
+    path = _write(tmp_path, _birth_death_mc(y, **pc))
+    assert main(["mc", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes about a second to import; only probe_points needs it
+    code = "import sys, dualgen; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=_env())
+    assert out.stdout.strip() == "False"

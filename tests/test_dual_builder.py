@@ -163,17 +163,21 @@ def test_jump_dual_1d_rejects_target_maps():
 def test_pareto_dual_rates_match_conjugation_full_matrix():
     up = AtomicJumpKernel(jumps=(((1.0,), lambda x: 2.0 - np.tanh(x[0])),),
                           rate_derivs=(lambda x: -1.0 / np.cosh(x[0]) ** 2,))
-    nu = SeparableJumpKernel(components=((0, up),))
-    g = build_grid([-3.0], [3.0], [1.0])
-    pts = g.points()
-    rates = np.stack([nu.cell_rates(x, g) for x in pts])
+    down = AtomicJumpKernel(jumps=(((-1.0,), 0.7),))
+    nu = SeparableJumpKernel(components=((0, up), (1, down)))
+    g = build_grid([-3.0, -2.0], [3.0, 2.0], [1.0, 1.0])
+    rates = np.stack([nu.cell_rates(x, g) for x in g.points()])
     Q = rates.copy()
     np.fill_diagonal(Q, 0.0)
-    Q[np.arange(len(Q)), np.arange(len(Q))] = -Q.sum(axis=1)
-    from dualgen.generator_core import QMatrix
-    qd = dual_generator_via_F(QMatrix(entries=Q, state_grid=g), g,
-                              Cone.pareto(1)).entries
-    assert np.abs(pareto_dual_jump_rates(rates, g) - qd).max() < 1e-12
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    # dense survival transform (suffix sums) and its inverse (forward
+    # differences), one Kronecker factor per grid axis
+    F, Finv = np.ones((1, 1)), np.ones((1, 1))
+    for m in g.shape:
+        F = np.kron(F, np.triu(np.ones((m, m))))
+        Finv = np.kron(Finv, np.eye(m) - np.eye(m, k=1))
+    assert np.abs(pareto_dual_jump_rates(rates, g) - F @ Q.T @ Finv).max() \
+        < 1e-12
 
 
 def test_separable_nd_dual_admissibility():

@@ -4,6 +4,7 @@ import pytest
 from dualgen.errors import Overflow
 from dualgen.generator_core import ProcessSpec, QMatrix, discretize
 from dualgen.matrix_lab import (
+    SurvivalTransform,
     action_mismatch,
     dual_generator_via_F,
     dual_semigroup_via_F,
@@ -52,6 +53,30 @@ def test_F_matrices_exact_mutual_inverses_lightcone():
     assert np.abs(F @ Finv - np.eye(g.n_points)).max() < 1e-12
 
 
+_OPERATOR_CASES = [
+    (build_grid([0.0], [8.0], [1.0]), Cone.pareto(1)),
+    (build_grid([0.0, 0.0], [4.0, 3.0], [1.0, 1.0]), Cone.pareto(2)),
+    (build_grid([0.0] * 3, [2.0, 1.0, 3.0], [1.0] * 3), Cone.pareto(3)),
+    (build_grid([-2.0, -2.0], [2.0, 2.0], [1.0, 1.0]), lightcone_2d()),
+]
+
+
+@pytest.mark.parametrize("grid,cone", _OPERATOR_CASES)
+def test_survival_transform_matches_dense_reference(grid, cone):
+    # reference: F = f' from the indicator, inverted numerically
+    F = duality_indicator_matrix(grid, cone).T
+    Finv = np.linalg.inv(F)
+    rng = np.random.default_rng(grid.n_points)
+    n = grid.n_points
+    A = rng.normal(size=(n, n))
+    w = rng.normal(size=(n, 3))
+    op = SurvivalTransform(grid, cone)
+    assert np.abs(op.conjugate(A) - F @ A.T @ Finv).max() < 1e-12
+    assert np.abs(op.apply(w) - F @ w).max() < 1e-12
+    assert np.abs(op.apply_inverse(w) - Finv @ w).max() < 1e-12
+    assert np.abs(op.apply(w[:, 0]) - F @ w[:, 0]).max() < 1e-12
+
+
 def test_semigroup_two_state_closed_form():
     g = build_grid([0.0], [1.0], [1.0])
     q = QMatrix(entries=np.array([[-1.0, 1.0], [1.0, -1.0]]), state_grid=g)
@@ -79,7 +104,7 @@ def test_conjugation_identity_random_chains():
         f = duality_indicator_matrix(grid, cone)
         for t in (0.1, 1.0, 5.0):
             T = semigroup(q, t)
-            TD = dual_semigroup_via_F(q, grid, cone, t)
+            TD = dual_semigroup_via_F(T, grid, cone)
             assert duality_residual(T, TD, f) <= 1e-9
 
 
@@ -97,8 +122,8 @@ def test_zero_time_residual_zero():
     grid = build_grid([0.0], [4.0], [1.0])
     q = _random_conservative(grid, 4)
     f = duality_indicator_matrix(grid, Cone.pareto(1))
-    assert duality_residual(semigroup(q, 0.0),
-                            dual_semigroup_via_F(q, grid, Cone.pareto(1), 0.0),
+    T = semigroup(q, 0.0)
+    assert duality_residual(T, dual_semigroup_via_F(T, grid, Cone.pareto(1)),
                             f) == 0.0
 
 
@@ -107,9 +132,8 @@ def test_dual_semigroup_law():
     q = _random_conservative(grid, 5)
     cone = Cone.pareto(1)
     s, t = 0.4, 0.9
-    Ts = dual_semigroup_via_F(q, grid, cone, s).T
-    Tt = dual_semigroup_via_F(q, grid, cone, t).T
-    Tst = dual_semigroup_via_F(q, grid, cone, s + t).T
+    Ts, Tt, Tst = (dual_semigroup_via_F(semigroup(q, u), grid, cone).T
+                   for u in (s, t, s + t))
     assert np.abs(Tst - Ts @ Tt).max() <= 1e-9
 
 
@@ -119,7 +143,7 @@ def test_dual_generator_matches_semigroup_derivative():
     cone = Cone.pareto(1)
     qd = dual_generator_via_F(q, grid, cone).entries
     eps = 1e-6
-    TD = dual_semigroup_via_F(q, grid, cone, eps).T
+    TD = dual_semigroup_via_F(semigroup(q, eps), grid, cone).T
     assert np.abs((TD - np.eye(len(TD))) / eps - qd).max() < 1e-4
 
 
@@ -127,7 +151,7 @@ def test_dual_stochasticity_monotone_birth_death():
     spec = ProcessSpec.one_dim(a=_const(0.5))
     g = build_grid([0.0], [6.0], [0.5], boundary_policy="reflect")
     q = discretize(spec, g)
-    TD = dual_semigroup_via_F(q, g, Cone.pareto(1), 0.5)
+    TD = dual_semigroup_via_F(semigroup(q, 0.5), g, Cone.pareto(1))
     rep = dual_stochasticity_check(TD, conservative_expected=False)
     assert rep.passed
     # absorbed at the bottom of the order: the first dual row is frozen
@@ -142,7 +166,7 @@ def test_dual_stochasticity_flags_non_monotone_chain():
                   [0.0, 0.0, 0.0],
                   [1.0, 0.0, -1.0]])
     q = QMatrix(entries=Q, state_grid=g)
-    TD = dual_semigroup_via_F(q, g, Cone.pareto(1), 0.5)
+    TD = dual_semigroup_via_F(semigroup(q, 0.5), g, Cone.pareto(1))
     rep = dual_stochasticity_check(TD, conservative_expected=False)
     assert not rep.passed
     assert rep.min_entry < -1e-6

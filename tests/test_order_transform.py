@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualgen.errors import SingularityUnhandled
+from dualgen.matrix_lab import SurvivalTransform
 from dualgen.order_transform import (
     TranslationKernel,
-    forward_F,
-    inverse_F_cone,
-    inverse_F_pareto,
     potential_F,
     riesz_normalizer,
     sphere_area,
@@ -30,28 +28,31 @@ def test_forward_inverse_pareto_round_trip_1d():
     g = build_grid([0.0], [9.0], [1.0])
     rng = np.random.default_rng(5)
     w = rng.normal(size=g.n_points)
-    m = GridMeasure(weights=w)
-    back = inverse_F_pareto(forward_F(m, g, Cone.pareto(1)), g)
-    assert np.abs(back.weights - w).max() < 1e-12
+    op = SurvivalTransform(g, Cone.pareto(1))
+    back = op.apply_inverse(op.apply(w))
+    assert np.abs(back - w).max() < 1e-12
 
 
 def test_forward_inverse_pareto_round_trip_2d():
     g = build_grid([0.0, 0.0], [4.0, 3.0], [1.0, 1.0])
     rng = np.random.default_rng(6)
     w = rng.normal(size=g.n_points)
-    m = GridMeasure(weights=w)
-    back = inverse_F_pareto(forward_F(m, g, Cone.pareto(2)), g)
-    assert np.abs(back.weights - w).max() < 1e-12
+    op = SurvivalTransform(g, Cone.pareto(2))
+    back = op.apply_inverse(op.apply(w))
+    assert np.abs(back - w).max() < 1e-12
 
 
 def test_inverse_F_cone_identity_basis_matches_pareto():
+    # diag(2, 1) generates the Pareto cone but is not the identity basis,
+    # so it takes the dense Moebius path: both paths must agree
     g = build_grid([0.0, 0.0], [3.0, 3.0], [1.0, 1.0])
     rng = np.random.default_rng(7)
-    f = forward_F(GridMeasure(weights=rng.normal(size=g.n_points)),
-                  g, Cone.pareto(2))
-    a = inverse_F_pareto(f, g)
-    b = inverse_F_cone(f, g, Cone.pareto(2))
-    assert np.abs(a.weights - b.weights).max() < 1e-12
+    pareto = SurvivalTransform(g, Cone.pareto(2))
+    dense = SurvivalTransform(g, Cone(basis=np.diag([2.0, 1.0])))
+    f = pareto.apply(rng.normal(size=g.n_points))
+    a = pareto.apply_inverse(f)
+    b = dense.apply_inverse(f)
+    assert np.abs(a - b).max() < 1e-12
 
 
 def test_forward_F_pareto_fast_path_equals_matrix_path():
@@ -61,14 +62,15 @@ def test_forward_F_pareto_fast_path_equals_matrix_path():
     from dualgen.state_space import duality_indicator_matrix
     fmat = duality_indicator_matrix(g, Cone.pareto(2))
     expect = fmat.T @ w
-    got = forward_F(GridMeasure(weights=w), g, Cone.pareto(2)).values
+    got = SurvivalTransform(g, Cone.pareto(2)).apply(w)
     assert np.abs(got - expect).max() < 1e-12
 
 
 def test_forward_F_lightcone_counts_cone_points():
     g = build_grid([-2.0, -2.0], [2.0, 2.0], [1.0, 1.0])
     m = GridMeasure.delta(g, [0.0, 0.0])
-    vals = forward_F(m, g, lightcone_2d()).values.reshape(g.shape)
+    vals = SurvivalTransform(g, lightcone_2d()).apply(m.weights)
+    vals = vals.reshape(g.shape)
     pts = g.points().reshape(g.shape + (2,))
     # mass at origin is seen from y iff -y lies in the cone, i.e. y2 <= -|y1|
     for i in range(5):
@@ -109,6 +111,6 @@ def test_potential_F_point_mass_on_node_errors_without_averaging():
 def test_pareto_round_trip_random_measures(seed):
     g = build_grid([0.0, 0.0], [3.0, 3.0], [1.0, 1.0])
     w = np.random.default_rng(seed).normal(size=g.n_points)
-    back = inverse_F_pareto(forward_F(GridMeasure(weights=w), g,
-                                      Cone.pareto(2)), g)
-    assert np.abs(back.weights - w).max() < 1e-10
+    op = SurvivalTransform(g, Cone.pareto(2))
+    back = op.apply_inverse(op.apply(w))
+    assert np.abs(back - w).max() < 1e-10
