@@ -69,6 +69,14 @@ class UnsupportedScheme(DualgenError):
     """The simulation scheme cannot simulate a part of the process."""
 
 
+class NonFiniteState(DualgenError):
+    """A simulated path ended at NaN or inf."""
+
+
+class InvalidEstimate(DualgenError):
+    """A duality estimate has a negative standard error or a non-finite z."""
+
+
 class InadmissibleDual(DualgenError):
     """A cone duality estimate was requested without an admissible dual."""
 

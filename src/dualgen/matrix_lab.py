@@ -18,7 +18,7 @@ from scipy.linalg import expm, solve_triangular
 
 from .errors import DimensionMismatch, Overflow
 from .generator_core import QMatrix
-from .state_space import Cone, Grid, duality_indicator_matrix
+from .state_space import MAX_STATES, Cone, Grid, duality_indicator_matrix
 
 __all__ = [
     "SemigroupSnapshot",
@@ -37,7 +37,6 @@ __all__ = [
     "action_mismatch",
 ]
 
-MAX_STATES = 4096
 _EXPM_NORM_LIMIT = 1e6
 
 

@@ -4,7 +4,9 @@ Both sides of  E f(X_t^x, y) = E f(x, Y_t^y)  are estimated on
 independent ensembles and compared through a z score.  Randomness is
 organized in fixed-size blocks with counter-based substreams keyed by
 (seed, salt, block index), so results are bit-identical however many
-worker threads run the blocks.
+worker threads run the blocks.  The blocks run on every usable core by
+default; DUALGEN_THREADS lowers the count.  Each block advances its
+paths in place, in buffers allocated once per block.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from scipy.linalg import cholesky
 
 from .errors import (
     InadmissibleDual,
+    InvalidEstimate,
     NonConvergent,
+    NonFiniteState,
     RateBoundExceeded,
     StepTooCoarseWarning,
     UnsupportedScheme,
@@ -46,13 +50,20 @@ SCHEMES = ("euler_maruyama", "euler_jump_thinning", "stable_euler")
 
 
 def worker_count() -> int:
-    """Thread cap from DUALGEN_THREADS; never affects numerical results."""
+    """Worker threads for simulate_paths: the usable cores, or fewer when
+    DUALGEN_THREADS asks for fewer; never affects numerical results."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
     raw = os.environ.get("DUALGEN_THREADS", "")
+    if not raw:
+        return cores
     try:
         n = int(raw)
     except ValueError:
         return 1
-    return max(1, n)
+    return max(1, min(n, cores))
 
 
 @dataclass(frozen=True)
@@ -90,8 +101,12 @@ class DualityEstimate:
     truncation_level: Optional[float] = None
 
     def __post_init__(self):
-        assert self.lhs_se >= 0 and self.rhs_se >= 0
-        assert np.isfinite(self.z_score)
+        if not (self.lhs_se >= 0 and self.rhs_se >= 0):
+            raise InvalidEstimate(
+                f"negative standard error: lhs {self.lhs_se}, "
+                f"rhs {self.rhs_se}")
+        if not np.isfinite(self.z_score):
+            raise InvalidEstimate(f"z score {self.z_score} is not finite")
 
 
 @dataclass(frozen=True)
@@ -139,130 +154,200 @@ def positive_stable_sample(rng: np.random.Generator, alpha_half: float,
     return zolo / e ** ((1.0 - a) / a)
 
 
-def _eval_drift_vec(spec: ProcessSpec, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
+def _drift_into(spec: ProcessSpec, x: np.ndarray, out: np.ndarray):
+    """b(x), written into out."""
     if spec.drift_components is not None:
         for j, bj in enumerate(spec.drift_components):
-            if bj is not None:
-                out[:, j] = bj(x[:, j])
-    elif spec.drift is not None:
-        out = np.apply_along_axis(spec.drift, 1, x).reshape(x.shape)
-    return out
+            out[:, j] = 0.0 if bj is None else bj(x[:, j])
+    else:
+        out[...] = np.apply_along_axis(spec.drift, 1, x).reshape(x.shape)
 
 
-def _diffusion_sigma(spec: ProcessSpec, x: np.ndarray):
-    """sqrt(2a) factors: (n, d) componentwise array for diagonal specs,
-    or a constant (d, d) Cholesky factor."""
-    n, d = x.shape
-    if spec.diffusion_diag is not None and not spec.diffusion_offdiag:
-        sig = np.empty_like(x)
-        for j, ajj in enumerate(spec.diffusion_diag):
-            sig[:, j] = np.sqrt(2.0 * np.asarray(ajj(x[:, j]), dtype=float))
-        return sig, True
+def _sigma_into(spec: ProcessSpec, x: np.ndarray, sig: np.ndarray):
+    """sqrt(2 a_jj(x_j)) of a diagonal diffusion, written into sig;
+    returns a_00(x_0) over the paths, never a view of x, which the step
+    then changes (a coefficient may return its argument)."""
+    a = [np.asarray(ajj(x[:, j]), dtype=float)
+         for j, ajj in enumerate(spec.diffusion_diag)]
+    for j, a_j in enumerate(a):
+        np.multiply(2.0, a_j, out=sig[:, j])
+        np.sqrt(sig[:, j], out=sig[:, j])
+    a0 = a[0].copy() if np.may_share_memory(a[0], x) else a[0]
+    return np.broadcast_to(a0, len(x))
+
+
+def _first_diffusion(spec: ProcessSpec, x: np.ndarray) -> np.ndarray:
+    """a_00 over the paths: the declared a_00(x_0), or else the full
+    matrix's entry at the first path's state."""
+    if spec.diffusion_diag:
+        return np.broadcast_to(
+            np.asarray(spec.diffusion_diag[0](x[:, 0]), dtype=float), len(x))
+    return np.full(len(x), spec.eval_diffusion(x[0])[0, 0])
+
+
+def _constant_cholesky(spec: ProcessSpec, x: np.ndarray) -> np.ndarray:
+    """Cholesky factor of 2a for a full diffusion matrix, which must be
+    the same at every probed state."""
+    n = len(x)
     a0 = spec.eval_diffusion(x[0])
     for probe in x[:: max(1, n // 7)]:
         if np.abs(spec.eval_diffusion(probe) - a0).max() > 1e-12:
             raise NotImplementedError(
                 "state-dependent full diffusion matrices are not simulated; "
                 "declare diagonal structure or use a constant matrix")
-    return cholesky(2.0 * a0, lower=True), False
+    return cholesky(2.0 * a0, lower=True)
 
 
-def _apply_boundary(spec: ProcessSpec, x, frozen, x_prev, cfg, rng):
-    """Half-line policies after one increment; mutates x and frozen."""
-    if spec.domain != "half_line":
+def _thin(jump: AtomicJumpKernel, cfg: PathConfig, x, dx, u, alive, disp):
+    """Add the accepted atomic jumps of one step to dx; disp holds the
+    channels' displacements, one row each.
+
+    u holds the (event, acceptance, channel) uniforms of every path.  A
+    live candidate's channel rates are summed left to right and the
+    channel is the first whose running sum reaches u_chan * total, as a
+    sequential scan would choose it."""
+    u_evt, u_acc, u_chan = u
+    cand = np.flatnonzero(u_evt < -np.expm1(-cfg.rate_bound * cfg.dt))
+    if alive is not None:
+        cand = cand[alive[cand]]
+    if not len(cand):
         return
-    if spec.boundary == "reflect":
-        np.abs(x, out=x)
-        return
-    if spec.boundary == "absorb":
-        hit = (x[:, 0] <= 0.0) & ~frozen
-        if cfg.bridge_correction:
-            # paths positive at both ends may still have crossed in between
-            both_pos = (x[:, 0] > 0.0) & (x_prev[:, 0] > 0.0) & ~frozen
-            a_loc = spec.eval_diffusion(x_prev[0])[0, 0] \
-                if not spec.diffusion_diag else None
-            if spec.diffusion_diag:
-                a_vals = np.asarray(spec.diffusion_diag[0](x_prev[:, 0]),
-                                    dtype=float)
-            else:
-                a_vals = np.full(len(x), a_loc)
-            u = rng.random(len(x))
-            with np.errstate(over="ignore"):
-                p_cross = np.exp(-x_prev[:, 0] * x[:, 0]
-                                 / np.maximum(a_vals * cfg.dt, 1e-300))
-            hit = hit | (both_pos & (u < p_cross))
-        else:
-            rng.random(len(x))      # keep the draw pattern scheme-stable
-        x[hit] = 0.0
-        frozen |= hit
-        x[frozen] = 0.0
+    rates = np.empty((len(cand), len(jump.jumps)))
+    for c, (_, r) in enumerate(jump.jumps):
+        rates[:, c] = [float(r(x[i])) for i in cand] if callable(r) else r
+    running = np.cumsum(rates, axis=1)
+    total = running[:, -1]
+    over = np.flatnonzero(total > cfg.rate_bound * (1 + 1e-12))
+    if len(over):
+        raise RateBoundExceeded(
+            f"rate {total[over[0]]:.4g} exceeds bound {cfg.rate_bound:.4g}")
+    acc = u_acc[cand] * cfg.rate_bound < total
+    cand, running, total = cand[acc], running[acc], total[acc]
+    chan = np.argmax((u_chan[cand] * total)[:, None] <= running, axis=1)
+    dx[cand] += disp[chan]
 
 
-def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x0: np.ndarray,
-                    salt: int, block: int, m: int) -> np.ndarray:
+def _bridge_hits(cfg: PathConfig, x_prev, x, a_prev, u, hit):
+    """Mark the paths positive at both ends of the step that crossed 0 in
+    between: u < exp(-x_prev x / (a dt)) with a = a_00(x_prev), the
+    Brownian-bridge crossing probability."""
+    xp, xs = x_prev[:, 0], x[:, 0]
+    with np.errstate(over="ignore"):
+        arg = -xp * xs / np.maximum(a_prev * cfg.dt, 1e-300)
+    # u is a multiple of 2**-53, so a positive u is never below
+    # exp(arg) < 2**-53 (arg <= -37); there only u == 0 needs exp(arg) > 0.
+    # Skipping the rest also skips exp's slow subnormal and underflow range.
+    near = (arg > -37.0) | (u == 0.0)
+    near &= xs > 0.0
+    near &= xp > 0.0
+    idx = np.flatnonzero(near)
+    hit[idx[u[idx] < np.exp(arg[idx])]] = True
+
+
+def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
+                    salt: int, block: int):
+    """Advance the paths in x (filled with the start state) to t_end in
+    place, with the substream of (cfg.seed, salt, block).
+
+    Draws per step, in this order: the normals (and the positive-stable
+    mixing variables of stable_euler), the three thinning uniforms, and
+    one uniform per path on an absorbing boundary (drawn also without the
+    bridge test).  Every buffer is allocated once per block."""
     rng = _block_rng(cfg.seed, salt, block)
-    d = spec.dim
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    x = np.tile(np.asarray(x0, dtype=float), (m, 1))
-    frozen = np.zeros(m, dtype=bool)
-    absorbing = spec.domain == "half_line" and spec.boundary == "absorb"
-
+    m = len(x)
+    dt = cfg.dt
+    n_steps = int(round(cfg.t_end / dt))
+    has_drift = spec.drift_components is not None or spec.drift is not None
     stable = spec.jump if cfg.scheme == "stable_euler" else None
-    thinning = cfg.scheme == "euler_jump_thinning"
+    noisy = stable is not None or spec.has_diffusion()
+    thinning = spec.jump if cfg.scheme == "euler_jump_thinning" else None
+    diagonal = spec.diffusion_diag is not None and not spec.diffusion_offdiag
+    half = spec.domain == "half_line"
+    reflecting = half and spec.boundary == "reflect"
+    absorbing = half and spec.boundary == "absorb"
+
+    dx = np.empty_like(x)
+    z = np.empty_like(x) if noisy else None
+    # with a drift, the noise goes to its own buffer and is added to b dt
+    noise = np.empty_like(x) if has_drift and noisy else dx
+    sig = np.empty_like(x) if diagonal else None
+    if thinning is not None:
+        u_thin = np.empty((3, m))
+        disp = np.array([np.broadcast_to(np.asarray(w, dtype=float),
+                                         x.shape[1:])
+                         for w, _ in thinning.jumps])
+    alive = x_prev = a_prev = None
+    if absorbing:
+        alive = np.ones(m, dtype=bool)
+        dead = np.empty(0, dtype=np.intp)
+        u = np.empty(m)
+        hit = np.empty(m, dtype=bool)
+        if cfg.bridge_correction:
+            x_prev = np.empty_like(x)
 
     for _ in range(n_steps):
-        x_prev = x.copy()
-        b = _eval_drift_vec(spec, x)
-        dx = b * cfg.dt
+        if x_prev is not None:
+            np.copyto(x_prev, x)
+        if has_drift:
+            _drift_into(spec, x, dx)
+            dx *= dt
+        elif not noisy:
+            dx.fill(0.0)
 
         if stable is not None:
-            z = rng.standard_normal((m, d))
+            rng.standard_normal(out=z)
             if stable.alpha == 2.0:
-                s = np.sqrt(2.0) * z
+                np.multiply(np.sqrt(2.0), z, out=noise)
             else:
                 # sub-Gaussian isotropic stable: sqrt(2A) Z has
                 # characteristic function exp(-|k|^alpha)
                 A = positive_stable_sample(rng, stable.alpha / 2.0, m)
-                s = np.sqrt(2.0 * A)[:, None] * z
+                np.multiply(np.sqrt(2.0 * A)[:, None], z, out=noise)
             amp = np.asarray(stable.amplitude(x), dtype=float).reshape(m)
-            dx = dx + ((amp * cfg.dt) ** (1.0 / stable.alpha))[:, None] * s
-        elif spec.has_diffusion():
-            z = rng.standard_normal((m, d))
-            sig, diagonal = _diffusion_sigma(spec, x)
+            noise *= ((amp * dt) ** (1.0 / stable.alpha))[:, None]
+        elif noisy:
+            rng.standard_normal(out=z)
             if diagonal:
-                dx = dx + sig * z * np.sqrt(cfg.dt)
+                a_prev = _sigma_into(spec, x, sig)
+                np.multiply(sig, z, out=noise)
+                noise *= np.sqrt(dt)
             else:
-                dx = dx + np.sqrt(cfg.dt) * z @ sig.T
+                noise[...] = np.sqrt(dt) * z @ _constant_cholesky(spec, x).T
+        if noise is not dx:
+            dx += noise
 
-        if thinning and spec.jump is not None:
-            u_evt = rng.random(m)
-            u_acc = rng.random(m)
-            u_chan = rng.random(m)
-            p_evt = -np.expm1(-cfg.rate_bound * cfg.dt)
-            candidates = np.nonzero(u_evt < p_evt)[0]
-            for i in candidates:
-                if frozen[i]:
-                    continue
-                rates = [(np.atleast_1d(np.asarray(w, dtype=float)),
-                          float(r(x[i]) if callable(r) else r))
-                         for w, r in spec.jump.jumps]
-                total = sum(r for _, r in rates)
-                if total > cfg.rate_bound * (1 + 1e-12):
-                    raise RateBoundExceeded(
-                        f"rate {total:.4g} exceeds bound {cfg.rate_bound:.4g}")
-                if u_acc[i] * cfg.rate_bound < total:
-                    pick = u_chan[i] * total
-                    acc = 0.0
-                    for w, r in rates:
-                        acc += r
-                        if pick <= acc:
-                            dx[i] += w
-                            break
+        if thinning is not None:
+            for row in u_thin:
+                rng.random(out=row)
+            _thin(thinning, cfg, x, dx, u_thin, alive, disp)
 
-        x = np.where(frozen[:, None], x, x + dx)
-        _apply_boundary(spec, x, frozen, x_prev, cfg, rng)
-    return x
+        if absorbing:
+            # an absorbed path stays at 0.0; its increment is overwritten,
+            # not multiplied by 0, because a coefficient singular at the
+            # boundary makes it inf and inf * 0 is NaN
+            dx[dead] = 0.0
+        x += dx
+        if reflecting:
+            np.abs(x, out=x)
+        elif absorbing:
+            rng.random(out=u)
+            np.less_equal(x[:, 0], 0.0, out=hit)
+            hit &= alive
+            if x_prev is not None:
+                if not diagonal:
+                    a_prev = _first_diffusion(spec, x_prev)
+                _bridge_hits(cfg, x_prev, x, a_prev, u, hit)
+            new = np.flatnonzero(hit)
+            if len(new):
+                x[new] = 0.0
+                alive[new] = False
+                dead = np.concatenate([dead, new])
+
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise NonFiniteState(
+            f"{int(bad.sum())} of {m} paths in block {block} ended at NaN "
+            f"or inf; a coefficient is not finite where they went")
 
 
 def _check_scheme(spec: ProcessSpec, cfg: PathConfig):
@@ -281,6 +366,10 @@ def _check_scheme(spec: ProcessSpec, cfg: PathConfig):
             raise UnsupportedScheme(
                 f"euler_jump_thinning cannot simulate a "
                 f"{type(jump).__name__} jump part, only atomic jumps")
+        if jump is not None and any(callable(w) for w, _ in jump.jumps):
+            raise UnsupportedScheme(
+                "euler_jump_thinning simulates displacement channels only, "
+                "not target maps")
     if cfg.scheme == "stable_euler":
         if spec.has_diffusion():
             raise UnsupportedScheme("stable_euler excludes a diffusion part")
@@ -294,8 +383,9 @@ def simulate_paths(spec: ProcessSpec, cfg: PathConfig, x0,
     """Terminal states at t_end, shape (n_paths, dim).
 
     Deterministic in (seed, cfg, spec, stream_salt): paths are produced
-    in fixed blocks with independent substreams, so the thread cap from
-    DUALGEN_THREADS cannot change the output.
+    in fixed blocks with independent substreams, so the worker count
+    (worker_count) cannot change the output.  Raises NonFiniteState if a
+    terminal state is NaN or inf.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     _check_scheme(spec, cfg)
@@ -307,18 +397,26 @@ def simulate_paths(spec: ProcessSpec, cfg: PathConfig, x0,
             warnings.warn("drift step exceeds the diffusion scale; "
                           "decrease dt", StepTooCoarseWarning)
 
-    blocks = [(i, min(BLOCK_SIZE, cfg.n_paths - i * BLOCK_SIZE))
-              for i in range((cfg.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE)]
-    n_workers = min(worker_count(), len(blocks))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(
-                lambda bm: _simulate_block(spec, cfg, x0, stream_salt, *bm),
-                blocks))
+    out = np.empty((cfg.n_paths, len(x0)))
+    out[:] = x0
+    n_blocks = (cfg.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
+    n_workers = min(worker_count(), n_blocks)
+
+    def run_share(k):
+        for b in range(k, n_blocks, n_workers):
+            _simulate_block(spec, cfg, out[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE],
+                            stream_salt, b)
+
+    if n_workers == 1:
+        run_share(0)
     else:
-        parts = [_simulate_block(spec, cfg, x0, stream_salt, b, m)
-                 for b, m in blocks]
-    return np.concatenate(parts, axis=0)
+        # the calling thread runs share 0 itself
+        with ThreadPoolExecutor(max_workers=n_workers - 1) as pool:
+            shares = [pool.submit(run_share, k) for k in range(1, n_workers)]
+            run_share(0)
+            for share in shares:
+                share.result()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +452,8 @@ def estimate_duality(specX: ProcessSpec, specY: ProcessSpec, f_descriptor,
                      tail_truncation_quantile=cfg.tail_truncation_quantile,
                      rate_bound=cfg.rate_bound,
                      bridge_correction=cfg.bridge_correction)
+    _check_scheme(specX, run)
+    _check_scheme(specY, run)
     xs = simulate_paths(specX, run, x, stream_salt=_LHS_SALT)
     ys = simulate_paths(specY, run, y, stream_salt=_RHS_SALT)
 

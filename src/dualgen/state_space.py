@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatch,
     EmptyGrid,
     NonCommensurate,
+    Overflow,
     SingularBasis,
 )
 
@@ -23,6 +24,12 @@ BOUNDARY_POLICIES = ("truncate_mass", "reflect", "absorb")
 
 # relative tolerance for closed-cone membership at the boundary
 _CONE_TOL = 1e-12
+
+# largest grid on which dense n x n matrices are built
+MAX_STATES = 4096
+
+# entries of the (rows, n, d) difference block of duality_indicator_matrix
+_INDICATOR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -169,14 +176,23 @@ def cone_contains_many(c: Cone, vs: np.ndarray) -> np.ndarray:
 
 
 def duality_indicator_matrix(g: Grid, c: Cone) -> np.ndarray:
-    """f-matrix with entry [ix, iy] = 1 iff x - y lies in the cone."""
+    """f-matrix with entry [ix, iy] = 1 iff x - y lies in the cone.
+
+    Built over blocks of rows, so the difference tensor it tests holds at
+    most _INDICATOR_BLOCK entries besides the n x n result."""
     if g.dim != c.dim:
         raise DimensionMismatch("grid and cone dimensions differ")
+    n = g.n_points
+    if n > MAX_STATES:
+        raise Overflow(f"{n} states exceeds the dense cap of {MAX_STATES}")
     pts = g.points()
-    diffs = pts[:, None, :] - pts[None, :, :]
-    flat = diffs.reshape(-1, g.dim)
-    inside = cone_contains_many(c, flat).reshape(len(pts), len(pts))
-    return inside.astype(float)
+    out = np.empty((n, n))
+    rows = max(1, _INDICATOR_BLOCK // (n * g.dim))
+    for r in range(0, n, rows):
+        diffs = pts[r:r + rows, None, :] - pts[None, :, :]
+        out[r:r + rows] = cone_contains_many(
+            c, diffs.reshape(-1, g.dim)).reshape(len(diffs), n)
+    return out
 
 
 @dataclass(frozen=True)

@@ -241,6 +241,19 @@ def test_cli_exit_two_on_jumps_the_scheme_cannot_simulate(tmp_path, capsys,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_exit_two_on_non_finite_paths(tmp_path, capsys):
+    # log(x1) is NaN once a path goes negative
+    doc = _bm_mc(process={"dim": 1, "drift": ["log(x1)"],
+                          "diffusion": ["0.5"], "diffusion_deriv": ["0"]},
+                 probes=[{"x": [0.05], "y": [0.0], "t": 1.0}],
+                 path_config={"n_paths": 1000, "dt": 0.01, "seed": 7})
+    path = _write(tmp_path, doc)
+    with np.errstate(invalid="ignore"):
+        assert main(["mc", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "NaN or inf" in err[0]
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats takes about a second to import; only probe_points needs it
     code = "import sys, dualgen; print('scipy.stats' in sys.modules)"

@@ -1,23 +1,30 @@
 import os
+import threading
 
 import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
+from dualgen import monte_carlo
 from dualgen.dual_builder import dual_full_1d
 from dualgen.errors import (
     InadmissibleDual,
+    InvalidEstimate,
     NonConvergent,
+    NonFiniteState,
     RateBoundExceeded,
+    UnsupportedScheme,
 )
 from dualgen.generator_core import AtomicJumpKernel, ProcessSpec
 from dualgen.monte_carlo import (
+    DualityEstimate,
     PathConfig,
     StableLikeKernel,
     estimate_duality,
     positive_stable_sample,
     regularized_boundary_distribution,
     simulate_paths,
+    worker_count,
 )
 from dualgen.order_transform import TranslationKernel
 from dualgen.state_space import Cone
@@ -214,3 +221,169 @@ def test_reflection_covariance_of_magnitude():
                                         seed=15), [0.5])[:, 0]
     stat = kstest(a, b).statistic
     assert stat < 0.02
+
+
+def _reference_paths(spec, cfg, x0, salt):
+    """Terminal states by the plain step loop: a fresh array per
+    operation, np.where for absorbed paths, exp over every path for the
+    bridge test and a per-candidate thinning loop.  One block only."""
+    rng = monte_carlo._block_rng(cfg.seed, salt, 0)
+    m, d = cfg.n_paths, spec.dim
+    x = np.tile(np.asarray(x0, dtype=float), (m, 1))
+    frozen = np.zeros(m, dtype=bool)
+    for _ in range(int(round(cfg.t_end / cfg.dt))):
+        x_prev = x.copy()
+        b = np.zeros_like(x)
+        for j, bj in enumerate(spec.drift_components or ()):
+            if bj is not None:
+                b[:, j] = bj(x[:, j])
+        dx = b * cfg.dt
+        if cfg.scheme == "stable_euler":
+            z = rng.standard_normal((m, d))
+            if spec.jump.alpha == 2.0:
+                s = np.sqrt(2.0) * z
+            else:
+                A = positive_stable_sample(rng, spec.jump.alpha / 2.0, m)
+                s = np.sqrt(2.0 * A)[:, None] * z
+            amp = np.asarray(spec.jump.amplitude(x), dtype=float).reshape(m)
+            dx = dx + ((amp * cfg.dt) ** (1.0 / spec.jump.alpha))[:, None] * s
+        elif spec.has_diffusion():
+            z = rng.standard_normal((m, d))
+            sig = np.empty_like(x)
+            for j, ajj in enumerate(spec.diffusion_diag):
+                sig[:, j] = np.sqrt(2.0 * np.asarray(ajj(x[:, j]), float))
+            dx = dx + sig * z * np.sqrt(cfg.dt)
+        if cfg.scheme == "euler_jump_thinning":
+            u_evt, u_acc, u_chan = (rng.random(m) for _ in range(3))
+            p_evt = -np.expm1(-cfg.rate_bound * cfg.dt)
+            for i in np.nonzero(u_evt < p_evt)[0]:
+                if frozen[i]:
+                    continue
+                rates = [(np.atleast_1d(np.asarray(w, dtype=float)),
+                          float(r(x[i]) if callable(r) else r))
+                         for w, r in spec.jump.jumps]
+                total = sum(r for _, r in rates)
+                if u_acc[i] * cfg.rate_bound < total:
+                    acc = 0.0
+                    for w, r in rates:
+                        acc += r
+                        if u_chan[i] * total <= acc:
+                            dx[i] += w
+                            break
+        x = np.where(frozen[:, None], x, x + dx)
+        if spec.domain != "half_line":
+            continue
+        if spec.boundary == "reflect":
+            np.abs(x, out=x)
+            continue
+        hit = (x[:, 0] <= 0.0) & ~frozen
+        u = rng.random(m)
+        if cfg.bridge_correction:
+            both_pos = (x[:, 0] > 0.0) & (x_prev[:, 0] > 0.0) & ~frozen
+            a_vals = np.asarray(spec.diffusion_diag[0](x_prev[:, 0]), float)
+            with np.errstate(over="ignore", under="ignore"):
+                p_cross = np.exp(-x_prev[:, 0] * x[:, 0]
+                                 / np.maximum(a_vals * cfg.dt, 1e-300))
+            hit |= both_pos & (u < p_cross)
+        x[hit] = 0.0
+        frozen |= hit
+    return x
+
+
+def _statedep(**kw):
+    return ProcessSpec.one_dim(a=lambda x: 0.5 + 0.25 * np.cos(x),
+                               b=lambda x: 0.3 * np.sin(x) - 0.2 * x, **kw)
+
+
+_KERNEL_CASES = {
+    "reflect": (_bm("half_line", "reflect"), {}, [0.5]),
+    "absorb": (_bm("half_line", "absorb"), {}, [0.5]),
+    "absorb_bridge": (_bm("half_line", "absorb"),
+                      {"bridge_correction": True}, [0.5]),
+    # a(x) = x: the coefficient returns a view of the state it is given
+    "absorb_bridge_identity_coefficient": (ProcessSpec.one_dim(
+        a=lambda x: x, domain="half_line", boundary="absorb"),
+        {"bridge_correction": True}, [0.5]),
+    "statedep": (_statedep(), {}, [0.3]),
+    "statedep_absorb_bridge": (_statedep(domain="half_line",
+                                         boundary="absorb"),
+                               {"bridge_correction": True}, [0.4]),
+    "stable": (ProcessSpec(dim=2, jump=StableLikeKernel(
+        alpha=1.0, amplitude=lambda x: 1.0 + 0.5 * np.sin(x[..., 0]), dim=2)),
+        {"scheme": "stable_euler"}, [1.0, 0.0]),
+    "stable_gaussian": (ProcessSpec.one_dim(nu=StableLikeKernel(
+        alpha=2.0, amplitude=lambda x: np.full(len(x), 0.5), dim=1)),
+        {"scheme": "stable_euler"}, [0.0]),
+    "thinning_constant": (ProcessSpec.one_dim(nu=AtomicJumpKernel(
+        jumps=(((1.0,), 1.2), ((-1.0,), 0.8)))),
+        {"scheme": "euler_jump_thinning", "rate_bound": 2.0}, [0.0]),
+    "thinning_callable": (ProcessSpec.one_dim(
+        a=_const(0.1), b=lambda x: -0.1 * np.asarray(x, float),
+        nu=AtomicJumpKernel(jumps=(
+            ((1.0,), lambda x: 1.0 + 0.5 * np.tanh(x[0])),
+            ((-1.0,), 0.5),
+            ((0.5,), lambda x: 0.2)))),
+        {"scheme": "euler_jump_thinning", "rate_bound": 2.5}, [0.0]),
+    "thinning_absorb": (ProcessSpec.one_dim(
+        nu=AtomicJumpKernel(jumps=(((1.0,), 0.8), ((-1.0,), 1.2))),
+        domain="half_line", boundary="absorb"),
+        {"scheme": "euler_jump_thinning", "rate_bound": 2.0}, [1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_kernel_matches_plain_step_loop(case):
+    spec, extra, x0 = _KERNEL_CASES[case]
+    cfg = PathConfig(n_paths=500, dt=0.01, t_end=1.0, seed=41, **extra)
+    got = simulate_paths(spec, cfg, x0, stream_salt=3)
+    want = _reference_paths(spec, cfg, x0, salt=3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_worker_count_capped_at_usable_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    threads = threading.active_count()
+    monkeypatch.delenv("DUALGEN_THREADS", raising=False)
+    assert worker_count() == 3
+    for raw, want in (("1000000", 3), ("2", 2), ("0", 1), ("many", 1)):
+        monkeypatch.setenv("DUALGEN_THREADS", raw)
+        assert worker_count() == want
+    assert threading.active_count() == threads
+
+
+def test_unsimulatable_dual_rejected_before_any_simulation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(monte_carlo, "simulate_paths",
+                        lambda *a, **k: calls.append(a))
+    # thinning simulates the walk, not its Siegmund dual jump kernel
+    walk = ProcessSpec.one_dim(nu=AtomicJumpKernel(
+        jumps=(((1.0,), 1.2), ((-1.0,), 0.8))))
+    rep = dual_full_1d(walk)
+    cfg = PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=1,
+                     scheme="euler_jump_thinning", rate_bound=2.0)
+    with pytest.raises(UnsupportedScheme):
+        estimate_duality(walk, rep.dual_spec, ("cone", Cone.pareto(1)),
+                         0.0, 0.0, 1.0, cfg, dual_report=rep)
+    assert calls == []
+
+
+def test_non_finite_terminal_states_raise():
+    spec = ProcessSpec.one_dim(a=_const(0.5), b=np.log)
+    cfg = PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=3)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteState):
+        simulate_paths(spec, cfg, [0.05])
+
+
+def test_thinning_rejects_target_map_channels():
+    nu = AtomicJumpKernel(jumps=((lambda x: x + 1.0, 1.0),))
+    cfg = PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=1,
+                     scheme="euler_jump_thinning", rate_bound=2.0)
+    with pytest.raises(UnsupportedScheme):
+        simulate_paths(ProcessSpec.one_dim(nu=nu), cfg, [0.0])
+
+
+def test_estimate_invariants_hold_without_asserts():
+    with pytest.raises(InvalidEstimate):
+        DualityEstimate(lhs_mean=0.5, lhs_se=-0.1, rhs_mean=0.5, rhs_se=0.1,
+                        gap=0.0, z_score=0.0, n_paths=1000,
+                        functional_descriptor="cone")

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualgen import state_space
 from dualgen.errors import (
     DimensionMismatch,
     EmptyGrid,
     NonCommensurate,
+    Overflow,
     SingularBasis,
 )
 from dualgen.state_space import (
@@ -72,6 +74,23 @@ def test_duality_indicator_1d_is_lower_triangular():
     g = build_grid([0.0], [3.0], [1.0])
     f = duality_indicator_matrix(g, Cone.pareto(1))
     assert np.array_equal(f, np.tril(np.ones((4, 4))))
+
+
+@pytest.mark.parametrize("cone", [Cone.pareto(2), lightcone_2d()])
+def test_duality_indicator_row_blocks_match_one_block(monkeypatch, cone):
+    g = build_grid([-1.0, -1.0], [1.0, 1.0], [0.25, 0.5])
+    pts = g.points()
+    whole = cone_contains_many(
+        cone, (pts[:, None, :] - pts[None, :, :]).reshape(-1, 2))
+    monkeypatch.setattr(state_space, "_INDICATOR_BLOCK", 7 * g.n_points * 2)
+    f = duality_indicator_matrix(g, cone)
+    assert np.array_equal(f, whole.reshape(g.n_points, -1).astype(float))
+
+
+def test_duality_indicator_state_cap():
+    g = build_grid([0.0, 0.0], [64.0, 64.0], [1.0, 1.0])
+    with pytest.raises(Overflow):
+        duality_indicator_matrix(g, Cone.pareto(2))
 
 
 @settings(max_examples=50, deadline=None)
