@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    InconsistentReport,
     MissingDerivative,
     NotSeparable,
     StructureViolation,
@@ -62,7 +63,10 @@ class DualReport:
     notes: str = ""
 
     def __post_init__(self):
-        assert self.admissible == (len(self.violated_conditions) == 0)
+        if self.admissible != (len(self.violated_conditions) == 0):
+            raise InconsistentReport(
+                f"admissible={self.admissible} with "
+                f"{len(self.violated_conditions)} violated conditions")
 
 
 def probe_points(box, n: int = N_PROBES_DEFAULT) -> np.ndarray:

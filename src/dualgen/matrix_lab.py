@@ -7,11 +7,15 @@ be checked to rounding.  `SurvivalTransform` is the one implementation of
 F and F^-1, with two paths: cumulative sums and differences along the grid
 axes for the Pareto cone, and a dense F with its exact Moebius inverse for
 any other lattice cone (the light cone is not a product of 1-D orders).
+`semigroup` computes exp(tQ) once by scaling and squaring and checks it
+on a few fixed probe vectors against `expm_multiply`, a separate algorithm
+(the action of the exponential by truncated Taylor series).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm, solve_triangular
@@ -29,7 +33,6 @@ __all__ = [
     "dual_semigroup_via_F",
     "dual_generator_via_F",
     "duality_residual",
-    "generator_duality_residual",
     "dual_stochasticity_check",
     "StochasticityReport",
     "interior_mask",
@@ -38,12 +41,19 @@ __all__ = [
 ]
 
 _EXPM_NORM_LIMIT = 1e6
+_CHECK_PROBES = 2
 
 
 @dataclass(frozen=True)
 class SemigroupSnapshot:
+    """T = exp(tQ) at time t.  `semigroup` also records ||tQ||_inf as `norm`
+    and the probe-vector check's error as `check_error`; they stay None on
+    a snapshot built another way (for example the dual's)."""
+
     t: float
     T: np.ndarray
+    norm: Optional[float] = None
+    check_error: Optional[float] = None
 
 
 class SurvivalTransform:
@@ -125,22 +135,34 @@ def inverse_F_matrix(grid: Grid, cone: Cone) -> np.ndarray:
 
 
 def semigroup(q: QMatrix, t: float) -> SemigroupSnapshot:
-    """Transition matrix exp(tQ) with a halving self-check."""
+    """Transition matrix exp(tQ), checked on probe vectors.
+
+    T = expm(tQ) (Pade scaling and squaring) is compared with
+    expm_multiply(tQ, V) (Al-Mohy & Higham's truncated Taylor action) on
+    `_CHECK_PROBES` fixed random columns V with entries in [-1, 1].  The two
+    algorithms share no step, so an error in either shows; expm(tQ / 2)
+    squared would repeat expm's own arithmetic and could not.  The check's
+    cost grows linearly with ||tQ||, expm's only with its logarithm.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if q.n > MAX_STATES:
         raise Overflow(f"{q.n} states exceeds the dense cap of {MAX_STATES}")
     A = t * q.entries
-    norm = np.abs(A).sum(axis=1).max() if q.n else 0.0
+    norm = float(np.abs(A).sum(axis=1).max()) if q.n else 0.0
     if norm > _EXPM_NORM_LIMIT:
         raise Overflow(
             f"||tQ|| = {norm:.3g} too large; use smaller t or a coarser grid")
+    # imported here: `import dualgen` loads no scipy.sparse
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import expm_multiply
+
     T = expm(A)
-    half = expm(A / 2.0)
-    err = np.abs(T - half @ half).max()
-    if err > 1e-10 * max(1.0, np.abs(T).max()):
+    V = np.random.default_rng(0).uniform(-1.0, 1.0, size=(q.n, _CHECK_PROBES))
+    err = float(np.abs(T @ V - expm_multiply(csr_matrix(A), V)).max())
+    if err > 1e-10 * max(1.0, np.abs(T).sum(axis=1).max()):
         raise Overflow(f"matrix exponential self-check failed: {err:.3g}")
-    return SemigroupSnapshot(t=float(t), T=T)
+    return SemigroupSnapshot(t=float(t), T=T, norm=norm, check_error=err)
 
 
 def dual_semigroup_via_F(T: SemigroupSnapshot, grid: Grid,
@@ -164,12 +186,6 @@ def duality_residual(T: SemigroupSnapshot, TD: SemigroupSnapshot,
     if lhs.shape != rhs.shape:
         raise ValueError("incompatible snapshot dimensions")
     return float(np.abs(lhs - rhs).max())
-
-
-def generator_duality_residual(q: QMatrix, qd: QMatrix,
-                               f_matrix: np.ndarray) -> float:
-    """Generator-level residual max | Q f(., y) - Q^D f(x, .) |."""
-    return float(np.abs(q.entries @ f_matrix - f_matrix @ qd.entries.T).max())
 
 
 def _default_test_functions(dim: int):

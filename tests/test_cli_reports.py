@@ -261,3 +261,12 @@ def test_import_does_not_load_scipy_stats():
                          text=True, check=True, timeout=120,
                          env=_env())
     assert out.stdout.strip() == "False"
+
+
+def test_import_does_not_load_scipy_sparse_linalg():
+    # only matrix_lab.semigroup's check needs it, and imports it on use
+    code = "import sys, dualgen; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=_env())
+    assert out.stdout.strip() == "False"

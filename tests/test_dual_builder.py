@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualgen.dual_builder import (
+    DualReport,
     check_self_dual,
     dual_diffusion,
     dual_drift,
@@ -13,7 +14,11 @@ from dualgen.dual_builder import (
     pareto_dual_jump_rates,
     probe_points,
 )
-from dualgen.errors import MissingDerivative, NotSeparable
+from dualgen.errors import (
+    InconsistentReport,
+    MissingDerivative,
+    NotSeparable,
+)
 from dualgen.generator_core import (
     AtomicJumpKernel,
     DensityJumpKernel,
@@ -34,6 +39,15 @@ def test_probe_points_deterministic_and_inside_box():
     b = probe_points([(-1.0, 2.0)], 50)
     assert np.array_equal(a, b)
     assert a.min() >= -1.0 and a.max() <= 2.0
+
+
+def test_dual_report_rejects_inconsistent_flag():
+    # a raise, not an assert, so it also holds under python -O
+    with pytest.raises(InconsistentReport):
+        DualReport(dual_spec=None, admissible=True,
+                   violated_conditions=(("C1", 0.0, -1.0),))
+    with pytest.raises(InconsistentReport):
+        DualReport(dual_spec=None, admissible=False)
 
 
 def test_dual_drift_negates_components():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from dualgen import matrix_lab
 from dualgen.errors import Overflow
 from dualgen.generator_core import ProcessSpec, QMatrix, discretize
 from dualgen.matrix_lab import (
@@ -84,6 +86,49 @@ def test_semigroup_two_state_closed_form():
         T = semigroup(q, t).T
         p = 0.5 * (1.0 + np.exp(-2.0 * t))
         assert np.abs(T - [[p, 1 - p], [1 - p, p]]).max() < 1e-12
+
+
+_NON_SYMMETRIC_Q = np.array([[-1.0, 1.0, 0.0],
+                             [0.5, -2.0, 1.5],
+                             [0.0, 3.0, -3.0]])
+
+
+def _three_state():
+    return QMatrix(entries=_NON_SYMMETRIC_Q,
+                   state_grid=build_grid([0.0], [2.0], [1.0]))
+
+
+def test_semigroup_check_catches_transposed_exponential(monkeypatch):
+    # expm(A / 2) squared would repeat the same wrong algorithm and agree
+    # with it to rounding; the probe-vector check uses another algorithm
+    monkeypatch.setattr(matrix_lab, "expm",
+                        lambda A: scipy.linalg.expm(A.T))
+    with pytest.raises(Overflow, match="self-check failed"):
+        semigroup(_three_state(), 0.7)
+
+
+def test_semigroup_one_expm_call(monkeypatch):
+    calls = []
+
+    def counting_expm(A):
+        calls.append(A.shape)
+        return scipy.linalg.expm(A)
+
+    monkeypatch.setattr(matrix_lab, "expm", counting_expm)
+    q = _three_state()
+    for k, t in enumerate((0.1, 0.7, 2.0), start=1):
+        semigroup(q, t)
+        assert len(calls) == k
+
+
+def test_semigroup_records_norm_and_check_error():
+    q = _three_state()
+    snap = semigroup(q, 0.7)
+    assert snap.norm == pytest.approx(0.7 * 6.0)    # row 3: |-3| + 3
+    assert 0.0 <= snap.check_error < 1e-12
+    assert np.array_equal(snap.T, scipy.linalg.expm(0.7 * _NON_SYMMETRIC_Q))
+    dual = dual_semigroup_via_F(snap, q.state_grid, Cone.pareto(1))
+    assert dual.norm is None and dual.check_error is None
 
 
 def test_semigroup_rejects_negative_time_and_huge_systems():
