@@ -10,10 +10,10 @@ import numpy as np
 from dualgen import (
     Cone,
     ProcessSpec,
+    SurvivalTransform,
     build_grid,
     discretize,
     dual_semigroup_via_F,
-    duality_indicator_matrix,
     duality_residual,
     semigroup,
 )
@@ -28,14 +28,14 @@ def main():
     grid = build_grid([-4.0], [4.0], [0.25], boundary_policy="reflect")
     q = discretize(spec, grid)
     cone = Cone.pareto(1)
-    fmat = duality_indicator_matrix(grid, cone)
+    op = SurvivalTransform(grid, cone)
 
     print("state count:", grid.n_points)
     print(f"{'t':>6}  {'residual':>12}")
     for t in (0.1, 0.5, 1.0, 5.0):
         T = semigroup(q, t)
         TD = dual_semigroup_via_F(T, grid, cone)
-        r = duality_residual(T, TD, fmat)
+        r = duality_residual(T, TD, op)
         print(f"{t:6.1f}  {r:12.3e}")
 
 

@@ -23,6 +23,7 @@ from .generator_core import (
     validate_qmatrix,
 )
 from .matrix_lab import (
+    SurvivalTransform,
     dual_generator_via_F,
     dual_semigroup_via_F,
     dual_stochasticity_check,

@@ -97,12 +97,11 @@ class MonotoneRateFunction:
     def check_monotone(self, z_lo, z_hi, y_values, n_pairs: int = 200):
         """First violating probe pair (z1, z2, y, f1, f2), or None."""
         if self.func is None:
-            atoms_ok = True
             for y in y_values:
                 for _, jump in (self.atoms(y) if self.atoms else ()):
                     if jump < -1e-12:
                         return (None, None, y, jump, 0.0)
-            return None if atoms_ok else None
+            return None
         pairs = probe_points([(z_lo, z_hi), (z_lo, z_hi)], n_pairs)
         for y in y_values:
             for z1, z2 in pairs:

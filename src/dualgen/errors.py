@@ -37,26 +37,6 @@ class StructureViolation(DualgenError):
     """Declared coefficient structure fails at a probe point."""
 
 
-class PSDViolation(DualgenError):
-    """Diffusion matrix fails positive semidefiniteness at a probe point."""
-
-
-class TailConditionFail(DualgenError):
-    """Jump-rate tails do not vanish at the ends of the probe box."""
-
-
-class MonotonicityFail(DualgenError):
-    """A rate function declared monotone fails at a probe pair."""
-
-
-class CompensatorDivergent(DualgenError):
-    """The principal-value compensator integral does not converge."""
-
-
-class SignConditionFail(DualgenError):
-    """A mixed-derivative sign condition fails at a probe point."""
-
-
 class MissingDerivative(DualgenError):
     """A required derivative callable was not supplied."""
 
@@ -71,6 +51,10 @@ class UnsupportedScheme(DualgenError):
 
 class NonFiniteState(DualgenError):
     """A simulated path ended at NaN or inf."""
+
+
+class NonFiniteCoefficient(DualgenError):
+    """A drift, diffusion or jump rate is NaN or inf at a grid point."""
 
 
 class InvalidEstimate(DualgenError):

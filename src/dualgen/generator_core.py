@@ -5,7 +5,13 @@ generator  L g = sum a_ij d2g/dxi dxj + b . grad g + integral terms.
 Discretization uses upwind first differences for the drift, central
 second differences with the positive 7-point stencil for cross terms,
 and midpoint quadrature per grid cell for jump kernels, so conditional
-positivity holds by construction.
+positivity holds by construction.  `discretize` evaluates the drift and
+diffusion once per state and then assembles each stencil move for all
+states at once with array writes (`_axis_neighbor` maps a whole array of
+flat indices across a boundary), accumulating every entry in the same
+order as a state-by-state loop would, so Q is the same to the bit.  NaN
+or inf coefficients raise NonFiniteCoefficient instead of vanishing from
+the stencil.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .errors import (
     CFLWarning,
     ClippingWarning,
     DimensionMismatch,
+    NonFiniteCoefficient,
     PositivityViolation,
 )
 from .state_space import Grid
@@ -315,47 +322,51 @@ class ValidationReport:
     max_rowsum_defect: float
 
 
-def _axis_neighbor(grid: Grid, midx, axis, step):
-    """Index of the neighbor `step` cells away, boundary-mapped; None drops it."""
-    j = midx[axis] + step
+def _axis_neighbor(grid: Grid, flat: np.ndarray, axis: int, step) -> np.ndarray:
+    """Flat indices `step` cells from `flat` along `axis`, boundary-mapped;
+    -1 where truncate_mass drops the move."""
     n = grid.shape[axis]
+    stride = int(np.prod(grid.shape[axis + 1:], dtype=int))
+    k = flat // stride % n
+    j = k + step
     pol_lo, pol_hi = grid.boundary_policy[axis]
-    if j < 0:
-        if pol_lo == "reflect":
-            # mirror about the face through the boundary point's cell edge,
-            # so the boundary state keeps the suppressed move (Neumann)
-            j = -j - 1
-        elif pol_lo == "absorb":
-            j = 0
-        else:
-            return None
-    elif j >= n:
-        if pol_hi == "reflect":
-            j = 2 * n - 1 - j
-        elif pol_hi == "absorb":
-            j = n - 1
-        else:
-            return None
-    out = list(midx)
-    out[axis] = j
-    return tuple(out)
+    below, above = j < 0, j >= n
+    # reflect mirrors about the face through the boundary point's cell
+    # edge, so the boundary state keeps the suppressed move (Neumann)
+    j = np.where(below, -j - 1 if pol_lo == "reflect" else 0, j)
+    j = np.where(above, 2 * n - 1 - j if pol_hi == "reflect" else n - 1, j)
+    out = flat + (j - k) * stride
+    if pol_lo == "truncate_mass":
+        out[below] = -1
+    if pol_hi == "truncate_mass":
+        out[above] = -1
+    return out
 
 
-def _absorbing_faces(grid: Grid):
-    """Flat indices of states on faces with absorb policy (zero rows)."""
-    idx = []
-    for axis in range(grid.dim):
-        pol_lo, pol_hi = grid.boundary_policy[axis]
-        for end, pol in ((0, pol_lo), (grid.shape[axis] - 1, pol_hi)):
-            if pol != "absorb":
-                continue
-            grids = [np.arange(n) for n in grid.shape]
-            grids[axis] = np.array([end])
-            mesh = np.meshgrid(*grids, indexing="ij")
-            flat = np.ravel_multi_index([m.ravel() for m in mesh], grid.shape,
-                                        order="C")
-            idx.extend(int(i) for i in flat)
-    return sorted(set(idx))
+def _absorbing_mask(grid: Grid) -> np.ndarray:
+    """Flat mask of states on faces with absorb policy (zero rows)."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for axis, policies in enumerate(grid.boundary_policy):
+        for end, pol in zip((0, -1), policies):
+            if pol == "absorb":
+                face = [slice(None)] * grid.dim
+                face[axis] = end
+                mask[tuple(face)] = True
+    return mask.ravel(order="C")
+
+
+def _require_finite(values: np.ndarray, what: str, states, pts: np.ndarray):
+    """Raise NonFiniteCoefficient at the first state whose row of `values`
+    holds NaN or inf, naming the first such value."""
+    rows = values.reshape(len(values), -1)
+    finite = np.isfinite(rows)
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if len(bad):
+        p = bad[0]
+        i = int(states[p])
+        raise NonFiniteCoefficient(
+            f"{what} is {rows[p][~finite[p]][0]} at grid point {pts[i]} "
+            f"(state {i})")
 
 
 def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatrix:
@@ -363,91 +374,105 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
 
     Upwind drift, central diffusion with the positive cross stencil,
     midpoint jump quadrature; boundary rows follow the grid's per-axis
-    boundary policy.
+    boundary policy.  Drift and diffusion are evaluated once per state;
+    each stencil move is then written for all states at once, in the
+    same order per entry as a state-by-state loop, so Q does not depend
+    on how the assembly is batched.  Raises NonFiniteCoefficient on a
+    NaN or inf drift, diffusion or jump rate.
     """
     if spec.dim != grid.dim:
         raise DimensionMismatch("spec and grid dimensions differ")
     n_states = grid.n_points
     Q = np.zeros((n_states, n_states))
+    live = np.flatnonzero(~_absorbing_mask(grid))
     h = grid.spacing
     pts = grid.points()
-    shape = grid.shape
-    absorbing = set(_absorbing_faces(grid))
-    cfl_warned = False
-    clip_warned = False
+    d = spec.dim
+
+    def drift_at(x):
+        b = spec.eval_drift(x)
+        if spec.jump is not None and spec.jump_compensated:
+            b = b - spec.jump.compensator_drift(x, spec.compensator_cutoff)
+        return b
+
+    B = np.array([drift_at(pts[i]) for i in live]).reshape(len(live), d)
+    _require_finite(B, "drift b", live, pts)
+    A = None
+    if spec.has_diffusion():
+        A = np.array([spec.eval_diffusion(pts[i]) for i in live])
+        A = A.reshape(len(live), d, d)
+        _require_finite(A, "diffusion a", live, pts)
 
     # kernels with a non-conservative diagonal (a genuine death term)
     # provide their generator rows whole instead of off-diagonal rates
     jump_matrix = None
     if spec.jump is not None and hasattr(spec.jump, "generator_matrix"):
         jump_matrix = spec.jump.generator_matrix(grid)
+        _require_finite(jump_matrix[live], "jump generator row", live, pts)
 
-    for i in range(n_states):
-        if i in absorbing:
-            continue
-        x = pts[i]
-        midx = np.unravel_index(i, shape, order="C")
+    Qf = Q.reshape(-1)
+    diag = np.zeros(len(live))
 
-        def add(target_midx, rate):
-            if target_midx is None:
-                Q[i, i] -= rate          # truncated mass: killing
-                return
-            j = int(np.ravel_multi_index(target_midx, shape, order="C"))
-            if j != i:
-                Q[i, j] += rate
-                Q[i, i] -= rate
+    def add(sel, target, rate):
+        """Move `rate` from each live state where `sel` holds to `target`:
+        -1 kills the mass (truncate_mass), the state itself is no move."""
+        moved = sel & (target != live)
+        to_grid = moved & (target >= 0)
+        Qf[live[to_grid] * n_states + target[to_grid]] += rate[to_grid]
+        diag[moved] -= rate[moved]
 
-        b = spec.eval_drift(x)
-        if spec.jump is not None and spec.jump_compensated:
-            b = b - spec.jump.compensator_drift(x, spec.compensator_cutoff)
+    if A is not None:
+        a_diag = np.diagonal(A, axis1=1, axis2=2)
+        off_budget = np.sum(np.abs(A), axis=2) - np.abs(a_diag)
+        diag_rates = a_diag - off_budget
+        clipped = np.flatnonzero(np.any(diag_rates < -1e-12, axis=1))
+        cfl = np.argwhere((a_diag > 0) & (np.abs(B) * h > 2.0 * a_diag))
+        # each warning once, in the order a state-by-state loop meets them
+        first_clip = clipped[0] if len(clipped) else len(live)
+        first_cfl = cfl[0, 0] if len(cfl) else len(live)
+        cfl_message = (f"drift dominates diffusion at spacing "
+                       f"{h[cfl[0, 1]]} (axis {cfl[0, 1]})" if len(cfl) else "")
+        if first_cfl < first_clip:
+            warnings.warn(cfl_message, CFLWarning)
+        if len(clipped):
+            if not clip_cross:
+                raise PositivityViolation(
+                    f"cross terms exceed diagonal at state {live[first_clip]}: "
+                    f"a = {A[first_clip]}")
+            warnings.warn(
+                "cross-diffusion terms clipped to preserve positivity",
+                ClippingWarning)
+            diag_rates[clipped] = np.clip(diag_rates[clipped], 0.0, None)
+            if len(cfl) and first_cfl >= first_clip:
+                warnings.warn(cfl_message, CFLWarning)
 
-        a = spec.eval_diffusion(x) if spec.has_diffusion() else None
-        if a is not None:
-            off_budget = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
-            diag_rates = np.diag(a) - off_budget
-            if np.any(diag_rates < -1e-12):
-                if not clip_cross:
-                    raise PositivityViolation(
-                        f"cross terms exceed diagonal at state {i}: a = {a}")
-                if not clip_warned:
-                    warnings.warn(
-                        "cross-diffusion terms clipped to preserve positivity",
-                        ClippingWarning)
-                    clip_warned = True
-                diag_rates = np.clip(diag_rates, 0.0, None)
-            for ax in range(spec.dim):
-                r = diag_rates[ax] / h[ax] ** 2
-                if r != 0.0:
-                    add(_axis_neighbor(grid, midx, ax, +1), r)
-                    add(_axis_neighbor(grid, midx, ax, -1), r)
-                if not cfl_warned and a[ax, ax] > 0 and \
-                        abs(b[ax]) * h[ax] > 2.0 * a[ax, ax]:
-                    warnings.warn(
-                        f"drift dominates diffusion at spacing {h[ax]} (axis {ax})",
-                        CFLWarning)
-                    cfl_warned = True
-            for ai in range(spec.dim):
-                for aj in range(ai + 1, spec.dim):
-                    if a[ai, aj] == 0.0:
-                        continue
-                    m = abs(a[ai, aj]) / (h[ai] * h[aj])
-                    sgn = 1 if a[ai, aj] > 0 else -1
-                    for direction in (+1, -1):
-                        t = _axis_neighbor(grid, midx, ai, direction)
-                        if t is not None:
-                            t = _axis_neighbor(grid, t, aj, direction * sgn)
-                        add(t, m)
+        for ax in range(d):
+            r = diag_rates[:, ax] / h[ax] ** 2
+            for step in (+1, -1):
+                add(r != 0.0, _axis_neighbor(grid, live, ax, step), r)
+        for ai in range(d):
+            for aj in range(ai + 1, d):
+                c = A[:, ai, aj]
+                sgn = np.where(c > 0, 1, -1)
+                for direction in (+1, -1):
+                    t = _axis_neighbor(grid, live, ai, direction)
+                    ok = t >= 0
+                    t[ok] = _axis_neighbor(grid, t[ok], aj,
+                                           direction * sgn[ok])
+                    add(c != 0.0, t, np.abs(c) / (h[ai] * h[aj]))
 
-        for ax in range(spec.dim):
-            if b[ax] > 0:
-                add(_axis_neighbor(grid, midx, ax, +1), b[ax] / h[ax])
-            elif b[ax] < 0:
-                add(_axis_neighbor(grid, midx, ax, -1), -b[ax] / h[ax])
+    for ax in range(d):
+        b = B[:, ax]
+        add(b != 0.0, _axis_neighbor(grid, live, ax, np.where(b > 0, 1, -1)),
+            np.abs(b) / h[ax])
 
-        if jump_matrix is not None:
-            Q[i] += jump_matrix[i]
-        elif spec.jump is not None:
-            rates = spec.jump.cell_rates(x, grid)
+    Q[live, live] = diag
+    if jump_matrix is not None:
+        Q[live] += jump_matrix[live]
+    elif spec.jump is not None:
+        for i in live:
+            rates = spec.jump.cell_rates(pts[i], grid)
+            _require_finite(rates[None], "jump rate", [i], pts)
             rates_sum = float(rates.sum()) - float(rates[i])
             Q[i] += rates
             Q[i, i] -= float(rates[i])      # same-cell jumps are self-loops

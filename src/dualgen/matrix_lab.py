@@ -10,6 +10,10 @@ any other lattice cone (the light cone is not a product of 1-D orders).
 `semigroup` computes exp(tQ) once by scaling and squaring and checks it
 on a few fixed probe vectors against `expm_multiply`, a separate algorithm
 (the action of the exponential by truncated Taylor series).
+`duality_residual` pairs both semigroups with the order indicator through
+the same operator: the indicator is f = F', so T f = (F T')' and
+f T^D' = F' T^D' cost O(n^2 d) on the Pareto path (`apply_transpose` is a
+prefix sum), and no n x n indicator matrix is built for it.
 """
 
 from __future__ import annotations
@@ -108,6 +112,13 @@ class SurvivalTransform:
         return self._on_grid(w, lambda v, ax: np.flip(
             np.cumsum(np.flip(v, axis=ax), axis=ax), axis=ax))
 
+    def apply_transpose(self, v) -> np.ndarray:
+        """F' v = f v, the pairing of v with the order indicator f (prefix
+        sums along the grid axes for the Pareto cone)."""
+        if self._dense is not None:
+            return self._dense[0].T @ v
+        return self._on_grid(v, lambda a, ax: np.cumsum(a, axis=ax))
+
     def apply_inverse(self, g) -> np.ndarray:
         """F^-1 g: the measure whose survival function is g."""
         if self._dense is not None:
@@ -150,7 +161,8 @@ def semigroup(q: QMatrix, t: float) -> SemigroupSnapshot:
         raise Overflow(f"{q.n} states exceeds the dense cap of {MAX_STATES}")
     A = t * q.entries
     norm = float(np.abs(A).sum(axis=1).max()) if q.n else 0.0
-    if norm > _EXPM_NORM_LIMIT:
+    # written as `not <=` so that a NaN fails the comparison too
+    if not norm <= _EXPM_NORM_LIMIT:
         raise Overflow(
             f"||tQ|| = {norm:.3g} too large; use smaller t or a coarser grid")
     # imported here: `import dualgen` loads no scipy.sparse
@@ -160,7 +172,7 @@ def semigroup(q: QMatrix, t: float) -> SemigroupSnapshot:
     T = expm(A)
     V = np.random.default_rng(0).uniform(-1.0, 1.0, size=(q.n, _CHECK_PROBES))
     err = float(np.abs(T @ V - expm_multiply(csr_matrix(A), V)).max())
-    if err > 1e-10 * max(1.0, np.abs(T).sum(axis=1).max()):
+    if not err <= 1e-10 * max(1.0, np.abs(T).sum(axis=1).max()):
         raise Overflow(f"matrix exponential self-check failed: {err:.3g}")
     return SemigroupSnapshot(t=float(t), T=T, norm=norm, check_error=err)
 
@@ -179,12 +191,18 @@ def dual_generator_via_F(q: QMatrix, grid: Grid, cone: Cone) -> QMatrix:
 
 
 def duality_residual(T: SemigroupSnapshot, TD: SemigroupSnapshot,
-                     f_matrix: np.ndarray) -> float:
-    """max_{x,y} | (T f(., y))(x) - (T^D f(x, .))(y) |."""
-    lhs = T.T @ f_matrix          # [x, y]
-    rhs = f_matrix @ TD.T.T       # [x, y]
-    if lhs.shape != rhs.shape:
+                     op: SurvivalTransform) -> float:
+    """max_{x,y} | (T f(., y))(x) - (T^D f(x, .))(y) | for f = F'.
+
+    The indicator f[x, y] = 1{x - y in C} is F' by construction, so
+    T f = (F T')' and f T^D' = F' T^D' cost O(n^2 d) through the
+    operator, and no n x n indicator is built.
+    """
+    P, PD = T.T, TD.T
+    if P.shape != PD.shape:
         raise ValueError("incompatible snapshot dimensions")
+    lhs = op.apply(P.T).T               # [x, y]
+    rhs = op.apply_transpose(PD.T)      # [x, y]
     return float(np.abs(lhs - rhs).max())
 
 

@@ -12,8 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma
 
-from .errors import DimensionMismatch, SingularityUnhandled
-from .state_space import Grid, GridFunction, GridMeasure
+from .errors import DimensionMismatch, Overflow, SingularityUnhandled
+from .state_space import (
+    _INDICATOR_BLOCK,
+    MAX_STATES,
+    Grid,
+    GridFunction,
+    GridMeasure,
+)
 
 __all__ = [
     "TranslationKernel",
@@ -106,21 +112,29 @@ def potential_F(q: GridMeasure, grid: Grid, k: TranslationKernel,
 
     The diagonal singular term f(0) is replaced by the cell-averaged
     kernel value over one grid cell; with cell_averaging disabled, a
-    point mass at an evaluation point is an error.
+    point mass at an evaluation point is an error.  Built over blocks of
+    rows, so no temporary holds more than _INDICATOR_BLOCK differences;
+    each row is summed on its own, so the blocks do not change the result.
     """
     _check_compat(len(q.weights), grid)
     if k.d != grid.dim:
         raise DimensionMismatch("kernel and grid dimensions differ")
+    n = grid.n_points
+    if n > MAX_STATES:
+        raise Overflow(f"{n} states exceeds the dense cap of {MAX_STATES}")
+    if not cell_averaging and np.any(q.weights != 0):
+        # every grid point is an evaluation point
+        raise SingularityUnhandled(
+            "point mass coincides with an evaluation point")
     pts = grid.points()
-    diffs = pts[:, None, :] - pts[None, :, :]        # [iy, ix]
-    r = np.linalg.norm(diffs, axis=-1)
-    vals = k(np.where(r == 0.0, 1.0, r))
-    if cell_averaging:
-        np.fill_diagonal(vals, k.cell_average(grid))
-    else:
-        hits = (r == 0.0) & (np.abs(q.weights[None, :]) > 0)
-        if np.any(hits):
-            raise SingularityUnhandled(
-                "point mass coincides with an evaluation point")
-        np.fill_diagonal(vals, 0.0)
-    return GridFunction(values=vals @ q.weights)
+    diag = k.cell_average(grid) if cell_averaging else 0.0
+    out = np.empty(n)
+    rows = max(1, _INDICATOR_BLOCK // (n * grid.dim))
+    for r in range(0, n, rows):
+        diffs = pts[r:r + rows, None, :] - pts[None, :, :]      # [iy, ix]
+        dist = np.linalg.norm(diffs, axis=-1)
+        at_node = dist == 0.0
+        vals = k(np.where(at_node, 1.0, dist))
+        vals[at_node] = diag
+        out[r:r + rows] = (vals * q.weights).sum(axis=1)
+    return GridFunction(values=out)

@@ -32,6 +32,7 @@ from dualgen.generator_core import (
     discretize,
 )
 from dualgen.matrix_lab import (
+    SurvivalTransform,
     action_mismatch,
     dual_generator_via_F,
     dual_semigroup_via_F,
@@ -51,7 +52,6 @@ from dualgen.scenario import load_scenario, run_scenario
 from dualgen.state_space import (
     Cone,
     build_grid,
-    duality_indicator_matrix,
     lightcone_2d,
 )
 
@@ -89,11 +89,11 @@ def test_criterion_1_conjugation_identity():
         np.fill_diagonal(Q, -Q.sum(axis=1))
         q = QMatrix(entries=Q, state_grid=grid)
         cone = Cone.pareto(grid.dim)
-        fmat = duality_indicator_matrix(grid, cone)
+        op = SurvivalTransform(grid, cone)
         for t in (0.1, 1.0, 5.0):
             T = semigroup(q, t)
             TD = dual_semigroup_via_F(T, grid, cone)
-            worst = max(worst, duality_residual(T, TD, fmat))
+            worst = max(worst, duality_residual(T, TD, op))
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
     print(f"  worst residual {worst:.3g}, elapsed {elapsed:.2f}s")

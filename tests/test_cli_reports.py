@@ -270,3 +270,48 @@ def test_import_does_not_load_scipy_sparse_linalg():
                          text=True, check=True, timeout=120,
                          env=_env())
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("lower,upper,where", [
+    # log(x1) is NaN left of 0: once read as a pass
+    ([-1.05], [0.95], "drift b is nan at grid point [-1.05] (state 0)"),
+    # -inf at 0: once read as "||tQ|| = inf too large"
+    ([0.0], [1.0], "drift b is -inf at grid point [0.] (state 0)"),
+])
+def test_cli_exit_two_on_non_finite_drift_in_verify_matrix(tmp_path, capsys,
+                                                            lower, upper,
+                                                            where):
+    doc = {
+        "name": "log-drift", "mode": "verify-matrix",
+        "process": {"dim": 1, "drift": ["log(x1)"], "diffusion": ["0.5"]},
+        "grid": {"lower": lower, "upper": upper, "spacing": [0.1],
+                 "boundary_policy": "reflect"},
+        "cone": {"type": "pareto"},
+        "probes": [{"x": [0.45], "y": [0.45], "t": 0.5}],
+    }
+    path = _write(tmp_path, doc)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert main(["verify-matrix", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(where)
+
+
+# tests whose invariants are raised errors, not asserts
+_INVARIANT_TESTS = [
+    "tests/test_monte_carlo.py::test_estimate_invariants_hold_without_asserts",
+    "tests/test_monte_carlo.py::test_non_finite_terminal_states_raise",
+    "tests/test_dual_builder.py::test_dual_report_rejects_inconsistent_flag",
+    "tests/test_generator_core.py::test_nan_drift_raises_naming_the_grid_point",
+    "tests/test_generator_core.py::"
+    "test_non_finite_diffusion_and_jump_rates_raise",
+]
+
+
+def test_invariants_hold_under_python_O():
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *_INVARIANT_TESTS],
+        capture_output=True, text=True, timeout=300, cwd=root, env=_env())
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert f"{len(_INVARIANT_TESTS)} passed" in out.stdout

@@ -1,11 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualgen.errors import CFLWarning, DimensionMismatch
+from dualgen.dual_builder import ParetoDualJumpKernelND
+from dualgen.errors import (
+    CFLWarning,
+    ClippingWarning,
+    DimensionMismatch,
+    NonFiniteCoefficient,
+    PositivityViolation,
+)
 from dualgen.generator_core import (
     AtomicJumpKernel,
+    DensityJumpKernel,
     ProcessSpec,
     SeparableJumpKernel,
     adjoint,
@@ -152,3 +162,269 @@ def test_discretization_conditionally_positive(a, b):
     g = build_grid([-2.0], [2.0], [0.5], boundary_policy="reflect")
     rep = validate_qmatrix(discretize(spec, g))
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# reference: the state-by-state assembly loop that `discretize` batches
+
+def _loop_neighbor(grid, midx, axis, step):
+    j = midx[axis] + step
+    n = grid.shape[axis]
+    pol_lo, pol_hi = grid.boundary_policy[axis]
+    if j < 0:
+        if pol_lo == "reflect":
+            j = -j - 1
+        elif pol_lo == "absorb":
+            j = 0
+        else:
+            return None
+    elif j >= n:
+        if pol_hi == "reflect":
+            j = 2 * n - 1 - j
+        elif pol_hi == "absorb":
+            j = n - 1
+        else:
+            return None
+    out = list(midx)
+    out[axis] = j
+    return tuple(out)
+
+
+def _loop_absorbing(grid):
+    idx = set()
+    for axis in range(grid.dim):
+        pol_lo, pol_hi = grid.boundary_policy[axis]
+        for end, pol in ((0, pol_lo), (grid.shape[axis] - 1, pol_hi)):
+            if pol != "absorb":
+                continue
+            grids = [np.arange(n) for n in grid.shape]
+            grids[axis] = np.array([end])
+            mesh = np.meshgrid(*grids, indexing="ij")
+            flat = np.ravel_multi_index([m.ravel() for m in mesh], grid.shape)
+            idx.update(int(i) for i in flat)
+    return idx
+
+
+def _discretize_loop(spec, grid, clip_cross=True):
+    n_states = grid.n_points
+    Q = np.zeros((n_states, n_states))
+    h = grid.spacing
+    pts = grid.points()
+    shape = grid.shape
+    absorbing = _loop_absorbing(grid)
+    cfl_warned = False
+    clip_warned = False
+    jump_matrix = None
+    if spec.jump is not None and hasattr(spec.jump, "generator_matrix"):
+        jump_matrix = spec.jump.generator_matrix(grid)
+
+    for i in range(n_states):
+        if i in absorbing:
+            continue
+        x = pts[i]
+        midx = np.unravel_index(i, shape, order="C")
+
+        def add(target_midx, rate):
+            if target_midx is None:
+                Q[i, i] -= rate
+                return
+            j = int(np.ravel_multi_index(target_midx, shape, order="C"))
+            if j != i:
+                Q[i, j] += rate
+                Q[i, i] -= rate
+
+        b = spec.eval_drift(x)
+        if spec.jump is not None and spec.jump_compensated:
+            b = b - spec.jump.compensator_drift(x, spec.compensator_cutoff)
+
+        a = spec.eval_diffusion(x) if spec.has_diffusion() else None
+        if a is not None:
+            off_budget = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
+            diag_rates = np.diag(a) - off_budget
+            if np.any(diag_rates < -1e-12):
+                if not clip_cross:
+                    raise PositivityViolation(
+                        f"cross terms exceed diagonal at state {i}: a = {a}")
+                if not clip_warned:
+                    warnings.warn(
+                        "cross-diffusion terms clipped to preserve positivity",
+                        ClippingWarning)
+                    clip_warned = True
+                diag_rates = np.clip(diag_rates, 0.0, None)
+            for ax in range(spec.dim):
+                r = diag_rates[ax] / h[ax] ** 2
+                if r != 0.0:
+                    add(_loop_neighbor(grid, midx, ax, +1), r)
+                    add(_loop_neighbor(grid, midx, ax, -1), r)
+                if not cfl_warned and a[ax, ax] > 0 and \
+                        abs(b[ax]) * h[ax] > 2.0 * a[ax, ax]:
+                    warnings.warn(
+                        f"drift dominates diffusion at spacing {h[ax]} "
+                        f"(axis {ax})", CFLWarning)
+                    cfl_warned = True
+            for ai in range(spec.dim):
+                for aj in range(ai + 1, spec.dim):
+                    if a[ai, aj] == 0.0:
+                        continue
+                    m = abs(a[ai, aj]) / (h[ai] * h[aj])
+                    sgn = 1 if a[ai, aj] > 0 else -1
+                    for direction in (+1, -1):
+                        t = _loop_neighbor(grid, midx, ai, direction)
+                        if t is not None:
+                            t = _loop_neighbor(grid, t, aj, direction * sgn)
+                        add(t, m)
+
+        for ax in range(spec.dim):
+            if b[ax] > 0:
+                add(_loop_neighbor(grid, midx, ax, +1), b[ax] / h[ax])
+            elif b[ax] < 0:
+                add(_loop_neighbor(grid, midx, ax, -1), -b[ax] / h[ax])
+
+        if jump_matrix is not None:
+            Q[i] += jump_matrix[i]
+        elif spec.jump is not None:
+            rates = spec.jump.cell_rates(x, grid)
+            rates_sum = float(rates.sum()) - float(rates[i])
+            Q[i] += rates
+            Q[i, i] -= float(rates[i])
+            Q[i, i] -= rates_sum
+
+    return Q
+
+
+def _cross_spec(dim, scale):
+    """Diffusion with state-dependent cross terms of both signs, clipped
+    where scale * |sin| exceeds the diagonal budget."""
+    def diffusion(x):
+        a = np.diag(0.4 + 0.1 * x * x)
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                a[i, j] = a[j, i] = scale * np.sin(1.3 * x[i] - 0.7 * x[j])
+        return a
+
+    def drift(x):
+        return np.array([np.sin(2.0 * x[k] + k) for k in range(dim)])
+    return ProcessSpec(dim=dim, drift=drift, diffusion=diffusion)
+
+
+_UP_DOWN = AtomicJumpKernel(jumps=(((0.5,), 1.2), ((-0.75,), 0.8)))
+
+_ASSEMBLY_CASES = {
+    "1d-reflect": (
+        ProcessSpec.one_dim(a=lambda x: 0.5 + 0.1 * x * x,
+                            b=lambda x: 0.1 - 0.4 * np.tanh(x)),
+        build_grid([-2.0], [2.0], [0.25], "reflect")),
+    "1d-truncate-atomic": (
+        ProcessSpec.one_dim(a=_const(0.3), b=lambda x: np.sin(x), nu=_UP_DOWN),
+        build_grid([-2.0], [2.0], [0.25])),
+    "1d-absorb-compensated": (
+        ProcessSpec.one_dim(a=_const(0.3), b=lambda x: -x, nu=_UP_DOWN,
+                            jump_compensated=True, compensator_cutoff=0.6),
+        build_grid([-2.0], [2.0], [0.25], "absorb")),
+    "1d-mixed-density": (
+        ProcessSpec.one_dim(b=lambda x: np.cos(3.0 * x), nu=DensityJumpKernel(
+            density=lambda x, W: np.exp(-np.abs(W[:, 0] - x[0])))),
+        build_grid([0.0], [3.0], [0.25], [("absorb", "reflect")])),
+    "1d-cfl": (
+        ProcessSpec.one_dim(a=lambda x: 0.01 + 0.0 * x,
+                            b=lambda x: 5.0 * np.sign(x - 0.3)),
+        build_grid([-1.0], [1.0], [0.25], "reflect")),
+    "2d-reflect-clipped": (
+        _cross_spec(2, 0.6), build_grid([-1.0, -1.0], [1.0, 1.5], [0.25, 0.25],
+                                        "reflect")),
+    "2d-absorb-clipped": (
+        _cross_spec(2, 0.6), build_grid([-1.0, -1.0], [1.0, 1.0], [0.25, 0.5],
+                                        "absorb")),
+    "2d-truncate": (
+        _cross_spec(2, 0.2), build_grid([-1.0, -1.0], [1.0, 1.0], [0.25, 0.25])),
+    "2d-mixed": (
+        _cross_spec(2, 0.6), build_grid(
+            [-1.0, 0.0], [1.0, 2.0], [0.25, 0.25],
+            [("absorb", "reflect"), ("truncate_mass", "reflect")])),
+    "2d-separable-jump": (
+        ProcessSpec(dim=2, diffusion_diag=(_const(0.5), _const(0.2)),
+                    diffusion_offdiag={(0, 1): lambda xi, xj: -0.1 * xi * xj},
+                    drift_components=(lambda s: -s, lambda s: np.sin(s)),
+                    jump=SeparableJumpKernel(components=((1, _UP_DOWN),))),
+        build_grid([-1.0, -1.0], [1.0, 1.0], [0.25, 0.25],
+                   [("reflect", "reflect"), ("absorb", "truncate_mass")])),
+    "2d-generator-matrix": (
+        ProcessSpec(dim=2, diffusion_diag=(_const(0.5), _const(0.5)),
+                    jump=ParetoDualJumpKernelND(base=AtomicJumpKernel(
+                        jumps=(((1.0, 0.0), 0.7), ((0.0, -1.0), 0.4))))),
+        build_grid([0.0, 0.0], [3.0, 3.0], [1.0, 1.0], "reflect")),
+    "3d-mixed-clipped": (
+        _cross_spec(3, 0.5), build_grid(
+            [-1.0, -1.0, -1.0], [1.0, 1.0, 0.5], [0.5, 0.5, 0.5],
+            [("reflect", "absorb"), "truncate_mass", ("absorb", "reflect")])),
+    "3d-reflect": (
+        _cross_spec(3, 0.15), build_grid([-1.0] * 3, [1.0] * 3, [0.5] * 3,
+                                         "reflect")),
+}
+
+
+def _outcome(fn, spec, grid, clip_cross):
+    """Q, or the PositivityViolation message, and the warnings in order."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            q = fn(spec, grid, clip_cross=clip_cross)
+        except PositivityViolation as exc:
+            q = str(exc)
+    return getattr(q, "entries", q), [(w.category, str(w.message))
+                                      for w in seen]
+
+
+def _same_outcome(spec, grid, clip_cross):
+    (want, want_warnings) = _outcome(_discretize_loop, spec, grid, clip_cross)
+    (got, got_warnings) = _outcome(discretize, spec, grid, clip_cross)
+    assert type(got) is type(want) and np.array_equal(got, want)
+    assert got_warnings == want_warnings
+    return want_warnings
+
+
+@pytest.mark.parametrize("clip_cross", [True, False])
+@pytest.mark.parametrize("name", sorted(_ASSEMBLY_CASES))
+def test_discretize_matches_state_loop(name, clip_cross):
+    _same_outcome(*_ASSEMBLY_CASES[name], clip_cross)
+
+
+def test_warnings_and_positivity_violation_in_state_order():
+    # CFL holds at the first states; the cross terms exceed the diagonal
+    # only right of 0
+    def diffusion(x):
+        c = 0.6 if x[0] > 0.0 else 0.0
+        return np.array([[0.01 if x[0] < -0.9 else 0.5, c], [c, 0.5]])
+
+    spec = ProcessSpec(dim=2, drift=lambda x: np.array([5.0, 0.0]),
+                       diffusion=diffusion)
+    grid = build_grid([-1.0, -1.0], [1.0, 1.0], [0.5, 0.5], "reflect")
+    assert [c for c, _ in _same_outcome(spec, grid, True)] == [
+        CFLWarning, ClippingWarning]
+    assert [c for c, _ in _same_outcome(spec, grid, False)] == [CFLWarning]
+    with pytest.warns(CFLWarning), \
+            pytest.raises(PositivityViolation, match="at state 15: a = "):
+        discretize(spec, grid, clip_cross=False)
+
+
+def test_nan_drift_raises_naming_the_grid_point():
+    # log is NaN left of 0; the stencil used to drop such a drift silently
+    spec = ProcessSpec.one_dim(a=_const(0.5), b=np.log)
+    grid = build_grid([-1.05], [0.95], [0.1], "reflect")
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NonFiniteCoefficient,
+                          match=r"drift b is nan at grid point \[-1\.05\]"):
+        discretize(spec, grid)
+
+
+def test_non_finite_diffusion_and_jump_rates_raise():
+    grid = build_grid([0.0], [2.0], [0.5], "reflect")
+    bad_a = ProcessSpec.one_dim(a=lambda s: np.where(s > 1.2, np.inf, 1.0))
+    with pytest.raises(NonFiniteCoefficient,
+                       match=r"diffusion a is inf .*\[1\.5\]"):
+        discretize(bad_a, grid)
+    bad_rate = ProcessSpec.one_dim(nu=AtomicJumpKernel(
+        jumps=(((0.5,), lambda x: np.nan if x[0] == 1.0 else 1.0),)))
+    with pytest.raises(NonFiniteCoefficient,
+                       match=r"jump rate is nan .*state 2"):
+        discretize(bad_rate, grid)

@@ -76,7 +76,27 @@ def test_survival_transform_matches_dense_reference(grid, cone):
     assert np.abs(op.conjugate(A) - F @ A.T @ Finv).max() < 1e-12
     assert np.abs(op.apply(w) - F @ w).max() < 1e-12
     assert np.abs(op.apply_inverse(w) - Finv @ w).max() < 1e-12
+    assert np.abs(op.apply_transpose(w) - F.T @ w).max() < 1e-12
     assert np.abs(op.apply(w[:, 0]) - F @ w[:, 0]).max() < 1e-12
+
+
+def _dense_residual(T, TD, f):
+    """The duality residual max |T f - f TD'| with the n x n indicator f."""
+    return float(np.abs(T.T @ f - f @ TD.T.T).max())
+
+
+@pytest.mark.parametrize("grid,cone", _OPERATOR_CASES)
+def test_duality_residual_matches_dense_indicator_formula(grid, cone):
+    f = duality_indicator_matrix(grid, cone)
+    q = _random_conservative(grid, grid.n_points)
+    op = SurvivalTransform(grid, cone)
+    T = semigroup(q, 0.8)
+    n = grid.n_points
+    wrong = matrix_lab.SemigroupSnapshot(
+        t=0.8, T=np.random.default_rng(7).normal(size=(n, n)))
+    for TD in (dual_semigroup_via_F(T, grid, cone), wrong):
+        want = _dense_residual(T, TD, f)
+        assert abs(duality_residual(T, TD, op) - want) <= 1e-12 * max(1.0, want)
 
 
 def test_semigroup_two_state_closed_form():
@@ -131,6 +151,14 @@ def test_semigroup_records_norm_and_check_error():
     assert dual.norm is None and dual.check_error is None
 
 
+def test_semigroup_rejects_nan_generator():
+    Q = _NON_SYMMETRIC_Q.copy()
+    Q[1, 2] = np.nan
+    q = QMatrix(entries=Q, state_grid=build_grid([0.0], [2.0], [1.0]))
+    with pytest.raises(Overflow):
+        semigroup(q, 0.5)
+
+
 def test_semigroup_rejects_negative_time_and_huge_systems():
     g = build_grid([0.0], [1.0], [1.0])
     q = QMatrix(entries=np.zeros((2, 2)), state_grid=g)
@@ -146,30 +174,30 @@ def test_conjugation_identity_random_chains():
                        (2, build_grid([0.0, 0.0], [4.0, 3.0], [1.0, 1.0]))]:
         q = _random_conservative(grid, seed)
         cone = Cone.pareto(grid.dim)
-        f = duality_indicator_matrix(grid, cone)
+        op = SurvivalTransform(grid, cone)
         for t in (0.1, 1.0, 5.0):
             T = semigroup(q, t)
             TD = dual_semigroup_via_F(T, grid, cone)
-            assert duality_residual(T, TD, f) <= 1e-9
+            assert duality_residual(T, TD, op) <= 1e-9
 
 
 def test_wrong_dual_has_large_residual():
     grid = build_grid([0.0], [4.0], [1.0])
     q = _random_conservative(grid, 3)
-    f = duality_indicator_matrix(grid, Cone.pareto(1))
+    op = SurvivalTransform(grid, Cone.pareto(1))
     T = semigroup(q, 1.0)
     from dualgen.matrix_lab import SemigroupSnapshot
     wrong = SemigroupSnapshot(t=1.0, T=T.T.T.copy())     # transpose, not dual
-    assert duality_residual(T, wrong, f) > 0.01
+    assert duality_residual(T, wrong, op) > 0.01
 
 
 def test_zero_time_residual_zero():
     grid = build_grid([0.0], [4.0], [1.0])
     q = _random_conservative(grid, 4)
-    f = duality_indicator_matrix(grid, Cone.pareto(1))
+    op = SurvivalTransform(grid, Cone.pareto(1))
     T = semigroup(q, 0.0)
     assert duality_residual(T, dual_semigroup_via_F(T, grid, Cone.pareto(1)),
-                            f) == 0.0
+                            op) == 0.0
 
 
 def test_dual_semigroup_law():

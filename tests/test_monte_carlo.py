@@ -351,6 +351,30 @@ def test_worker_count_capped_at_usable_cores(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_worker_splits_give_identical_paths(monkeypatch):
+    # 5 blocks split over 1, 3 and 4 workers: uneven shares every time
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    block = monte_carlo._simulate_block
+    threads = []
+
+    def recording_block(*args):
+        threads.append(threading.get_ident())
+        return block(*args)
+
+    monkeypatch.setattr(monte_carlo, "_simulate_block", recording_block)
+    cfg = PathConfig(n_paths=5 * monte_carlo.BLOCK_SIZE - 100, dt=0.05,
+                     t_end=0.5, seed=41)
+    out = {}
+    for n in (1, 3, 4):
+        monkeypatch.setenv("DUALGEN_THREADS", str(n))
+        threads.clear()
+        out[n] = simulate_paths(_bm("half_line", "reflect"), cfg, [0.2])
+        # the calling thread runs one share, pool threads pull the others
+        assert len(threads) == 5
+        assert 1 + (n > 1) <= len(set(threads)) <= n
+    assert out[1].tobytes() == out[3].tobytes() == out[4].tobytes()
+
+
 def test_unsimulatable_dual_rejected_before_any_simulation(monkeypatch):
     calls = []
     monkeypatch.setattr(monte_carlo, "simulate_paths",

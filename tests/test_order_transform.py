@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualgen.errors import SingularityUnhandled
+from dualgen import order_transform
+from dualgen.errors import Overflow, SingularityUnhandled
 from dualgen.matrix_lab import SurvivalTransform
 from dualgen.order_transform import (
     TranslationKernel,
@@ -104,6 +105,33 @@ def test_potential_F_point_mass_on_node_errors_without_averaging():
         potential_F(m, g, k, cell_averaging=False)
     vals = potential_F(m, g, k).values          # cell averaging succeeds
     assert np.all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize("kernel", [
+    TranslationKernel(kind="log2d", d=2),
+    TranslationKernel(kind="riesz", d=2, alpha=1.5),
+])
+def test_potential_F_row_blocks_match_one_block(monkeypatch, kernel):
+    g = build_grid([-1.0, -1.0], [1.0, 1.5], [0.25, 0.5])
+    w = np.random.default_rng(5).normal(size=g.n_points)
+    m = GridMeasure(weights=w)
+    whole = potential_F(m, g, kernel).values
+    monkeypatch.setattr(order_transform, "_INDICATOR_BLOCK",
+                        7 * g.n_points * 2)
+    assert np.array_equal(potential_F(m, g, kernel).values, whole)
+    # reference: the full n x n kernel matrix applied to the weights
+    pts = g.points()
+    r = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    K = kernel(np.where(r == 0.0, 1.0, r))
+    np.fill_diagonal(K, kernel.cell_average(g))
+    assert np.abs(whole - K @ w).max() <= 1e-12 * np.abs(K @ w).max()
+
+
+def test_potential_F_state_cap():
+    g = build_grid([0.0, 0.0], [64.0, 64.0], [1.0, 1.0])
+    m = GridMeasure(weights=np.zeros(g.n_points))
+    with pytest.raises(Overflow):
+        potential_F(m, g, TranslationKernel(kind="log2d", d=2))
 
 
 @settings(max_examples=30, deadline=None)
