@@ -34,7 +34,7 @@ def main():
     print(f"{'t':>6}  {'residual':>12}")
     for t in (0.1, 0.5, 1.0, 5.0):
         T = semigroup(q, t)
-        TD = dual_semigroup_via_F(T, grid, cone)
+        TD = dual_semigroup_via_F(T, op)
         r = duality_residual(T, TD, op)
         print(f"{t:6.1f}  {r:12.3e}")
 

@@ -5,13 +5,14 @@ generator  L g = sum a_ij d2g/dxi dxj + b . grad g + integral terms.
 Discretization uses upwind first differences for the drift, central
 second differences with the positive 7-point stencil for cross terms,
 and midpoint quadrature per grid cell for jump kernels, so conditional
-positivity holds by construction.  `discretize` evaluates the drift and
-diffusion once per state and then assembles each stencil move for all
-states at once with array writes (`_axis_neighbor` maps a whole array of
-flat indices across a boundary), accumulating every entry in the same
-order as a state-by-state loop would, so Q is the same to the bit.  NaN
-or inf coefficients raise NonFiniteCoefficient instead of vanishing from
-the stencil.
+positivity holds by construction.  `discretize` evaluates declared
+per-axis drift and diffusion on whole coordinate columns (generic
+callables and the jump compensator once per state) and then assembles
+each stencil move for all states at once with array writes
+(`_axis_neighbor` maps a whole array of flat indices across a boundary),
+accumulating every entry in the same order as a state-by-state loop
+would, so Q is the same to the bit.  NaN or inf coefficients raise
+NonFiniteCoefficient instead of vanishing from the stencil.
 """
 
 from __future__ import annotations
@@ -369,12 +370,45 @@ def _require_finite(values: np.ndarray, what: str, states, pts: np.ndarray):
             f"(state {i})")
 
 
+def _on_column(fn, *columns) -> np.ndarray:
+    """A declared coefficient evaluated on whole coordinate columns; a
+    constant result is broadcast to one value per state."""
+    return np.broadcast_to(np.asarray(fn(*columns), dtype=float),
+                           columns[0].shape)
+
+
+def _drift_rows(spec: ProcessSpec, X: np.ndarray) -> np.ndarray:
+    """b at each row of X, (m, d): declared b_j(x_j) on the column of
+    axis j, a generic drift state by state."""
+    if spec.drift_components is not None:
+        B = np.empty(X.shape)
+        for j, bj in enumerate(spec.drift_components):
+            B[:, j] = _on_column(bj, X[:, j])
+        return B
+    return np.array([spec.eval_drift(x) for x in X]).reshape(X.shape)
+
+
+def _diffusion_rows(spec: ProcessSpec, X: np.ndarray) -> np.ndarray:
+    """a at each row of X, (m, d, d): declared a_jj(x_j) and a_ij(x_i, x_j)
+    on whole columns, a generic diffusion state by state."""
+    m, d = X.shape
+    if spec.diffusion_diag is not None:
+        A = np.zeros((m, d, d))
+        for j, ajj in enumerate(spec.diffusion_diag):
+            A[:, j, j] = _on_column(ajj, X[:, j])
+        for (i, j), aij in (spec.diffusion_offdiag or {}).items():
+            A[:, i, j] = A[:, j, i] = _on_column(aij, X[:, i], X[:, j])
+        return A
+    return np.array([spec.eval_diffusion(x) for x in X]).reshape(m, d, d)
+
+
 def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatrix:
     """Finite-difference / quadrature discretization of the generator.
 
     Upwind drift, central diffusion with the positive cross stencil,
     midpoint jump quadrature; boundary rows follow the grid's per-axis
-    boundary policy.  Drift and diffusion are evaluated once per state;
+    boundary policy.  Drift and diffusion are evaluated once per state,
+    declared per-axis coefficients on whole columns of the grid points;
     each stencil move is then written for all states at once, in the
     same order per entry as a state-by-state loop, so Q does not depend
     on how the assembly is batched.  Raises NonFiniteCoefficient on a
@@ -389,18 +423,15 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
     pts = grid.points()
     d = spec.dim
 
-    def drift_at(x):
-        b = spec.eval_drift(x)
-        if spec.jump is not None and spec.jump_compensated:
-            b = b - spec.jump.compensator_drift(x, spec.compensator_cutoff)
-        return b
-
-    B = np.array([drift_at(pts[i]) for i in live]).reshape(len(live), d)
+    X = pts[live]
+    B = _drift_rows(spec, X)
+    if spec.jump is not None and spec.jump_compensated:
+        B = B - np.array([spec.jump.compensator_drift(
+            x, spec.compensator_cutoff) for x in X]).reshape(len(live), d)
     _require_finite(B, "drift b", live, pts)
     A = None
     if spec.has_diffusion():
-        A = np.array([spec.eval_diffusion(pts[i]) for i in live])
-        A = A.reshape(len(live), d, d)
+        A = _diffusion_rows(spec, X)
         _require_finite(A, "diffusion a", live, pts)
 
     # kernels with a non-conservative diagonal (a genuine death term)

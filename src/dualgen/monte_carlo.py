@@ -442,8 +442,10 @@ def estimate_duality(specX: ProcessSpec, specY: ProcessSpec, f_descriptor,
     """Estimate both sides of E f(X_t^x, y) = E f(x, Y_t^y).
 
     f_descriptor is ("cone", Cone) or a TranslationKernel.  For the cone
-    pairing a passing DualReport for specY is required; singular kernels
-    are winsorized at the pooled tail quantile, identically on both sides.
+    pairing a passing DualReport whose dual_spec is specY is required, and
+    a report for another dual raises InadmissibleDual with either pairing,
+    before any path is simulated; singular kernels are winsorized at the
+    pooled tail quantile, identically on both sides.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -452,17 +454,22 @@ def estimate_duality(specX: ProcessSpec, specY: ProcessSpec, f_descriptor,
                      tail_truncation_quantile=cfg.tail_truncation_quantile,
                      rate_bound=cfg.rate_bound,
                      bridge_correction=cfg.bridge_correction)
+    cone_pairing = isinstance(f_descriptor, tuple) and f_descriptor[0] == "cone"
+    if cone_pairing and (dual_report is None
+                         or not getattr(dual_report, "admissible", False)):
+        raise InadmissibleDual(
+            "cone duality estimation needs an admissible DualReport")
+    if dual_report is not None and dual_report.dual_spec is not specY:
+        raise InadmissibleDual(
+            "the DualReport is for another dual than specY")
     _check_scheme(specX, run)
     _check_scheme(specY, run)
     xs = simulate_paths(specX, run, x, stream_salt=_LHS_SALT)
     ys = simulate_paths(specY, run, y, stream_salt=_RHS_SALT)
 
     trunc = None
-    if isinstance(f_descriptor, tuple) and f_descriptor[0] == "cone":
+    if cone_pairing:
         cone: Cone = f_descriptor[1]
-        if dual_report is None or not getattr(dual_report, "admissible", False):
-            raise InadmissibleDual(
-                "cone duality estimation needs an admissible DualReport")
         lhs_vals = cone_contains_many(cone, xs - y).astype(float)
         rhs_vals = cone_contains_many(cone, x - ys).astype(float)
         label = "cone"

@@ -500,7 +500,7 @@ def _run_verify_matrix(s: Scenario) -> dict:
     stoch = None
     for t in times:
         T = semigroup(q, t)
-        TD = dual_semigroup_via_F(T, s.grid, cone)
+        TD = dual_semigroup_via_F(T, op)
         r = duality_residual(T, TD, op)
         worst = max(worst, r)
         # the dual of a conservative chain may still lose mass at the top

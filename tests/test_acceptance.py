@@ -92,7 +92,7 @@ def test_criterion_1_conjugation_identity():
         op = SurvivalTransform(grid, cone)
         for t in (0.1, 1.0, 5.0):
             T = semigroup(q, t)
-            TD = dual_semigroup_via_F(T, grid, cone)
+            TD = dual_semigroup_via_F(T, op)
             worst = max(worst, duality_residual(T, TD, op))
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 10.0

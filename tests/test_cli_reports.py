@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualgen import matrix_lab, scenario
 from dualgen.cli import main
 from dualgen.errors import ExpressionParseError, SchemaError
 from dualgen.scenario import (
@@ -108,6 +109,43 @@ def test_verify_matrix_report_contents(tmp_path):
     csv = (tmp_path / "report.csv").read_text().splitlines()
     assert csv[0] == "t,residual,stochastic"
     assert len(csv) == 2
+
+
+def test_verify_matrix_builds_one_survival_transform(tmp_path, monkeypatch):
+    # light cone: the operator holds a dense F and its Moebius inverse
+    doc = {
+        "name": "lightcone-verify", "mode": "verify-matrix",
+        "process": {"dim": 2, "drift": ["-0.3*x1", "0.2 - 0.3*x2"],
+                    "diffusion": ["0.5", "0.4"]},
+        "grid": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0],
+                 "spacing": [0.25, 0.25], "boundary_policy": "reflect"},
+        "cone": {"type": "lightcone"},
+        "probes": [{"x": [0.0, 0.0], "y": [0.0, 0.0], "t": t}
+                   for t in (0.2, 0.5, 1.0)],
+    }
+    built = []
+    init = matrix_lab.SurvivalTransform.__init__
+
+    def counting_init(self, grid, cone):
+        built.append(cone)
+        init(self, grid, cone)
+
+    monkeypatch.setattr(matrix_lab.SurvivalTransform, "__init__",
+                        counting_init)
+    run_scenario(load_scenario(doc), out_dir=str(tmp_path / "shared"))
+    assert len(built) == 1
+
+    # the earlier call pattern: a fresh operator for every probe time
+    def fresh_operator(T, op):
+        return matrix_lab.dual_semigroup_via_F(
+            T, matrix_lab.SurvivalTransform(op.grid, built[0]))
+
+    monkeypatch.setattr(scenario, "dual_semigroup_via_F", fresh_operator)
+    run_scenario(load_scenario(doc), out_dir=str(tmp_path / "fresh"))
+    assert len(built) == 1 + 1 + 3
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / "shared" / name).read_bytes() == \
+            (tmp_path / "fresh" / name).read_bytes()
 
 
 def test_mc_report_and_plot_data(tmp_path):

@@ -4,7 +4,13 @@ import scipy.linalg
 
 from dualgen import matrix_lab
 from dualgen.errors import Overflow
-from dualgen.generator_core import ProcessSpec, QMatrix, discretize
+from dualgen.generator_core import (
+    AtomicJumpKernel,
+    ProcessSpec,
+    QMatrix,
+    SeparableJumpKernel,
+    discretize,
+)
 from dualgen.matrix_lab import (
     SurvivalTransform,
     action_mismatch,
@@ -94,7 +100,7 @@ def test_duality_residual_matches_dense_indicator_formula(grid, cone):
     n = grid.n_points
     wrong = matrix_lab.SemigroupSnapshot(
         t=0.8, T=np.random.default_rng(7).normal(size=(n, n)))
-    for TD in (dual_semigroup_via_F(T, grid, cone), wrong):
+    for TD in (dual_semigroup_via_F(T, op), wrong):
         want = _dense_residual(T, TD, f)
         assert abs(duality_residual(T, TD, op) - want) <= 1e-12 * max(1.0, want)
 
@@ -141,13 +147,111 @@ def test_semigroup_one_expm_call(monkeypatch):
         assert len(calls) == k
 
 
+_ONE_AXIS_JUMP = SeparableJumpKernel(components=((1, AtomicJumpKernel(
+    jumps=(((0.5,), 1.2), ((-0.25,), 0.8)))),))
+
+
+def _per_axis_spec(dim, jump=None):
+    """Per-axis drift of both signs and diffusion: a Kronecker-sum Q."""
+    drifts = (lambda s: 0.3 - 0.8 * s, lambda s: np.sin(2.0 * s),
+              lambda s: -0.4 + 0.0 * s)
+    diffusions = (lambda s: 0.5 + 0.1 * np.cos(s), _const(0.3),
+                  lambda s: 0.2 + 0.1 * s * s)
+    return ProcessSpec(dim=dim, drift_components=drifts[:dim],
+                       diffusion_diag=diffusions[:dim], jump=jump)
+
+
+_SEPARABLE_CASES = {
+    "2d-reflect": (_per_axis_spec(2), build_grid(
+        [-1.0, -1.0], [1.0, 1.5], [0.25, 0.25], "reflect")),
+    "2d-truncate-jump": (_per_axis_spec(2, _ONE_AXIS_JUMP), build_grid(
+        [-1.0, -1.0], [1.0, 1.0], [0.25, 0.25], "truncate_mass")),
+    "2d-mixed-jump": (_per_axis_spec(2, _ONE_AXIS_JUMP), build_grid(
+        [-1.0, 0.0], [1.0, 2.0], [0.25, 0.25],
+        [("reflect", "truncate_mass"), ("truncate_mass", "reflect")])),
+    "3d-mixed": (_per_axis_spec(3), build_grid(
+        [-1.0] * 3, [1.0, 0.5, 1.0], [0.5, 0.25, 0.5],
+        [("truncate_mass", "reflect"), "reflect",
+         ("reflect", "truncate_mass")])),
+}
+
+
+def _counting_expm(monkeypatch, transform=lambda A: A):
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return scipy.linalg.expm(transform(A))
+
+    monkeypatch.setattr(matrix_lab, "expm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_SEPARABLE_CASES))
+def test_semigroup_of_a_kronecker_sum_exponentiates_per_axis(name,
+                                                            monkeypatch):
+    spec, grid = _SEPARABLE_CASES[name]
+    q = discretize(spec, grid)
+    calls = _counting_expm(monkeypatch)
+    for t in (0.3, 1.0):
+        T = semigroup(q, t).T
+        want = scipy.linalg.expm(t * q.entries)
+        assert np.abs(T - want).max() <= \
+            1e-13 * max(1.0, np.abs(want).sum(axis=1).max())
+    assert calls == [(m, m) for m in grid.shape] * 2
+
+
+def _perturbed(q):
+    Q = q.entries.copy()
+    Q[5, 6] += 1e-9
+    return QMatrix(entries=Q, state_grid=q.state_grid)
+
+
+_DENSE_CASES = {
+    "absorbing-face": lambda: discretize(_per_axis_spec(2), build_grid(
+        [-1.0, -1.0], [1.0, 1.0], [0.25, 0.25],
+        [("reflect", "absorb"), "reflect"])),
+    "two-axis-jump": lambda: discretize(
+        _per_axis_spec(2, AtomicJumpKernel(jumps=(((0.25, 0.25), 0.7),))),
+        build_grid([-1.0, -1.0], [1.0, 1.0], [0.25, 0.25], "reflect")),
+    "perturbed-entry": lambda: _perturbed(discretize(
+        *_SEPARABLE_CASES["2d-reflect"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_CASES))
+def test_semigroup_of_a_non_separable_q_is_one_dense_expm(name, monkeypatch):
+    q = _DENSE_CASES[name]()
+    calls = _counting_expm(monkeypatch)
+    T = semigroup(q, 0.5).T
+    assert calls == [(q.n, q.n)]
+    assert np.array_equal(T, scipy.linalg.expm(0.5 * q.entries))
+
+
+def test_semigroup_check_catches_wrong_kronecker_factors(monkeypatch):
+    spec, grid = _SEPARABLE_CASES["2d-reflect"]    # 9 x 11 points
+    q = discretize(spec, grid)
+    calls = _counting_expm(monkeypatch, transform=lambda A: A.T)
+    with pytest.raises(Overflow, match="self-check failed"):
+        semigroup(q, 0.5)
+    assert calls == [(9, 9), (11, 11)]
+    # the right factors in the wrong axis order
+    monkeypatch.setattr(matrix_lab, "expm", scipy.linalg.expm)
+    factors = matrix_lab._kronecker_factors
+    monkeypatch.setattr(matrix_lab, "_kronecker_factors",
+                        lambda *a: factors(*a)[::-1])
+    with pytest.raises(Overflow, match="self-check failed"):
+        semigroup(q, 0.5)
+
+
 def test_semigroup_records_norm_and_check_error():
     q = _three_state()
     snap = semigroup(q, 0.7)
     assert snap.norm == pytest.approx(0.7 * 6.0)    # row 3: |-3| + 3
     assert 0.0 <= snap.check_error < 1e-12
     assert np.array_equal(snap.T, scipy.linalg.expm(0.7 * _NON_SYMMETRIC_Q))
-    dual = dual_semigroup_via_F(snap, q.state_grid, Cone.pareto(1))
+    dual = dual_semigroup_via_F(
+        snap, SurvivalTransform(q.state_grid, Cone.pareto(1)))
     assert dual.norm is None and dual.check_error is None
 
 
@@ -177,7 +281,7 @@ def test_conjugation_identity_random_chains():
         op = SurvivalTransform(grid, cone)
         for t in (0.1, 1.0, 5.0):
             T = semigroup(q, t)
-            TD = dual_semigroup_via_F(T, grid, cone)
+            TD = dual_semigroup_via_F(T, op)
             assert duality_residual(T, TD, op) <= 1e-9
 
 
@@ -196,16 +300,15 @@ def test_zero_time_residual_zero():
     q = _random_conservative(grid, 4)
     op = SurvivalTransform(grid, Cone.pareto(1))
     T = semigroup(q, 0.0)
-    assert duality_residual(T, dual_semigroup_via_F(T, grid, Cone.pareto(1)),
-                            op) == 0.0
+    assert duality_residual(T, dual_semigroup_via_F(T, op), op) == 0.0
 
 
 def test_dual_semigroup_law():
     grid = build_grid([0.0], [7.0], [1.0])
     q = _random_conservative(grid, 5)
-    cone = Cone.pareto(1)
+    op = SurvivalTransform(grid, Cone.pareto(1))
     s, t = 0.4, 0.9
-    Ts, Tt, Tst = (dual_semigroup_via_F(semigroup(q, u), grid, cone).T
+    Ts, Tt, Tst = (dual_semigroup_via_F(semigroup(q, u), op).T
                    for u in (s, t, s + t))
     assert np.abs(Tst - Ts @ Tt).max() <= 1e-9
 
@@ -215,8 +318,9 @@ def test_dual_generator_matches_semigroup_derivative():
     q = _random_conservative(grid, 6)
     cone = Cone.pareto(1)
     qd = dual_generator_via_F(q, grid, cone).entries
+    op = SurvivalTransform(grid, cone)
     eps = 1e-6
-    TD = dual_semigroup_via_F(semigroup(q, eps), grid, cone).T
+    TD = dual_semigroup_via_F(semigroup(q, eps), op).T
     assert np.abs((TD - np.eye(len(TD))) / eps - qd).max() < 1e-4
 
 
@@ -224,7 +328,8 @@ def test_dual_stochasticity_monotone_birth_death():
     spec = ProcessSpec.one_dim(a=_const(0.5))
     g = build_grid([0.0], [6.0], [0.5], boundary_policy="reflect")
     q = discretize(spec, g)
-    TD = dual_semigroup_via_F(semigroup(q, 0.5), g, Cone.pareto(1))
+    TD = dual_semigroup_via_F(semigroup(q, 0.5),
+                              SurvivalTransform(g, Cone.pareto(1)))
     rep = dual_stochasticity_check(TD, conservative_expected=False)
     assert rep.passed
     # absorbed at the bottom of the order: the first dual row is frozen
@@ -239,7 +344,8 @@ def test_dual_stochasticity_flags_non_monotone_chain():
                   [0.0, 0.0, 0.0],
                   [1.0, 0.0, -1.0]])
     q = QMatrix(entries=Q, state_grid=g)
-    TD = dual_semigroup_via_F(semigroup(q, 0.5), g, Cone.pareto(1))
+    TD = dual_semigroup_via_F(semigroup(q, 0.5),
+                              SurvivalTransform(g, Cone.pareto(1)))
     rep = dual_stochasticity_check(TD, conservative_expected=False)
     assert not rep.passed
     assert rep.min_entry < -1e-6

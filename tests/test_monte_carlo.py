@@ -391,6 +391,25 @@ def test_unsimulatable_dual_rejected_before_any_simulation(monkeypatch):
     assert calls == []
 
 
+def test_report_for_another_dual_rejected_before_any_simulation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(monte_carlo, "simulate_paths",
+                        lambda *a, **k: calls.append(a))
+    spec = _bm()
+    rep = dual_full_1d(spec)
+    # the same construction run again: equal coefficients, another object
+    other = dual_full_1d(spec).dual_spec
+    cfg = PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=1)
+    for specY in (spec, other):
+        with pytest.raises(InadmissibleDual, match="another dual"):
+            estimate_duality(spec, specY, ("cone", Cone.pareto(1)),
+                             1.0, 0.0, 1.0, cfg, dual_report=rep)
+    with pytest.raises(InadmissibleDual, match="admissible DualReport"):
+        estimate_duality(spec, spec, ("cone", Cone.pareto(1)),
+                         1.0, 0.0, 1.0, cfg, dual_report=None)
+    assert calls == []
+
+
 def test_non_finite_terminal_states_raise():
     spec = ProcessSpec.one_dim(a=_const(0.5), b=np.log)
     cfg = PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=3)
