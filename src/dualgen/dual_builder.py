@@ -25,17 +25,17 @@ from .errors import (
 from .generator_core import (
     AtomicJumpKernel,
     DensityJumpKernel,
-    JumpKernel,
+    GridJumpKernel,
     ProcessSpec,
     SeparableJumpKernel,
-    map_target,
+    _generator_rows,
+    map_targets,
 )
 from .matrix_lab import SurvivalTransform
 from .state_space import Cone, Grid
 
 __all__ = [
     "DualReport",
-    "MonotoneRateFunction",
     "dual_drift",
     "dual_diffusion",
     "dual_lightcone_diffusion",
@@ -80,36 +80,15 @@ def probe_points(box, n: int = N_PROBES_DEFAULT) -> np.ndarray:
     return box[:, 0] + u * (box[:, 1] - box[:, 0])
 
 
-@dataclass(frozen=True)
-class MonotoneRateFunction:
-    """A function of z (for fixed y) declared monotone nondecreasing.
-
-    Either a differentiable callable with its supplied derivative, or a
-    Stieltjes representation: atoms(y) -> ((location, jump_size), ...)
-    plus an absolutely continuous density(z, y).
-    """
-
-    func: Optional[Callable] = None        # f(z, y)
-    deriv: Optional[Callable] = None       # df/dz(z, y)
-    atoms: Optional[Callable] = None       # y -> ((z0, jump), ...)
-    density: Optional[Callable] = None     # (z, y) -> density of df/dz
-
-    def check_monotone(self, z_lo, z_hi, y_values, n_pairs: int = 200):
-        """First violating probe pair (z1, z2, y, f1, f2), or None."""
-        if self.func is None:
-            for y in y_values:
-                for _, jump in (self.atoms(y) if self.atoms else ()):
-                    if jump < -1e-12:
-                        return (None, None, y, jump, 0.0)
-            return None
-        pairs = probe_points([(z_lo, z_hi), (z_lo, z_hi)], n_pairs)
-        for y in y_values:
-            for z1, z2 in pairs:
-                lo, hi = (z1, z2) if z1 <= z2 else (z2, z1)
-                f1, f2 = self.func(lo, y), self.func(hi, y)
-                if f2 < f1 - 1e-10 * max(1.0, abs(f1)):
-                    return (lo, hi, y, f1, f2)
-        return None
+def _first_decrease(func, z_lo, z_hi, y, n_pairs: int):
+    """First probe pair z1 < z2 in [z_lo, z_hi] where z -> func(z, y)
+    decreases, as (z1, z2, f1, f2), or None."""
+    for z1, z2 in probe_points([(z_lo, z_hi), (z_lo, z_hi)], n_pairs):
+        lo, hi = (z1, z2) if z1 <= z2 else (z2, z1)
+        f1, f2 = func(lo, y), func(hi, y)
+        if f2 < f1 - 1e-10 * max(1.0, abs(f1)):
+            return lo, hi, f1, f2
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +227,8 @@ class JumpTails1D:
     rate_at: Callable              # (z, y) -> nu(z, [y, inf)) used for boundary
 
 
-def jump_tails_1d(kernel: JumpKernel, quad_box=(-30.0, 30.0),
-                  quad_n: int = 2000) -> JumpTails1D:
+def jump_tails_1d(kernel: AtomicJumpKernel | DensityJumpKernel,
+                  quad_box=(-30.0, 30.0), quad_n: int = 2000) -> JumpTails1D:
     """Tail-rate functions for atomic and density 1-D kernels."""
     if isinstance(kernel, AtomicJumpKernel):
         # rate callables follow the kernel convention (1-element state
@@ -341,7 +320,7 @@ def jump_tails_1d(kernel: JumpKernel, quad_box=(-30.0, 30.0),
 
 
 @dataclass(frozen=True)
-class SiegmundDualJumpKernel1D(JumpKernel):
+class SiegmundDualJumpKernel1D:
     """Dual jump kernel in conservative form: intensities are the Stieltjes
     derivatives of the forward tail rates, plus the absorption channel
     nu(0, [y, inf)) when the forward process lives on the half line."""
@@ -349,34 +328,28 @@ class SiegmundDualJumpKernel1D(JumpKernel):
     tails: JumpTails1D
     boundary_at_zero: bool = False
 
-    def cell_rates(self, y, grid: Grid) -> np.ndarray:
-        y = float(np.atleast_1d(y)[0])
-        out = np.zeros(grid.n_points)
-        for target, rate in self.tails.dual_atoms(y):
-            if rate == 0.0:
-                continue
-            if self.boundary_at_zero and target <= grid.lower[0] + 1e-12:
-                continue    # folded into the absorption channel below
-            idx = map_target(grid, np.array([target]))
-            if idx is not None:
-                out[idx] += rate
+    def generator_matrix(self, grid: Grid) -> np.ndarray:
         z = grid.points()[:, 0]
-        dens = self.tails.dual_density(y, z)
-        dens = np.where(np.abs(z - y) < 1e-12, 0.0, dens)
-        out += np.clip(dens, 0.0, None) * grid.spacing[0]
+        R = np.zeros((len(z), len(z)))
+        for y, row in zip(z, R):
+            # atoms at or below the origin fold into the absorption channel
+            atoms = [(t, r) for t, r in self.tails.dual_atoms(y)
+                     if r != 0.0 and not (self.boundary_at_zero
+                                          and t <= grid.lower[0] + 1e-12)]
+            if atoms:
+                targets, rates = np.array(atoms).T
+                idx = map_targets(grid, targets)
+                np.add.at(row, idx[idx >= 0], rates[idx >= 0])
+            dens = self.tails.dual_density(y, z)
+            dens = np.where(np.abs(z - y) < 1e-12, 0.0, dens)
+            row += np.clip(dens, 0.0, None) * grid.spacing[0]
         if self.boundary_at_zero:
-            idx0 = map_target(grid, grid.lower.copy())
-            out[idx0] += self.tails.rate_at(0.0, y)
-        return out
-
-    def total_rate(self, x) -> float:
-        raise NotImplementedError("grid-bound; use cell_rates(x, grid).sum()")
-
-    def compensator_drift(self, x, cutoff):
-        raise NotImplementedError
+            R[:, 0] += [self.tails.rate_at(0.0, y) for y in z]
+        return _generator_rows(R)
 
 
-def dual_jump_1d(nu: JumpKernel, boundary: str = "none", box=(-8.0, 8.0),
+def dual_jump_1d(nu: AtomicJumpKernel | DensityJumpKernel,
+                 boundary: str = "none", box=(-8.0, 8.0),
                  n_probes: int = 40) -> DualReport:
     """Siegmund dual of a 1-D pure jump kernel.
 
@@ -403,19 +376,18 @@ def dual_jump_1d(nu: JumpKernel, boundary: str = "none", box=(-8.0, 8.0),
             violated.append(("tail_at_plus_inf", (hi, float(y)), float(v)))
             break
     # monotonicity of the two tail rates (probe pairs)
-    up_mono = MonotoneRateFunction(func=tails.up)
-    lt_mono = MonotoneRateFunction(func=lambda z, y: -tails.lt(z, y))
     for y in y_probes:
-        bad = up_mono.check_monotone(lo, y - 1e-9, [y], n_pairs=50)
+        bad = _first_decrease(tails.up, lo, y - 1e-9, y, 50)
         if bad is not None:
             violated.append(("up_tail_monotone", (bad[0], bad[1], float(y)),
-                             bad[4] - bad[3]))
+                             bad[3] - bad[2]))
             break
     for y in y_probes:
-        bad = lt_mono.check_monotone(y + 1e-9, hi, [y], n_pairs=50)
+        bad = _first_decrease(lambda z, y: -tails.lt(z, y), y + 1e-9, hi, y,
+                              50)
         if bad is not None:
             violated.append(("lt_tail_monotone", (bad[0], bad[1], float(y)),
-                             bad[4] - bad[3]))
+                             bad[3] - bad[2]))
             break
     ok = not violated
     dual = None
@@ -439,7 +411,8 @@ def pareto_dual_jump_rates(rates: np.ndarray, grid: Grid) -> np.ndarray:
     """Discrete Pareto dual of a jump-rate matrix, including the diagonal.
 
     The conjugation F Q' F^-1 of the jump generator Q = R - diag(R 1)
-    (R the off-diagonal rates); it realizes the death / face / interior
+    (R the off-diagonal rates; the diagonal of `rates` is ignored, so
+    generator rows serve as well); it realizes the death / face / interior
     decomposition of the closed-form dual exactly at grid resolution.
     """
     R = rates.copy()
@@ -449,7 +422,7 @@ def pareto_dual_jump_rates(rates: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ParetoDualJumpKernelND(JumpKernel):
+class ParetoDualJumpKernelND:
     """Dual of a d-dimensional jump kernel, realized at grid resolution.
 
     Carries the full dual generator rows (the dual has a genuine death
@@ -457,24 +430,10 @@ class ParetoDualJumpKernelND(JumpKernel):
     truncated grid).
     """
 
-    base: JumpKernel
+    base: GridJumpKernel
 
     def generator_matrix(self, grid: Grid) -> np.ndarray:
-        pts = grid.points()
-        rates = np.stack([self.base.cell_rates(x, grid) for x in pts])
-        return pareto_dual_jump_rates(rates, grid)
-
-    def cell_rates(self, x, grid: Grid) -> np.ndarray:
-        idx = grid.index_of(x)
-        row = self.generator_matrix(grid)[idx].copy()
-        row[idx] = 0.0
-        return np.clip(row, 0.0, None)
-
-    def total_rate(self, x) -> float:
-        raise NotImplementedError("grid-bound; use cell_rates(x, grid).sum()")
-
-    def compensator_drift(self, x, cutoff):
-        raise NotImplementedError
+        return pareto_dual_jump_rates(self.base.generator_matrix(grid), grid)
 
 
 def _proper_subsets(d: int):
@@ -483,10 +442,13 @@ def _proper_subsets(d: int):
         yield from combinations(range(d), k)
 
 
-def dual_jump_multidim(nu: JumpKernel, box=None, n_probes: int = 60,
+def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
+                       box=None, n_probes: int = 60,
                        quad_n: int = 41) -> DualReport:
     """Pareto dual of a d-dimensional jump kernel with supplied mixed
-    z-derivatives; admissible iff the sign conditions hold at probes."""
+    z-derivatives; admissible iff the sign conditions hold at probes.
+    A separable kernel has atomic components (its constructor raises
+    NotSeparable otherwise)."""
     violated = []
     if isinstance(nu, SeparableJumpKernel):
         dim = 1 + max(axis for axis, _ in nu.components)

@@ -46,7 +46,9 @@ class RateBoundExceeded(DualgenError):
 
 
 class UnsupportedScheme(DualgenError):
-    """The simulation scheme cannot simulate a part of the process."""
+    """The simulation scheme cannot simulate a part of the process, or
+    discretization meets a part it cannot put on a grid (a jump kernel
+    without generator rows or without the compensator it is asked for)."""
 
 
 class NonFiniteState(DualgenError):

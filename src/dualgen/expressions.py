@@ -52,9 +52,11 @@ def parse_expression(source: str, dim: int, only_variable: int = None):
     """Compile an expression over x1..x<dim> into a vectorized callable.
 
     The callable accepts an (n, dim) state array (or a scalar/1-D state
-    for dim = 1) and returns an array of length n.  With only_variable
-    set, referencing any other coordinate is an error (used for
-    coefficients declared separable).
+    for dim = 1) and returns an array of length n.  With only_variable = j
+    set, referencing any other coordinate is an error, and the callable
+    takes the values of coordinate j instead of states, a scalar or an
+    array, and returns a new array shaped like its input (a scalar for a
+    scalar); this is the form of a coefficient declared separable.
     """
     if not isinstance(source, str) or not source.strip():
         raise ExpressionParseError(f"empty expression {source!r}")
@@ -85,6 +87,8 @@ def parse_expression(source: str, dim: int, only_variable: int = None):
                     _fail(f"variable {node.id} not allowed in a coefficient "
                           f"of coordinate {only_variable + 1}", source, node)
                 names.add(node.id)
+                if only_variable is not None:
+                    return lambda s: s
                 return lambda X, jj=j: np.asarray(X)[..., jj]
             _fail(f"unknown name {node.id!r}", source, node)
         if isinstance(node, ast.BinOp):
@@ -120,16 +124,25 @@ def parse_expression(source: str, dim: int, only_variable: int = None):
 
     body = build(tree)
 
-    def fn(X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 0:
-            X = X.reshape(1)
-        if X.ndim == 1 and dim == 1:
-            X = X[:, None]
-        out = body(X)
-        return np.broadcast_to(np.asarray(out, dtype=float),
-                               X.shape[:-1]).copy() if np.ndim(out) == 0 \
-            else np.asarray(out, dtype=float)
+    if only_variable is not None:
+        def fn(s):
+            s = np.asarray(s, dtype=float)
+            out = body(s)
+            # a constant, or the coordinate itself: a new array of s's shape
+            if np.ndim(out) == 0 or np.may_share_memory(out, s):
+                out = np.array(np.broadcast_to(out, s.shape), dtype=float)
+            return out[()] if out.ndim == 0 else out
+    else:
+        def fn(X):
+            X = np.asarray(X, dtype=float)
+            if X.ndim == 0:
+                X = X.reshape(1)
+            if X.ndim == 1 and dim == 1:
+                X = X[:, None]
+            out = body(X)
+            return np.broadcast_to(np.asarray(out, dtype=float),
+                                   X.shape[:-1]).copy() if np.ndim(out) == 0 \
+                else np.asarray(out, dtype=float)
 
     fn.source = source
     fn.variables = frozenset(names)

@@ -5,21 +5,26 @@ generator  L g = sum a_ij d2g/dxi dxj + b . grad g + integral terms.
 Discretization uses upwind first differences for the drift, central
 second differences with the positive 7-point stencil for cross terms,
 and midpoint quadrature per grid cell for jump kernels, so conditional
-positivity holds by construction.  `discretize` evaluates declared
-per-axis drift and diffusion on whole coordinate columns (generic
-callables and the jump compensator once per state) and then assembles
-each stencil move for all states at once with array writes
-(`_axis_neighbor` maps a whole array of flat indices across a boundary),
-accumulating every entry in the same order as a state-by-state loop
-would, so Q is the same to the bit.  NaN or inf coefficients raise
-NonFiniteCoefficient instead of vanishing from the stencil.
+positivity holds by construction.  Every kernel that lives on a grid
+supplies one thing, `generator_matrix(grid)`: its n x n jump-generator
+rows, diagonal included, which `discretize` adds to the stencil rows.
+One boundary rule (`_fold`, on integer grid coordinates) maps both the
+stencil's neighbour moves and every jump target across a face:
+`map_targets` rounds a target to its nearest grid point and folds it.
+`discretize` evaluates declared per-axis drift and diffusion on whole
+coordinate columns (generic callables and the jump compensator once
+per state) and then assembles each stencil move for all states at once
+with array writes, accumulating every entry in the same order as a
+state-by-state loop would, so Q is the same to the bit.  NaN or inf
+coefficients raise NonFiniteCoefficient instead of vanishing from the
+stencil.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
@@ -28,77 +33,90 @@ from .errors import (
     ClippingWarning,
     DimensionMismatch,
     NonFiniteCoefficient,
+    NotSeparable,
     PositivityViolation,
+    UnsupportedScheme,
 )
 from .state_space import Grid
 
 __all__ = [
     "ProcessSpec",
-    "JumpKernel",
+    "GridJumpKernel",
     "AtomicJumpKernel",
     "DensityJumpKernel",
     "SeparableJumpKernel",
     "QMatrix",
     "ValidationReport",
     "discretize",
+    "map_targets",
     "adjoint",
     "validate_qmatrix",
 ]
 
 
 # ---------------------------------------------------------------------------
-# jump kernels
+# the boundary rule and jump kernels
 
-def map_target(grid: Grid, w, tol: float = 1e-6):
-    """Grid index receiving a jump to the point w, honoring boundary policy.
-
-    Returns None when the mass leaves the grid (truncate_mass policy).
-    """
-    w = np.asarray(w, dtype=float).copy()
-    for axis in range(grid.dim):
-        lo, hi = grid.lower[axis], grid.upper[axis]
-        pol_lo, pol_hi = grid.boundary_policy[axis]
-        h_ax = grid.spacing[axis]
-        for _ in range(64):
-            if w[axis] < lo - tol * h_ax:
-                if pol_lo == "reflect":
-                    # edge mirror, matching the stencil's reflect convention
-                    w[axis] = 2 * lo - w[axis] - h_ax
-                elif pol_lo == "absorb":
-                    w[axis] = lo
-                else:
-                    return None
-            elif w[axis] > hi + tol * h_ax:
-                if pol_hi == "reflect":
-                    w[axis] = 2 * hi - w[axis] + h_ax
-                elif pol_hi == "absorb":
-                    w[axis] = hi
-                else:
-                    return None
-            else:
-                break
-    idx = np.rint((w - grid.lower) / grid.spacing).astype(int)
-    idx = np.clip(idx, 0, np.array(grid.shape) - 1)
-    return int(np.ravel_multi_index(tuple(idx), grid.shape, order="C"))
+def _fold(grid: Grid, axis: int, k: np.ndarray) -> np.ndarray:
+    """Integer coordinates k along `axis` mapped into 0..n-1 by the policy
+    of each axis end: reflect folds about the end cell's outer edge (-k-1
+    below, 2n-1-k above, as often as a far target needs), absorb clamps
+    to the end cell and truncate_mass gives -1."""
+    n = grid.shape[axis]
+    pol_lo, pol_hi = grid.boundary_policy[axis]
+    if pol_lo == pol_hi == "reflect":
+        k = k % (2 * n)
+        return np.where(k >= n, 2 * n - 1 - k, k)
+    if pol_lo == "reflect":
+        k = np.where(k < 0, -k - 1, k)
+    elif pol_hi == "reflect":
+        k = np.where(k >= n, 2 * n - 1 - k, k)
+    k = np.where(k < 0, 0 if pol_lo == "absorb" else -1, k)
+    return np.where(k >= n, n - 1 if pol_hi == "absorb" else -1, k)
 
 
-class JumpKernel:
-    """Interface shared by concrete jump kernels."""
+def map_targets(grid: Grid, W) -> np.ndarray:
+    """Flat index of the grid point receiving a jump to each row of W,
+    (m, d): the nearest grid point, boundary-mapped by `_fold` on every
+    axis; -1 where truncate_mass drops the jump."""
+    W = np.asarray(W, dtype=float).reshape(-1, grid.dim)
+    K = np.rint((W - grid.lower) / grid.spacing).astype(int)
+    flat = np.zeros(len(K), dtype=int)
+    dropped = np.zeros(len(K), dtype=bool)
+    for axis, n in enumerate(grid.shape):
+        k = _fold(grid, axis, K[:, axis])
+        dropped |= k < 0
+        flat = flat * n + k
+    flat[dropped] = -1
+    return flat
 
-    def cell_rates(self, x: np.ndarray, grid: Grid) -> np.ndarray:
-        """Rates from state x into each grid cell (length grid.n_points)."""
-        raise NotImplementedError
 
-    def total_rate(self, x: np.ndarray) -> float:
-        raise NotImplementedError
+def _place(R: np.ndarray, grid: Grid, W: np.ndarray, r: np.ndarray):
+    """Add the rate r[i] from state i to the point receiving a jump to
+    W[i]; zero rates and dropped jumps add nothing."""
+    target = map_targets(grid, W)
+    keep = (r != 0.0) & (target >= 0)
+    R[np.flatnonzero(keep), target[keep]] += r[keep]
 
-    def compensator_drift(self, x: np.ndarray, cutoff: float) -> np.ndarray:
-        """integral of (w - x) over |w - x| <= cutoff against nu(x, dw)."""
-        raise NotImplementedError
+
+def _generator_rows(R: np.ndarray) -> np.ndarray:
+    """Jump-generator rows from a rate matrix R, in place: off the
+    diagonal the rates, on it minus the rate of leaving the state (a
+    jump into the state's own cell is a self-loop and leaves nothing)."""
+    np.fill_diagonal(R, -(R.sum(axis=1) - np.diagonal(R)))
+    return R
+
+
+class GridJumpKernel(Protocol):
+    """A jump kernel `discretize` can assemble."""
+
+    def generator_matrix(self, grid: Grid) -> np.ndarray:
+        """Its n x n jump-generator rows on the grid, diagonal included."""
+        ...
 
 
 @dataclass(frozen=True)
-class AtomicJumpKernel(JumpKernel):
+class AtomicJumpKernel:
     """Finite list of jump channels.
 
     Each channel is (displacement, rate) or (target_map, rate); rates may
@@ -110,41 +128,44 @@ class AtomicJumpKernel(JumpKernel):
     jumps: tuple            # ((displacement | target_map, rate), ...)
     rate_derivs: tuple = ()  # optional, aligned with jumps
 
-    def _channels(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def _channels(self, X: np.ndarray):
+        """(targets, rates) of each channel at the states X, (m, d);
+        callable rates and target maps are called state by state."""
         for where, rate in self.jumps:
-            r = float(rate(x) if callable(rate) else rate)
-            if callable(where):
-                w = np.atleast_1d(np.asarray(where(x), dtype=float))
+            if callable(rate):
+                r = np.array([float(rate(x)) for x in X])
             else:
-                w = x + np.atleast_1d(np.asarray(where, dtype=float))
-            yield w, r
+                r = np.full(len(X), float(rate))
+            if callable(where):
+                W = np.array([np.atleast_1d(np.asarray(where(x), dtype=float))
+                              for x in X]).reshape(X.shape)
+            else:
+                W = X + np.atleast_1d(np.asarray(where, dtype=float))
+            yield W, r
 
-    def cell_rates(self, x, grid: Grid) -> np.ndarray:
-        out = np.zeros(grid.n_points)
-        for w, r in self._channels(x):
-            if r == 0.0:
-                continue
-            idx = map_target(grid, w)
-            if idx is not None:
-                out[idx] += r
-        return out
+    def generator_matrix(self, grid: Grid) -> np.ndarray:
+        pts = grid.points()
+        R = np.zeros((len(pts), len(pts)))
+        for W, r in self._channels(pts):
+            _place(R, grid, W, r)
+        return _generator_rows(R)
 
     def total_rate(self, x) -> float:
-        return sum(r for _, r in self._channels(x))
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return sum(float(r[0]) for _, r in self._channels(x[None]))
 
     def compensator_drift(self, x, cutoff: float) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         drift = np.zeros_like(x)
-        for w, r in self._channels(x):
-            dz = w - x
+        for W, r in self._channels(x[None]):
+            dz = W[0] - x
             if np.linalg.norm(dz) <= cutoff:
-                drift += dz * r
+                drift += dz * r[0]
         return drift
 
 
 @dataclass(frozen=True)
-class DensityJumpKernel(JumpKernel):
+class DensityJumpKernel:
     """Jump kernel with a Lebesgue density nu(x, w).
 
     density(x, W) is vectorized over an (m, d) array of targets W.
@@ -155,49 +176,41 @@ class DensityJumpKernel(JumpKernel):
     density: Callable
     derivs: dict = field(default_factory=dict)
     smoothness: int = 0
-    support_note: str = ""
 
-    def cell_rates(self, x, grid: Grid) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def generator_matrix(self, grid: Grid) -> np.ndarray:
+        """Midpoint quadrature: the density at each grid point times the
+        cell volume, negative values clipped."""
         pts = grid.points()
         vol = float(np.prod(grid.spacing))
-        rates = np.asarray(self.density(x, pts), dtype=float) * vol
-        rates = np.clip(rates, 0.0, None)
-        return rates
-
-    def total_rate(self, x) -> float:
-        raise NotImplementedError("total rate of a density kernel is grid-bound; "
-                                  "use cell_rates(x, grid).sum()")
-
-    def compensator_drift(self, x, cutoff: float) -> np.ndarray:
-        raise NotImplementedError
+        R = np.stack([np.asarray(self.density(x, pts), dtype=float) * vol
+                      for x in pts])
+        return _generator_rows(np.clip(R, 0.0, None, out=R))
 
 
 @dataclass(frozen=True)
-class SeparableJumpKernel(JumpKernel):
+class SeparableJumpKernel:
     """Sum of per-axis kernels nu_j(z_j, dw_j), each moving one coordinate."""
 
-    components: tuple       # ((axis, JumpKernel acting in 1-D), ...)
+    components: tuple       # ((axis, 1-D AtomicJumpKernel), ...)
 
-    def cell_rates(self, x, grid: Grid) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(grid.n_points)
+    def __post_init__(self):
+        for axis, kern in self.components:
+            if not isinstance(kern, AtomicJumpKernel):
+                raise NotSeparable(
+                    f"the component on axis {axis} is a "
+                    f"{type(kern).__name__}; separable kernels take 1-D "
+                    f"atomic components")
+
+    def generator_matrix(self, grid: Grid) -> np.ndarray:
+        pts = grid.points()
+        R = np.zeros((len(pts), len(pts)))
         for axis, kern in self.components:
             # embed the 1-D channel along the given axis
-            for w1, r in kern._channels(np.array([x[axis]])):
-                if r == 0.0:
-                    continue
-                w = x.copy()
-                w[axis] = w1[0]
-                idx = map_target(grid, w)
-                if idx is not None:
-                    out[idx] += r
-        return out
-
-    def total_rate(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return sum(kern.total_rate(np.array([x[axis]]))
-                   for axis, kern in self.components)
+            for w, r in kern._channels(pts[:, [axis]]):
+                W = pts.copy()
+                W[:, axis] = w[:, 0]
+                _place(R, grid, W, r)
+        return _generator_rows(R)
 
     def compensator_drift(self, x, cutoff: float) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -227,7 +240,7 @@ class ProcessSpec:
     diffusion_diag: Optional[tuple] = None          # a_jj(x_j), unary callables
     diffusion_diag_deriv: Optional[tuple] = None    # a'_jj(x_j)
     diffusion_offdiag: Optional[dict] = None        # {(i, j): a_ij(x_i, x_j)}, i < j
-    jump: Optional[JumpKernel] = None
+    jump: Optional[GridJumpKernel] = None           # or simulation-only
     jump_compensated: bool = False
     compensator_cutoff: float = 1.0
     domain: str = "full_space"                      # 'full_space' | 'half_line'
@@ -324,24 +337,13 @@ class ValidationReport:
 
 
 def _axis_neighbor(grid: Grid, flat: np.ndarray, axis: int, step) -> np.ndarray:
-    """Flat indices `step` cells from `flat` along `axis`, boundary-mapped;
-    -1 where truncate_mass drops the move."""
-    n = grid.shape[axis]
+    """Flat indices `step` cells from `flat` along `axis`, boundary-mapped
+    by `_fold`; -1 where truncate_mass drops the move.  A reflected move
+    out of a boundary state returns to it (Neumann)."""
     stride = int(np.prod(grid.shape[axis + 1:], dtype=int))
-    k = flat // stride % n
-    j = k + step
-    pol_lo, pol_hi = grid.boundary_policy[axis]
-    below, above = j < 0, j >= n
-    # reflect mirrors about the face through the boundary point's cell
-    # edge, so the boundary state keeps the suppressed move (Neumann)
-    j = np.where(below, -j - 1 if pol_lo == "reflect" else 0, j)
-    j = np.where(above, 2 * n - 1 - j if pol_hi == "reflect" else n - 1, j)
-    out = flat + (j - k) * stride
-    if pol_lo == "truncate_mass":
-        out[below] = -1
-    if pol_hi == "truncate_mass":
-        out[above] = -1
-    return out
+    k = flat // stride % grid.shape[axis]
+    j = _fold(grid, axis, k + step)
+    return np.where(j < 0, -1, flat + (j - k) * stride)
 
 
 def _absorbing_mask(grid: Grid) -> np.ndarray:
@@ -405,17 +407,30 @@ def _diffusion_rows(spec: ProcessSpec, X: np.ndarray) -> np.ndarray:
 def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatrix:
     """Finite-difference / quadrature discretization of the generator.
 
-    Upwind drift, central diffusion with the positive cross stencil,
-    midpoint jump quadrature; boundary rows follow the grid's per-axis
-    boundary policy.  Drift and diffusion are evaluated once per state,
-    declared per-axis coefficients on whole columns of the grid points;
-    each stencil move is then written for all states at once, in the
-    same order per entry as a state-by-state loop, so Q does not depend
-    on how the assembly is batched.  Raises NonFiniteCoefficient on a
-    NaN or inf drift, diffusion or jump rate.
+    Upwind drift and central diffusion with the positive cross stencil,
+    plus the jump kernel's own generator rows (`generator_matrix`);
+    boundary rows follow the grid's per-axis boundary policy.  Drift and
+    diffusion are evaluated once per state, declared per-axis
+    coefficients on whole columns of the grid points; each stencil move
+    is then written for all states at once, in the same order per entry
+    as a state-by-state loop, so Q does not depend on how the assembly
+    is batched.  Raises NonFiniteCoefficient on a NaN or inf drift,
+    diffusion or jump rate, and UnsupportedScheme on a jump part with no
+    generator rows (a simulation-only kernel) or a compensated one with
+    no compensator drift.
     """
     if spec.dim != grid.dim:
         raise DimensionMismatch("spec and grid dimensions differ")
+    jump = spec.jump
+    if jump is not None and not hasattr(jump, "generator_matrix"):
+        raise UnsupportedScheme(
+            f"a {type(jump).__name__} jump part has no generator rows on a "
+            f"grid; it can only be simulated")
+    if jump is not None and spec.jump_compensated \
+            and not hasattr(jump, "compensator_drift"):
+        raise UnsupportedScheme(
+            f"a {type(jump).__name__} jump part has no compensator drift; "
+            f"discretize it with jump_compensated=False")
     n_states = grid.n_points
     Q = np.zeros((n_states, n_states))
     live = np.flatnonzero(~_absorbing_mask(grid))
@@ -425,8 +440,8 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
 
     X = pts[live]
     B = _drift_rows(spec, X)
-    if spec.jump is not None and spec.jump_compensated:
-        B = B - np.array([spec.jump.compensator_drift(
+    if jump is not None and spec.jump_compensated:
+        B = B - np.array([jump.compensator_drift(
             x, spec.compensator_cutoff) for x in X]).reshape(len(live), d)
     _require_finite(B, "drift b", live, pts)
     A = None
@@ -434,12 +449,10 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
         A = _diffusion_rows(spec, X)
         _require_finite(A, "diffusion a", live, pts)
 
-    # kernels with a non-conservative diagonal (a genuine death term)
-    # provide their generator rows whole instead of off-diagonal rates
-    jump_matrix = None
-    if spec.jump is not None and hasattr(spec.jump, "generator_matrix"):
-        jump_matrix = spec.jump.generator_matrix(grid)
-        _require_finite(jump_matrix[live], "jump generator row", live, pts)
+    G = None
+    if jump is not None:
+        G = jump.generator_matrix(grid)
+        _require_finite(G[live], "jump rate", live, pts)
 
     Qf = Q.reshape(-1)
     diag = np.zeros(len(live))
@@ -498,16 +511,8 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
             np.abs(b) / h[ax])
 
     Q[live, live] = diag
-    if jump_matrix is not None:
-        Q[live] += jump_matrix[live]
-    elif spec.jump is not None:
-        for i in live:
-            rates = spec.jump.cell_rates(pts[i], grid)
-            _require_finite(rates[None], "jump rate", [i], pts)
-            rates_sum = float(rates.sum()) - float(rates[i])
-            Q[i] += rates
-            Q[i, i] -= float(rates[i])      # same-cell jumps are self-loops
-            Q[i, i] -= rates_sum
+    if G is not None:
+        Q[live] += G[live]
 
     return QMatrix(entries=Q, state_grid=grid)
 

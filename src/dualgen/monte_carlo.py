@@ -29,7 +29,7 @@ from .errors import (
     StepTooCoarseWarning,
     UnsupportedScheme,
 )
-from .generator_core import AtomicJumpKernel, JumpKernel, ProcessSpec
+from .generator_core import AtomicJumpKernel, ProcessSpec
 from .order_transform import TranslationKernel
 from .state_space import Cone, cone_contains_many
 
@@ -110,11 +110,11 @@ class DualityEstimate:
 
 
 @dataclass(frozen=True)
-class StableLikeKernel(JumpKernel):
+class StableLikeKernel:
     """Isotropic stable-like driving family: symbol -amplitude(x) |k|^alpha.
 
-    Simulation-only kernel; it has no Lebesgue cell rates on a grid and
-    is consumed exclusively by the stable_euler scheme.
+    Simulation-only kernel; it has no generator rows on a grid (discretize
+    rejects it) and is consumed exclusively by the stable_euler scheme.
     """
 
     alpha: float
@@ -124,15 +124,6 @@ class StableLikeKernel(JumpKernel):
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError("alpha must lie in (0, 2]")
-
-    def cell_rates(self, x, grid):
-        raise NotImplementedError("stable-like kernels are simulation-only")
-
-    def total_rate(self, x):
-        raise NotImplementedError
-
-    def compensator_drift(self, x, cutoff):
-        raise NotImplementedError
 
 
 def _block_rng(seed: int, salt: int, block: int) -> np.random.Generator:
@@ -176,26 +167,25 @@ def _sigma_into(spec: ProcessSpec, x: np.ndarray, sig: np.ndarray):
     return np.broadcast_to(a0, len(x))
 
 
-def _first_diffusion(spec: ProcessSpec, x: np.ndarray) -> np.ndarray:
-    """a_00 over the paths: the declared a_00(x_0), or else the full
-    matrix's entry at the first path's state."""
+def _first_diffusion(spec: ProcessSpec, x: np.ndarray,
+                     a_block: np.ndarray) -> np.ndarray:
+    """a_00 over the paths: the declared a_00(x_0), or else the entry of
+    a_block, the full matrix at the block's start state."""
     if spec.diffusion_diag:
         return np.broadcast_to(
             np.asarray(spec.diffusion_diag[0](x[:, 0]), dtype=float), len(x))
-    return np.full(len(x), spec.eval_diffusion(x[0])[0, 0])
+    return np.full(len(x), a_block[0, 0])
 
 
-def _constant_cholesky(spec: ProcessSpec, x: np.ndarray) -> np.ndarray:
-    """Cholesky factor of 2a for a full diffusion matrix, which must be
-    the same at every probed state."""
-    n = len(x)
-    a0 = spec.eval_diffusion(x[0])
-    for probe in x[:: max(1, n // 7)]:
-        if np.abs(spec.eval_diffusion(probe) - a0).max() > 1e-12:
-            raise NotImplementedError(
+def _require_constant_diffusion(spec: ProcessSpec, x: np.ndarray,
+                                a_block: np.ndarray):
+    """Raise UnsupportedScheme unless the full diffusion matrix at every
+    probed path is still a_block, the matrix the block factored."""
+    for probe in x[:: max(1, len(x) // 7)]:
+        if np.abs(spec.eval_diffusion(probe) - a_block).max() > 1e-12:
+            raise UnsupportedScheme(
                 "state-dependent full diffusion matrices are not simulated; "
                 "declare diagonal structure or use a constant matrix")
-    return cholesky(2.0 * a0, lower=True)
 
 
 def _thin(jump: AtomicJumpKernel, cfg: PathConfig, x, dx, u, alive, disp):
@@ -262,6 +252,11 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
     noisy = stable is not None or spec.has_diffusion()
     thinning = spec.jump if cfg.scheme == "euler_jump_thinning" else None
     diagonal = spec.diffusion_diag is not None and not spec.diffusion_offdiag
+    # a full diffusion matrix is factored once, at the start state that
+    # every path of the block shares, and checked at every step
+    a_block = None if diagonal else spec.eval_diffusion(x[0])
+    if stable is None and spec.has_diffusion() and not diagonal:
+        chol_t = cholesky(2.0 * a_block, lower=True).T
     half = spec.domain == "half_line"
     reflecting = half and spec.boundary == "reflect"
     absorbing = half and spec.boundary == "absorb"
@@ -312,7 +307,8 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
                 np.multiply(sig, z, out=noise)
                 noise *= np.sqrt(dt)
             else:
-                noise[...] = np.sqrt(dt) * z @ _constant_cholesky(spec, x).T
+                _require_constant_diffusion(spec, x, a_block)
+                noise[...] = np.sqrt(dt) * z @ chol_t
         if noise is not dx:
             dx += noise
 
@@ -335,7 +331,7 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
             hit &= alive
             if x_prev is not None:
                 if not diagonal:
-                    a_prev = _first_diffusion(spec, x_prev)
+                    a_prev = _first_diffusion(spec, x_prev, a_block)
                 _bridge_hits(cfg, x_prev, x, a_prev, u, hit)
             new = np.flatnonzero(hit)
             if len(new):

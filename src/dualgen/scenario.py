@@ -232,18 +232,6 @@ def _schema_fail(message: str, pointer: str):
     raise SchemaError(f"{message} (at {pointer or '/'})")
 
 
-def _unary_coefficient(fn, axis: int, dim: int):
-    """Wrap a state expression into a unary callable of coordinate `axis`."""
-    def g(s):
-        scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        X = np.zeros((len(s), dim))
-        X[:, axis] = s
-        out = np.asarray(fn(X), dtype=float)
-        return float(out[0]) if scalar else out
-    return g
-
-
 def _state_rate(fn, dim: int):
     """Wrap a state expression into rate(x) -> float over one state."""
     def g(x):
@@ -257,11 +245,8 @@ def _per_axis(exprs, dim: int, what: str):
         raise SchemaError(
             f"{what} needs {dim} expressions, got {len(exprs)} "
             f"(at /process/{what})")
-    out = []
-    for j, src in enumerate(exprs):
-        out.append(_unary_coefficient(
-            parse_expression(src, dim, only_variable=j), j, dim))
-    return tuple(out)
+    return tuple(parse_expression(src, dim, only_variable=j)
+                 for j, src in enumerate(exprs))
 
 
 def _build_jump_density(cfg: dict, dim: int):

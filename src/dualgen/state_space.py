@@ -61,9 +61,6 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
 
-    def axis_points(self, axis: int) -> np.ndarray:
-        return self.lower[axis] + self.spacing[axis] * np.arange(self.shape[axis])
-
     def index_of(self, x, tol: float = 1e-9):
         """Flat index of the grid point at x, or None if x is off-lattice."""
         idx = (np.asarray(x, dtype=float) - self.lower) / self.spacing

@@ -292,6 +292,28 @@ def test_cli_exit_two_on_non_finite_paths(tmp_path, capsys):
     assert len(err) == 1 and "NaN or inf" in err[0]
 
 
+def test_cli_exit_two_on_verify_matrix_of_a_simulation_only_kernel(
+        tmp_path, capsys):
+    # a stable-like kernel has no generator rows on a grid; this used to
+    # end in a NotImplementedError traceback and exit code 1
+    doc = {
+        "name": "stable-on-a-grid", "mode": "verify-matrix",
+        "process": {"dim": 1, "stable": {"alpha": 1.5, "amplitude": "1"}},
+        "grid": {"lower": [-1.0], "upper": [1.0], "spacing": [0.25],
+                 "boundary_policy": "reflect"},
+        "cone": {"type": "pareto"},
+        "probes": [{"x": [0.0], "y": [0.0], "t": 0.5}],
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["verify-matrix", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "StableLikeKernel jump part has no generator rows" in err[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats takes about a second to import; only probe_points needs it
     code = "import sys, dualgen; print('scipy.stats' in sys.modules)"

@@ -180,7 +180,7 @@ def test_pareto_dual_rates_match_conjugation_full_matrix():
     down = AtomicJumpKernel(jumps=(((-1.0,), 0.7),))
     nu = SeparableJumpKernel(components=((0, up), (1, down)))
     g = build_grid([-3.0, -2.0], [3.0, 2.0], [1.0, 1.0])
-    rates = np.stack([nu.cell_rates(x, g) for x in g.points()])
+    rates = nu.generator_matrix(g)
     Q = rates.copy()
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))

@@ -54,6 +54,6 @@ def test_syntax_error_carries_position():
 
 def test_only_variable_restriction():
     f = parse_expression("x2*x2", dim=2, only_variable=1)
-    assert f(np.array([[0.0, 3.0]]))[0] == pytest.approx(9.0)
+    assert f(np.array([3.0]))[0] == pytest.approx(9.0)
     with pytest.raises(ExpressionParseError):
         parse_expression("x1 + x2", dim=2, only_variable=1)

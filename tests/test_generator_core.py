@@ -11,7 +11,9 @@ from dualgen.errors import (
     ClippingWarning,
     DimensionMismatch,
     NonFiniteCoefficient,
+    NotSeparable,
     PositivityViolation,
+    UnsupportedScheme,
 )
 from dualgen.generator_core import (
     AtomicJumpKernel,
@@ -20,10 +22,11 @@ from dualgen.generator_core import (
     SeparableJumpKernel,
     adjoint,
     discretize,
-    map_target,
+    map_targets,
     validate_qmatrix,
 )
-from dualgen.state_space import build_grid
+from dualgen.monte_carlo import StableLikeKernel
+from dualgen.state_space import BOUNDARY_POLICIES, build_grid
 
 
 def _const(v):
@@ -80,13 +83,77 @@ def test_truncating_boundary_kills_mass():
 
 def test_map_target_boundary_conventions():
     g = build_grid([0.0], [4.0], [1.0], boundary_policy="reflect")
-    assert map_target(g, [-1.0]) == 0       # edge mirror of -1 is 0
-    assert map_target(g, [-2.0]) == 1
-    assert map_target(g, [6.0]) == 3        # mirror of 6 about the top edge 4.5
+    # edge mirror of -1 is 0; 6 mirrors about the top edge 4.5 to 3
+    assert list(map_targets(g, [[-1.0], [-2.0], [6.0]])) == [0, 1, 3]
     g_abs = build_grid([0.0], [4.0], [1.0], boundary_policy="absorb")
-    assert map_target(g_abs, [-3.0]) == 0
+    assert list(map_targets(g_abs, [-3.0])) == [0]
     g_tr = build_grid([0.0], [4.0], [1.0])
-    assert map_target(g_tr, [-1.0]) is None
+    assert list(map_targets(g_tr, [-1.0])) == [-1]
+    # off the lattice a target goes to its nearest grid point first, so
+    # one less than half a cell beyond a truncate_mass face stays
+    assert list(map_targets(g_tr, [-0.3, 4.4, -0.6])) == [0, 4, -1]
+
+
+def _scalar_map_target(grid, w, tol=1e-6):
+    """Reference rule in continuous space, one point at a time: fold the
+    point about each face, up to 64 passes per axis, then round; None
+    where truncate_mass drops it."""
+    w = np.asarray(w, dtype=float).copy()
+    for axis in range(grid.dim):
+        lo, hi = grid.lower[axis], grid.upper[axis]
+        pol_lo, pol_hi = grid.boundary_policy[axis]
+        h_ax = grid.spacing[axis]
+        for _ in range(64):
+            if w[axis] < lo - tol * h_ax:
+                if pol_lo == "reflect":
+                    w[axis] = 2 * lo - w[axis] - h_ax
+                elif pol_lo == "absorb":
+                    w[axis] = lo
+                else:
+                    return None
+            elif w[axis] > hi + tol * h_ax:
+                if pol_hi == "reflect":
+                    w[axis] = 2 * hi - w[axis] + h_ax
+                elif pol_hi == "absorb":
+                    w[axis] = hi
+                else:
+                    return None
+            else:
+                break
+    idx = np.rint((w - grid.lower) / grid.spacing).astype(int)
+    idx = np.clip(idx, 0, np.array(grid.shape) - 1)
+    return int(np.ravel_multi_index(tuple(idx), grid.shape, order="C"))
+
+
+_POLICY_PAIRS = [(lo, hi) for lo in BOUNDARY_POLICIES
+                 for hi in BOUNDARY_POLICIES]
+
+
+@st.composite
+def _grid_and_lattice_targets(draw, first_axis_policy):
+    dim = draw(st.integers(1, 2))
+    sizes = [draw(st.integers(2, 7)) for _ in range(dim)]
+    spacing = [draw(st.sampled_from([0.25, 0.5, 1.0, 0.3])) for _ in sizes]
+    lower = [draw(st.sampled_from([-1.0, 0.0, 0.7])) for _ in sizes]
+    policy = [first_axis_policy] + [draw(st.sampled_from(_POLICY_PAIRS))
+                                    for _ in sizes[1:]]
+    grid = build_grid(lower, [lo + h * (n - 1) for lo, h, n in
+                              zip(lower, spacing, sizes)], spacing, policy)
+    # integer coordinates up to three box widths outside on either side
+    K = np.array(draw(st.lists(st.tuples(*[st.integers(-3 * n, 4 * n - 1)
+                                           for n in sizes]),
+                               min_size=1, max_size=40)))
+    return grid, grid.lower + K * grid.spacing
+
+
+@pytest.mark.parametrize("policy", _POLICY_PAIRS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_map_targets_equals_the_scalar_rule_on_lattice_targets(policy, data):
+    grid, W = data.draw(_grid_and_lattice_targets(policy))
+    want = [_scalar_map_target(grid, w) for w in W]
+    assert list(map_targets(grid, W)) == [-1 if i is None else i
+                                          for i in want]
 
 
 def test_atomic_jump_rates_placed():
@@ -215,7 +282,7 @@ def _discretize_loop(spec, grid, clip_cross=True):
     cfl_warned = False
     clip_warned = False
     jump_matrix = None
-    if spec.jump is not None and hasattr(spec.jump, "generator_matrix"):
+    if spec.jump is not None:
         jump_matrix = spec.jump.generator_matrix(grid)
 
     for i in range(n_states):
@@ -282,12 +349,6 @@ def _discretize_loop(spec, grid, clip_cross=True):
 
         if jump_matrix is not None:
             Q[i] += jump_matrix[i]
-        elif spec.jump is not None:
-            rates = spec.jump.cell_rates(x, grid)
-            rates_sum = float(rates.sum()) - float(rates[i])
-            Q[i] += rates
-            Q[i, i] -= float(rates[i])
-            Q[i, i] -= rates_sum
 
     return Q
 
@@ -428,3 +489,37 @@ def test_non_finite_diffusion_and_jump_rates_raise():
     with pytest.raises(NonFiniteCoefficient,
                        match=r"jump rate is nan .*state 2"):
         discretize(bad_rate, grid)
+
+
+def test_kernels_without_grid_rows_or_compensator_rejected_at_entry():
+    grid = build_grid([-1.0], [1.0], [0.5], "reflect")
+    stable = ProcessSpec.one_dim(nu=StableLikeKernel(
+        alpha=1.5, amplitude=lambda x: np.ones(len(x))))
+    with pytest.raises(UnsupportedScheme, match="no generator rows"):
+        discretize(stable, grid)
+    density = DensityJumpKernel(density=lambda x, W: np.exp(-W[:, 0] ** 2))
+    compensated = ProcessSpec.one_dim(a=_const(1.0), nu=density,
+                                      jump_compensated=True)
+    with pytest.raises(UnsupportedScheme, match="no compensator drift"):
+        discretize(compensated, grid)
+    with pytest.raises(NotSeparable, match="axis 1 is a DensityJumpKernel"):
+        SeparableJumpKernel(components=((1, density),))
+
+
+def test_jump_rows_placed_for_all_states_at_once():
+    # displacement and target-map channels, a callable rate and mixed
+    # faces, against the rates placed state by state by the scalar rule
+    nu = AtomicJumpKernel(jumps=(((1.0, -0.5), lambda x: 1.0 + x[0] ** 2),
+                                 (lambda x: -x, 0.4),
+                                 ((0.0, 2.0), 0.0)))
+    grid = build_grid([-1.0, -1.0], [1.0, 1.5], [0.5, 0.5],
+                      [("reflect", "truncate_mass"), ("absorb", "reflect")])
+    pts = grid.points()
+    want = np.zeros((len(pts), len(pts)))
+    for i, x in enumerate(pts):
+        for w, r in ((x + (1.0, -0.5), 1.0 + x[0] ** 2), (-x, 0.4)):
+            j = _scalar_map_target(grid, w)
+            if j is not None:
+                want[i, j] += r
+        want[i, i] = -(want[i].sum() - want[i, i])
+    assert np.array_equal(nu.generator_matrix(grid), want)

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import kstest, norm
 
 from dualgen import monte_carlo
@@ -430,3 +431,35 @@ def test_estimate_invariants_hold_without_asserts():
         DualityEstimate(lhs_mean=0.5, lhs_se=-0.1, rhs_mean=0.5, rhs_se=0.1,
                         gap=0.0, z_score=0.0, n_paths=1000,
                         functional_descriptor="cone")
+
+
+_FULL_A = np.array([[0.5, 0.2], [0.2, 0.3]])
+
+
+def test_constant_full_diffusion_factored_once_per_block(monkeypatch):
+    calls = []
+
+    def counting_cholesky(m, lower):
+        calls.append(m.shape)
+        return scipy.linalg.cholesky(m, lower=lower)
+
+    monkeypatch.setattr(monte_carlo, "cholesky", counting_cholesky)
+    spec = ProcessSpec(dim=2, diffusion=lambda x: _FULL_A)
+    cfg = PathConfig(n_paths=monte_carlo.BLOCK_SIZE + 4000, dt=0.1,
+                     t_end=1.0, seed=9)
+    xs = simulate_paths(spec, cfg, [0.0, 0.0])
+    assert calls == [(2, 2)] * 2            # two blocks of ten steps each
+    # Brownian motion with generator a : D^2 has covariance 2 a t
+    assert np.abs(np.cov(xs.T) - 2.0 * _FULL_A).max() < 0.05
+
+
+def test_state_dependent_full_diffusion_raises_unsupported_scheme():
+    def diffusion(x):
+        return _FULL_A + np.diag([0.2 * np.sin(x[0]), 0.0])
+
+    spec = ProcessSpec(dim=2, diffusion=diffusion)
+    cfg = PathConfig(n_paths=1000, dt=0.01, t_end=0.5, seed=2)
+    with pytest.raises(UnsupportedScheme,
+                       match="state-dependent full diffusion"):
+        estimate_duality(spec, spec, TranslationKernel(kind="log2d", d=2),
+                         [0.5, 0.0], [0.0, 0.0], 0.5, cfg)
