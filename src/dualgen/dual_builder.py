@@ -11,7 +11,7 @@ inferred numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,12 +137,13 @@ def dual_diffusion(spec: ProcessSpec, box=None,
     probes = probe_points(box, n_probes)
     if spec.diffusion is not None:
         # generic callable supplied alongside the declaration: verify agreement
-        for x in probes[:20]:
-            declared = spec.eval_diffusion(x)
-            generic = np.asarray(spec.diffusion(x), dtype=float)
-            if np.abs(declared - generic).max() > 1e-8:
-                raise StructureViolation(
-                    f"declared structure differs from diffusion callable at {x}")
+        generic = replace(spec, diffusion_diag=None, diffusion_offdiag=None)
+        gap = np.abs(spec.diffusion_at(probes[:20])
+                     - generic.diffusion_at(probes[:20])).max(axis=(1, 2))
+        if np.any(gap > 1e-8):
+            raise StructureViolation(
+                f"declared structure differs from diffusion callable at "
+                f"{probes[np.argmax(gap > 1e-8)]}")
     bad = spec.check_psd(probes)
     if bad is not None:
         violated.append(("diffusion_psd", tuple(bad[0]), bad[1]))
@@ -459,7 +460,7 @@ def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
         for axis, comp in nu.components:
             lo, hi = box[axis]
             grid_z = np.linspace(lo, hi, 101)
-            rates = [comp.total_rate(np.array([z])) for z in grid_z]
+            rates = comp.total_rate(grid_z[:, None])
             diffs = np.diff(rates)
             if np.any(diffs > 1e-10):
                 k = int(np.argmax(diffs))

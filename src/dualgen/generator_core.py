@@ -11,10 +11,12 @@ rows, diagonal included, which `discretize` adds to the stencil rows.
 One boundary rule (`_fold`, on integer grid coordinates) maps both the
 stencil's neighbour moves and every jump target across a face:
 `map_targets` rounds a target to its nearest grid point and folds it.
-`discretize` evaluates declared per-axis drift and diffusion on whole
-coordinate columns (generic callables and the jump compensator once
-per state) and then assembles each stencil move for all states at once
-with array writes, accumulating every entry in the same order as a
+`ProcessSpec.drift_at` and `diffusion_at` are the only coefficient
+evaluators; `discretize`, the simulator and the dual builder all call
+them, so both verification tracks see the same compensated drift.
+`discretize` evaluates the coefficients at every live state in one call
+each and then assembles each stencil move for all states at once with
+array writes, accumulating every entry in the same order as a
 state-by-state loop would, so Q is the same to the bit.  NaN or inf
 coefficients raise NonFiniteCoefficient instead of vanishing from the
 stencil.
@@ -150,17 +152,21 @@ class AtomicJumpKernel:
             _place(R, grid, W, r)
         return _generator_rows(R)
 
-    def total_rate(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return sum(float(r[0]) for _, r in self._channels(x[None]))
+    def total_rate(self, X: np.ndarray) -> np.ndarray:
+        """Summed channel rates at the states X, (m, d): one per state."""
+        total = np.zeros(len(X))
+        for _, r in self._channels(X):
+            total += r
+        return total
 
-    def compensator_drift(self, x, cutoff: float) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        drift = np.zeros_like(x)
-        for W, r in self._channels(x[None]):
-            dz = W[0] - x
-            if np.linalg.norm(dz) <= cutoff:
-                drift += dz * r[0]
+    def compensator_drift(self, X: np.ndarray, cutoff: float) -> np.ndarray:
+        """(m, d): the rate-weighted displacements of the channels whose
+        jump from each state of X is no longer than cutoff."""
+        drift = np.zeros(X.shape)
+        for W, r in self._channels(X):
+            dz = W - X
+            small = np.linalg.norm(dz, axis=1) <= cutoff
+            drift[small] += dz[small] * r[small, None]
         return drift
 
 
@@ -212,11 +218,10 @@ class SeparableJumpKernel:
                 _place(R, grid, W, r)
         return _generator_rows(R)
 
-    def compensator_drift(self, x, cutoff: float) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        drift = np.zeros_like(x)
+    def compensator_drift(self, X: np.ndarray, cutoff: float) -> np.ndarray:
+        drift = np.zeros(X.shape)
         for axis, kern in self.components:
-            drift[axis] += kern.compensator_drift(np.array([x[axis]]), cutoff)[0]
+            drift[:, axis] += kern.compensator_drift(X[:, [axis]], cutoff)[:, 0]
         return drift
 
 
@@ -229,8 +234,11 @@ class ProcessSpec:
 
     Structured coefficient declarations (drift_components, diffusion_diag,
     diffusion_offdiag) carry the separability information that the dual
-    construction needs; generic callables (drift, diffusion) suffice for
-    discretization and simulation.
+    construction needs and are evaluated on whole coordinate columns;
+    generic callables (drift, diffusion) suffice for discretization and
+    simulation and are evaluated state by state.  With jump_compensated
+    the jump part's compensator drift (its jumps no longer than
+    compensator_cutoff) is part of the drift that drift_at returns.
     """
 
     dim: int
@@ -275,40 +283,57 @@ class ProcessSpec:
             boundary=boundary,
         )
 
-    def eval_drift(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def drift_at(self, X) -> np.ndarray:
+        """b at each row of X, (m, d), or at one state given as a vector:
+        declared b_j(x_j) on the column of axis j, a generic drift state
+        by state; a compensated jump part's compensator is subtracted."""
+        X, one = self._states(X)
         if self.drift_components is not None:
-            return np.array([float(bj(x[j])) for j, bj in
-                             enumerate(self.drift_components)])
-        if self.drift is not None:
-            return np.atleast_1d(np.asarray(self.drift(x), dtype=float))
-        return np.zeros(self.dim)
+            B = np.empty(X.shape)
+            for j, bj in enumerate(self.drift_components):
+                B[:, j] = bj(X[:, j])
+        elif self.drift is not None:
+            B = np.array([np.asarray(self.drift(x), dtype=float)
+                          for x in X]).reshape(X.shape)
+        else:
+            B = np.zeros(X.shape)
+        if self.jump_compensated and self.jump is not None:
+            B = B - self.jump.compensator_drift(X, self.compensator_cutoff)
+        return B[0] if one else B
 
-    def eval_diffusion(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def diffusion_at(self, X) -> np.ndarray:
+        """a at each row of X, (m, d, d), or at one state given as a
+        vector: declared a_jj(x_j) and a_ij(x_i, x_j) on whole columns, a
+        generic diffusion state by state."""
+        X, one = self._states(X)
+        m, d = X.shape
+        A = np.zeros((m, d, d))
         if self.diffusion_diag is not None:
-            a = np.zeros((self.dim, self.dim))
             for j, ajj in enumerate(self.diffusion_diag):
-                a[j, j] = float(ajj(x[j]))
+                A[:, j, j] = ajj(X[:, j])
             for (i, j), aij in (self.diffusion_offdiag or {}).items():
-                a[i, j] = a[j, i] = float(aij(x[i], x[j]))
-            return a
-        if self.diffusion is not None:
-            a = np.asarray(self.diffusion(x), dtype=float)
-            if a.ndim == 0:
-                a = a.reshape(1, 1)
-            return a
-        return np.zeros((self.dim, self.dim))
+                A[:, i, j] = A[:, j, i] = aij(X[:, i], X[:, j])
+        elif self.diffusion is not None:
+            A = np.array([np.asarray(self.diffusion(x), dtype=float)
+                          for x in X]).reshape(m, d, d)
+        return A[0] if one else A
+
+    def _states(self, X):
+        """X as (m, dim) float states, and whether it was one state."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim < 2:
+            return X.reshape(1, self.dim), True
+        return X, False
 
     def has_diffusion(self) -> bool:
         return self.diffusion is not None or self.diffusion_diag is not None
 
     def check_psd(self, probes: np.ndarray, tol: float = 1e-10):
         """First probe point where the diffusion matrix fails PSD, or None."""
-        for x in probes:
-            eigs = np.linalg.eigvalsh(self.eval_diffusion(x))
-            if eigs.min() < -tol:
-                return x, float(eigs.min())
+        low = np.linalg.eigvalsh(self.diffusion_at(probes)).min(axis=1)
+        bad = np.flatnonzero(low < -tol)
+        if len(bad):
+            return probes[bad[0]], float(low[bad[0]])
         return None
 
 
@@ -372,52 +397,20 @@ def _require_finite(values: np.ndarray, what: str, states, pts: np.ndarray):
             f"(state {i})")
 
 
-def _on_column(fn, *columns) -> np.ndarray:
-    """A declared coefficient evaluated on whole coordinate columns; a
-    constant result is broadcast to one value per state."""
-    return np.broadcast_to(np.asarray(fn(*columns), dtype=float),
-                           columns[0].shape)
-
-
-def _drift_rows(spec: ProcessSpec, X: np.ndarray) -> np.ndarray:
-    """b at each row of X, (m, d): declared b_j(x_j) on the column of
-    axis j, a generic drift state by state."""
-    if spec.drift_components is not None:
-        B = np.empty(X.shape)
-        for j, bj in enumerate(spec.drift_components):
-            B[:, j] = _on_column(bj, X[:, j])
-        return B
-    return np.array([spec.eval_drift(x) for x in X]).reshape(X.shape)
-
-
-def _diffusion_rows(spec: ProcessSpec, X: np.ndarray) -> np.ndarray:
-    """a at each row of X, (m, d, d): declared a_jj(x_j) and a_ij(x_i, x_j)
-    on whole columns, a generic diffusion state by state."""
-    m, d = X.shape
-    if spec.diffusion_diag is not None:
-        A = np.zeros((m, d, d))
-        for j, ajj in enumerate(spec.diffusion_diag):
-            A[:, j, j] = _on_column(ajj, X[:, j])
-        for (i, j), aij in (spec.diffusion_offdiag or {}).items():
-            A[:, i, j] = A[:, j, i] = _on_column(aij, X[:, i], X[:, j])
-        return A
-    return np.array([spec.eval_diffusion(x) for x in X]).reshape(m, d, d)
-
-
 def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatrix:
     """Finite-difference / quadrature discretization of the generator.
 
     Upwind drift and central diffusion with the positive cross stencil,
     plus the jump kernel's own generator rows (`generator_matrix`);
-    boundary rows follow the grid's per-axis boundary policy.  Drift and
-    diffusion are evaluated once per state, declared per-axis
-    coefficients on whole columns of the grid points; each stencil move
-    is then written for all states at once, in the same order per entry
-    as a state-by-state loop, so Q does not depend on how the assembly
-    is batched.  Raises NonFiniteCoefficient on a NaN or inf drift,
-    diffusion or jump rate, and UnsupportedScheme on a jump part with no
-    generator rows (a simulation-only kernel) or a compensated one with
-    no compensator drift.
+    boundary rows follow the grid's per-axis boundary policy.  Drift
+    (compensated when the spec says so) and diffusion come from one
+    `drift_at` and one `diffusion_at` call over the live states; each
+    stencil move is then written for all states at once, in the same
+    order per entry as a state-by-state loop, so Q does not depend on
+    how the assembly is batched.  Raises NonFiniteCoefficient on a NaN
+    or inf drift, diffusion or jump rate, and UnsupportedScheme on a
+    jump part with no generator rows (a simulation-only kernel) or a
+    compensated one with no compensator drift.
     """
     if spec.dim != grid.dim:
         raise DimensionMismatch("spec and grid dimensions differ")
@@ -439,14 +432,11 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
     d = spec.dim
 
     X = pts[live]
-    B = _drift_rows(spec, X)
-    if jump is not None and spec.jump_compensated:
-        B = B - np.array([jump.compensator_drift(
-            x, spec.compensator_cutoff) for x in X]).reshape(len(live), d)
+    B = spec.drift_at(X)
     _require_finite(B, "drift b", live, pts)
     A = None
     if spec.has_diffusion():
-        A = _diffusion_rows(spec, X)
+        A = spec.diffusion_at(X)
         _require_finite(A, "diffusion a", live, pts)
 
     G = None

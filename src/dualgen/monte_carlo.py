@@ -6,7 +6,9 @@ organized in fixed-size blocks with counter-based substreams keyed by
 (seed, salt, block index), so results are bit-identical however many
 worker threads run the blocks.  The blocks run on every usable core by
 default; DUALGEN_THREADS lowers the count.  Each block advances its
-paths in place, in buffers allocated once per block.
+paths in place, in buffers allocated once per block.  The drift of a
+step is `ProcessSpec.drift_at` over all paths, the same evaluator
+`discretize` uses, so a compensated jump part moves both tracks alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -145,15 +147,6 @@ def positive_stable_sample(rng: np.random.Generator, alpha_half: float,
     return zolo / e ** ((1.0 - a) / a)
 
 
-def _drift_into(spec: ProcessSpec, x: np.ndarray, out: np.ndarray):
-    """b(x), written into out."""
-    if spec.drift_components is not None:
-        for j, bj in enumerate(spec.drift_components):
-            out[:, j] = 0.0 if bj is None else bj(x[:, j])
-    else:
-        out[...] = np.apply_along_axis(spec.drift, 1, x).reshape(x.shape)
-
-
 def _sigma_into(spec: ProcessSpec, x: np.ndarray, sig: np.ndarray):
     """sqrt(2 a_jj(x_j)) of a diagonal diffusion, written into sig;
     returns a_00(x_0) over the paths, never a view of x, which the step
@@ -181,11 +174,11 @@ def _require_constant_diffusion(spec: ProcessSpec, x: np.ndarray,
                                 a_block: np.ndarray):
     """Raise UnsupportedScheme unless the full diffusion matrix at every
     probed path is still a_block, the matrix the block factored."""
-    for probe in x[:: max(1, len(x) // 7)]:
-        if np.abs(spec.eval_diffusion(probe) - a_block).max() > 1e-12:
-            raise UnsupportedScheme(
-                "state-dependent full diffusion matrices are not simulated; "
-                "declare diagonal structure or use a constant matrix")
+    probes = x[:: max(1, len(x) // 7)]
+    if np.abs(spec.diffusion_at(probes) - a_block).max() > 1e-12:
+        raise UnsupportedScheme(
+            "state-dependent full diffusion matrices are not simulated; "
+            "declare diagonal structure or use a constant matrix")
 
 
 def _thin(jump: AtomicJumpKernel, cfg: PathConfig, x, dx, u, alive, disp):
@@ -247,14 +240,15 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
     m = len(x)
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
-    has_drift = spec.drift_components is not None or spec.drift is not None
+    has_drift = spec.drift_components is not None or spec.drift is not None \
+        or (spec.jump_compensated and spec.jump is not None)
     stable = spec.jump if cfg.scheme == "stable_euler" else None
     noisy = stable is not None or spec.has_diffusion()
     thinning = spec.jump if cfg.scheme == "euler_jump_thinning" else None
     diagonal = spec.diffusion_diag is not None and not spec.diffusion_offdiag
     # a full diffusion matrix is factored once, at the start state that
     # every path of the block shares, and checked at every step
-    a_block = None if diagonal else spec.eval_diffusion(x[0])
+    a_block = None if diagonal else spec.diffusion_at(x[0])
     if stable is None and spec.has_diffusion() and not diagonal:
         chol_t = cholesky(2.0 * a_block, lower=True).T
     half = spec.domain == "half_line"
@@ -284,8 +278,7 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
         if x_prev is not None:
             np.copyto(x_prev, x)
         if has_drift:
-            _drift_into(spec, x, dx)
-            dx *= dt
+            np.multiply(spec.drift_at(x), dt, out=dx)
         elif not noisy:
             dx.fill(0.0)
 
@@ -366,6 +359,11 @@ def _check_scheme(spec: ProcessSpec, cfg: PathConfig):
             raise UnsupportedScheme(
                 "euler_jump_thinning simulates displacement channels only, "
                 "not target maps")
+    if spec.jump_compensated and jump is not None \
+            and not hasattr(jump, "compensator_drift"):
+        raise UnsupportedScheme(
+            f"a {type(jump).__name__} jump part has no compensator drift; "
+            f"simulate it with jump_compensated=False")
     if cfg.scheme == "stable_euler":
         if spec.has_diffusion():
             raise UnsupportedScheme("stable_euler excludes a diffusion part")
@@ -385,9 +383,9 @@ def simulate_paths(spec: ProcessSpec, cfg: PathConfig, x0,
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     _check_scheme(spec, cfg)
-    b0 = spec.eval_drift(x0)
+    b0 = spec.drift_at(x0)
     if spec.has_diffusion():
-        a0 = np.diag(spec.eval_diffusion(x0))
+        a0 = np.diag(spec.diffusion_at(x0))
         scale = np.sqrt(np.maximum(2.0 * a0 * cfg.dt, 0.0))
         if np.any(np.abs(b0) * cfg.dt > 4.0 * scale + 1e-30):
             warnings.warn("drift step exceeds the diffusion scale; "
@@ -445,11 +443,7 @@ def estimate_duality(specX: ProcessSpec, specY: ProcessSpec, f_descriptor,
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    run = PathConfig(n_paths=cfg.n_paths, dt=cfg.dt, t_end=t, seed=cfg.seed,
-                     scheme=cfg.scheme,
-                     tail_truncation_quantile=cfg.tail_truncation_quantile,
-                     rate_bound=cfg.rate_bound,
-                     bridge_correction=cfg.bridge_correction)
+    run = replace(cfg, t_end=t)
     cone_pairing = isinstance(f_descriptor, tuple) and f_descriptor[0] == "cone"
     if cone_pairing and (dual_report is None
                          or not getattr(dual_report, "admissible", False)):

@@ -72,10 +72,6 @@ class TranslationKernel:
             return -1.0 / ((self.d - 2) * sphere_area(self.d))
         return 1.0 / (2.0 * np.pi)
 
-    @property
-    def sigma_dminus1(self) -> float:
-        return sphere_area(self.d)
-
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Kernel value as a function of |x| (singular at 0)."""
         r = np.asarray(r, dtype=float)

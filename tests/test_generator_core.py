@@ -272,6 +272,52 @@ def _loop_absorbing(grid):
     return idx
 
 
+def _ref_compensator(jump, x, cutoff):
+    """Compensator drift at one state x, channel by channel."""
+    drift = np.zeros_like(x)
+    if isinstance(jump, SeparableJumpKernel):
+        for axis, kern in jump.components:
+            drift[axis] += _ref_compensator(kern, x[[axis]], cutoff)[0]
+        return drift
+    for where, rate in jump.jumps:
+        r = float(rate(x)) if callable(rate) else float(rate)
+        w = np.atleast_1d(np.asarray(where(x) if callable(where)
+                                     else x + where, dtype=float))
+        if np.linalg.norm(w - x) <= cutoff:
+            drift += (w - x) * r
+    return drift
+
+
+def _ref_drift(spec, x):
+    """b at one state x, one coefficient call per component, minus the
+    compensator of a compensated jump part."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if spec.drift_components is not None:
+        b = np.array([float(bj(x[j]))
+                      for j, bj in enumerate(spec.drift_components)])
+    elif spec.drift is not None:
+        b = np.atleast_1d(np.asarray(spec.drift(x), dtype=float))
+    else:
+        b = np.zeros(spec.dim)
+    if spec.jump is not None and spec.jump_compensated:
+        b = b - _ref_compensator(spec.jump, x, spec.compensator_cutoff)
+    return b
+
+
+def _ref_diffusion(spec, x):
+    """a at one state x, one coefficient call per entry."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    a = np.zeros((spec.dim, spec.dim))
+    if spec.diffusion_diag is not None:
+        for j, ajj in enumerate(spec.diffusion_diag):
+            a[j, j] = float(ajj(x[j]))
+        for (i, j), aij in (spec.diffusion_offdiag or {}).items():
+            a[i, j] = a[j, i] = float(aij(x[i], x[j]))
+    elif spec.diffusion is not None:
+        a = np.asarray(spec.diffusion(x), dtype=float).reshape(a.shape)
+    return a
+
+
 def _discretize_loop(spec, grid, clip_cross=True):
     n_states = grid.n_points
     Q = np.zeros((n_states, n_states))
@@ -300,11 +346,8 @@ def _discretize_loop(spec, grid, clip_cross=True):
                 Q[i, j] += rate
                 Q[i, i] -= rate
 
-        b = spec.eval_drift(x)
-        if spec.jump is not None and spec.jump_compensated:
-            b = b - spec.jump.compensator_drift(x, spec.compensator_cutoff)
-
-        a = spec.eval_diffusion(x) if spec.has_diffusion() else None
+        b = _ref_drift(spec, x)
+        a = _ref_diffusion(spec, x) if spec.has_diffusion() else None
         if a is not None:
             off_budget = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
             diag_rates = np.diag(a) - off_budget
@@ -422,6 +465,49 @@ _ASSEMBLY_CASES = {
         _cross_spec(3, 0.15), build_grid([-1.0] * 3, [1.0] * 3, [0.5] * 3,
                                          "reflect")),
 }
+
+
+_GRID_2D = build_grid([-1.0, -1.0], [1.0, 1.5], [0.25, 0.25])
+
+_EVALUATOR_CASES = {
+    **_ASSEMBLY_CASES,
+    "generic-full": (ProcessSpec(
+        dim=2, drift=lambda x: np.array([x[1], -np.sin(x[0])]),
+        diffusion=lambda x: np.array([[1.0 + x[0] ** 2, 0.3 * x[0] * x[1]],
+                                      [0.3 * x[0] * x[1], 0.8]])),
+        _GRID_2D),
+    "declared-offdiag": (ProcessSpec(
+        dim=2, drift_components=(lambda s: -s, _const(0.2)),
+        diffusion_diag=(lambda s: 1.0 + 0.1 * s * s, _const(0.7)),
+        diffusion_offdiag={(0, 1): lambda u, v: 0.2 * np.sin(u - v)}),
+        _GRID_2D),
+    "python-scalar": (ProcessSpec(
+        dim=2, drift_components=(lambda s: 0.5, lambda s: -s),
+        diffusion_diag=(lambda s: 1.0, lambda s: 0.5 + 0.0 * s)), _GRID_2D),
+    "2d-separable-compensated": (ProcessSpec(
+        dim=2, drift_components=(np.sin, lambda s: -0.5 * s),
+        diffusion_diag=(_const(0.4), _const(0.3)),
+        jump=SeparableJumpKernel(components=(
+            (0, _UP_DOWN),
+            (1, AtomicJumpKernel(jumps=(
+                ((1.0,), lambda x: 1.0 + 0.5 * np.tanh(x[0])),
+                ((-0.25,), 0.7)))))),
+        jump_compensated=True, compensator_cutoff=0.6), _GRID_2D),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATOR_CASES))
+def test_evaluators_match_per_state_reference(name):
+    spec, grid = _EVALUATOR_CASES[name]
+    X = grid.points()
+    B = spec.drift_at(X)
+    A = spec.diffusion_at(X)
+    assert B.shape == X.shape and A.shape == X.shape + (spec.dim,)
+    assert np.array_equal(B, [_ref_drift(spec, x) for x in X])
+    assert np.array_equal(A, [_ref_diffusion(spec, x) for x in X])
+    # one state given as a vector
+    assert np.array_equal(spec.drift_at(X[3]), B[3])
+    assert np.array_equal(spec.diffusion_at(X[3]), A[3])
 
 
 def _outcome(fn, spec, grid, clip_cross):

@@ -330,7 +330,7 @@ def test_dual_stochasticity_monotone_birth_death():
     q = discretize(spec, g)
     TD = dual_semigroup_via_F(semigroup(q, 0.5),
                               SurvivalTransform(g, Cone.pareto(1)))
-    rep = dual_stochasticity_check(TD, conservative_expected=False)
+    rep = dual_stochasticity_check(TD)
     assert rep.passed
     # absorbed at the bottom of the order: the first dual row is frozen
     assert TD.T[0, 0] == pytest.approx(1.0, abs=1e-9)
@@ -346,7 +346,7 @@ def test_dual_stochasticity_flags_non_monotone_chain():
     q = QMatrix(entries=Q, state_grid=g)
     TD = dual_semigroup_via_F(semigroup(q, 0.5),
                               SurvivalTransform(g, Cone.pareto(1)))
-    rep = dual_stochasticity_check(TD, conservative_expected=False)
+    rep = dual_stochasticity_check(TD)
     assert not rep.passed
     assert rep.min_entry < -1e-6
     i, j = rep.worst_entry_index

@@ -16,7 +16,8 @@ from dualgen.errors import (
     RateBoundExceeded,
     UnsupportedScheme,
 )
-from dualgen.generator_core import AtomicJumpKernel, ProcessSpec
+from dualgen.generator_core import AtomicJumpKernel, ProcessSpec, discretize
+from dualgen.matrix_lab import semigroup
 from dualgen.monte_carlo import (
     DualityEstimate,
     PathConfig,
@@ -28,7 +29,7 @@ from dualgen.monte_carlo import (
     worker_count,
 )
 from dualgen.order_transform import TranslationKernel
-from dualgen.state_space import Cone
+from dualgen.state_space import Cone, build_grid
 
 
 def _const(v):
@@ -463,3 +464,29 @@ def test_state_dependent_full_diffusion_raises_unsupported_scheme():
                        match="state-dependent full diffusion"):
         estimate_duality(spec, spec, TranslationKernel(kind="log2d", d=2),
                          [0.5, 0.0], [0.0, 0.0], 0.5, cfg)
+
+
+def test_thinning_simulates_the_compensated_process():
+    # a +1 jump at rate 2 compensated below cutoff 1.5: drift -2, mean 0
+    spec = ProcessSpec.one_dim(a=_const(0.5), nu=AtomicJumpKernel(
+        jumps=(((1.0,), 2.0),)), jump_compensated=True,
+        compensator_cutoff=1.5)
+    grid = build_grid([-12.0], [12.0], [0.5], "reflect")
+    x0 = int(np.flatnonzero(grid.points()[:, 0] == 0.0)[0])
+    T = semigroup(discretize(spec, grid), 1.0).T
+    exact = float(T[x0] @ grid.points()[:, 0])
+    cfg = PathConfig(n_paths=4000, dt=0.01, t_end=1.0, seed=5,
+                     scheme="euler_jump_thinning", rate_bound=2.0)
+    xs = simulate_paths(spec, cfg, [0.0])[:, 0]
+    se = xs.std(ddof=1) / np.sqrt(len(xs))
+    assert abs(xs.mean() - exact) < 5.0 * se
+
+
+def test_compensated_kernel_without_compensator_rejected():
+    spec = ProcessSpec(dim=1, jump=StableLikeKernel(
+        alpha=1.0, amplitude=lambda x: np.ones(len(x))),
+        jump_compensated=True)
+    cfg = PathConfig(n_paths=100, dt=0.1, t_end=1.0, seed=1,
+                     scheme="stable_euler")
+    with pytest.raises(UnsupportedScheme, match="no compensator drift"):
+        simulate_paths(spec, cfg, [0.0])
