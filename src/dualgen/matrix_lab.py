@@ -17,7 +17,8 @@ Comput. Appl. Math. 123, 2000), and the same probe check guards it.
 `duality_residual` pairs both semigroups with the order indicator through
 the same operator: the indicator is f = F', so T f = (F T')' and
 f T^D' = F' T^D' cost O(n^2 d) on the Pareto path (`apply_transpose` is a
-prefix sum), and no n x n indicator matrix is built for it.
+prefix sum), and no n x n indicator matrix is built for it.  scipy is
+imported on use, so `import dualgen` loads none of it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm, solve_triangular
 
 from .errors import DimensionMismatch, Overflow
 from .generator_core import QMatrix
@@ -53,6 +53,13 @@ _EXPM_NORM_LIMIT = 1e6
 _CHECK_PROBES = 2
 # largest row sum of |tQ - K| at which tQ counts as the Kronecker sum K
 _KRON_TOL = 1e-12
+
+
+def expm(A):
+    """scipy.linalg.expm, imported on use.  A module attribute, so the
+    calls can be counted or replaced."""
+    from scipy.linalg import expm
+    return expm(A)
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,7 @@ class SurvivalTransform:
             phi = np.linalg.solve(cone.basis, grid.points().T).sum(axis=0)
             order = np.argsort(phi, kind="stable")
             Fp = F[np.ix_(order, order)]
+            from scipy.linalg import solve_triangular
             inv_p = solve_triangular(Fp, np.eye(len(F)), lower=False,
                                      unit_diagonal=True)
             Finv = np.empty_like(inv_p)
@@ -210,7 +218,6 @@ def semigroup(q: QMatrix, t: float) -> SemigroupSnapshot:
     if not norm <= _EXPM_NORM_LIMIT:
         raise Overflow(
             f"||tQ|| = {norm:.3g} too large; use smaller t or a coarser grid")
-    # imported here: `import dualgen` loads no scipy.sparse
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import expm_multiply
 
@@ -327,7 +334,9 @@ class StochasticityReport:
     passed: bool
     min_entry: float
     max_rowsum_defect: float
-    worst_entry_index: tuple
+    # (i, j) of the most negative entry on a failing check; None on a
+    # passing one, where the argmin only names rounding noise
+    worst_entry_index: Optional[tuple]
 
 
 ENTRY_TOL = 1e-10
@@ -340,12 +349,15 @@ def dual_stochasticity_check(TD: SemigroupSnapshot) -> StochasticityReport:
     the order, so only rows exceeding 1 count as defects."""
     T = TD.T
     min_entry = float(T.min())
-    i, j = np.unravel_index(int(np.argmin(T)), T.shape)
     max_defect = float(np.maximum(T.sum(axis=1) - 1.0, 0.0).max())
     passed = min_entry >= -ENTRY_TOL and max_defect <= ROWSUM_TOL
+    worst = None
+    if not passed:
+        i, j = np.unravel_index(int(np.argmin(T)), T.shape)
+        worst = (int(i), int(j))
     return StochasticityReport(
         passed=bool(passed),
         min_entry=min_entry,
         max_rowsum_defect=max_defect,
-        worst_entry_index=(int(i), int(j)),
+        worst_entry_index=worst,
     )

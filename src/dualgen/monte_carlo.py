@@ -9,6 +9,8 @@ default; DUALGEN_THREADS lowers the count.  Each block advances its
 paths in place, in buffers allocated once per block.  The drift of a
 step is `ProcessSpec.drift_at` over all paths, the same evaluator
 `discretize` uses, so a compensated jump part moves both tracks alike.
+scipy is imported on use: only a full diffusion matrix needs its
+Cholesky factor.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .errors import (
     InadmissibleDual,
@@ -126,6 +127,13 @@ class StableLikeKernel:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError("alpha must lie in (0, 2]")
+
+
+def cholesky(a, lower):
+    """scipy.linalg.cholesky, imported on use.  A module attribute, so the
+    calls can be counted or replaced."""
+    from scipy.linalg import cholesky
+    return cholesky(a, lower=lower)
 
 
 def _block_rng(seed: int, salt: int, block: int) -> np.random.Generator:

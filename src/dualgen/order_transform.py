@@ -2,7 +2,8 @@
 
 Here F is a convolution with the Riesz, Newtonian or 2-D logarithmic
 kernel.  For cone orders F is the survival transform, implemented once
-as `matrix_lab.SurvivalTransform`.
+as `matrix_lab.SurvivalTransform`.  scipy.special is imported on use,
+by the kernel constants.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import DimensionMismatch, Overflow, SingularityUnhandled
 from .state_space import (
@@ -31,11 +31,13 @@ __all__ = [
 
 def sphere_area(d: int) -> float:
     """Area of the unit sphere in R^d."""
+    from scipy.special import gamma
     return 2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0)
 
 
 def riesz_normalizer(d: int, alpha: float) -> float:
     """H_d(alpha) = 2^alpha pi^{d/2} Gamma(alpha/2) / Gamma((d-alpha)/2)."""
+    from scipy.special import gamma
     return 2.0 ** alpha * np.pi ** (d / 2.0) * gamma(alpha / 2.0) / gamma((d - alpha) / 2.0)
 
 

@@ -503,7 +503,8 @@ def _run_verify_matrix(s: Scenario) -> dict:
                 "pass": bool(stoch.passed),
                 "min_entry": float(stoch.min_entry),
                 "max_rowsum_defect": float(stoch.max_rowsum_defect),
-                "worst_entry_index": list(stoch.worst_entry_index),
+                "worst_entry_index": (None if stoch.passed
+                                      else list(stoch.worst_entry_index)),
             },
             "per_time": rows,
         },

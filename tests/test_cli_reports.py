@@ -314,6 +314,30 @@ def test_cli_exit_two_on_verify_matrix_of_a_simulation_only_kernel(
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def _verify_2d(cone):
+    return {
+        "name": "verify-2d", "mode": "verify-matrix",
+        "process": {"dim": 2, "drift": ["-0.3*x1", "0.2 - 0.3*x2"],
+                    "diffusion": ["0.5", "0.4"]},
+        "grid": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0],
+                 "spacing": [0.5, 0.5], "boundary_policy": "reflect"},
+        "cone": cone,
+        "probes": [{"x": [0.0, 0.0], "y": [0.0, 0.0], "t": 0.5}],
+    }
+
+
+def _stable_riesz_mc():
+    return {
+        "name": "stable-riesz", "mode": "mc",
+        "process": {"dim": 2, "stable": {"alpha": 1.0,
+                                         "amplitude": "1 + 0.5*sin(x1)"}},
+        "cone": {"type": "riesz", "alpha": 1.0},
+        "probes": [{"x": [1.0, 0.0], "y": [0.0, 0.0], "t": 0.5}],
+        "path_config": {"n_paths": 2000, "dt": 0.01, "seed": 3,
+                        "scheme": "stable_euler"},
+    }
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats takes about a second to import; only probe_points needs it
     code = "import sys, dualgen; print('scipy.stats' in sys.modules)"
@@ -330,6 +354,74 @@ def test_import_does_not_load_scipy_sparse_linalg():
                          text=True, check=True, timeout=120,
                          env=_env())
     assert out.stdout.strip() == "False"
+
+
+def test_import_and_load_do_not_load_scipy():
+    # scipy is imported on use: importing the package and loading a
+    # scenario of each track loads none of it
+    code = (
+        "import json, sys, dualgen, dualgen.cli\n"
+        "from dualgen.scenario import load_scenario\n"
+        "for doc in json.loads(sys.argv[1]):\n"
+        "    load_scenario(doc)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    docs = json.dumps([_verify_2d({"type": "lightcone"}), _stable_riesz_mc()])
+    out = subprocess.run([sys.executable, "-c", code, docs],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, env=_env())
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("mode,doc", [
+    # the orthant by its generators in swapped order: not the identity
+    # basis, so F is dense and reaches the triangular solve, and unlike
+    # the light cone on a box its dual is a Markov semigroup, so it passes
+    ("verify-matrix", _verify_2d({"type": "vectors",
+                                  "vectors": [[0.0, 1.0], [1.0, 0.0]]})),
+    # reaches the Riesz constant's gamma
+    ("mc", _stable_riesz_mc()),
+], ids=["verify-matrix", "mc-riesz"])
+def test_cli_runs_from_a_cold_interpreter(tmp_path, mode, doc):
+    # in-process tests run with scipy already imported; only a fresh
+    # interpreter runs the import-on-use lines from cold
+    path = _write(tmp_path, {**doc, "output_dir": str(tmp_path / "out")})
+    out = subprocess.run([sys.executable, "-m", "dualgen.cli", mode, path],
+                         capture_output=True, text=True, timeout=120,
+                         env=_env())
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip().endswith(": pass")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["pass"]
+
+
+def test_full_diffusion_runs_from_a_cold_interpreter():
+    # the scenario format has no full diffusion matrix, so the lazy
+    # Cholesky factor is reached through the library
+    code = (
+        "import numpy as np\n"
+        "from dualgen.generator_core import ProcessSpec\n"
+        "from dualgen.monte_carlo import PathConfig, estimate_duality\n"
+        "from dualgen.order_transform import TranslationKernel\n"
+        "a = np.array([[0.5, 0.2], [0.2, 0.3]])\n"
+        "spec = ProcessSpec(dim=2, diffusion=lambda x: a)\n"
+        "cfg = PathConfig(n_paths=2000, dt=0.05, t_end=0.5, seed=5)\n"
+        "est = estimate_duality(spec, spec, TranslationKernel('log2d', d=2),\n"
+        "                       [0.5, 0.0], [0.0, 0.0], 0.5, cfg)\n"
+        "print(abs(est.z_score) <= 3.5)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env=_env())
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip() == "True"
+
+
+def test_passing_verify_matrix_reports_no_worst_entry(tmp_path):
+    # on a passing run the argmin of T^D only names rounding noise
+    rep = run_scenario(load_scenario(_walk_verify()), out_dir=str(tmp_path))
+    stoch = rep["results"]["stochasticity"]
+    assert stoch["pass"] and stoch["worst_entry_index"] is None
+    on_disk = json.loads((tmp_path / "report.json").read_text())
+    assert on_disk["results"]["stochasticity"]["worst_entry_index"] is None
 
 
 @pytest.mark.parametrize("lower,upper,where", [
