@@ -6,7 +6,8 @@ and picks up the derivative drift a'_jj, and jump kernels dualize through
 the monotone tail rates  z -> integral over {w >= y} of nu(z, dw).
 Admissibility is decided by sign and monotonicity conditions verified at
 quasi-random probe points; derivatives are always supplied, never
-inferred numerically.
+inferred numerically.  Probe counts and quadrature sizes are module
+constants: each verdict depends on them.
 """
 
 from __future__ import annotations
@@ -46,11 +47,20 @@ __all__ = [
     "check_self_dual",
     "SiegmundDualJumpKernel1D",
     "ParetoDualJumpKernelND",
-    "pareto_dual_jump_rates",
     "jump_tails_1d",
 ]
 
-N_PROBES_DEFAULT = 200
+# probe counts of the admissibility checks: each verdict depends on them
+_DIFFUSION_PROBES = 100     # dual_diffusion, dual_lightcone_diffusion
+_JUMP_1D_PROBES = 40        # dual_jump_1d
+_JUMP_ND_PROBES = 60        # dual_jump_multidim
+_FULL_1D_PROBES = 60        # dual_full_1d, assumption A on the half line
+_SELF_DUAL_PROBES = 100     # check_self_dual
+# quadrature nodes of density kernels: the 1-D tail rates over a fixed
+# box, the d-D mixed rates per axis of the probe box
+_TAIL_QUAD_BOX = (-30.0, 30.0)
+_TAIL_QUAD_N = 2000
+_ND_QUAD_N = 41
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,7 @@ class DualReport:
                 f"{len(self.violated_conditions)} violated conditions")
 
 
-def probe_points(box, n: int = N_PROBES_DEFAULT) -> np.ndarray:
+def probe_points(box, n: int) -> np.ndarray:
     """Deterministic quasi-random probes inside a box [(lo, hi), ...]."""
     from scipy.stats import qmc      # costs about a second; import on use
 
@@ -78,6 +88,12 @@ def probe_points(box, n: int = N_PROBES_DEFAULT) -> np.ndarray:
     sampler = qmc.Halton(d=d, scramble=False)
     u = sampler.random(n)
     return box[:, 0] + u * (box[:, 1] - box[:, 0])
+
+
+def _middle_half(box) -> list:
+    """The middle half of each side of a box [(lo, hi), ...]: probes drawn
+    there keep the box's outer quarters for a kernel's mass around them."""
+    return [(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo)) for lo, hi in box]
 
 
 def _first_decrease(func, z_lo, z_hi, y, n_pairs: int):
@@ -94,8 +110,14 @@ def _first_decrease(func, z_lo, z_hi, y, n_pairs: int):
 # ---------------------------------------------------------------------------
 # deterministic and diffusion duals
 
-def _negated(fn):
-    return lambda s, _f=fn: -_f(s)
+def _dual_drift(da, b):
+    """The dual drift a' - b from the declared a' and b, either of which
+    may be None (read as 0); None when both are."""
+    if b is None:
+        return da
+    if da is None:
+        return lambda s: -b(s)
+    return lambda s: da(s) - b(s)
 
 
 def dual_drift(spec: ProcessSpec) -> DualReport:
@@ -106,7 +128,8 @@ def dual_drift(spec: ProcessSpec) -> DualReport:
         raise NotSeparable("drift must be declared separable (b_j = b_j(x_j))")
     dual = ProcessSpec(
         dim=spec.dim,
-        drift_components=tuple(_negated(bj) for bj in spec.drift_components),
+        drift_components=tuple(_dual_drift(None, bj)
+                               for bj in spec.drift_components),
         domain=spec.domain,
         boundary=spec.boundary,
     )
@@ -114,14 +137,7 @@ def dual_drift(spec: ProcessSpec) -> DualReport:
                       notes="deterministic dual: motion reversed")
 
 
-def _diff_dual_drift(ajj_deriv, bj):
-    if bj is None:
-        return ajj_deriv
-    return lambda s, _da=ajj_deriv, _b=bj: _da(s) - _b(s)
-
-
-def dual_diffusion(spec: ProcessSpec, box=None,
-                   n_probes: int = 100) -> DualReport:
+def dual_diffusion(spec: ProcessSpec, box=None) -> DualReport:
     """Dual of a diffusion with a_ij = a_ij(x_i, x_j): same matrix, drift
     a'_jj(x_j) - b_j(x_j)."""
     if spec.diffusion_diag is None:
@@ -134,7 +150,7 @@ def dual_diffusion(spec: ProcessSpec, box=None,
     violated = []
     if box is None:
         box = [(-2.0, 2.0)] * spec.dim
-    probes = probe_points(box, n_probes)
+    probes = probe_points(box, _DIFFUSION_PROBES)
     if spec.diffusion is not None:
         # generic callable supplied alongside the declaration: verify agreement
         generic = replace(spec, diffusion_diag=None, diffusion_offdiag=None)
@@ -151,7 +167,7 @@ def dual_diffusion(spec: ProcessSpec, box=None,
     dual = ProcessSpec(
         dim=spec.dim,
         drift_components=tuple(
-            _diff_dual_drift(da, bj)
+            _dual_drift(da, bj)
             for da, bj in zip(spec.diffusion_diag_deriv, bcomps)),
         diffusion_diag=spec.diffusion_diag,
         diffusion_diag_deriv=spec.diffusion_diag_deriv,
@@ -183,8 +199,7 @@ def lightcone_diffusion_spec(alpha, beta, omega=None,
 
 
 def dual_lightcone_diffusion(alpha, beta, omega=None, alpha_d=None,
-                             beta_d=None, box=None,
-                             n_probes: int = 100) -> DualReport:
+                             beta_d=None, box=None) -> DualReport:
     """Dual of the light-cone structured 2-D diffusion: same second-order
     part plus drift 4(al'(x+y) +- be'(x-y))."""
     if alpha_d is None or beta_d is None:
@@ -200,7 +215,7 @@ def dual_lightcone_diffusion(alpha, beta, omega=None, alpha_d=None,
     forward = lightcone_diffusion_spec(alpha, beta, omega)
     dual = lightcone_diffusion_spec(alpha, beta, omega, drift=drift)
     violated = []
-    bad = forward.check_psd(probe_points(box, n_probes))
+    bad = forward.check_psd(probe_points(box, _DIFFUSION_PROBES))
     if bad is not None:
         violated.append(("lightcone_psd", tuple(bad[0]), bad[1]))
     ok = not violated
@@ -225,11 +240,9 @@ class JumpTails1D:
     lt: Callable
     dual_atoms: Callable           # y -> ((target z, rate), ...), full-line part
     dual_density: Callable         # (y, z array) -> intensity density
-    rate_at: Callable              # (z, y) -> nu(z, [y, inf)) used for boundary
 
 
-def jump_tails_1d(kernel: AtomicJumpKernel | DensityJumpKernel,
-                  quad_box=(-30.0, 30.0), quad_n: int = 2000) -> JumpTails1D:
+def jump_tails_1d(kernel: AtomicJumpKernel | DensityJumpKernel) -> JumpTails1D:
     """Tail-rate functions for atomic and density 1-D kernels."""
     if isinstance(kernel, AtomicJumpKernel):
         # rate callables follow the kernel convention (1-element state
@@ -280,24 +293,24 @@ def jump_tails_1d(kernel: AtomicJumpKernel | DensityJumpKernel,
             return out
 
         return JumpTails1D(up=up, lt=lt, dual_atoms=dual_atoms,
-                           dual_density=dual_density, rate_at=up)
+                           dual_density=dual_density)
 
     if isinstance(kernel, DensityJumpKernel):
         dnu = kernel.derivs.get((0,))
         if dnu is None:
             raise MissingDerivative("density kernel needs derivs[(0,)] = dnu/dz")
-        w_nodes = np.linspace(quad_box[0], quad_box[1], quad_n)
+        w_nodes = np.linspace(*_TAIL_QUAD_BOX, _TAIL_QUAD_N)
         dw = w_nodes[1] - w_nodes[0]
 
-        def up(z, y):
-            mask = w_nodes >= y
+        def mass(z, mask):
             return float(np.sum(kernel.density(np.array([z]),
                                                w_nodes[mask, None]) * dw))
 
+        def up(z, y):
+            return mass(z, w_nodes >= y)
+
         def lt(z, y):
-            mask = w_nodes < y
-            return float(np.sum(kernel.density(np.array([z]),
-                                               w_nodes[mask, None]) * dw))
+            return mass(z, w_nodes < y)
 
         def dual_atoms(y):
             return ()
@@ -315,7 +328,7 @@ def jump_tails_1d(kernel: AtomicJumpKernel | DensityJumpKernel,
             return out
 
         return JumpTails1D(up=up, lt=lt, dual_atoms=dual_atoms,
-                           dual_density=dual_density, rate_at=up)
+                           dual_density=dual_density)
 
     raise NotSeparable(f"unsupported 1-D kernel type {type(kernel).__name__}")
 
@@ -345,13 +358,12 @@ class SiegmundDualJumpKernel1D:
             dens = np.where(np.abs(z - y) < 1e-12, 0.0, dens)
             row += np.clip(dens, 0.0, None) * grid.spacing[0]
         if self.boundary_at_zero:
-            R[:, 0] += [self.tails.rate_at(0.0, y) for y in z]
+            R[:, 0] += [self.tails.up(0.0, y) for y in z]
         return _generator_rows(R)
 
 
 def dual_jump_1d(nu: AtomicJumpKernel | DensityJumpKernel,
-                 boundary: str = "none", box=(-8.0, 8.0),
-                 n_probes: int = 40) -> DualReport:
+                 boundary: str = "none", box=(-8.0, 8.0)) -> DualReport:
     """Siegmund dual of a 1-D pure jump kernel.
 
     Admissible iff the tail rates are monotone the right way: up(z, y)
@@ -362,8 +374,7 @@ def dual_jump_1d(nu: AtomicJumpKernel | DensityJumpKernel,
         raise ValueError("boundary must be 'none' or 'at_zero'")
     tails = jump_tails_1d(nu)
     lo, hi = box
-    y_probes = probe_points([(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo))],
-                            n_probes).ravel()
+    y_probes = probe_points(_middle_half([box]), _JUMP_1D_PROBES).ravel()
     violated = []
     # tail conditions at the box extremes
     for y in y_probes[:8]:
@@ -408,33 +419,23 @@ def dual_jump_1d(nu: AtomicJumpKernel | DensityJumpKernel,
 # ---------------------------------------------------------------------------
 # multidimensional jump dual (Pareto order)
 
-def pareto_dual_jump_rates(rates: np.ndarray, grid: Grid) -> np.ndarray:
-    """Discrete Pareto dual of a jump-rate matrix, including the diagonal.
-
-    The conjugation F Q' F^-1 of the jump generator Q = R - diag(R 1)
-    (R the off-diagonal rates; the diagonal of `rates` is ignored, so
-    generator rows serve as well); it realizes the death / face / interior
-    decomposition of the closed-form dual exactly at grid resolution.
-    """
-    R = rates.copy()
-    np.fill_diagonal(R, 0.0)
-    np.fill_diagonal(R, -R.sum(axis=1))
-    return SurvivalTransform(grid, Cone.pareto(grid.dim)).conjugate(R)
-
-
 @dataclass(frozen=True)
 class ParetoDualJumpKernelND:
     """Dual of a d-dimensional jump kernel, realized at grid resolution.
 
-    Carries the full dual generator rows (the dual has a genuine death
-    term, so its diagonal is not minus the off-diagonal sum on a
-    truncated grid).
+    Its generator rows are the conjugation F Q' F^-1 of the base kernel's
+    generator rows Q by the Pareto survival transform, which realizes the
+    death / face / interior decomposition of the closed-form dual exactly
+    at grid resolution.  They are used in full: the dual has a genuine
+    death term, so its diagonal is not minus the off-diagonal sum on a
+    truncated grid.
     """
 
     base: GridJumpKernel
 
     def generator_matrix(self, grid: Grid) -> np.ndarray:
-        return pareto_dual_jump_rates(self.base.generator_matrix(grid), grid)
+        return SurvivalTransform(grid, Cone.pareto(grid.dim)).conjugate(
+            self.base.generator_matrix(grid))
 
 
 def _proper_subsets(d: int):
@@ -444,8 +445,7 @@ def _proper_subsets(d: int):
 
 
 def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
-                       box=None, n_probes: int = 60,
-                       quad_n: int = 41) -> DualReport:
+                       box=None) -> DualReport:
     """Pareto dual of a d-dimensional jump kernel with supplied mixed
     z-derivatives; admissible iff the sign conditions hold at probes.
     A separable kernel has atomic components (its constructor raises
@@ -476,11 +476,13 @@ def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
         full = tuple(range(dim))
         if full not in nu.derivs:
             raise MissingDerivative(f"derivs[{full}] (order-d mixed) required")
-        w_axes = [np.linspace(lo, hi, quad_n) for lo, hi in box]
+        w_axes = [np.linspace(lo, hi, _ND_QUAD_N) for lo, hi in box]
         mesh = np.meshgrid(*w_axes, indexing="ij")
         W = np.stack([m.ravel() for m in mesh], axis=-1)
         dw = float(np.prod([ax[1] - ax[0] for ax in w_axes]))
-        probes = probe_points(box, n_probes)
+        # the quadrature covers the box, so the probes keep to its middle
+        inner = _middle_half(box)
+        probes = probe_points(inner, _JUMP_ND_PROBES)
         for I in _proper_subsets(dim):
             if I not in nu.derivs:
                 raise MissingDerivative(f"derivs[{I}] required")
@@ -492,7 +494,7 @@ def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
                                      tuple(z), val))
                     break
         dfull = nu.derivs[full]
-        pair_probes = probe_points(box + box, n_probes)
+        pair_probes = probe_points(inner + inner, _JUMP_ND_PROBES)
         for p in pair_probes:
             z, y = p[:dim], p[dim:]
             z_ge_y = bool(np.all(z >= y))
@@ -547,8 +549,7 @@ def _check_assumption_A(spec: ProcessSpec, probes: np.ndarray):
     return None
 
 
-def dual_full_1d(spec: ProcessSpec, box=(-6.0, 6.0),
-                 n_probes: int = 60) -> DualReport:
+def dual_full_1d(spec: ProcessSpec, box=(-6.0, 6.0)) -> DualReport:
     """Dual of a full 1-D Feller generator a g'' + b g' + jumps.
 
     Full space: dual has the same a, drift a' - b, and the Siegmund dual
@@ -560,7 +561,7 @@ def dual_full_1d(spec: ProcessSpec, box=(-6.0, 6.0),
     if spec.has_diffusion() and spec.diffusion_diag_deriv is None:
         raise MissingDerivative("a' must be supplied for the full 1-D dual")
     if half:
-        probes = probe_points([(0.05, box[1])], n_probes)
+        probes = probe_points([(0.05, box[1])], _FULL_1D_PROBES)
         bad = _check_assumption_A(spec, probes)
         if bad is not None:
             violated.append(("assumption_A:" + bad[0],) + bad[1:])
@@ -577,12 +578,7 @@ def dual_full_1d(spec: ProcessSpec, box=(-6.0, 6.0),
     if ok:
         da = spec.diffusion_diag_deriv[0] if spec.diffusion_diag_deriv else None
         b = spec.drift_components[0] if spec.drift_components else None
-        if da is not None:
-            drift = _diff_dual_drift(da, b)
-        elif b is not None:
-            drift = _negated(b)
-        else:
-            drift = None
+        drift = _dual_drift(da, b)
         dual = ProcessSpec(
             dim=1,
             drift_components=(drift,) if drift is not None else None,
@@ -598,11 +594,10 @@ def dual_full_1d(spec: ProcessSpec, box=(-6.0, 6.0),
                             (" (half line, absorbed at 0)" if half else ""))
 
 
-def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0),
-                    n_probes: int = 100, tol: float = 1e-10):
+def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0), tol: float = 1e-10):
     """Self-duality: b = a'/2 and the jump density antisymmetry
     dnu/dy(y, z) + dnu/dz(z, y) = 0.  Returns (flag, witness)."""
-    probes = probe_points([box], n_probes).ravel()
+    probes = probe_points([box], _SELF_DUAL_PROBES).ravel()
     a_d = spec.diffusion_diag_deriv[0] if spec.diffusion_diag_deriv else None
     b = spec.drift_components[0] if spec.drift_components else None
     for x in probes:
@@ -617,7 +612,7 @@ def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0),
         dnu = spec.jump.derivs.get((0,))
         if dnu is None:
             raise MissingDerivative("density kernel needs derivs[(0,)]")
-        pair = probe_points([box, box], n_probes)
+        pair = probe_points([box, box], _SELF_DUAL_PROBES)
         for y, z in pair:
             if abs(y - z) < 1e-6:
                 continue

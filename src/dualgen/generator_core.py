@@ -12,8 +12,9 @@ One boundary rule (`_fold`, on integer grid coordinates) maps both the
 stencil's neighbour moves and every jump target across a face:
 `map_targets` rounds a target to its nearest grid point and folds it.
 `ProcessSpec.drift_at` and `diffusion_at` are the only coefficient
-evaluators; `discretize`, the simulator and the dual builder all call
-them, so both verification tracks see the same compensated drift.
+evaluators, and `AtomicJumpKernel.rates_at` the only evaluator of channel
+rates; `discretize`, the simulator and the dual builder all call them, so
+both verification tracks see the same compensated drift.
 `discretize` evaluates the coefficients at every live state in one call
 each and then assembles each stencil move for all states at once with
 array writes, accumulating every entry in the same order as a
@@ -54,6 +55,12 @@ __all__ = [
     "adjoint",
     "validate_qmatrix",
 ]
+
+# least eigenvalue a diffusion matrix may have and still count as PSD
+PSD_TOL = 1e-10
+# validate_qmatrix: most negative off-diagonal entry, largest row-sum defect
+OFFDIAG_TOL = 1e-12
+ROWSUM_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +116,15 @@ def _generator_rows(R: np.ndarray) -> np.ndarray:
     return R
 
 
+def _targets(where, X: np.ndarray) -> np.ndarray:
+    """Targets of one channel from the states X, (m, d): X + w for a
+    declared displacement w, a target map called state by state."""
+    if callable(where):
+        return np.array([np.atleast_1d(np.asarray(where(x), dtype=float))
+                         for x in X]).reshape(X.shape)
+    return X + np.asarray(where, dtype=float)
+
+
 class GridJumpKernel(Protocol):
     """A jump kernel `discretize` can assemble."""
 
@@ -130,41 +146,40 @@ class AtomicJumpKernel:
     jumps: tuple            # ((displacement | target_map, rate), ...)
     rate_derivs: tuple = ()  # optional, aligned with jumps
 
+    def rates_at(self, X: np.ndarray) -> np.ndarray:
+        """(m, channels): the rate of each channel at the states X, (m, d);
+        a callable rate is called state by state."""
+        R = np.empty((len(X), len(self.jumps)))
+        for c, (_, rate) in enumerate(self.jumps):
+            R[:, c] = [float(rate(x)) for x in X] if callable(rate) \
+                else float(rate)
+        return R
+
     def _channels(self, X: np.ndarray):
-        """(targets, rates) of each channel at the states X, (m, d);
-        callable rates and target maps are called state by state."""
-        for where, rate in self.jumps:
-            if callable(rate):
-                r = np.array([float(rate(x)) for x in X])
-            else:
-                r = np.full(len(X), float(rate))
-            if callable(where):
-                W = np.array([np.atleast_1d(np.asarray(where(x), dtype=float))
-                              for x in X]).reshape(X.shape)
-            else:
-                W = X + np.atleast_1d(np.asarray(where, dtype=float))
-            yield W, r
+        """(where, rates) of each channel at the states X, (m, d)."""
+        return zip((where for where, _ in self.jumps), self.rates_at(X).T)
 
     def generator_matrix(self, grid: Grid) -> np.ndarray:
         pts = grid.points()
         R = np.zeros((len(pts), len(pts)))
-        for W, r in self._channels(pts):
-            _place(R, grid, W, r)
+        for where, r in self._channels(pts):
+            _place(R, grid, _targets(where, pts), r)
         return _generator_rows(R)
 
     def total_rate(self, X: np.ndarray) -> np.ndarray:
         """Summed channel rates at the states X, (m, d): one per state."""
-        total = np.zeros(len(X))
-        for _, r in self._channels(X):
-            total += r
-        return total
+        return self.rates_at(X).sum(axis=1)
 
     def compensator_drift(self, X: np.ndarray, cutoff: float) -> np.ndarray:
         """(m, d): the rate-weighted displacements of the channels whose
-        jump from each state of X is no longer than cutoff."""
+        jump from each state of X is no longer than cutoff.  A declared
+        displacement w is used as given ((x + w) - x rounds, which moves a
+        jump of the cutoff's length across it at some states); a target
+        map's jump is its target minus the state."""
         drift = np.zeros(X.shape)
-        for W, r in self._channels(X):
-            dz = W - X
+        for where, r in self._channels(X):
+            dz = _targets(where, X) - X if callable(where) else \
+                np.broadcast_to(np.asarray(where, dtype=float), X.shape)
             small = np.linalg.norm(dz, axis=1) <= cutoff
             drift[small] += dz[small] * r[small, None]
         return drift
@@ -212,9 +227,9 @@ class SeparableJumpKernel:
         R = np.zeros((len(pts), len(pts)))
         for axis, kern in self.components:
             # embed the 1-D channel along the given axis
-            for w, r in kern._channels(pts[:, [axis]]):
+            for where, r in kern._channels(pts[:, [axis]]):
                 W = pts.copy()
-                W[:, axis] = w[:, 0]
+                W[:, axis] = _targets(where, pts[:, [axis]])[:, 0]
                 _place(R, grid, W, r)
         return _generator_rows(R)
 
@@ -325,13 +340,19 @@ class ProcessSpec:
             return X.reshape(1, self.dim), True
         return X, False
 
+    def has_drift(self) -> bool:
+        """A declared or generic drift, or a compensated jump part."""
+        return self.drift_components is not None or self.drift is not None \
+            or (self.jump_compensated and self.jump is not None)
+
     def has_diffusion(self) -> bool:
         return self.diffusion is not None or self.diffusion_diag is not None
 
-    def check_psd(self, probes: np.ndarray, tol: float = 1e-10):
-        """First probe point where the diffusion matrix fails PSD, or None."""
+    def check_psd(self, probes: np.ndarray):
+        """First probe point where the diffusion matrix fails PSD (its
+        least eigenvalue below -PSD_TOL), or None."""
         low = np.linalg.eigvalsh(self.diffusion_at(probes)).min(axis=1)
-        bad = np.flatnonzero(low < -tol)
+        bad = np.flatnonzero(low < -PSD_TOL)
         if len(bad):
             return probes[bad[0]], float(low[bad[0]])
         return None
@@ -512,19 +533,18 @@ def adjoint(q: QMatrix) -> QMatrix:
     return QMatrix(entries=q.entries.T.copy(), state_grid=q.state_grid)
 
 
-def validate_qmatrix(q: QMatrix, conservative: bool = True,
-                     offdiag_tol: float = 1e-12,
-                     rowsum_tol: float = 1e-10) -> ValidationReport:
-    """Report conditional-positivity and row-sum defects."""
+def validate_qmatrix(q: QMatrix, conservative: bool = True) -> ValidationReport:
+    """Report conditional-positivity and row-sum defects: off-diagonal
+    entries below -OFFDIAG_TOL and row sums off by more than ROWSUM_TOL."""
     Q = q.entries
     off = Q - np.diag(np.diag(Q))
-    viol_idx = np.argwhere(off < -offdiag_tol)
+    viol_idx = np.argwhere(off < -OFFDIAG_TOL)
     violations = tuple((int(i), int(j), float(Q[i, j])) for i, j in viol_idx)
     rs = Q.sum(axis=1)
     if conservative:
-        bad_rows = np.nonzero(np.abs(rs) > rowsum_tol)[0]
+        bad_rows = np.nonzero(np.abs(rs) > ROWSUM_TOL)[0]
     else:
-        bad_rows = np.nonzero(rs > rowsum_tol)[0]   # killing allowed, sums <= 0
+        bad_rows = np.nonzero(rs > ROWSUM_TOL)[0]  # killing allowed, sums <= 0
     defects = tuple((int(i), float(rs[i])) for i in bad_rows)
     max_neg = float(-off.min()) if off.size and off.min() < 0 else 0.0
     max_defect = float(np.abs(rs).max()) if conservative else \

@@ -263,12 +263,14 @@ def duality_residual(T: SemigroupSnapshot, TD: SemigroupSnapshot,
     return float(np.abs(lhs - rhs).max())
 
 
-def _default_test_functions(dim: int):
-    return (
-        lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1)),
-        lambda x: np.sin(np.sum(x, axis=-1)),
-        lambda x: np.sum(x, axis=-1) ** 2 / (1.0 + np.sum(x * x, axis=-1)),
-    )
+# smooth test functions of action_mismatch, on (n, d) points
+_TEST_FUNCTIONS = (
+    lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1)),
+    lambda x: np.sin(np.sum(x, axis=-1)),
+    lambda x: np.sum(x, axis=-1) ** 2 / (1.0 + np.sum(x * x, axis=-1)),
+)
+# share of each box side over which action_mismatch's window rises to 1
+_WINDOW_FRACTION = 0.25
 
 
 def interior_mask(grid: Grid, margin: int = 2) -> np.ndarray:
@@ -283,14 +285,15 @@ def interior_mask(grid: Grid, margin: int = 2) -> np.ndarray:
     return mask.ravel(order="C")
 
 
-def entrywise_mismatch(qa: QMatrix, qb: QMatrix, margin: int = 2) -> float:
-    """Max absolute entry difference over interior rows and columns."""
-    keep = interior_mask(qa.state_grid, margin)
+def entrywise_mismatch(qa: QMatrix, qb: QMatrix) -> float:
+    """Max absolute entry difference over interior rows and columns
+    (interior_mask at its default margin)."""
+    keep = interior_mask(qa.state_grid)
     diff = qa.entries - qb.entries
     return float(np.abs(diff[np.ix_(keep, keep)]).max())
 
 
-def _boundary_window(grid: Grid, fraction: float = 0.25) -> np.ndarray:
+def _boundary_window(grid: Grid) -> np.ndarray:
     """Smooth cutoff, 1 deep inside the box and 0 at the faces.
 
     Defined in physical coordinates so halving the spacing leaves the
@@ -300,15 +303,14 @@ def _boundary_window(grid: Grid, fraction: float = 0.25) -> np.ndarray:
     w = np.ones(len(pts))
     for axis in range(grid.dim):
         lo, hi = grid.lower[axis], grid.upper[axis]
-        m = fraction * (hi - lo)
+        m = _WINDOW_FRACTION * (hi - lo)
         d = np.minimum(pts[:, axis] - lo, hi - pts[:, axis])
         u = np.clip(d / m, 0.0, 1.0)
         w *= 0.5 - 0.5 * np.cos(np.pi * u)
     return w
 
 
-def action_mismatch(qa: QMatrix, qb: QMatrix, margin: int = 2,
-                    funcs=None, window_fraction: float = 0.25) -> float:
+def action_mismatch(qa: QMatrix, qb: QMatrix) -> float:
     """Max difference of the two generators applied to a panel of smooth
     test functions supported away from the boundary, evaluated deep inside.
 
@@ -318,11 +320,10 @@ def action_mismatch(qa: QMatrix, qb: QMatrix, margin: int = 2,
     """
     grid = qa.state_grid
     pts = grid.points()
-    w = _boundary_window(grid, window_fraction)
-    eval_at = interior_mask(grid, margin) & (w > 0.9)
-    funcs = funcs or _default_test_functions(grid.dim)
+    w = _boundary_window(grid)
+    eval_at = interior_mask(grid) & (w > 0.9)
     worst = 0.0
-    for g in funcs:
+    for g in _TEST_FUNCTIONS:
         v = np.asarray(g(pts), dtype=float) * w
         diff = (qa.entries - qb.entries) @ v
         worst = max(worst, float(np.abs(diff[eval_at]).max()))

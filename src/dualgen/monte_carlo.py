@@ -168,16 +168,6 @@ def _sigma_into(spec: ProcessSpec, x: np.ndarray, sig: np.ndarray):
     return np.broadcast_to(a0, len(x))
 
 
-def _first_diffusion(spec: ProcessSpec, x: np.ndarray,
-                     a_block: np.ndarray) -> np.ndarray:
-    """a_00 over the paths: the declared a_00(x_0), or else the entry of
-    a_block, the full matrix at the block's start state."""
-    if spec.diffusion_diag:
-        return np.broadcast_to(
-            np.asarray(spec.diffusion_diag[0](x[:, 0]), dtype=float), len(x))
-    return np.full(len(x), a_block[0, 0])
-
-
 def _require_constant_diffusion(spec: ProcessSpec, x: np.ndarray,
                                 a_block: np.ndarray):
     """Raise UnsupportedScheme unless the full diffusion matrix at every
@@ -203,10 +193,7 @@ def _thin(jump: AtomicJumpKernel, cfg: PathConfig, x, dx, u, alive, disp):
         cand = cand[alive[cand]]
     if not len(cand):
         return
-    rates = np.empty((len(cand), len(jump.jumps)))
-    for c, (_, r) in enumerate(jump.jumps):
-        rates[:, c] = [float(r(x[i])) for i in cand] if callable(r) else r
-    running = np.cumsum(rates, axis=1)
+    running = np.cumsum(jump.rates_at(x[cand]), axis=1)
     total = running[:, -1]
     over = np.flatnonzero(total > cfg.rate_bound * (1 + 1e-12))
     if len(over):
@@ -220,8 +207,8 @@ def _thin(jump: AtomicJumpKernel, cfg: PathConfig, x, dx, u, alive, disp):
 
 def _bridge_hits(cfg: PathConfig, x_prev, x, a_prev, u, hit):
     """Mark the paths positive at both ends of the step that crossed 0 in
-    between: u < exp(-x_prev x / (a dt)) with a = a_00(x_prev), the
-    Brownian-bridge crossing probability."""
+    between: u < exp(-x_prev x / (a dt)) with a = a_00(x_prev), per path
+    or one value for all, the Brownian-bridge crossing probability."""
     xp, xs = x_prev[:, 0], x[:, 0]
     with np.errstate(over="ignore"):
         arg = -xp * xs / np.maximum(a_prev * cfg.dt, 1e-300)
@@ -248,14 +235,14 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
     m = len(x)
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
-    has_drift = spec.drift_components is not None or spec.drift is not None \
-        or (spec.jump_compensated and spec.jump is not None)
+    has_drift = spec.has_drift()
     stable = spec.jump if cfg.scheme == "stable_euler" else None
     noisy = stable is not None or spec.has_diffusion()
     thinning = spec.jump if cfg.scheme == "euler_jump_thinning" else None
     diagonal = spec.diffusion_diag is not None and not spec.diffusion_offdiag
     # a full diffusion matrix is factored once, at the start state that
-    # every path of the block shares, and checked at every step
+    # every path of the block shares, and checked at every step, so its
+    # a_00 is the bridge test's for the whole block
     a_block = None if diagonal else spec.diffusion_at(x[0])
     if stable is None and spec.has_diffusion() and not diagonal:
         chol_t = cholesky(2.0 * a_block, lower=True).T
@@ -273,7 +260,8 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
         disp = np.array([np.broadcast_to(np.asarray(w, dtype=float),
                                          x.shape[1:])
                          for w, _ in thinning.jumps])
-    alive = x_prev = a_prev = None
+    alive = x_prev = None
+    a_prev = None if diagonal else a_block[0, 0]
     if absorbing:
         alive = np.ones(m, dtype=bool)
         dead = np.empty(0, dtype=np.intp)
@@ -331,8 +319,6 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
             np.less_equal(x[:, 0], 0.0, out=hit)
             hit &= alive
             if x_prev is not None:
-                if not diagonal:
-                    a_prev = _first_diffusion(spec, x_prev, a_block)
                 _bridge_hits(cfg, x_prev, x, a_prev, u, hit)
             new = np.flatnonzero(hit)
             if len(new):
@@ -509,13 +495,13 @@ class RegularizedDistribution:
     rate: str                       # 'exact' | observed contraction factor
 
 
-def regularized_boundary_distribution(ladder, x_grid,
-                                      mc_tol: float = None
-                                      ) -> RegularizedDistribution:
+def regularized_boundary_distribution(
+        ladder, x_grid) -> RegularizedDistribution:
     """Boundary law as the extrapolated limit of an interior ladder.
 
     ladder is a sequence of (epsilon, samples) with decreasing epsilon.
-    When the ladder is constant within Monte Carlo noise the last level
+    When the ladder is constant within Monte Carlo noise (3 / sqrt(n)
+    for the smallest level's n samples) the last level
     is returned and the rate is flagged exact; otherwise a geometric
     (Richardson style) extrapolation is applied and ladders whose
     successive differences fail to shrink by factor >= 1.3 raise
@@ -532,7 +518,7 @@ def regularized_boundary_distribution(ladder, x_grid,
                 <= x_grid[None, :], axis=0)
         for _, s in ladder])
     n_min = min(len(s) for _, s in ladder)
-    noise = mc_tol if mc_tol is not None else 3.0 / np.sqrt(n_min)
+    noise = 3.0 / np.sqrt(n_min)
 
     diffs = np.abs(np.diff(cdfs, axis=0)).max(axis=1)
     if np.all(diffs <= noise):

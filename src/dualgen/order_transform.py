@@ -28,6 +28,10 @@ __all__ = [
     "sphere_area",
 ]
 
+# subcells per axis of TranslationKernel.cell_average; an even number keeps
+# every quadrature node off the singularity at the cell's centre
+CELL_SUBDIV = 16
+
 
 def sphere_area(d: int) -> float:
     """Area of the unit sphere in R^d."""
@@ -84,14 +88,11 @@ class TranslationKernel:
                 return self.normalizer / r ** (self.d - 2)
             return np.log(r) * self.normalizer
 
-    def cell_average(self, grid: Grid, subdiv: int = 16) -> float:
-        """Midpoint-quadrature average of the kernel over one grid cell at 0.
-
-        An even number of subcells keeps every quadrature node off the
-        singularity.
-        """
+    def cell_average(self, grid: Grid) -> float:
+        """Midpoint-quadrature average of the kernel over one grid cell at
+        0, on CELL_SUBDIV subcells per axis."""
         h = grid.spacing
-        axes = [(-0.5 + (np.arange(subdiv) + 0.5) / subdiv) * h[i]
+        axes = [(-0.5 + (np.arange(CELL_SUBDIV) + 0.5) / CELL_SUBDIV) * h[i]
                 for i in range(grid.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         r = np.sqrt(sum(m ** 2 for m in mesh))

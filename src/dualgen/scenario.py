@@ -232,8 +232,13 @@ def _schema_fail(message: str, pointer: str):
     raise SchemaError(f"{message} (at {pointer or '/'})")
 
 
-def _state_rate(fn, dim: int):
-    """Wrap a state expression into rate(x) -> float over one state."""
+def _state_rate(src, dim: int):
+    """A rate given as a number, or a state expression wrapped into
+    rate(x) -> float over one state."""
+    if isinstance(src, (int, float)):
+        return float(src)
+    fn = parse_expression(src, dim)
+
     def g(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return float(fn(x.reshape(1, dim))[0])
@@ -249,30 +254,25 @@ def _per_axis(exprs, dim: int, what: str):
                  for j, src in enumerate(exprs))
 
 
+def _source_target(src: str):
+    """A 1-D kernel expression in x1 = source point, x2 = jump target, as
+    kernel(x, W) over an (m, 1) array of targets W."""
+    fn = parse_expression(src, 2)
+
+    def kernel(x, W):
+        W = np.atleast_2d(np.asarray(W, dtype=float))
+        pts = np.column_stack([np.full(len(W), float(np.atleast_1d(x)[0])),
+                               W[:, 0]])
+        return fn(pts)
+    return kernel
+
+
 def _build_jump_density(cfg: dict, dim: int):
     if dim != 1:
         raise SchemaError("jump_density supports dim = 1 only "
                           "(at /process/jump_density)")
-    # variables: x1 = source point, x2 = jump target
-    dens = parse_expression(cfg["density"], 2)
-
-    def density(x, W):
-        W = np.atleast_2d(np.asarray(W, dtype=float))
-        pts = np.column_stack([np.full(len(W), float(np.atleast_1d(x)[0])),
-                               W[:, 0]])
-        return dens(pts)
-
-    derivs = {}
-    if "deriv" in cfg:
-        der = parse_expression(cfg["deriv"], 2)
-
-        def d0(x, W):
-            W = np.atleast_2d(np.asarray(W, dtype=float))
-            pts = np.column_stack([np.full(len(W), float(np.atleast_1d(x)[0])),
-                                   W[:, 0]])
-            return der(pts)
-
-        derivs[(0,)] = d0
+    density = _source_target(cfg["density"])
+    derivs = {(0,): _source_target(cfg["deriv"])} if "deriv" in cfg else {}
     return DensityJumpKernel(density=density, derivs=derivs, smoothness=1)
 
 
@@ -293,15 +293,9 @@ def _build_process(proc: dict) -> ProcessSpec:
                 raise SchemaError(
                     f"jump displacement must have {dim} entries "
                     f"(at /process/jumps)")
-            r = ch["rate"]
-            r = float(r) if isinstance(r, (int, float)) \
-                else _state_rate(parse_expression(r, dim), dim)
-            channels.append((tuple(w), r))
+            channels.append((tuple(w), _state_rate(ch["rate"], dim)))
             dr = ch.get("rate_deriv")
-            if dr is not None:
-                dr = float(dr) if isinstance(dr, (int, float)) \
-                    else _state_rate(parse_expression(dr, dim), dim)
-            derivs.append(dr)
+            derivs.append(None if dr is None else _state_rate(dr, dim))
         jump = AtomicJumpKernel(jumps=tuple(channels),
                                 rate_derivs=tuple(derivs)
                                 if any(d is not None for d in derivs) else ())
@@ -445,6 +439,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _violated_rows(rep: DualReport) -> list:
+    """The report rows of a dual construction's violated conditions."""
+    return [{"condition": c[0], "where": _jsonify(c[1]),
+             "value": _jsonify(c[2])} for c in rep.violated_conditions]
+
+
 def _run_dual(s: Scenario) -> dict:
     rep = closed_form_dual(s.process)
     rows = []
@@ -463,10 +463,7 @@ def _run_dual(s: Scenario) -> dict:
         "pass": bool(rep.admissible),
         "results": {
             "admissible": bool(rep.admissible),
-            "violated_conditions": [
-                {"condition": c[0], "where": _jsonify(c[1]),
-                 "value": _jsonify(c[2])}
-                for c in rep.violated_conditions],
+            "violated_conditions": _violated_rows(rep),
             "notes": rep.notes,
             "dual_at_probes": rows,
         },
@@ -521,10 +518,7 @@ def _run_mc(s: Scenario) -> dict:
                 "pass": False,
                 "results": {
                     "admissible": False,
-                    "violated_conditions": [
-                        {"condition": c[0], "where": _jsonify(c[1]),
-                         "value": _jsonify(c[2])}
-                        for c in rep.violated_conditions],
+                    "violated_conditions": _violated_rows(rep),
                     "probes": [],
                 },
             }

@@ -25,6 +25,10 @@ BOUNDARY_POLICIES = ("truncate_mass", "reflect", "absorb")
 # relative tolerance for closed-cone membership at the boundary
 _CONE_TOL = 1e-12
 
+# distance, in cells, at which a point still counts as on the lattice
+# (index_of) and, in coordinates, as inside the box (contains_point)
+_LATTICE_TOL = 1e-9
+
 # largest grid on which dense n x n matrices are built
 MAX_STATES = 4096
 
@@ -61,20 +65,21 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
 
-    def index_of(self, x, tol: float = 1e-9):
+    def index_of(self, x):
         """Flat index of the grid point at x, or None if x is off-lattice."""
         idx = (np.asarray(x, dtype=float) - self.lower) / self.spacing
         ridx = np.rint(idx)
-        if np.any(np.abs(idx - ridx) > tol):
+        if np.any(np.abs(idx - ridx) > _LATTICE_TOL):
             return None
         ridx = ridx.astype(int)
         if np.any(ridx < 0) or np.any(ridx >= self.shape):
             return None
         return int(np.ravel_multi_index(tuple(ridx), self.shape, order="C"))
 
-    def contains_point(self, x, tol: float = 1e-9) -> bool:
+    def contains_point(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= self.lower - _LATTICE_TOL)
+                    and np.all(x <= self.upper + _LATTICE_TOL))
 
 
 def _normalize_policy(boundary_policy, dim: int):
@@ -153,15 +158,11 @@ def lightcone_2d() -> Cone:
 
 
 def cone_contains(c: Cone, v) -> bool:
+    """Whether one vector lies in the cone (cone_contains_many on one row)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (c.dim,):
         raise DimensionMismatch(f"vector of dim {v.shape} vs cone of dim {c.dim}")
-    try:
-        alpha = np.linalg.solve(c.basis, v)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded in __post_init__
-        raise SingularBasis(str(exc)) from exc
-    tol = _CONE_TOL * float(np.linalg.norm(v))
-    return bool(np.all(alpha >= -tol))
+    return bool(cone_contains_many(c, v[None])[0])
 
 
 def cone_contains_many(c: Cone, vs: np.ndarray) -> np.ndarray:

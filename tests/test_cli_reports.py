@@ -253,6 +253,74 @@ def test_dual_mode_reports_probe_values(tmp_path):
     assert row["dual_diffusion_diag"][0] == pytest.approx(1.0)
 
 
+def _diffusion_2d(mode):
+    return {
+        "name": "diffusion-2d", "mode": mode,
+        "process": {"dim": 2, "drift": ["-0.3*x1", "0.2 - 0.3*x2"],
+                    "diffusion": ["0.5", "0.4 + 0.1*tanh(x2)"],
+                    "diffusion_deriv": ["0", "0.1 - 0.1*tanh(x2)*tanh(x2)"]},
+        "probes": [{"x": [0.5, 0.0], "y": [0.0, 0.5], "t": 0.5}],
+        "path_config": {"n_paths": 4000, "dt": 0.01, "seed": 11},
+    }
+
+
+def _tanh_walk(mode):
+    # birth rate increasing, death rate decreasing: an admissible walk
+    return {
+        "name": "tanh-walk", "mode": mode,
+        "process": {"dim": 1, "jumps": [
+            {"displacement": [1.0], "rate": "1 + 0.5*tanh(x1)",
+             "rate_deriv": "0.5 - 0.5*tanh(x1)*tanh(x1)"},
+            {"displacement": [-1.0], "rate": "1 - 0.5*tanh(x1)",
+             "rate_deriv": "0.5*tanh(x1)*tanh(x1) - 0.5"}]},
+        "grid": {"lower": [-3.0], "upper": [3.0], "spacing": [1.0]},
+        "cone": {"type": "pareto"},
+        "probes": [{"x": [0.0], "y": [1.0], "t": 0.5}],
+    }
+
+
+def _gauss_jumps(mode):
+    # x1 = source, x2 = target; too wide for the dual's probe box
+    return {
+        "name": "gauss-jumps", "mode": mode,
+        "process": {"dim": 1, "jump_density": {
+            "density": "0.5*exp(-(x2 - x1)*(x2 - x1))",
+            "deriv": "(x2 - x1)*exp(-(x2 - x1)*(x2 - x1))"}},
+        "grid": {"lower": [-2.0], "upper": [2.0], "spacing": [0.5]},
+        "cone": {"type": "pareto"},
+        "probes": [{"x": [0.0], "y": [0.5], "t": 0.5}],
+    }
+
+
+@pytest.mark.parametrize("doc", [
+    _diffusion_2d("dual"), _diffusion_2d("mc"), _tanh_walk("dual"),
+    _tanh_walk("verify-matrix"), _gauss_jumps("verify-matrix")],
+    ids=lambda d: f"{d['name']}-{d['mode']}")
+def test_scenario_kinds_pass(tmp_path, doc):
+    # a 2-D closed-form dual, expression rates with their derivatives,
+    # and a jump density given as an expression
+    rep = run_scenario(load_scenario(doc), out_dir=str(tmp_path))
+    assert rep["pass"]
+
+
+def test_dual_report_lists_violated_conditions(tmp_path):
+    rep = run_scenario(load_scenario(_gauss_jumps("dual")),
+                       out_dir=str(tmp_path))
+    assert not rep["pass"]
+    violated = rep["results"]["violated_conditions"]
+    assert [v["condition"] for v in violated] == [
+        "tail_at_minus_inf", "tail_at_plus_inf"]
+    # the jump density's mass beyond the probe box (-6, 6)
+    assert violated[0]["where"] == [-6.0, -3.0]
+    assert violated[0]["value"] == pytest.approx(9.9e-6, rel=0.01)
+    assert violated[1]["where"] == [6.0, 2.25]
+    assert violated[1]["value"] == pytest.approx(5.1e-8, rel=0.01)
+    assert json.loads((tmp_path / "report.json").read_text()) == rep
+    csv = (tmp_path / "report.csv").read_text().splitlines()
+    assert csv == ["key,value", "admissible,false",
+                   "violated,tail_at_minus_inf", "violated,tail_at_plus_inf"]
+
+
 def _birth_death_mc(y, **pc):
     return {
         "name": "birth-death", "mode": "mc",

@@ -11,7 +11,7 @@ from dualgen.dual_builder import (
     dual_jump_multidim,
     dual_lightcone_diffusion,
     lightcone_diffusion_spec,
-    pareto_dual_jump_rates,
+    ParetoDualJumpKernelND,
     probe_points,
 )
 from dualgen.errors import (
@@ -190,8 +190,8 @@ def test_pareto_dual_rates_match_conjugation_full_matrix():
     for m in g.shape:
         F = np.kron(F, np.triu(np.ones((m, m))))
         Finv = np.kron(Finv, np.eye(m) - np.eye(m, k=1))
-    assert np.abs(pareto_dual_jump_rates(rates, g) - F @ Q.T @ Finv).max() \
-        < 1e-12
+    dual_rows = ParetoDualJumpKernelND(base=nu).generator_matrix(g)
+    assert np.abs(dual_rows - F @ Q.T @ Finv).max() < 1e-12
 
 
 def test_separable_nd_dual_admissibility():
@@ -205,6 +205,69 @@ def test_separable_nd_dual_admissibility():
     rep = dual_jump_multidim(bad)
     assert not rep.admissible
     assert rep.violated_conditions[0][0] == "rate_decreasing_axis_1"
+
+
+def _gauss_density_1d(center, deriv_sign):
+    """2 exp(-4 (w - center(z))^2) and its z-derivative, where
+    center'(z) = deriv_sign."""
+    def dens(x, W):
+        return 2.0 * np.exp(-4.0 * (np.atleast_2d(W)[:, 0] - center(x[0])) ** 2)
+
+    def d0(x, W):
+        return deriv_sign * 8.0 * (np.atleast_2d(W)[:, 0] - center(x[0])) \
+            * dens(x, W)
+    return DensityJumpKernel(density=dens, derivs={(0,): d0}, smoothness=1)
+
+
+def test_density_jump_dual_1d_admissibility():
+    # jumps around the start point: the tails are monotone and vanish at
+    # the probe box's ends; the dual matches conjugation up to quadrature
+    nu = _gauss_density_1d(lambda z: z, 1.0)
+    rep = dual_jump_1d(nu)
+    assert rep.admissible
+    g = build_grid([-3.0], [3.0], [0.25])
+    qd = dual_generator_via_F(discretize(ProcessSpec.one_dim(nu=nu), g), g,
+                              Cone.pareto(1))
+    qb = discretize(rep.dual_spec, g)
+    assert np.abs(qd.entries - qb.entries)[4:-4, 4:-4].max() < 0.02
+    # jumps around the mirror point -z: the upper tail falls as z rises
+    rep = dual_jump_1d(_gauss_density_1d(lambda z: -z, -1.0))
+    assert not rep.admissible
+    assert [v[0] for v in rep.violated_conditions] == [
+        "tail_at_minus_inf", "tail_at_plus_inf", "up_tail_monotone",
+        "lt_tail_monotone"]
+
+
+def _gauss_density_2d(rate, rate_d):
+    """rate(z_0) exp(-8 |w - z|^2) with its mixed z-derivatives."""
+    def g(x, W):
+        u = np.atleast_2d(W) - x
+        return np.exp(-8.0 * np.sum(u * u, axis=-1))
+
+    def u(x, W, k):
+        return np.atleast_2d(W)[:, k] - x[k]
+    return DensityJumpKernel(
+        density=lambda x, W: rate(x[0]) * g(x, W),
+        derivs={
+            (0,): lambda x, W: (rate_d(x[0]) + rate(x[0]) * 16.0 * u(x, W, 0))
+            * g(x, W),
+            (1,): lambda x, W: rate(x[0]) * 16.0 * u(x, W, 1) * g(x, W),
+            (0, 1): lambda x, W: (rate_d(x[0]) + rate(x[0]) * 16.0
+                                  * u(x, W, 0)) * 16.0 * u(x, W, 1) * g(x, W),
+        },
+        smoothness=2)
+
+
+def test_density_jump_dual_multidim_admissibility():
+    # translation invariant: every mixed rate integrates to zero
+    rep = dual_jump_multidim(_gauss_density_2d(lambda z: 1.0, lambda z: 0.0))
+    assert rep.admissible and rep.dual_spec.dim == 2
+    # a rate that grows with z_0 breaks the first-order sign condition
+    rep = dual_jump_multidim(_gauss_density_2d(
+        lambda z: 1.0 + 0.5 * np.tanh(z), lambda z: 0.5 / np.cosh(z) ** 2))
+    assert not rep.admissible
+    assert [v[0] for v in rep.violated_conditions] == [
+        "mixed_rate_nonpositive_(0,)"]
 
 
 def test_full_1d_half_line_assumption_violations():

@@ -188,6 +188,21 @@ def test_compensated_jump_shifts_drift():
     assert Q[i, i + 1] == pytest.approx(1.0 + 2.0)
 
 
+def test_cutoff_length_jumps_are_always_compensated():
+    # unit jumps at the default cutoff 1.0; (x + w) - x rounds at most of
+    # these states, so a displacement rebuilt from the target fell on
+    # either side of the cutoff from state to state
+    nu = AtomicJumpKernel(jumps=(((1.0,), 2.0), ((-1.0,), 1.0)))
+    for X in (np.linspace(-3.0, 3.0, 61)[:, None],
+              np.random.default_rng(5).standard_normal((1000, 1))):
+        assert np.array_equal(nu.compensator_drift(X, 1.0), np.ones_like(X))
+    # drift -1 everywhere: upwind rate 1 / h = 10 down, never 20
+    spec = ProcessSpec.one_dim(nu=nu, jump_compensated=True)
+    Q = discretize(spec, build_grid([-3.0], [3.0], [0.1])).entries
+    assert np.diagonal(Q, -1) == pytest.approx(np.full(60, 10.0))
+    assert np.all(np.diagonal(Q, 1) == 0.0)
+
+
 def test_cross_diffusion_positive_stencil_conservative():
     spec = ProcessSpec(
         dim=2,
@@ -281,10 +296,10 @@ def _ref_compensator(jump, x, cutoff):
         return drift
     for where, rate in jump.jumps:
         r = float(rate(x)) if callable(rate) else float(rate)
-        w = np.atleast_1d(np.asarray(where(x) if callable(where)
-                                     else x + where, dtype=float))
-        if np.linalg.norm(w - x) <= cutoff:
-            drift += (w - x) * r
+        dz = np.atleast_1d(np.asarray(where(x), dtype=float)) - x \
+            if callable(where) else np.atleast_1d(np.asarray(where, float))
+        if np.linalg.norm(dz) <= cutoff:
+            drift += dz * r
     return drift
 
 

@@ -176,6 +176,20 @@ def test_absorption_probability_monotone_in_start():
     assert dead[0] >= dead[1] - 2 * se >= dead[2] - 4 * se
 
 
+def test_bridge_on_a_full_diffusion_matrix_matches_the_hitting_law():
+    # a = 1/2 given as a generic matrix: Brownian motion, absorbed at 0 by
+    # time t with probability 2 Phi(-x / sqrt(t)); on a step this coarse
+    # only the bridge test recovers the crossings between steps
+    spec = ProcessSpec(dim=1, diffusion=lambda x: [[0.5]],
+                       domain="half_line", boundary="absorb")
+    cfg = PathConfig(n_paths=20000, dt=0.05, t_end=1.0, seed=21,
+                     bridge_correction=True)
+    x, t = 1.0, 1.0
+    dead = np.mean(simulate_paths(spec, cfg, [x])[:, 0] == 0.0)
+    p = 2.0 * norm.cdf(-x / np.sqrt(t))
+    assert abs(dead - p) < 5.0 * np.sqrt(p * (1.0 - p) / cfg.n_paths)
+
+
 def test_regularized_ladder_constant_is_exact():
     rng = np.random.default_rng(9)
     samples = [rng.normal(1.0, 0.5, 5000) for _ in range(3)]

@@ -1,9 +1,9 @@
 """Source rules for the package itself.
 
 Invariants are raised errors, never `assert` statements, so they survive
-`python -O`; no interface method is a stub that only raises; and no
+`python -O`; no interface method is a stub that only raises; no
 module imports scipy at its top level, so `import dualgen` loads none of
-it.
+it; and no function has a default that no caller ever overrides.
 """
 
 import ast
@@ -70,3 +70,75 @@ def test_no_top_level_scipy_import(path):
         found.extend(f"line {node.lineno}: imports {n}" for n in names
                      if n == "scipy" or n.startswith("scipy."))
     assert found == []
+
+
+ROOT = SRC.parent.parent
+CALLER_FILES = sorted(p for top in ("src", "tests", "demos", "bench")
+                      for p in (ROOT / top).rglob("*.py"))
+# `box` is a modelling input, the region the probes cover, not a numerical
+# knob: which box a model needs depends on where its coefficients live.
+EXEMPT_PARAMETERS = {"box"}
+
+
+def _defaulted_parameters(tree):
+    """(function name, parameter name, position or None) of every
+    parameter with a default; the position counts from the first argument
+    a caller writes (after self or cls), None for keyword-only ones."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _params(node, skip=0)
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    yield from _params(fn, skip=0 if static else 1)
+
+
+def _params(fn, skip):
+    args = fn.args.posonlyargs + fn.args.args
+    first_default = len(args) - len(fn.args.defaults)
+    for i, a in enumerate(args):
+        if i >= first_default:
+            yield fn.name, a.arg, i - skip
+    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if d is not None:
+            yield fn.name, a.arg, None
+
+
+def _passed(trees):
+    """{(called name, parameter name)} passed by keyword, and
+    {called name: most positional arguments} over every call."""
+    keywords, positional = set(), {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            keywords.update((name, k.arg) for k in node.keywords)
+            n = 1 << 30 if any(isinstance(a, ast.Starred)
+                               for a in node.args) else len(node.args)
+            positional[name] = max(positional.get(name, 0), n)
+    return keywords, positional
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A parameter no caller sets is a constant with extra steps: each
+    default in the package must be overridden by at least one call in the
+    package, its tests, demos or benchmark."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in CALLER_FILES]
+    keywords, positional = _passed(trees)
+    never = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, param, pos in _defaulted_parameters(tree):
+            if param in EXEMPT_PARAMETERS or (fn, param) in keywords:
+                continue
+            if pos is not None and positional.get(fn, 0) > pos:
+                continue
+            never.append(f"{path.name}: {fn}({param}=...)")
+    assert sorted(never) == []
