@@ -13,7 +13,12 @@ on a few fixed probe vectors against `expm_multiply`, a separate algorithm
 coefficients on a box whose faces reflect or truncate make Q a Kronecker
 sum Q_0 (+) ... (+) Q_{d-1}, read off Q itself; then exp(tQ) is the
 Kronecker product of the d small exponentials exp(tQ_k) (Van Loan, J.
-Comput. Appl. Math. 123, 2000), and the same probe check guards it.
+Comput. Appl. Math. 123, 2000), and the snapshot keeps it as those
+factors.  The Pareto F is the Kronecker product F_0 (x) ... (x) F_{d-1} of
+1-D suffix sums, so the dual of a factored T is factored too,
+T^D = (x) F_k T_k' F_k^-1, and the residual and the stochasticity check
+work on the factors: no n x n T or T^D is built on such a grid.  A dense
+T is the one-factor case of the same code.
 `duality_residual` pairs both semigroups with the order indicator through
 the same operator: the indicator is f = F', so T f = (F T')' and
 f T^D' = F' T^D' cost O(n^2 d) on the Pareto path (`apply_transpose` is a
@@ -24,7 +29,8 @@ imported on use, so `import dualgen` loads none of it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,14 +70,60 @@ def expm(A):
 
 @dataclass(frozen=True)
 class SemigroupSnapshot:
-    """T = exp(tQ) at time t.  `semigroup` also records ||tQ||_inf as `norm`
-    and the probe-vector check's error as `check_error`; they stay None on
-    a snapshot built another way (for example the dual's)."""
+    """T = exp(tQ) at time t, held as Kronecker factors.
+
+    `factors` is (T_0, ..., T_{m-1}) with T = T_0 (x) ... (x) T_{m-1}.
+    `semigroup` gives one factor per grid axis when Q is a Kronecker sum
+    of per-axis generators, and one dense factor otherwise;
+    `SemigroupSnapshot(t=..., T=...)` builds the one-factor case.  `.T`
+    multiplies the factors out on access, an n x n array that verify-matrix
+    never reads on a factored snapshot.  `semigroup` also records
+    ||tQ||_inf as `norm` and the probe-vector check's error as
+    `check_error`; they stay None on a snapshot built another way (for
+    example the dual's).
+    """
 
     t: float
-    T: np.ndarray
+    T: InitVar[Optional[np.ndarray]] = None
+    factors: tuple = ()
     norm: Optional[float] = None
     check_error: Optional[float] = None
+
+    def __post_init__(self, T):
+        if (T is None) == (not self.factors):
+            raise ValueError("a snapshot takes T or its factors, not both")
+        if T is not None:
+            object.__setattr__(self, "factors", (np.asarray(T),))
+
+    @property
+    def n(self) -> int:
+        return math.prod(len(A) for A in self.factors)
+
+
+# `T` is an init-only argument of the dataclass, so its read side is
+# attached once the class is built
+SemigroupSnapshot.T = property(
+    lambda snap: functools.reduce(np.kron, snap.factors),
+    doc="T itself: the Kronecker product of the factors.")
+
+
+# The Pareto F one grid axis at a time, with zero extension beyond the
+# grid: F is the suffix sum, F' the prefix sum, F^-1 the forward
+# difference g(y) - g(y + h e_axis) and F^-T the backward difference.
+def _suffix_sum(v, axis):
+    return np.flip(np.cumsum(np.flip(v, axis=axis), axis=axis), axis=axis)
+
+
+def _prefix_sum(v, axis):
+    return np.cumsum(v, axis=axis)
+
+
+def _forward_difference(v, axis):
+    return -np.diff(v, axis=axis, append=0.0)
+
+
+def _backward_difference(v, axis):
+    return np.diff(v, axis=axis, prepend=0.0)
 
 
 class SurvivalTransform:
@@ -83,9 +135,11 @@ class SurvivalTransform:
     Pareto cone: F is a suffix cumulative sum along every grid axis, F^-1
     the forward difference g(y) - g(y + h e_axis) and F^-T the backward
     difference, each with zero extension beyond the grid; F F^-1 = I
-    holds exactly.  Other cones: F = f' with f the duality indicator
-    matrix, and F^-1 by unit-triangular solve after sorting the states
-    along the cone (the Moebius matrix of the finite order).
+    holds exactly.  So F = F_0 (x) ... (x) F_{d-1}, and `split` hands out
+    the 1-D transforms F_k of the grid axes.  Other cones: F = f' with f
+    the duality indicator matrix, and F^-1 by unit-triangular solve after
+    sorting the states along the cone (the Moebius matrix of the finite
+    order).
     """
 
     def __init__(self, grid: Grid, cone: Cone):
@@ -93,7 +147,16 @@ class SurvivalTransform:
             raise DimensionMismatch("grid and cone dimensions differ")
         self.grid = grid
         self._dense = None
-        if not np.allclose(cone.basis, np.eye(cone.dim)):
+        self._axes = None
+        if np.allclose(cone.basis, np.eye(cone.dim)):
+            self._axes = (self,) if grid.dim == 1 else tuple(
+                SurvivalTransform(Grid(
+                    lower=grid.lower[k:k + 1], upper=grid.upper[k:k + 1],
+                    spacing=grid.spacing[k:k + 1],
+                    boundary_policy=grid.boundary_policy[k:k + 1]),
+                    Cone.pareto(1))
+                for k in range(grid.dim))
+        else:
             F = duality_indicator_matrix(grid, cone).T
             # phi(p) strictly increases along the cone: phi(x) > phi(y)
             # when x > y, so with states sorted by phi F is unit upper
@@ -124,30 +187,39 @@ class SurvivalTransform:
         """F w: the survival function of w."""
         if self._dense is not None:
             return self._dense[0] @ w
-        return self._on_grid(w, lambda v, ax: np.flip(
-            np.cumsum(np.flip(v, axis=ax), axis=ax), axis=ax))
+        return self._on_grid(w, _suffix_sum)
 
     def apply_transpose(self, v) -> np.ndarray:
         """F' v = f v, the pairing of v with the order indicator f (prefix
         sums along the grid axes for the Pareto cone)."""
         if self._dense is not None:
             return self._dense[0].T @ v
-        return self._on_grid(v, lambda a, ax: np.cumsum(a, axis=ax))
+        return self._on_grid(v, _prefix_sum)
 
     def apply_inverse(self, g) -> np.ndarray:
         """F^-1 g: the measure whose survival function is g."""
         if self._dense is not None:
             return self._dense[1] @ g
-        return self._on_grid(g, lambda v, ax: -np.diff(v, axis=ax, append=0.0))
+        return self._on_grid(g, _forward_difference)
 
     def _apply_inverse_transpose(self, a) -> np.ndarray:
         if self._dense is not None:
             return self._dense[1].T @ a
-        return self._on_grid(a, lambda v, ax: np.diff(v, axis=ax, prepend=0.0))
+        return self._on_grid(a, _backward_difference)
 
     def conjugate(self, A) -> np.ndarray:
         """F A' F^-1 for an (n, n) matrix A, as F (F^-T A)'."""
         return self.apply(self._apply_inverse_transpose(A).T)
+
+    def split(self, factors) -> Optional[tuple]:
+        """The 1-D transforms F_k with F = F_0 (x) ... (x) F_{d-1}, if F is
+        such a product (the Pareto cone) and `factors` holds one square
+        factor per grid axis, of that axis's length; otherwise None.  On
+        a 1-D grid F_0 is this transform itself."""
+        shapes = [(m, m) for m in self.grid.shape]
+        if self._axes is None or [A.shape for A in factors] != shapes:
+            return None
+        return self._axes
 
 
 def forward_F_matrix(grid: Grid, cone: Cone) -> np.ndarray:
@@ -160,7 +232,18 @@ def inverse_F_matrix(grid: Grid, cone: Cone) -> np.ndarray:
     return SurvivalTransform(grid, cone).apply_inverse(np.eye(grid.n_points))
 
 
-def _kronecker_factors(A, As, shape) -> Optional[list]:
+def _csr(Q):
+    """Q in CSR form from one pass over its flat nonzero mask, about a
+    third of the time csr_matrix(Q) takes on a dense 2025 x 2025 Q."""
+    from scipy.sparse import csr_matrix
+    mask = Q != 0
+    flat = np.flatnonzero(mask)
+    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    return csr_matrix((Q.ravel()[flat], flat % Q.shape[1], indptr),
+                      shape=Q.shape)
+
+
+def _kronecker_factors(As, shape) -> Optional[list]:
     """Per-axis factors A_k with A = A_0 (+) ... (+) A_{d-1}, or None.
 
     On a C-ordered grid of `shape` (d >= 2 axes) the Kronecker sum puts
@@ -173,7 +256,7 @@ def _kronecker_factors(A, As, shape) -> Optional[list]:
     absorbing face, a jump that moves two coordinates, or a rate of one
     axis that depends on another.  As is A in CSR form.
     """
-    if len(shape) < 2 or int(np.prod(shape)) != A.shape[0]:
+    if len(shape) < 2 or int(np.prod(shape)) != As.shape[0]:
         return None
     from scipy.sparse import csr_matrix, identity, kron
 
@@ -181,9 +264,9 @@ def _kronecker_factors(A, As, shape) -> Optional[list]:
     for k, m in enumerate(shape):
         before, after = int(np.prod(shape[:k])), int(np.prod(shape[k + 1:]))
         line = np.arange(m) * after
-        f = A[np.ix_(line, line)]
+        f = As[line][:, line].toarray()
         if k:
-            f[np.diag_indices(m)] -= A[0, 0]
+            f[np.diag_indices(m)] -= As[0, 0]
         factors.append(f)
         term = kron(kron(identity(before), csr_matrix(f)), identity(after),
                     format="csr")
@@ -192,53 +275,73 @@ def _kronecker_factors(A, As, shape) -> Optional[list]:
     return factors if defect <= _KRON_TOL else None
 
 
+def _kron_apply(factors, V) -> np.ndarray:
+    """(A_0 (x) ... (x) A_{m-1}) V, one factor at a time along its axis of
+    V's rows reshaped to the factor lengths."""
+    v = V.reshape(tuple(len(A) for A in factors) + V.shape[1:])
+    for k, A in enumerate(factors):
+        v = np.moveaxis(np.tensordot(A, v, axes=(1, k)), 0, k)
+    return v.reshape(V.shape)
+
+
 def semigroup(q: QMatrix, t: float) -> SemigroupSnapshot:
     """Transition matrix exp(tQ), checked on probe vectors.
 
     On a grid of d >= 2 axes where tQ is a Kronecker sum of per-axis
     generators (`_kronecker_factors`: per-axis coefficients on reflect or
-    truncate_mass faces), T = expm(tQ_0) (x) ... (x) expm(tQ_{d-1}), which
-    costs sum n_k^3 + n^2 instead of n^3; otherwise, and on every 1-D
-    grid, T = expm(tQ).  Either way T is compared with expm_multiply(tQ, V)
-    (Al-Mohy & Higham's truncated Taylor action, on the full sparse tQ) on
-    `_CHECK_PROBES` fixed random columns V with entries in [-1, 1].  The
-    check shares no step with Pade scaling and squaring or with the
-    factorization, so an error in either shows, a wrong, transposed or
-    misordered factor included; expm(tQ / 2) squared would repeat expm's
-    own arithmetic and could not.  The check's cost grows linearly with
-    ||tQ||, expm's only with its logarithm.
+    truncate_mass faces), the snapshot holds the d factors expm(tQ_k) of
+    T = expm(tQ_0) (x) ... (x) expm(tQ_{d-1}), which costs sum n_k^3
+    instead of n^3, and T itself is never formed; otherwise, and on every
+    1-D grid, it holds the one factor expm(tQ).  Either way T V, taken
+    one factor at a time, is compared with expm_multiply(tQ, V) (Al-Mohy
+    & Higham's truncated Taylor action, on the full sparse tQ) on
+    `_CHECK_PROBES` fixed random columns V with entries in [-1, 1], to
+    1e-10 of ||T||_inf = prod_k ||T_k||_inf.  The check shares no step
+    with Pade scaling and squaring or with the factorization, so an error
+    in either shows, a wrong, transposed or misordered factor included;
+    expm(tQ / 2) squared would repeat expm's own arithmetic and could
+    not.  The check's cost grows linearly with ||tQ||, expm's only with
+    its logarithm.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if q.n > MAX_STATES:
         raise Overflow(f"{q.n} states exceeds the dense cap of {MAX_STATES}")
-    A = t * q.entries
-    norm = float(np.abs(A).sum(axis=1).max()) if q.n else 0.0
+    from scipy.sparse.linalg import expm_multiply
+
+    As = t * _csr(q.entries)
+    norm = float(abs(As).sum(axis=1).max()) if q.n else 0.0
     # written as `not <=` so that a NaN fails the comparison too
     if not norm <= _EXPM_NORM_LIMIT:
         raise Overflow(
             f"||tQ|| = {norm:.3g} too large; use smaller t or a coarser grid")
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import expm_multiply
-
-    As = csr_matrix(A)
-    factors = _kronecker_factors(A, As, q.state_grid.shape)
-    if factors is None:
-        T = expm(A)
-    else:
-        T = functools.reduce(np.kron, [expm(f) for f in factors])
+    split = _kronecker_factors(As, q.state_grid.shape)
+    factors = ((expm(t * q.entries),) if split is None
+               else tuple(expm(f) for f in split))
     V = np.random.default_rng(0).uniform(-1.0, 1.0, size=(q.n, _CHECK_PROBES))
-    err = float(np.abs(T @ V - expm_multiply(As, V)).max())
-    if not err <= 1e-10 * max(1.0, np.abs(T).sum(axis=1).max()):
+    err = float(np.abs(_kron_apply(factors, V) - expm_multiply(As, V)).max())
+    scale = math.prod(float(np.abs(T).sum(axis=1).max()) for T in factors)
+    if not err <= 1e-10 * max(1.0, scale):
         raise Overflow(f"matrix exponential self-check failed: {err:.3g}")
-    return SemigroupSnapshot(t=float(t), T=T, norm=norm, check_error=err)
+    return SemigroupSnapshot(t=float(t), factors=factors, norm=norm,
+                             check_error=err)
 
 
 def dual_semigroup_via_F(T: SemigroupSnapshot,
                          op: SurvivalTransform) -> SemigroupSnapshot:
     """T^D(t) = F . transpose(T(t)) . F^-1 on the grid point basis; `op`
-    is built once per grid and cone and shared across probe times."""
-    return SemigroupSnapshot(t=T.t, T=op.conjugate(T.T))
+    is built once per grid and cone and shared across probe times.
+
+    With one factor per grid axis and the Pareto F = (x) F_k, the dual is
+    factored too, T^D = (x) F_k T_k' F_k^-1, each factor conjugated by the
+    1-D transform of its axis; with a dense F the factors are multiplied
+    out first.
+    """
+    axes = op.split(T.factors)
+    if axes is None:
+        return SemigroupSnapshot(t=T.t, T=op.conjugate(T.T))
+    return SemigroupSnapshot(t=T.t, factors=tuple(
+        ax.conjugate(A) for ax, A in zip(axes, T.factors)))
 
 
 def dual_generator_via_F(q: QMatrix, grid: Grid, cone: Cone) -> QMatrix:
@@ -253,14 +356,30 @@ def duality_residual(T: SemigroupSnapshot, TD: SemigroupSnapshot,
 
     The indicator f[x, y] = 1{x - y in C} is F' by construction, so
     T f = (F T')' and f T^D' = F' T^D' cost O(n^2 d) through the
-    operator, and no n x n indicator is built.
+    operator, and no n x n indicator is built.  When both snapshots have
+    one factor per grid axis and F splits by axis, both sides are
+    Kronecker products, T f = (x) M_k and f T^D' = (x) N_k with
+    M_k = (F_k T_k')' and N_k = F_k' T^D_k'.  The max still runs over all
+    n^2 pairs, taken a row of M_0 at a time, in O(n^2 / n_0) memory.
     """
-    P, PD = T.T, TD.T
-    if P.shape != PD.shape:
+    if T.n != TD.n:
         raise ValueError("incompatible snapshot dimensions")
-    lhs = op.apply(P.T).T               # [x, y]
-    rhs = op.apply_transpose(PD.T)      # [x, y]
-    return float(np.abs(lhs - rhs).max())
+    Ps, PDs = T.factors, TD.factors
+    axes = op.split(Ps)
+    if axes is None or op.split(PDs) is None:
+        Ps, PDs, axes = (T.T,), (TD.T,), (op,)
+    M = [ax.apply(P.T).T for ax, P in zip(axes, Ps)]             # [x, y]
+    N = [ax.apply_transpose(PD.T) for ax, PD in zip(axes, PDs)]  # [x, y]
+    if len(M) == 1:
+        return float(np.abs(M[0] - N[0]).max())
+    rest_M = functools.reduce(np.kron, M[1:])
+    rest_N = functools.reduce(np.kron, N[1:])
+    worst = 0.0
+    for m_row, n_row in zip(M[0], N[0]):
+        block = np.multiply.outer(m_row, rest_M)
+        block -= np.multiply.outer(n_row, rest_N)
+        worst = max(worst, float(np.abs(block, out=block).max()))
+    return worst
 
 
 # smooth test functions of action_mismatch, on (n, d) points
@@ -347,15 +466,36 @@ ROWSUM_TOL = 1e-9
 def dual_stochasticity_check(TD: SemigroupSnapshot) -> StochasticityReport:
     """Entrywise nonnegativity and row sums at most 1 of a dual snapshot:
     the dual of a conservative chain may still lose mass at the top of
-    the order, so only rows exceeding 1 count as defects."""
-    T = TD.T
-    min_entry = float(T.min())
-    max_defect = float(np.maximum(T.sum(axis=1) - 1.0, 0.0).max())
+    the order, so only rows exceeding 1 count as defects.
+
+    Every entry of (x) A_k is a product of one entry per factor, and
+    multiplying by a fixed number is monotone, so the smallest entry is
+    the smallest product of per-factor smallest and largest entries,
+    carried factor by factor in the order np.kron multiplies (the same
+    number as the product's own minimum).  The row sums are the Kronecker
+    product of the per-factor row sums.  This costs O(sum n_k^2 + n) and
+    builds no n x n array; on one factor it is T.min() and T.sum(axis=1).
+    """
+    # (value, end of each factor so far: 0 its min, 1 its max) of the
+    # smallest and the largest entry of the product of the factors so far
+    lo = hi = (1.0, ())
+    for A in TD.factors:
+        ends = (A.min(), A.max())
+        cands = [(v * ends[e], p + (e,)) for v, p in (lo, hi) for e in (0, 1)]
+        lo = min(cands, key=lambda c: c[0])
+        hi = max(cands, key=lambda c: c[0])
+    min_entry = float(lo[0])
+    rowsums = functools.reduce(np.kron, [A.sum(axis=1) for A in TD.factors])
+    max_defect = float(np.maximum(rowsums - 1.0, 0.0).max())
     passed = min_entry >= -ENTRY_TOL and max_defect <= ROWSUM_TOL
     worst = None
     if not passed:
-        i, j = np.unravel_index(int(np.argmin(T)), T.shape)
-        worst = (int(i), int(j))
+        # each factor's first entry at its end, as np.argmin picks
+        ij = [np.unravel_index(int(np.argmax(A) if e else np.argmin(A)),
+                               A.shape) for A, e in zip(TD.factors, lo[1])]
+        shape = tuple(len(A) for A in TD.factors)
+        worst = tuple(int(np.ravel_multi_index(idx, shape))
+                      for idx in zip(*ij))
     return StochasticityReport(
         passed=bool(passed),
         min_entry=min_entry,

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,6 +27,7 @@ from dualgen.matrix_lab import (
     inverse_F_matrix,
     semigroup,
 )
+from dualgen.scenario import load_scenario, run_scenario
 from dualgen.state_space import (
     Cone,
     build_grid,
@@ -242,6 +246,172 @@ def test_semigroup_check_catches_wrong_kronecker_factors(monkeypatch):
                         lambda *a: factors(*a)[::-1])
     with pytest.raises(Overflow, match="self-check failed"):
         semigroup(q, 0.5)
+
+
+def _bench_2d(side):
+    """The benchmark's 2-D diffusion on a side x side reflecting grid."""
+    half = 0.2 * (side - 1) / 2.0
+    return load_scenario({
+        "name": f"diff2d-{side}", "mode": "verify-matrix",
+        "process": {"dim": 2, "drift": ["-0.3*x1", "0.2 - 0.3*x2"],
+                    "diffusion": ["0.5 + 0.1*cos(x1)", "0.4 + 0.1*sin(x2)"]},
+        "grid": {"lower": [-half] * 2, "upper": [half] * 2,
+                 "spacing": [0.2, 0.2], "boundary_policy": "reflect"},
+        "cone": {"type": "pareto"},
+        "probes": [{"x": [0.0, 0.0], "y": [0.0, 0.0], "t": 0.5}],
+    })
+
+
+def _bench_case(side):
+    s = _bench_2d(side)
+    return discretize(s.process, s.grid), s.grid
+
+
+_FACTORED_CASES = {
+    **{name: (lambda c=case: (discretize(*c), c[1]))
+       for name, case in _SEPARABLE_CASES.items()},
+    # the benchmark's two 2-D grid shapes at its tiny scale
+    **{f"bench-{side}x{side}": (lambda side=side: _bench_case(side))
+       for side in (5, 6)},
+}
+
+
+def _line_factors(A, shape):
+    """The per-axis factors of a Kronecker-sum A, read off dense A along
+    the grid lines through the first point (the diagonal split as
+    _kronecker_factors splits it)."""
+    out = []
+    for k, m in enumerate(shape):
+        line = np.arange(m) * int(np.prod(shape[k + 1:]))
+        f = A[np.ix_(line, line)].copy()
+        if k:
+            f[np.diag_indices(m)] -= A[0, 0]
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_FACTORED_CASES))
+def test_factored_and_dense_verify_agree(name):
+    q, grid = _FACTORED_CASES[name]()
+    op = SurvivalTransform(grid, Cone.pareto(grid.dim))
+    for t in (0.3, 1.0):
+        T = semigroup(q, t)
+        assert [A.shape for A in T.factors] == [(m, m) for m in grid.shape]
+        want_T = functools.reduce(np.kron, [
+            scipy.linalg.expm(f) for f in _line_factors(t * q.entries,
+                                                        grid.shape)])
+        assert np.array_equal(T.T, want_T)
+        TD = dual_semigroup_via_F(T, op)
+        assert len(TD.factors) == grid.dim
+        # the same snapshot multiplied out takes the dense path
+        dense = matrix_lab.SemigroupSnapshot(t=t, T=T.T)
+        dense_TD = dual_semigroup_via_F(dense, op)
+        assert len(dense_TD.factors) == 1
+        assert abs(duality_residual(T, TD, op)
+                   - duality_residual(dense, dense_TD, op)) <= 1e-13
+        rep, want = (dual_stochasticity_check(TD),
+                     dual_stochasticity_check(dense_TD))
+        assert rep.passed == want.passed
+        assert abs(rep.min_entry - want.min_entry) <= 1e-13
+        assert abs(rep.max_rowsum_defect - want.max_rowsum_defect) <= 1e-13
+
+
+def _birth_death(m, up, down):
+    """Reflecting birth-death generator on m states."""
+    Q = np.diag([up] * (m - 1), 1) + np.diag([down] * (m - 1), -1)
+    return Q - np.diag(Q.sum(axis=1))
+
+
+def test_factored_check_flags_a_separable_non_monotone_chain(monkeypatch):
+    # the non-monotone 3-state chain below on axis 0, a reflecting
+    # birth-death chain on axis 1: the dual is not a Markov semigroup
+    Q0 = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
+    Q1 = _birth_death(5, 0.7, 0.4)
+    g = build_grid([0.0, 0.0], [2.0, 4.0], [1.0, 1.0], "reflect")
+    q = QMatrix(entries=np.kron(Q0, np.eye(5)) + np.kron(np.eye(3), Q1),
+                state_grid=g)
+    op = SurvivalTransform(g, Cone.pareto(2))
+    calls = _counting_expm(monkeypatch)
+    T = semigroup(q, 0.5)
+    assert calls == [(3, 3), (5, 5)]
+    TD = dual_semigroup_via_F(T, op)
+    rep = dual_stochasticity_check(TD)
+    assert rep.passed is False and rep.min_entry < -1e-6
+    i, j = rep.worst_entry_index
+    assert TD.T[i, j] == rep.min_entry == TD.T.min()
+    dense = dual_semigroup_via_F(matrix_lab.SemigroupSnapshot(t=0.5, T=T.T),
+                                 op)
+    want = dual_stochasticity_check(dense)
+    assert want.passed is False
+    assert rep.worst_entry_index == want.worst_entry_index
+    assert abs(rep.min_entry - want.min_entry) <= 1e-13
+
+
+def test_factored_verify_builds_no_n_by_n_array(tmp_path, monkeypatch):
+    s = _bench_2d(32)                       # 1024 states
+    q = discretize(s.process, s.grid)
+    n = q.n
+    op = SurvivalTransform(s.grid, Cone.pareto(2))
+    semigroup(q, 0.5)                       # scipy's first-call caches
+    tracemalloc.start()
+    try:
+        T = semigroup(q, 0.5)
+        TD = dual_semigroup_via_F(T, op)
+        duality_residual(T, TD, op)
+        dual_stochasticity_check(TD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
+
+    product = matrix_lab.SemigroupSnapshot.T.fget
+
+    def guarded(snap):
+        if len(snap.factors) > 1:
+            raise RuntimeError("a factored snapshot was multiplied out")
+        return product(snap)
+
+    monkeypatch.setattr(matrix_lab.SemigroupSnapshot, "T", property(guarded))
+    with pytest.raises(RuntimeError, match="multiplied out"):
+        semigroup(q, 0.5).T
+    report = run_scenario(s, out_dir=str(tmp_path))
+    assert report["pass"] and report["results"]["stochasticity"]["pass"]
+
+
+def test_factored_snapshot_against_a_one_factor_wrong_dual():
+    spec, grid = _SEPARABLE_CASES["2d-reflect"]
+    q = discretize(spec, grid)
+    op = SurvivalTransform(grid, Cone.pareto(2))
+    T = semigroup(q, 1.0)
+    assert len(T.factors) == 2
+    wrong = matrix_lab.SemigroupSnapshot(t=1.0, T=T.T.T.copy())
+    want = _dense_residual(T, wrong, duality_indicator_matrix(grid,
+                                                              Cone.pareto(2)))
+    got = duality_residual(T, wrong, op)
+    assert got > 0.01 and abs(got - want) <= 1e-12 * want
+
+
+def test_separable_q_under_a_dense_F_matches_the_dense_dual():
+    # the orthant by its generators in swapped order: not the identity
+    # basis, so F is dense and the factored T is multiplied out first
+    spec, grid = _SEPARABLE_CASES["2d-reflect"]
+    q = discretize(spec, grid)
+    cone = Cone.from_vectors([0.0, 1.0], [1.0, 0.0])
+    T = semigroup(q, 0.5)
+    assert len(T.factors) == 2
+    TD = dual_semigroup_via_F(T, SurvivalTransform(grid, cone))
+    assert len(TD.factors) == 1
+    want = forward_F_matrix(grid, cone) @ T.T.T @ inverse_F_matrix(grid, cone)
+    assert np.abs(TD.T - want).max() <= 1e-12
+
+
+def test_snapshot_takes_T_or_factors():
+    for kwargs in ({}, {"T": np.eye(2), "factors": (np.eye(2),)}):
+        with pytest.raises(ValueError):
+            matrix_lab.SemigroupSnapshot(t=0.0, **kwargs)
+    snap = matrix_lab.SemigroupSnapshot(t=0.0, factors=(np.eye(2),
+                                                        np.eye(3)))
+    assert snap.n == 6 and np.array_equal(snap.T, np.eye(6))
 
 
 def test_semigroup_records_norm_and_check_error():
