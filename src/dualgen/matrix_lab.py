@@ -7,15 +7,20 @@ be checked to rounding.  `SurvivalTransform` is the one implementation of
 F and F^-1, with two paths: cumulative sums and differences along the grid
 axes for the Pareto cone, and a dense F with its exact Moebius inverse for
 any other lattice cone (the light cone is not a product of 1-D orders).
-`semigroup` computes exp(tQ) once by scaling and squaring and checks it
-on a few fixed probe vectors against `expm_multiply`, a separate algorithm
-(the action of the exponential by truncated Taylor series).  Per-axis
-coefficients on a box whose faces reflect or truncate make Q a Kronecker
-sum Q_0 (+) ... (+) Q_{d-1}, read off Q itself; then exp(tQ) is the
-Kronecker product of the d small exponentials exp(tQ_k) (Van Loan, J.
-Comput. Appl. Math. 123, 2000), and the snapshot keeps it as those
-factors.  The Pareto F is the Kronecker product F_0 (x) ... (x) F_{d-1} of
-1-D suffix sums, so the dual of a factored T is factored too,
+`semigroup` takes all of a run's probe times in one call.  It computes
+exp(tQ) by scaling and squaring, or, when the step from the previous time
+is itself an earlier time, as the product T(s) T(u) = T(s + u), and
+checks every snapshot on a few fixed probe vectors against
+`expm_multiply`, a separate algorithm (the action of the exponential by
+truncated Taylor series) carried from one time to the next, so the
+Taylor work grows with max t ||Q|| rather than the sum over the times.
+Per-axis coefficients on a box whose faces reflect or truncate make Q a
+Kronecker sum Q_0 (+) ... (+) Q_{d-1}, read off Q itself; then exp(tQ)
+is the Kronecker product of the d small exponentials exp(tQ_k) (Van
+Loan, J. Comput. Appl. Math. 123, 2000), and the snapshot keeps it as
+those factors.  The Pareto F is the Kronecker product
+F_0 (x) ... (x) F_{d-1} of 1-D suffix sums, so the dual of a factored T
+is factored too,
 T^D = (x) F_k T_k' F_k^-1, and the residual and the stochasticity check
 work on the factors: no n x n T or T^D is built on such a grid.  A dense
 T is the one-factor case of the same code.
@@ -57,7 +62,8 @@ __all__ = [
 
 _EXPM_NORM_LIMIT = 1e6
 _CHECK_PROBES = 2
-# largest row sum of |tQ - K| at which tQ counts as the Kronecker sum K
+# largest row sum of |Q - K|, relative to ||Q||_inf, at which Q counts as
+# the Kronecker sum K
 _KRON_TOL = 1e-12
 
 
@@ -243,36 +249,58 @@ def _csr(Q):
                       shape=Q.shape)
 
 
-def _kronecker_factors(As, shape) -> Optional[list]:
-    """Per-axis factors A_k with A = A_0 (+) ... (+) A_{d-1}, or None.
+def _kronecker_factors(As, shape, tol) -> Optional[list]:
+    """The blocks of A along the grid lines of each axis, if A is their
+    Kronecker sum; otherwise None.
 
-    On a C-ordered grid of `shape` (d >= 2 axes) the Kronecker sum puts
-    A_k on the grid lines of axis k.  A_k is read off the line through
-    the first grid point; the diagonal is split so that the factor
-    diagonals add up to A's (A_0 keeps A[0, 0], the others have 0 there).
-    The sum K is rebuilt sparsely and accepted only if the largest row
-    sum of |A - K| is at most `_KRON_TOL`: this holds for per-axis
-    coefficients on reflect and truncate_mass faces, and fails for an
-    absorbing face, a jump that moves two coordinates, or a rate of one
-    axis that depends on another.  As is A in CSR form.
+    On a C-ordered grid of `shape` (d >= 2 axes) the Kronecker sum
+    A = A_0 (+) ... (+) A_{d-1} puts A_k on the grid lines of axis k.
+    Block k is A read off the line through the first grid point;
+    `_split_diagonal` turns the blocks of A into the factors of tA.  The
+    sum K of the factors of A is rebuilt sparsely and accepted only if
+    the largest row sum of |A - K| is at most `tol`: this holds for
+    per-axis coefficients on reflect and truncate_mass faces, and fails
+    for an absorbing face, a jump that moves two coordinates, or a rate
+    of one axis that depends on another.  As is A in CSR form.
     """
     if len(shape) < 2 or int(np.prod(shape)) != As.shape[0]:
         return None
     from scipy.sparse import csr_matrix, identity, kron
 
-    factors, K = [], None
+    blocks = []
     for k, m in enumerate(shape):
+        line = np.arange(m) * int(np.prod(shape[k + 1:]))
+        blocks.append(As[line][:, line].toarray())
+    K = None
+    for k, f in enumerate(_split_diagonal(blocks, 1.0)):
         before, after = int(np.prod(shape[:k])), int(np.prod(shape[k + 1:]))
-        line = np.arange(m) * after
-        f = As[line][:, line].toarray()
-        if k:
-            f[np.diag_indices(m)] -= As[0, 0]
-        factors.append(f)
         term = kron(kron(identity(before), csr_matrix(f)), identity(after),
                     format="csr")
         K = term if K is None else K + term
     defect = float(abs(As - K).sum(axis=1).max())
-    return factors if defect <= _KRON_TOL else None
+    return blocks if defect <= tol else None
+
+
+def _split_diagonal(blocks, t) -> list:
+    """The factors tA_k of tA = tA_0 (+) ... (+) tA_{d-1} from A's line
+    blocks (each holds A[0, 0] at [0, 0]).  The blocks fix the factors
+    only up to shifts by multiples of I that add up to 0.  Every factor
+    after the first is t times its block shifted to largest row sum 0, and
+    the first takes the rest of tA's diagonal, so its largest row sum is
+    tA's.  For a generator with per-axis rates on reflecting or truncating
+    faces these are the per-axis generators themselves.  Moving all of
+    A[0, 0] onto the first factor instead makes one factor exponential
+    grow like exp(t c) while another decays like exp(-t c), c the corner
+    rate of an axis: their product turns into inf times 0 once t c passes
+    about 700 (t = 50 on the benchmark's 2-D diffusion)."""
+    factors = [t * B for B in blocks]
+    rest = (len(blocks) - 1) * t * blocks[0][0, 0]
+    for f in factors[1:]:
+        shift = f.sum(axis=1).max()
+        f[np.diag_indices(len(f))] -= shift
+        rest -= shift
+    factors[0][np.diag_indices(len(factors[0]))] -= rest
+    return factors
 
 
 def _kron_apply(factors, V) -> np.ndarray:
@@ -284,47 +312,89 @@ def _kron_apply(factors, V) -> np.ndarray:
     return v.reshape(V.shape)
 
 
-def semigroup(q: QMatrix, t: float) -> SemigroupSnapshot:
-    """Transition matrix exp(tQ), checked on probe vectors.
+def _compose(earlier, step) -> tuple:
+    """The factors of T(s + u) = T(s) T(u), factor by factor: the
+    Kronecker product of products is the product of Kronecker products."""
+    return tuple(A @ B for A, B in zip(earlier, step))
 
-    On a grid of d >= 2 axes where tQ is a Kronecker sum of per-axis
-    generators (`_kronecker_factors`: per-axis coefficients on reflect or
-    truncate_mass faces), the snapshot holds the d factors expm(tQ_k) of
+
+def semigroup(q: QMatrix, t):
+    """Transition matrices exp(tQ) at one time or several, checked on
+    probe vectors.
+
+    A scalar t gives one `SemigroupSnapshot`; a sequence of times gives a
+    tuple with one snapshot per time, in the order given.  The work is
+    done once per call, not once per time: Q's sparse form, its norm
+    ||Q||_inf (||tQ||_inf = t ||Q||_inf, capped at `_EXPM_NORM_LIMIT` for
+    every time) and the separability test.
+
+    On a grid of d >= 2 axes where Q is a Kronecker sum of per-axis
+    generators (`_kronecker_factors`, to a tolerance relative to
+    ||Q||_inf: per-axis coefficients on reflect or truncate_mass faces),
+    a snapshot holds the d factors expm(tQ_k) of
     T = expm(tQ_0) (x) ... (x) expm(tQ_{d-1}), which costs sum n_k^3
     instead of n^3, and T itself is never formed; otherwise, and on every
-    1-D grid, it holds the one factor expm(tQ).  Either way T V, taken
-    one factor at a time, is compared with expm_multiply(tQ, V) (Al-Mohy
-    & Higham's truncated Taylor action, on the full sparse tQ) on
-    `_CHECK_PROBES` fixed random columns V with entries in [-1, 1], to
-    1e-10 of ||T||_inf = prod_k ||T_k||_inf.  The check shares no step
-    with Pade scaling and squaring or with the factorization, so an error
-    in either shows, a wrong, transposed or misordered factor included;
+    1-D grid, it holds the one factor expm(tQ).
+
+    The times are taken in increasing order t_1 < ... < t_m, with steps
+    d_k = t_k - t_{k-1} (t_0 = 0).  When d_k is exactly an earlier time,
+    T(t_k) = T(t_{k-1}) T(d_k), one product per factor (T(s + u) =
+    T(s) T(u)), and no `expm` runs; otherwise T(t_k) is a fresh `expm`.
+    On dyadic times such as 0.25, 0.5, 1 the product repeats a squaring
+    that scaling and squaring of expm(t_k Q) would do itself.
+
+    Every snapshot is checked against an independent algorithm: T(t_k) V,
+    taken one factor at a time, is compared with W_k, where W_0 = V and
+    W_k = expm_multiply(d_k Q, W_{k-1}) (Al-Mohy & Higham's truncated
+    Taylor action, on the full sparse Q), on `_CHECK_PROBES` fixed random
+    columns V with entries in [-1, 1], to 1e-10 of ||T||_inf =
+    prod_k ||T_k||_inf.  The check shares no step with Pade scaling and
+    squaring, the factorization or the products, so an error in any of
+    them shows, a wrong, transposed, misordered or stale factor included;
     expm(tQ / 2) squared would repeat expm's own arithmetic and could
-    not.  The check's cost grows linearly with ||tQ||, expm's only with
-    its logarithm.
+    not.  Carried along the chain of times, the Taylor work grows
+    linearly with max_k t_k ||Q||, not with sum_k t_k ||Q||; expm's
+    grows only with the logarithm of the norm.
     """
-    if t < 0:
+    one = np.ndim(t) == 0
+    times = [float(s) for s in np.atleast_1d(t)]
+    if any(s < 0 for s in times):
         raise ValueError("t must be nonnegative")
     if q.n > MAX_STATES:
         raise Overflow(f"{q.n} states exceeds the dense cap of {MAX_STATES}")
     from scipy.sparse.linalg import expm_multiply
 
-    As = t * _csr(q.entries)
-    norm = float(abs(As).sum(axis=1).max()) if q.n else 0.0
-    # written as `not <=` so that a NaN fails the comparison too
-    if not norm <= _EXPM_NORM_LIMIT:
-        raise Overflow(
-            f"||tQ|| = {norm:.3g} too large; use smaller t or a coarser grid")
-    split = _kronecker_factors(As, q.state_grid.shape)
-    factors = ((expm(t * q.entries),) if split is None
-               else tuple(expm(f) for f in split))
+    Qs = _csr(q.entries)
+    q_norm = float(abs(Qs).sum(axis=1).max()) if q.n else 0.0
+    chain = sorted(set(times))
+    for s in chain:
+        # written as `not <=` so that a NaN fails the comparison too
+        if not s * q_norm <= _EXPM_NORM_LIMIT:
+            raise Overflow(f"||tQ|| = {s * q_norm:.3g} too large; use "
+                           "smaller t or a coarser grid")
+    blocks = _kronecker_factors(Qs, q.state_grid.shape, _KRON_TOL * q_norm)
     V = np.random.default_rng(0).uniform(-1.0, 1.0, size=(q.n, _CHECK_PROBES))
-    err = float(np.abs(_kron_apply(factors, V) - expm_multiply(As, V)).max())
-    scale = math.prod(float(np.abs(T).sum(axis=1).max()) for T in factors)
-    if not err <= 1e-10 * max(1.0, scale):
-        raise Overflow(f"matrix exponential self-check failed: {err:.3g}")
-    return SemigroupSnapshot(t=float(t), factors=factors, norm=norm,
-                             check_error=err)
+    W, prev, snaps = V, 0.0, {}
+    for s in chain:
+        step = s - prev
+        if step in snaps:
+            factors = _compose(snaps[prev].factors, snaps[step].factors)
+        elif blocks is None:
+            factors = (expm(s * q.entries),)
+        else:
+            factors = tuple(expm(f) for f in _split_diagonal(blocks, s))
+        W = expm_multiply(step * Qs, W)
+        err = float(np.abs(_kron_apply(factors, V) - W).max())
+        scale = math.prod(float(np.abs(T).sum(axis=1).max())
+                          for T in factors)
+        if not err <= 1e-10 * max(1.0, scale):
+            raise Overflow(f"matrix exponential self-check failed at "
+                           f"t = {s:g}: {err:.3g}")
+        snaps[s] = SemigroupSnapshot(t=s, factors=factors, norm=s * q_norm,
+                                     check_error=err)
+        prev = s
+    out = tuple(snaps[s] for s in times)
+    return out[0] if one else out
 
 
 def dual_semigroup_via_F(T: SemigroupSnapshot,

@@ -481,15 +481,14 @@ def _run_verify_matrix(s: Scenario) -> dict:
     rows = []
     worst = 0.0
     stoch = None
-    for t in times:
-        T = semigroup(q, t)
+    for T in semigroup(q, times):
         TD = dual_semigroup_via_F(T, op)
         r = duality_residual(T, TD, op)
         worst = max(worst, r)
         rep = dual_stochasticity_check(TD)
         if stoch is None or not rep.passed:
             stoch = rep
-        rows.append({"t": float(t), "residual": float(r),
+        rows.append({"t": T.t, "residual": float(r),
                      "stochastic": bool(rep.passed)})
     ok = worst <= residual_max and stoch.passed
     return {

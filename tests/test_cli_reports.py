@@ -148,6 +148,48 @@ def test_verify_matrix_builds_one_survival_transform(tmp_path, monkeypatch):
             (tmp_path / "fresh" / name).read_bytes()
 
 
+def test_verify_matrix_makes_one_semigroup_call(tmp_path, monkeypatch):
+    # the benchmark's chain1d at its tiny scale: drift, diffusion and two
+    # jumps on a reflecting 41-state chain, probed at 0.25, 0.5 and 1
+    doc = {
+        "name": "chain1d-verify", "mode": "verify-matrix",
+        "process": {"dim": 1, "drift": ["-0.2*x1"],
+                    "diffusion": ["0.5 + 0.1*cos(x1)"],
+                    "jumps": [{"displacement": [0.5], "rate": 0.6},
+                              {"displacement": [-0.5], "rate": 0.4}]},
+        "grid": {"lower": [-2.0], "upper": [2.0], "spacing": [0.1],
+                 "boundary_policy": "reflect"},
+        "cone": {"type": "pareto"},
+        "probes": [{"x": [0.0], "y": [0.0], "t": t}
+                   for t in (0.25, 0.5, 1.0)],
+    }
+    semigroup, expm = matrix_lab.semigroup, matrix_lab.expm
+    calls = {"semigroup": 0, "expm": 0}
+
+    def counting_semigroup(q, t):
+        calls["semigroup"] += 1
+        return semigroup(q, t)
+
+    def counting_expm(A):
+        calls["expm"] += 1
+        return expm(A)
+
+    monkeypatch.setattr(scenario, "semigroup", counting_semigroup)
+    monkeypatch.setattr(matrix_lab, "expm", counting_expm)
+    rep = run_scenario(load_scenario(doc), out_dir=str(tmp_path / "chained"))
+    assert calls == {"semigroup": 1, "expm": 1}
+    assert [r["t"] for r in rep["results"]["per_time"]] == [0.25, 0.5, 1.0]
+
+    # the earlier call pattern: one semigroup call, and one expm, per time
+    monkeypatch.setattr(scenario, "semigroup",
+                        lambda q, ts: tuple(semigroup(q, t) for t in ts))
+    run_scenario(load_scenario(doc), out_dir=str(tmp_path / "per_time"))
+    assert calls["expm"] == 1 + 3
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / "chained" / name).read_bytes() == \
+            (tmp_path / "per_time" / name).read_bytes()
+
+
 def test_mc_report_and_plot_data(tmp_path):
     rep = run_scenario(load_scenario(_bm_mc()), out_dir=str(tmp_path))
     assert rep["pass"]

@@ -248,6 +248,26 @@ def test_semigroup_check_catches_wrong_kronecker_factors(monkeypatch):
         semigroup(q, 0.5)
 
 
+def test_semigroup_separability_test_scales_with_the_norm(monkeypatch):
+    # the benchmark's 2-D diffusion at t = 500: ||tQ|| is about 5e4, and
+    # the rounding in the diagonal split of tQ reaches 3.6e-12, above an
+    # absolute bound of 1e-12; measured against ||Q||, the test is the
+    # same at every t.  The factors stay finite: none grows like
+    # exp(t |Q[0, 0]|) while another decays like its inverse.
+    q, grid = _bench_case(6)
+    calls = _counting_expm(monkeypatch)
+    T = semigroup(q, 500.0).T
+    assert calls == [(m, m) for m in grid.shape]
+    want = scipy.linalg.expm(500.0 * q.entries)
+    assert np.abs(T - want).max() <= \
+        1e-13 * max(1.0, np.abs(want).sum(axis=1).max())
+    # a generator 1000 times as fast: its own split rounds at 1000 times
+    # the level, still small against its norm
+    fast = QMatrix(entries=1000.0 * q.entries, state_grid=grid)
+    semigroup(fast, 0.05)
+    assert calls[2:] == [(m, m) for m in grid.shape]
+
+
 def _bench_2d(side):
     """The benchmark's 2-D diffusion on a side x side reflecting grid."""
     half = 0.2 * (side - 1) / 2.0
@@ -278,15 +298,19 @@ _FACTORED_CASES = {
 
 def _line_factors(A, shape):
     """The per-axis factors of a Kronecker-sum A, read off dense A along
-    the grid lines through the first point (the diagonal split as
-    _kronecker_factors splits it)."""
+    the grid lines through the first point, with the diagonal split as
+    _split_diagonal splits it: every factor after the first shifted to
+    largest row sum 0, the first keeping the rest of A's diagonal."""
     out = []
     for k, m in enumerate(shape):
         line = np.arange(m) * int(np.prod(shape[k + 1:]))
-        f = A[np.ix_(line, line)].copy()
-        if k:
-            f[np.diag_indices(m)] -= A[0, 0]
-        out.append(f)
+        out.append(A[np.ix_(line, line)].copy())
+    rest = (len(shape) - 1) * A[0, 0]
+    for f in out[1:]:
+        shift = f.sum(axis=1).max()
+        f[np.diag_indices(len(f))] -= shift
+        rest -= shift
+    out[0][np.diag_indices(len(out[0]))] -= rest
     return out
 
 
@@ -403,6 +427,61 @@ def test_separable_q_under_a_dense_F_matches_the_dense_dual():
     assert len(TD.factors) == 1
     want = forward_F_matrix(grid, cone) @ T.T.T @ inverse_F_matrix(grid, cone)
     assert np.abs(TD.T - want).max() <= 1e-12
+
+
+def _chain_with_jumps():
+    spec = ProcessSpec.one_dim(
+        a=lambda x: 0.5 + 0.1 * np.cos(x), b=lambda x: -0.2 * x,
+        nu=AtomicJumpKernel(jumps=(((0.5,), 0.6), ((-0.5,), 0.4))))
+    return discretize(spec, build_grid([-2.0], [2.0], [0.1], "reflect"))
+
+
+# name -> (Q, expm calls per fresh time)
+_CHAIN_CASES = {
+    "1d-jumps": lambda: (_chain_with_jumps(), 1),
+    "2d-separable": lambda: (discretize(*_SEPARABLE_CASES["2d-reflect"]), 2),
+    "2d-absorbing-face": lambda: (_DENSE_CASES["absorbing-face"](), 1),
+}
+# times -> how many of them take a fresh expm
+_TIME_SETS = {(0.25, 0.5, 1.0): 1, (0.3, 0.7, 1.9): 3, (0.0, 1.0): 2,
+              (0.7,): 1}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAIN_CASES))
+@pytest.mark.parametrize("times", sorted(_TIME_SETS))
+def test_chained_semigroup_equals_independent_exponentials(name, times,
+                                                          monkeypatch):
+    q, per_time = _CHAIN_CASES[name]()
+    calls = _counting_expm(monkeypatch)
+    snaps = semigroup(q, times)
+    assert [s.t for s in snaps] == list(times)
+    for snap in snaps:
+        want = scipy.linalg.expm(snap.t * q.entries)
+        assert np.abs(snap.T - want).max() <= \
+            1e-13 * max(1.0, np.abs(want).sum(axis=1).max())
+    assert len(calls) == per_time * _TIME_SETS[times]
+    if per_time == 1:
+        assert set(calls) == {(q.n, q.n)}
+
+
+def test_semigroup_returns_the_times_in_the_order_given(monkeypatch):
+    q = _chain_with_jumps()
+    calls = _counting_expm(monkeypatch)
+    snaps = semigroup(q, [1.0, 0.25, 0.5, 0.25])
+    assert [s.t for s in snaps] == [1.0, 0.25, 0.5, 0.25]
+    assert snaps[1] is snaps[3]
+    assert len(calls) == 1
+    assert np.array_equal(snaps[0].T, semigroup(q, 1.0).T)
+    assert semigroup(q, []) == ()
+
+
+@pytest.mark.parametrize("name", ["1d-jumps", "2d-separable"])
+def test_chained_check_catches_a_stale_factor(name, monkeypatch):
+    q, _ = _CHAIN_CASES[name]()
+    # T(0.5) taken as T(0.25) itself instead of T(0.25) T(0.25)
+    monkeypatch.setattr(matrix_lab, "_compose", lambda earlier, step: earlier)
+    with pytest.raises(Overflow, match="self-check failed at t = 0.5:"):
+        semigroup(q, (0.25, 0.5, 1.0))
 
 
 def test_snapshot_takes_T_or_factors():
