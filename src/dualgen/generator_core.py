@@ -37,10 +37,11 @@ from .errors import (
     DimensionMismatch,
     NonFiniteCoefficient,
     NotSeparable,
+    Overflow,
     PositivityViolation,
     UnsupportedScheme,
 )
-from .state_space import Grid
+from .state_space import MAX_STATES, Grid
 
 __all__ = [
     "ProcessSpec",
@@ -428,13 +429,17 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
     `drift_at` and one `diffusion_at` call over the live states; each
     stencil move is then written for all states at once, in the same
     order per entry as a state-by-state loop, so Q does not depend on
-    how the assembly is batched.  Raises NonFiniteCoefficient on a NaN
-    or inf drift, diffusion or jump rate, and UnsupportedScheme on a
-    jump part with no generator rows (a simulation-only kernel) or a
+    how the assembly is batched.  Raises Overflow on a grid of more than
+    MAX_STATES points before anything is allocated, NonFiniteCoefficient
+    on a NaN or inf drift, diffusion or jump rate, and UnsupportedScheme
+    on a jump part with no generator rows (a simulation-only kernel) or a
     compensated one with no compensator drift.
     """
     if spec.dim != grid.dim:
         raise DimensionMismatch("spec and grid dimensions differ")
+    if grid.n_points > MAX_STATES:
+        raise Overflow(f"{grid.n_points} states exceeds the dense cap of "
+                       f"{MAX_STATES}")
     jump = spec.jump
     if jump is not None and not hasattr(jump, "generator_matrix"):
         raise UnsupportedScheme(

@@ -7,23 +7,22 @@ be checked to rounding.  `SurvivalTransform` is the one implementation of
 F and F^-1, with two paths: cumulative sums and differences along the grid
 axes for the Pareto cone, and a dense F with its exact Moebius inverse for
 any other lattice cone (the light cone is not a product of 1-D orders).
-`semigroup` takes all of a run's probe times in one call.  It computes
-exp(tQ) by scaling and squaring, or, when the step from the previous time
-is itself an earlier time, as the product T(s) T(u) = T(s + u), and
-checks every snapshot on a few fixed probe vectors against
-`expm_multiply`, a separate algorithm (the action of the exponential by
-truncated Taylor series) carried from one time to the next, so the
-Taylor work grows with max t ||Q|| rather than the sum over the times.
-Per-axis coefficients on a box whose faces reflect or truncate make Q a
-Kronecker sum Q_0 (+) ... (+) Q_{d-1}, read off Q itself; then exp(tQ)
-is the Kronecker product of the d small exponentials exp(tQ_k) (Van
-Loan, J. Comput. Appl. Math. 123, 2000), and the snapshot keeps it as
-those factors.  The Pareto F is the Kronecker product
-F_0 (x) ... (x) F_{d-1} of 1-D suffix sums, so the dual of a factored T
-is factored too,
-T^D = (x) F_k T_k' F_k^-1, and the residual and the stochasticity check
-work on the factors: no n x n T or T^D is built on such a grid.  A dense
-T is the one-factor case of the same code.
+Every semigroup here is a Kronecker product T = T_0 (x) ... (x) T_{m-1}
+of m = 1 or m = d factors, and every function takes it in that one form.
+Q is written once per `semigroup` call as a Kronecker sum
+Q_0 (+) ... (+) Q_{m-1} of generators: the d per-axis generators when
+per-axis coefficients on faces that reflect or truncate make Q such a
+sum, read off Q itself, and the one generator Q otherwise.  Then
+exp(tQ) = (x) exp(tQ_k) (Van Loan, J. Comput. Appl. Math. 123, 2000).
+`semigroup` takes all of a run's probe times in one call; a time whose
+step from the previous one is itself an earlier time is the product
+T(s) T(u) = T(s + u), and every snapshot is checked on a few fixed probe
+vectors against `expm_multiply`, a separate algorithm (the action of the
+exponential by truncated Taylor series) carried from one time to the
+next.  The Pareto F is the Kronecker product F_0 (x) ... (x) F_{d-1} of
+1-D suffix sums, so with one factor per axis the dual is factored too,
+T^D = (x) F_k T_k' F_k^-1; `SurvivalTransform.split` pairs each factor
+with its transform, or multiplies the factors out against the whole F.
 `duality_residual` pairs both semigroups with the order indicator through
 the same operator: the indicator is f = F', so T f = (F T')' and
 f T^D' = F' T^D' cost O(n^2 d) on the Pareto path (`apply_transpose` is a
@@ -35,14 +34,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, Overflow
 from .generator_core import QMatrix
-from .state_space import MAX_STATES, Cone, Grid, duality_indicator_matrix
+from .state_space import (_INDICATOR_BLOCK, MAX_STATES, Cone, Grid,
+                          duality_indicator_matrix)
 
 __all__ = [
     "SemigroupSnapshot",
@@ -78,39 +78,28 @@ def expm(A):
 class SemigroupSnapshot:
     """T = exp(tQ) at time t, held as Kronecker factors.
 
-    `factors` is (T_0, ..., T_{m-1}) with T = T_0 (x) ... (x) T_{m-1}.
-    `semigroup` gives one factor per grid axis when Q is a Kronecker sum
-    of per-axis generators, and one dense factor otherwise;
-    `SemigroupSnapshot(t=..., T=...)` builds the one-factor case.  `.T`
-    multiplies the factors out on access, an n x n array that verify-matrix
-    never reads on a factored snapshot.  `semigroup` also records
-    ||tQ||_inf as `norm` and the probe-vector check's error as
-    `check_error`; they stay None on a snapshot built another way (for
-    example the dual's).
+    `factors` is (T_0, ..., T_{m-1}) with T = T_0 (x) ... (x) T_{m-1}: one
+    factor per grid axis when Q is a Kronecker sum of per-axis
+    generators, one n x n factor otherwise.  `.T` multiplies the factors
+    out on access, an n x n array that verify-matrix never reads on a
+    factored snapshot.  `semigroup` also records ||tQ||_inf as `norm` and
+    the probe-vector check's error as `check_error`; they stay None on a
+    snapshot built another way (for example the dual's).
     """
 
     t: float
-    T: InitVar[Optional[np.ndarray]] = None
-    factors: tuple = ()
+    factors: tuple
     norm: Optional[float] = None
     check_error: Optional[float] = None
-
-    def __post_init__(self, T):
-        if (T is None) == (not self.factors):
-            raise ValueError("a snapshot takes T or its factors, not both")
-        if T is not None:
-            object.__setattr__(self, "factors", (np.asarray(T),))
 
     @property
     def n(self) -> int:
         return math.prod(len(A) for A in self.factors)
 
-
-# `T` is an init-only argument of the dataclass, so its read side is
-# attached once the class is built
-SemigroupSnapshot.T = property(
-    lambda snap: functools.reduce(np.kron, snap.factors),
-    doc="T itself: the Kronecker product of the factors.")
+    @property
+    def T(self) -> np.ndarray:
+        """T itself: the Kronecker product of the factors."""
+        return functools.reduce(np.kron, self.factors)
 
 
 # The Pareto F one grid axis at a time, with zero extension beyond the
@@ -141,8 +130,9 @@ class SurvivalTransform:
     Pareto cone: F is a suffix cumulative sum along every grid axis, F^-1
     the forward difference g(y) - g(y + h e_axis) and F^-T the backward
     difference, each with zero extension beyond the grid; F F^-1 = I
-    holds exactly.  So F = F_0 (x) ... (x) F_{d-1}, and `split` hands out
-    the 1-D transforms F_k of the grid axes.  Other cones: F = f' with f
+    holds exactly.  So F = F_0 (x) ... (x) F_{d-1}, and `split` pairs
+    per-axis factors with the 1-D transforms F_k of the grid axes.  Other
+    cones: F = f' with f
     the duality indicator matrix, and F^-1 by unit-triangular solve after
     sorting the states along the cone (the Moebius matrix of the finite
     order).
@@ -217,15 +207,21 @@ class SurvivalTransform:
         """F A' F^-1 for an (n, n) matrix A, as F (F^-T A)'."""
         return self.apply(self._apply_inverse_transpose(A).T)
 
-    def split(self, factors) -> Optional[tuple]:
-        """The 1-D transforms F_k with F = F_0 (x) ... (x) F_{d-1}, if F is
-        such a product (the Pareto cone) and `factors` holds one square
-        factor per grid axis, of that axis's length; otherwise None.  On
-        a 1-D grid F_0 is this transform itself."""
+    def split(self, *factor_sets) -> tuple:
+        """(transforms, *factor_sets), each set aligned with the transforms.
+
+        When F = F_0 (x) ... (x) F_{d-1} (the Pareto cone) and every set
+        holds one square factor per grid axis, of that axis's length, the
+        transforms are the 1-D F_k and the sets are returned as given;
+        otherwise the transform is (self,) and each set is multiplied out
+        to its one n x n factor.  On a 1-D grid F_0 is this transform
+        itself."""
         shapes = [(m, m) for m in self.grid.shape]
-        if self._axes is None or [A.shape for A in factors] != shapes:
-            return None
-        return self._axes
+        if self._axes is not None and all(
+                [A.shape for A in fs] == shapes for fs in factor_sets):
+            return (self._axes, *factor_sets)
+        return ((self,), *((functools.reduce(np.kron, fs),)
+                           for fs in factor_sets))
 
 
 def forward_F_matrix(grid: Grid, cone: Cone) -> np.ndarray:
@@ -249,58 +245,59 @@ def _csr(Q):
                       shape=Q.shape)
 
 
-def _kronecker_factors(As, shape, tol) -> Optional[list]:
-    """The blocks of A along the grid lines of each axis, if A is their
-    Kronecker sum; otherwise None.
+def _kronecker_factors(q: QMatrix, Qs, tol) -> list:
+    """Generators [Q_0, ..., Q_{m-1}] with Q = Q_0 (+) ... (+) Q_{m-1}:
+    the d per-axis generators if Q is their Kronecker sum, else [Q].
 
-    On a C-ordered grid of `shape` (d >= 2 axes) the Kronecker sum
-    A = A_0 (+) ... (+) A_{d-1} puts A_k on the grid lines of axis k.
-    Block k is A read off the line through the first grid point;
-    `_split_diagonal` turns the blocks of A into the factors of tA.  The
-    sum K of the factors of A is rebuilt sparsely and accepted only if
-    the largest row sum of |A - K| is at most `tol`: this holds for
-    per-axis coefficients on reflect and truncate_mass faces, and fails
-    for an absorbing face, a jump that moves two coordinates, or a rate
-    of one axis that depends on another.  As is A in CSR form.
+    On a C-ordered grid of d >= 2 axes the Kronecker sum puts Q_k on the
+    grid lines of axis k.  Block k is Q read off the line through the
+    first grid point, and `_split_diagonal` turns the blocks into the
+    generators.  Their sum K is rebuilt sparsely and accepted only if the
+    largest row sum of |Q - K| is at most `tol`: this holds for per-axis
+    coefficients on reflect and truncate_mass faces, and fails for an
+    absorbing face, a jump that moves two coordinates, or a rate of one
+    axis that depends on another.  Qs is Q in CSR form.
     """
-    if len(shape) < 2 or int(np.prod(shape)) != As.shape[0]:
-        return None
+    shape = q.state_grid.shape
+    if len(shape) < 2 or int(np.prod(shape)) != q.n:
+        return [q.entries]
     from scipy.sparse import csr_matrix, identity, kron
 
     blocks = []
     for k, m in enumerate(shape):
         line = np.arange(m) * int(np.prod(shape[k + 1:]))
-        blocks.append(As[line][:, line].toarray())
+        blocks.append(Qs[line][:, line].toarray())
+    gens = _split_diagonal(blocks)
     K = None
-    for k, f in enumerate(_split_diagonal(blocks, 1.0)):
+    for k, G in enumerate(gens):
         before, after = int(np.prod(shape[:k])), int(np.prod(shape[k + 1:]))
-        term = kron(kron(identity(before), csr_matrix(f)), identity(after),
+        term = kron(kron(identity(before), csr_matrix(G)), identity(after),
                     format="csr")
         K = term if K is None else K + term
-    defect = float(abs(As - K).sum(axis=1).max())
-    return blocks if defect <= tol else None
+    defect = float(abs(Qs - K).sum(axis=1).max())
+    return gens if defect <= tol else [q.entries]
 
 
-def _split_diagonal(blocks, t) -> list:
-    """The factors tA_k of tA = tA_0 (+) ... (+) tA_{d-1} from A's line
-    blocks (each holds A[0, 0] at [0, 0]).  The blocks fix the factors
-    only up to shifts by multiples of I that add up to 0.  Every factor
-    after the first is t times its block shifted to largest row sum 0, and
-    the first takes the rest of tA's diagonal, so its largest row sum is
-    tA's.  For a generator with per-axis rates on reflecting or truncating
-    faces these are the per-axis generators themselves.  Moving all of
-    A[0, 0] onto the first factor instead makes one factor exponential
-    grow like exp(t c) while another decays like exp(-t c), c the corner
-    rate of an axis: their product turns into inf times 0 once t c passes
-    about 700 (t = 50 on the benchmark's 2-D diffusion)."""
-    factors = [t * B for B in blocks]
-    rest = (len(blocks) - 1) * t * blocks[0][0, 0]
-    for f in factors[1:]:
-        shift = f.sum(axis=1).max()
-        f[np.diag_indices(len(f))] -= shift
+def _split_diagonal(blocks) -> list:
+    """The generators A_k of A = A_0 (+) ... (+) A_{d-1} from A's line
+    blocks (each holds A[0, 0] at [0, 0]), shifted in place.  The blocks
+    fix the generators only up to shifts by multiples of I that add up to
+    0.  Every generator after the first is its block shifted to largest
+    row sum 0, and the first takes the rest of A's diagonal, so its
+    largest row sum is A's.  For a generator with per-axis rates on
+    reflecting or truncating faces these are the per-axis generators
+    themselves.  Moving all of A[0, 0] onto the first one instead makes
+    one factor exp(tA_k) grow like exp(t c) while another decays like
+    exp(-t c), c the corner rate of an axis: their product turns into inf
+    times 0 once t c passes about 700 (t = 50 on the benchmark's 2-D
+    diffusion)."""
+    rest = (len(blocks) - 1) * blocks[0][0, 0]
+    for B in blocks[1:]:
+        shift = B.sum(axis=1).max()
+        B[np.diag_indices(len(B))] -= shift
         rest -= shift
-    factors[0][np.diag_indices(len(factors[0]))] -= rest
-    return factors
+    blocks[0][np.diag_indices(len(blocks[0]))] -= rest
+    return blocks
 
 
 def _kron_apply(factors, V) -> np.ndarray:
@@ -326,15 +323,12 @@ def semigroup(q: QMatrix, t):
     tuple with one snapshot per time, in the order given.  The work is
     done once per call, not once per time: Q's sparse form, its norm
     ||Q||_inf (||tQ||_inf = t ||Q||_inf, capped at `_EXPM_NORM_LIMIT` for
-    every time) and the separability test.
-
-    On a grid of d >= 2 axes where Q is a Kronecker sum of per-axis
-    generators (`_kronecker_factors`, to a tolerance relative to
-    ||Q||_inf: per-axis coefficients on reflect or truncate_mass faces),
-    a snapshot holds the d factors expm(tQ_k) of
-    T = expm(tQ_0) (x) ... (x) expm(tQ_{d-1}), which costs sum n_k^3
-    instead of n^3, and T itself is never formed; otherwise, and on every
-    1-D grid, it holds the one factor expm(tQ).
+    every time) and its generators Q_k (`_kronecker_factors`, to a
+    tolerance relative to ||Q||_inf).  A snapshot holds the factors
+    expm(tQ_k) of T = expm(tQ_0) (x) ... (x) expm(tQ_{m-1}): d of them,
+    sum n_k^3 work instead of n^3, where Q is a Kronecker sum of per-axis
+    generators (per-axis coefficients on reflect or truncate_mass faces),
+    and the one factor expm(tQ) on every other grid, 1-D ones included.
 
     The times are taken in increasing order t_1 < ... < t_m, with steps
     d_k = t_k - t_{k-1} (t_0 = 0).  When d_k is exactly an earlier time,
@@ -372,17 +366,15 @@ def semigroup(q: QMatrix, t):
         if not s * q_norm <= _EXPM_NORM_LIMIT:
             raise Overflow(f"||tQ|| = {s * q_norm:.3g} too large; use "
                            "smaller t or a coarser grid")
-    blocks = _kronecker_factors(Qs, q.state_grid.shape, _KRON_TOL * q_norm)
+    gens = _kronecker_factors(q, Qs, _KRON_TOL * q_norm)
     V = np.random.default_rng(0).uniform(-1.0, 1.0, size=(q.n, _CHECK_PROBES))
     W, prev, snaps = V, 0.0, {}
     for s in chain:
         step = s - prev
         if step in snaps:
             factors = _compose(snaps[prev].factors, snaps[step].factors)
-        elif blocks is None:
-            factors = (expm(s * q.entries),)
         else:
-            factors = tuple(expm(f) for f in _split_diagonal(blocks, s))
+            factors = tuple(expm(s * G) for G in gens)
         W = expm_multiply(step * Qs, W)
         err = float(np.abs(_kron_apply(factors, V) - W).max())
         scale = math.prod(float(np.abs(T).sum(axis=1).max())
@@ -402,16 +394,14 @@ def dual_semigroup_via_F(T: SemigroupSnapshot,
     """T^D(t) = F . transpose(T(t)) . F^-1 on the grid point basis; `op`
     is built once per grid and cone and shared across probe times.
 
-    With one factor per grid axis and the Pareto F = (x) F_k, the dual is
-    factored too, T^D = (x) F_k T_k' F_k^-1, each factor conjugated by the
-    1-D transform of its axis; with a dense F the factors are multiplied
-    out first.
+    Each factor is conjugated by the transform `op.split` pairs it with:
+    with one factor per grid axis and the Pareto F = (x) F_k the dual is
+    factored too, T^D = (x) F_k T_k' F_k^-1; otherwise it is the one
+    factor F T' F^-1.
     """
-    axes = op.split(T.factors)
-    if axes is None:
-        return SemigroupSnapshot(t=T.t, T=op.conjugate(T.T))
+    axes, factors = op.split(T.factors)
     return SemigroupSnapshot(t=T.t, factors=tuple(
-        ax.conjugate(A) for ax, A in zip(axes, T.factors)))
+        ax.conjugate(A) for ax, A in zip(axes, factors)))
 
 
 def dual_generator_via_F(q: QMatrix, grid: Grid, cone: Cone) -> QMatrix:
@@ -426,28 +416,24 @@ def duality_residual(T: SemigroupSnapshot, TD: SemigroupSnapshot,
 
     The indicator f[x, y] = 1{x - y in C} is F' by construction, so
     T f = (F T')' and f T^D' = F' T^D' cost O(n^2 d) through the
-    operator, and no n x n indicator is built.  When both snapshots have
-    one factor per grid axis and F splits by axis, both sides are
-    Kronecker products, T f = (x) M_k and f T^D' = (x) N_k with
-    M_k = (F_k T_k')' and N_k = F_k' T^D_k'.  The max still runs over all
-    n^2 pairs, taken a row of M_0 at a time, in O(n^2 / n_0) memory.
+    operator, and no n x n indicator is built.  With the factors
+    `op.split` aligns with its transforms, both sides are Kronecker
+    products, T f = (x) M_k and f T^D' = (x) N_k with M_k = (F_k T_k')'
+    and N_k = F_k' T^D_k'.  The max runs over all n^2 pairs, taken over
+    blocks of rows of M_0 of at most `_INDICATOR_BLOCK` entries each.
     """
     if T.n != TD.n:
         raise ValueError("incompatible snapshot dimensions")
-    Ps, PDs = T.factors, TD.factors
-    axes = op.split(Ps)
-    if axes is None or op.split(PDs) is None:
-        Ps, PDs, axes = (T.T,), (TD.T,), (op,)
+    axes, Ps, PDs = op.split(T.factors, TD.factors)
     M = [ax.apply(P.T).T for ax, P in zip(axes, Ps)]             # [x, y]
     N = [ax.apply_transpose(PD.T) for ax, PD in zip(axes, PDs)]  # [x, y]
-    if len(M) == 1:
-        return float(np.abs(M[0] - N[0]).max())
-    rest_M = functools.reduce(np.kron, M[1:])
-    rest_N = functools.reduce(np.kron, N[1:])
+    rest_M, rest_N = (functools.reduce(np.kron, X[1:], np.ones((1, 1)))
+                      for X in (M, N))
+    rows = max(1, _INDICATOR_BLOCK // (T.n * len(rest_M)))
     worst = 0.0
-    for m_row, n_row in zip(M[0], N[0]):
-        block = np.multiply.outer(m_row, rest_M)
-        block -= np.multiply.outer(n_row, rest_N)
+    for r in range(0, len(M[0]), rows):
+        block = np.multiply.outer(M[0][r:r + rows], rest_M)
+        block -= np.multiply.outer(N[0][r:r + rows], rest_N)
         worst = max(worst, float(np.abs(block, out=block).max()))
     return worst
 

@@ -8,7 +8,7 @@ vectors; the identity basis gives the Pareto cone R^d_+.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class Cone:
     """Ordering cone generated by d linearly independent basis vectors."""
 
     basis: np.ndarray          # columns are the generating vectors e_1..e_d
-    det_abs: float = field(default=0.0)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -137,7 +136,6 @@ class Cone:
         if abs(det) < 1e-12:
             raise SingularBasis("cone basis vectors are linearly dependent")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "det_abs", abs(det))
 
     @property
     def dim(self) -> int:

@@ -306,6 +306,20 @@ def _diffusion_2d(mode):
     }
 
 
+def test_cli_exit_two_on_a_2d_dual_that_would_drop_the_jumps(tmp_path,
+                                                             capsys):
+    # the diffusion's dual alone, with no jump part, used to pass
+    doc = _diffusion_2d("dual")
+    doc["process"]["jumps"] = [{"displacement": [1.0, 0.0], "rate": 1.0}]
+    doc["output_dir"] = str(tmp_path / "out")
+    assert main(["dual", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert err[0].endswith(
+        "jump part together with a drift and a diffusion")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def _tanh_walk(mode):
     # birth rate increasing, death rate decreasing: an admissible walk
     return {

@@ -18,6 +18,7 @@ from dualgen.errors import (
     InconsistentReport,
     MissingDerivative,
     NotSeparable,
+    StructureViolation,
 )
 from dualgen.generator_core import (
     AtomicJumpKernel,
@@ -27,6 +28,7 @@ from dualgen.generator_core import (
     discretize,
 )
 from dualgen.matrix_lab import dual_generator_via_F, entrywise_mismatch
+from dualgen.scenario import closed_form_dual
 from dualgen.state_space import Cone, build_grid
 
 
@@ -84,6 +86,18 @@ def test_dual_diffusion_requires_derivative():
     spec = ProcessSpec.one_dim(a=_const(1.0))
     with pytest.raises(MissingDerivative):
         dual_diffusion(spec)
+
+
+def test_dual_diffusion_rejects_a_callable_that_disagrees_with_the_declaration():
+    declared = dict(diffusion_diag=(_const(1.0), _const(0.5)),
+                    diffusion_diag_deriv=(_const(0.0), _const(0.0)))
+    agrees = ProcessSpec(dim=2, diffusion=lambda x: np.diag([1.0, 0.5]),
+                         **declared)
+    assert dual_diffusion(agrees).admissible
+    differs = ProcessSpec(dim=2, diffusion=lambda x: np.diag([1.0, 0.6]),
+                          **declared)
+    with pytest.raises(StructureViolation, match="differs from diffusion"):
+        dual_diffusion(differs)
 
 
 def test_dual_diffusion_flags_negative_diffusion():
@@ -205,6 +219,25 @@ def test_separable_nd_dual_admissibility():
     rep = dual_jump_multidim(bad)
     assert not rep.admissible
     assert rep.violated_conditions[0][0] == "rate_decreasing_axis_1"
+
+
+def test_closed_form_dual_refuses_a_jump_part_beside_a_drift_or_diffusion():
+    # each 2-D construction dualizes one part only: a diffusion with a
+    # jump part used to get the diffusion's dual with no jump part, and a
+    # drift with one the jump part's dual with no drift
+    dec = AtomicJumpKernel(jumps=(((1.0,), 1.0),))
+    jump = SeparableJumpKernel(components=((0, dec), (1, dec)))
+    assert dual_jump_multidim(jump).admissible
+    diffusion = dict(diffusion_diag=(_const(0.5), _const(0.5)),
+                     diffusion_diag_deriv=(_const(0.0), _const(0.0)))
+    drift = dict(drift_components=(_const(0.1), _const(-0.1)))
+    for parts, named in ((diffusion, "a diffusion"), (drift, "a drift"),
+                         ({**drift, **diffusion}, "a drift and a diffusion")):
+        spec = ProcessSpec(dim=2, jump=jump, **parts)
+        with pytest.raises(NotSeparable,
+                           match=f"jump part together with {named}$"):
+            closed_form_dual(spec)
+        assert closed_form_dual(ProcessSpec(dim=2, **parts)).admissible
 
 
 def _gauss_density_1d(center, deriv_sign):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from dualgen.errors import (
     DimensionMismatch,
     NonFiniteCoefficient,
     NotSeparable,
+    Overflow,
     PositivityViolation,
     UnsupportedScheme,
 )
@@ -605,6 +607,24 @@ def test_kernels_without_grid_rows_or_compensator_rejected_at_entry():
         discretize(compensated, grid)
     with pytest.raises(NotSeparable, match="axis 1 is a DensityJumpKernel"):
         SeparableJumpKernel(components=((1, density),))
+
+
+def test_discretize_refuses_a_grid_above_the_state_cap():
+    # 65 x 65 = 4225 states: refused before Q (143 MB) is allocated or a
+    # coefficient is evaluated
+    def never(x):
+        raise AssertionError("a coefficient was evaluated")
+
+    spec = ProcessSpec(dim=2, drift=never, diffusion=never)
+    grid = build_grid([0.0, 0.0], [64.0, 64.0], [1.0, 1.0], "reflect")
+    tracemalloc.start()
+    try:
+        with pytest.raises(Overflow, match="4225 states exceeds"):
+            discretize(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_jump_rows_placed_for_all_states_at_once():

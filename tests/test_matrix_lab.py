@@ -103,7 +103,7 @@ def test_duality_residual_matches_dense_indicator_formula(grid, cone):
     T = semigroup(q, 0.8)
     n = grid.n_points
     wrong = matrix_lab.SemigroupSnapshot(
-        t=0.8, T=np.random.default_rng(7).normal(size=(n, n)))
+        t=0.8, factors=(np.random.default_rng(7).normal(size=(n, n)),))
     for TD in (dual_semigroup_via_F(T, op), wrong):
         want = _dense_residual(T, TD, f)
         assert abs(duality_residual(T, TD, op) - want) <= 1e-12 * max(1.0, want)
@@ -268,13 +268,16 @@ def test_semigroup_separability_test_scales_with_the_norm(monkeypatch):
     assert calls[2:] == [(m, m) for m in grid.shape]
 
 
+_DIFFUSION_2D = {"dim": 2, "drift": ["-0.3*x1", "0.2 - 0.3*x2"],
+                 "diffusion": ["0.5 + 0.1*cos(x1)", "0.4 + 0.1*sin(x2)"]}
+
+
 def _bench_2d(side):
     """The benchmark's 2-D diffusion on a side x side reflecting grid."""
     half = 0.2 * (side - 1) / 2.0
     return load_scenario({
         "name": f"diff2d-{side}", "mode": "verify-matrix",
-        "process": {"dim": 2, "drift": ["-0.3*x1", "0.2 - 0.3*x2"],
-                    "diffusion": ["0.5 + 0.1*cos(x1)", "0.4 + 0.1*sin(x2)"]},
+        "process": _DIFFUSION_2D,
         "grid": {"lower": [-half] * 2, "upper": [half] * 2,
                  "spacing": [0.2, 0.2], "boundary_policy": "reflect"},
         "cone": {"type": "pareto"},
@@ -297,10 +300,10 @@ _FACTORED_CASES = {
 
 
 def _line_factors(A, shape):
-    """The per-axis factors of a Kronecker-sum A, read off dense A along
-    the grid lines through the first point, with the diagonal split as
-    _split_diagonal splits it: every factor after the first shifted to
-    largest row sum 0, the first keeping the rest of A's diagonal."""
+    """The per-axis generators of a Kronecker-sum A, read off dense A
+    along the grid lines through the first point, with the diagonal split
+    as _split_diagonal splits it: every generator after the first shifted
+    to largest row sum 0, the first keeping the rest of A's diagonal."""
     out = []
     for k, m in enumerate(shape):
         line = np.arange(m) * int(np.prod(shape[k + 1:]))
@@ -322,13 +325,13 @@ def test_factored_and_dense_verify_agree(name):
         T = semigroup(q, t)
         assert [A.shape for A in T.factors] == [(m, m) for m in grid.shape]
         want_T = functools.reduce(np.kron, [
-            scipy.linalg.expm(f) for f in _line_factors(t * q.entries,
-                                                        grid.shape)])
+            scipy.linalg.expm(t * G) for G in _line_factors(q.entries,
+                                                            grid.shape)])
         assert np.array_equal(T.T, want_T)
         TD = dual_semigroup_via_F(T, op)
         assert len(TD.factors) == grid.dim
-        # the same snapshot multiplied out takes the dense path
-        dense = matrix_lab.SemigroupSnapshot(t=t, T=T.T)
+        # the same snapshot multiplied out is the one-factor case
+        dense = matrix_lab.SemigroupSnapshot(t=t, factors=(T.T,))
         dense_TD = dual_semigroup_via_F(dense, op)
         assert len(dense_TD.factors) == 1
         assert abs(duality_residual(T, TD, op)
@@ -363,8 +366,8 @@ def test_factored_check_flags_a_separable_non_monotone_chain(monkeypatch):
     assert rep.passed is False and rep.min_entry < -1e-6
     i, j = rep.worst_entry_index
     assert TD.T[i, j] == rep.min_entry == TD.T.min()
-    dense = dual_semigroup_via_F(matrix_lab.SemigroupSnapshot(t=0.5, T=T.T),
-                                 op)
+    dense = dual_semigroup_via_F(
+        matrix_lab.SemigroupSnapshot(t=0.5, factors=(T.T,)), op)
     want = dual_stochasticity_check(dense)
     assert want.passed is False
     assert rep.worst_entry_index == want.worst_entry_index
@@ -408,11 +411,60 @@ def test_factored_snapshot_against_a_one_factor_wrong_dual():
     op = SurvivalTransform(grid, Cone.pareto(2))
     T = semigroup(q, 1.0)
     assert len(T.factors) == 2
-    wrong = matrix_lab.SemigroupSnapshot(t=1.0, T=T.T.T.copy())
+    wrong = matrix_lab.SemigroupSnapshot(t=1.0, factors=(T.T.T.copy(),))
     want = _dense_residual(T, wrong, duality_indicator_matrix(grid,
                                                               Cone.pareto(2)))
     got = duality_residual(T, wrong, op)
     assert got > 0.01 and abs(got - want) <= 1e-12 * want
+
+
+_BOX_2D = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "spacing": [0.25, 0.25]}
+
+# name -> (process, grid, cone) of a verify-matrix scenario
+_DEFECT_CASES = {
+    "2d-separable-pareto": (_DIFFUSION_2D,
+                            {**_BOX_2D, "boundary_policy": "reflect"},
+                            {"type": "pareto"}),
+    "2d-absorbing-face": (_DIFFUSION_2D,
+                          {**_BOX_2D, "boundary_policy": [
+                              ["reflect", "absorb"], "reflect"]},
+                          {"type": "pareto"}),
+    "2d-vectors-cone": (_DIFFUSION_2D,
+                        {**_BOX_2D, "boundary_policy": "reflect"},
+                        {"type": "vectors",
+                         "vectors": [[1.0, 0.0], [1.0, 1.0]]}),
+    "1d-chain": ({"dim": 1, "drift": ["-0.2*x1"],
+                  "diffusion": ["0.5 + 0.1*cos(x1)"],
+                  "jumps": [{"displacement": [0.5], "rate": 0.6},
+                            {"displacement": [-0.5], "rate": 0.4}]},
+                 {"lower": [-2.0], "upper": [2.0], "spacing": [0.1],
+                  "boundary_policy": "reflect"},
+                 {"type": "pareto"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEFECT_CASES))
+def test_verify_matrix_catches_F_inverse_in_place_of_its_transpose(
+        name, tmp_path, monkeypatch):
+    process, grid, cone = _DEFECT_CASES[name]
+    dim = process["dim"]
+    s = load_scenario({
+        "name": name, "mode": "verify-matrix", "process": process,
+        "grid": grid, "cone": cone,
+        "probes": [{"x": [0.0] * dim, "y": [0.0] * dim, "t": t}
+                   for t in (0.25, 1.0)],
+    })
+    residual_max = s.tolerances["residual_max"]
+    good = run_scenario(s, out_dir=str(tmp_path / "good"))
+    assert good["results"]["residual"] <= 1e-13
+    # the conjugation F A' F^-1 becomes F A' F^-T
+    monkeypatch.setattr(SurvivalTransform, "_apply_inverse_transpose",
+                        SurvivalTransform.apply_inverse)
+    bad = run_scenario(s, out_dir=str(tmp_path / "bad"))
+    assert bad["results"]["residual"] > residual_max
+    assert not bad["pass"]
+    assert all(row["residual"] > residual_max
+               for row in bad["results"]["per_time"])
 
 
 def test_separable_q_under_a_dense_F_matches_the_dense_dual():
@@ -484,9 +536,9 @@ def test_chained_check_catches_a_stale_factor(name, monkeypatch):
         semigroup(q, (0.25, 0.5, 1.0))
 
 
-def test_snapshot_takes_T_or_factors():
-    for kwargs in ({}, {"T": np.eye(2), "factors": (np.eye(2),)}):
-        with pytest.raises(ValueError):
+def test_snapshot_takes_factors_only():
+    for kwargs in ({}, {"T": np.eye(2)}):
+        with pytest.raises(TypeError):
             matrix_lab.SemigroupSnapshot(t=0.0, **kwargs)
     snap = matrix_lab.SemigroupSnapshot(t=0.0, factors=(np.eye(2),
                                                         np.eye(3)))
@@ -540,7 +592,7 @@ def test_wrong_dual_has_large_residual():
     op = SurvivalTransform(grid, Cone.pareto(1))
     T = semigroup(q, 1.0)
     from dualgen.matrix_lab import SemigroupSnapshot
-    wrong = SemigroupSnapshot(t=1.0, T=T.T.T.copy())     # transpose, not dual
+    wrong = SemigroupSnapshot(t=1.0, factors=(T.T.T.copy(),))  # not the dual
     assert duality_residual(T, wrong, op) > 0.01
 
 
@@ -604,7 +656,7 @@ def test_dual_stochasticity_flags_non_monotone_chain():
 
 def test_identity_snapshot_passes():
     from dualgen.matrix_lab import SemigroupSnapshot
-    snap = SemigroupSnapshot(t=0.0, T=np.eye(5))
+    snap = SemigroupSnapshot(t=0.0, factors=(np.eye(5),))
     assert dual_stochasticity_check(snap).passed
 
 

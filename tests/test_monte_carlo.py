@@ -1,5 +1,6 @@
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dualgen.errors import (
     NonConvergent,
     NonFiniteState,
     RateBoundExceeded,
+    StepTooCoarseWarning,
     UnsupportedScheme,
 )
 from dualgen.generator_core import AtomicJumpKernel, ProcessSpec, discretize
@@ -58,6 +60,19 @@ def test_brownian_terminal_moments():
     xs = simulate_paths(_bm(), cfg, [0.0])[:, 0]
     assert abs(xs.mean()) < 4.0 / np.sqrt(len(xs))
     assert abs(xs.var() - 1.0) < 0.05
+
+
+def test_step_too_coarse_for_the_diffusion_warns():
+    # |b| dt against 4 sqrt(2 a dt) at the start: 5 > 1.26 at dt = 0.1,
+    # 0.05 < 0.13 at dt = 0.001
+    spec = ProcessSpec.one_dim(a=_const(0.5), b=_const(50.0))
+    coarse = PathConfig(n_paths=1000, dt=0.1, t_end=0.2, seed=3)
+    with pytest.warns(StepTooCoarseWarning, match="decrease dt"):
+        simulate_paths(spec, coarse, [0.0])
+    fine = PathConfig(n_paths=1000, dt=0.001, t_end=0.002, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StepTooCoarseWarning)
+        simulate_paths(spec, fine, [0.0])
 
 
 def test_deterministic_flow_hits_exponential():

@@ -3,7 +3,8 @@
 Invariants are raised errors, never `assert` statements, so they survive
 `python -O`; no interface method is a stub that only raises; no
 module imports scipy at its top level, so `import dualgen` loads none of
-it; and no function has a default that no caller ever overrides.
+it; and no function parameter or dataclass field has a default that no
+caller ever overrides.
 """
 
 import ast
@@ -83,16 +84,43 @@ EXEMPT_PARAMETERS = {"box"}
 def _defaulted_parameters(tree):
     """(function name, parameter name, position or None) of every
     parameter with a default; the position counts from the first argument
-    a caller writes (after self or cls), None for keyword-only ones."""
+    a caller writes (after self or cls), None for keyword-only ones.  A
+    dataclass's fields are the parameters of a call to the class."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield from _params(node, skip=0)
         elif isinstance(node, ast.ClassDef):
+            if any(_names_dataclass(d) for d in node.decorator_list):
+                yield from _fields(node)
             for fn in node.body:
                 if isinstance(fn, ast.FunctionDef):
                     static = any(getattr(d, "id", None) == "staticmethod"
                                  for d in fn.decorator_list)
                     yield from _params(fn, skip=0 if static else 1)
+
+
+def _names_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", None) == "dataclass"
+
+
+def _fields(cls):
+    """(class name, field name, position) of every field of a dataclass
+    that has a default, given directly or through field(default=...) or
+    field(default_factory=...)."""
+    fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)
+              and isinstance(n.target, ast.Name)]
+    for i, node in enumerate(fields):
+        value = node.value
+        if value is None:
+            continue
+        if isinstance(value, ast.Call) \
+                and getattr(value.func, "id", None) == "field" \
+                and not {k.arg for k in value.keywords} \
+                & {"default", "default_factory"}:
+            continue
+        yield cls.name, node.target.id, i
 
 
 def _params(fn, skip):
@@ -128,8 +156,9 @@ def _passed(trees):
 
 def test_every_defaulted_parameter_is_passed_somewhere():
     """A parameter no caller sets is a constant with extra steps: each
-    default in the package must be overridden by at least one call in the
-    package, its tests, demos or benchmark."""
+    default in the package, of a function parameter or a dataclass field,
+    must be overridden by at least one call in the package, its tests,
+    demos or benchmark."""
     trees = [ast.parse(p.read_text(), filename=str(p)) for p in CALLER_FILES]
     keywords, positional = _passed(trees)
     never = []
