@@ -364,10 +364,18 @@ class ProcessSpec:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Finite-state generator on the points of a grid."""
+    """Finite-state generator on the points of a grid: `entries` is
+    n x n, n the grid's number of points."""
 
     entries: np.ndarray
     state_grid: Grid
+
+    def __post_init__(self):
+        n = self.state_grid.n_points
+        if np.shape(self.entries) != (n, n):
+            raise DimensionMismatch(
+                f"entries of shape {np.shape(self.entries)} on a grid of "
+                f"{n} points")
 
     @property
     def n(self) -> int:

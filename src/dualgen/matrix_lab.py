@@ -16,13 +16,18 @@ sum, read off Q itself, and the one generator Q otherwise.  Then
 exp(tQ) = (x) exp(tQ_k) (Van Loan, J. Comput. Appl. Math. 123, 2000).
 `semigroup` takes all of a run's probe times in one call; a time whose
 step from the previous one is itself an earlier time is the product
-T(s) T(u) = T(s + u), and every snapshot is checked on a few fixed probe
-vectors against `expm_multiply`, a separate algorithm (the action of the
-exponential by truncated Taylor series) carried from one time to the
-next.  The Pareto F is the Kronecker product F_0 (x) ... (x) F_{d-1} of
-1-D suffix sums, so with one factor per axis the dual is factored too,
-T^D = (x) F_k T_k' F_k^-1; `SurvivalTransform.split` pairs each factor
-with its transform, or multiplies the factors out against the whole F.
+T(s) T(u) = T(s + u).  Every snapshot is checked against a separate
+algorithm, the action of the exponential by truncated Taylor series
+(`_taylor_chain`, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
+carried from one time to the next on a few fixed probe vectors: each
+factor exp(tQ_k) on probes of its own length n_k against a chain on
+Q_k, and the generators tied to Q once per call by one sparse matvec,
+Q V = sum_k (I (x) Q_k (x) I) V.  So with d factors no Taylor work runs
+on an n-row array.  The Pareto F is the Kronecker product
+F_0 (x) ... (x) F_{d-1} of 1-D suffix sums, so with one factor per axis
+the dual is factored too, T^D = (x) F_k T_k' F_k^-1;
+`SurvivalTransform.split` pairs each factor with its transform, or
+multiplies the factors out against the whole F.
 `duality_residual` pairs both semigroups with the order indicator through
 the same operator: the indicator is f = F', so T f = (F T')' and
 f T^D' = F' T^D' cost O(n^2 d) on the Pareto path (`apply_transpose` is a
@@ -62,6 +67,14 @@ __all__ = [
 
 _EXPM_NORM_LIMIT = 1e6
 _CHECK_PROBES = 2
+# theta_m of the truncated Taylor action in double precision: m terms of
+# exp(hA) on substeps with ||hA||_1 <= theta_m have backward error at most
+# the unit roundoff 2^-53 (Al-Mohy & Higham, "Computing the action of the
+# matrix exponential, with an application to exponential integrators",
+# SIAM J. Sci. Comput. 33 (2011), Table 3.1)
+_TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4,
+                 30: 3.5, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
+_UNIT_ROUNDOFF = 2.0 ** -53
 # largest row sum of |Q - K|, relative to ||Q||_inf, at which Q counts as
 # the Kronecker sum K
 _KRON_TOL = 1e-12
@@ -83,8 +96,9 @@ class SemigroupSnapshot:
     generators, one n x n factor otherwise.  `.T` multiplies the factors
     out on access, an n x n array that verify-matrix never reads on a
     factored snapshot.  `semigroup` also records ||tQ||_inf as `norm` and
-    the probe-vector check's error as `check_error`; they stay None on a
-    snapshot built another way (for example the dual's).
+    the probe-vector check's largest error over the factors as
+    `check_error`; they stay None on a snapshot built another way (for
+    example the dual's).
     """
 
     t: float
@@ -259,7 +273,7 @@ def _kronecker_factors(q: QMatrix, Qs, tol) -> list:
     axis that depends on another.  Qs is Q in CSR form.
     """
     shape = q.state_grid.shape
-    if len(shape) < 2 or int(np.prod(shape)) != q.n:
+    if len(shape) < 2:
         return [q.entries]
     from scipy.sparse import csr_matrix, identity, kron
 
@@ -300,13 +314,67 @@ def _split_diagonal(blocks) -> list:
     return blocks
 
 
-def _kron_apply(factors, V) -> np.ndarray:
-    """(A_0 (x) ... (x) A_{m-1}) V, one factor at a time along its axis of
-    V's rows reshaped to the factor lengths."""
-    v = V.reshape(tuple(len(A) for A in factors) + V.shape[1:])
-    for k, A in enumerate(factors):
-        v = np.moveaxis(np.tensordot(A, v, axes=(1, k)), 0, k)
-    return v.reshape(V.shape)
+def _kron_sum_apply(gens, V) -> np.ndarray:
+    """(Q_0 (+) ... (+) Q_{m-1}) V = sum_k (I (x) Q_k (x) I) V, each
+    generator applied along its axis of V's rows reshaped to the
+    generator sizes."""
+    v = V.reshape(tuple(len(G) for G in gens) + V.shape[1:])
+    return sum(np.moveaxis(np.tensordot(G, v, axes=(1, k)), 0, k)
+               for k, G in enumerate(gens)).reshape(V.shape)
+
+
+def _inf_norm(B) -> float:
+    """The largest absolute row sum of B, as a matvec with ones: numpy's
+    sum(axis=1) over the check's two columns is several times slower."""
+    return float((np.abs(B) @ np.ones(B.shape[1])).max())
+
+
+def _taylor_chain(A, V, steps) -> list:
+    """[W_1, ..., W_m] with W_0 = V and W_k = exp(d_k A) W_{k-1} for the
+    steps d_k >= 0: the action of the exponential by truncated Taylor
+    series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Alg. 3.2).
+
+    A is a square array or sparse matrix, and V has A's length in rows.
+    The series runs on A - mu I, mu the mean diagonal of A, and each
+    substep h multiplies by exp(h mu).  The degree m and the scaling s
+    are chosen once, for the longest step d: m minimises m s over
+    `_TAYLOR_THETA` with s = ceil(d ||A - mu I||_1 / theta_m), the exact
+    1-norm.  A step d_k takes s_k = ceil(s d_k / d) substeps, so every
+    substep keeps ||h (A - mu I)||_1 <= theta_m.  A substep stops adding
+    terms once two in a row have inf-norms summing to at most
+    2^-53 ||F||_inf, F the partial sum.  The work is O(nnz(A) m s) for
+    the whole chain.
+    """
+    mu = float(A.diagonal().mean())
+    if isinstance(A, np.ndarray):
+        A = A - mu * np.eye(len(A))
+    else:
+        from scipy.sparse import identity
+        A = A - mu * identity(A.shape[0], format="csr")
+    norm = float(abs(A).sum(axis=0).max())
+    longest = max(steps, default=0.0)
+    m, s = 0, 1
+    if norm * longest > 0:
+        m, s = min(((deg, math.ceil(longest * norm / theta))
+                    for deg, theta in _TAYLOR_THETA.items()),
+                   key=lambda ms: ms[0] * ms[1])
+    out, F = [], V
+    for step in steps:
+        substeps = math.ceil(s * step / longest) if step else 0
+        for _ in range(substeps):
+            h = step / substeps
+            B, c1 = F, _inf_norm(F)
+            for j in range(1, m + 1):
+                B = A @ B
+                B *= h / j
+                c2 = _inf_norm(B)
+                F = F + B
+                if c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(F):
+                    break
+                c1 = c2
+            F = math.exp(h * mu) * F
+        out.append(F)
+    return out
 
 
 def _compose(earlier, step) -> tuple:
@@ -337,18 +405,22 @@ def semigroup(q: QMatrix, t):
     On dyadic times such as 0.25, 0.5, 1 the product repeats a squaring
     that scaling and squaring of expm(t_k Q) would do itself.
 
-    Every snapshot is checked against an independent algorithm: T(t_k) V,
-    taken one factor at a time, is compared with W_k, where W_0 = V and
-    W_k = expm_multiply(d_k Q, W_{k-1}) (Al-Mohy & Higham's truncated
-    Taylor action, on the full sparse Q), on `_CHECK_PROBES` fixed random
-    columns V with entries in [-1, 1], to 1e-10 of ||T||_inf =
-    prod_k ||T_k||_inf.  The check shares no step with Pade scaling and
-    squaring, the factorization or the products, so an error in any of
-    them shows, a wrong, transposed, misordered or stale factor included;
-    expm(tQ / 2) squared would repeat expm's own arithmetic and could
-    not.  Carried along the chain of times, the Taylor work grows
-    linearly with max_k t_k ||Q||, not with sum_k t_k ||Q||; expm's
-    grows only with the logarithm of the norm.
+    Every snapshot is checked against an independent algorithm, factor
+    by factor: T_j(t_k) V_j is compared with `_taylor_chain` on Q_j along
+    the steps d_1, ..., d_k (the sparse Q itself when there is one
+    factor), on `_CHECK_PROBES` fixed random columns V_j of length n_j
+    with entries in [-1, 1], to 1e-10 of max(1, ||T_j||_inf).  With d
+    factors the generators are tied to Q once per call: Q V and
+    (Q_0 (+) ... (+) Q_{d-1}) V, applied in the factors' axis order on
+    n-row probe columns, agree to the tolerance `_kronecker_factors`
+    accepts, at O(nnz(Q)) cost.  The checks share no step with Pade
+    scaling and squaring, the factorization or the products, so an error
+    in any of them shows: a wrong, transposed or stale factor in its own
+    check, a misordered or altered generator in the tie.  expm(tQ / 2)
+    squared would repeat expm's own arithmetic and could not.  The
+    Taylor work is O(sum_j nnz(Q_j) max_k t_k ||Q_j||), on arrays of the
+    factors' lengths; expm's grows only with the logarithm of the norm.
+    `check_error` records the largest error over the factors.
     """
     one = np.ndim(t) == 0
     times = [float(s) for s in np.atleast_1d(t)]
@@ -356,7 +428,6 @@ def semigroup(q: QMatrix, t):
         raise ValueError("t must be nonnegative")
     if q.n > MAX_STATES:
         raise Overflow(f"{q.n} states exceeds the dense cap of {MAX_STATES}")
-    from scipy.sparse.linalg import expm_multiply
 
     Qs = _csr(q.entries)
     q_norm = float(abs(Qs).sum(axis=1).max()) if q.n else 0.0
@@ -366,25 +437,36 @@ def semigroup(q: QMatrix, t):
         if not s * q_norm <= _EXPM_NORM_LIMIT:
             raise Overflow(f"||tQ|| = {s * q_norm:.3g} too large; use "
                            "smaller t or a coarser grid")
-    gens = _kronecker_factors(q, Qs, _KRON_TOL * q_norm)
-    V = np.random.default_rng(0).uniform(-1.0, 1.0, size=(q.n, _CHECK_PROBES))
-    W, prev, snaps = V, 0.0, {}
-    for s in chain:
-        step = s - prev
+    tol = _KRON_TOL * q_norm
+    gens = _kronecker_factors(q, Qs, tol)
+    rng = np.random.default_rng(0)
+    if len(gens) > 1:
+        U = rng.uniform(-1.0, 1.0, size=(q.n, _CHECK_PROBES))
+        tie = float(np.abs(Qs @ U - _kron_sum_apply(gens, U)).max())
+        if not tie <= tol:
+            raise Overflow(f"matrix exponential self-check failed: Q is "
+                           f"not the Kronecker sum of its factors: {tie:.3g}")
+    probes = [rng.uniform(-1.0, 1.0, size=(len(G), _CHECK_PROBES))
+              for G in gens]
+    starts = [0.0] + chain[:-1]
+    steps = [s - prev for prev, s in zip(starts, chain)]
+    checks = [_taylor_chain(Qs if len(gens) == 1 else G, V, steps)
+              for G, V in zip(gens, probes)]
+    snaps = {}
+    for i, (prev, s, step) in enumerate(zip(starts, chain, steps)):
         if step in snaps:
             factors = _compose(snaps[prev].factors, snaps[step].factors)
         else:
             factors = tuple(expm(s * G) for G in gens)
-        W = expm_multiply(step * Qs, W)
-        err = float(np.abs(_kron_apply(factors, V) - W).max())
-        scale = math.prod(float(np.abs(T).sum(axis=1).max())
-                          for T in factors)
-        if not err <= 1e-10 * max(1.0, scale):
-            raise Overflow(f"matrix exponential self-check failed at "
-                           f"t = {s:g}: {err:.3g}")
+        err = 0.0
+        for T, V, W in zip(factors, probes, checks):
+            e = float(np.abs(T @ V - W[i]).max())
+            if not e <= 1e-10 * max(1.0, _inf_norm(T)):
+                raise Overflow(f"matrix exponential self-check failed at "
+                               f"t = {s:g}: {e:.3g}")
+            err = max(err, e)
         snaps[s] = SemigroupSnapshot(t=s, factors=factors, norm=s * q_norm,
                                      check_error=err)
-        prev = s
     out = tuple(snaps[s] for s in times)
     return out[0] if one else out
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from dualgen import matrix_lab
-from dualgen.errors import Overflow
+from dualgen.errors import DimensionMismatch, Overflow
 from dualgen.generator_core import (
     AtomicJumpKernel,
     ProcessSpec,
@@ -536,6 +536,95 @@ def test_chained_check_catches_a_stale_factor(name, monkeypatch):
         semigroup(q, (0.25, 0.5, 1.0))
 
 
+def _expm_multiply_chain(A, V, steps):
+    """The reference: scipy's expm_multiply, one call per step."""
+    from scipy.sparse.linalg import expm_multiply
+    out = []
+    for step in steps:
+        V = expm_multiply(step * A, V)
+        out.append(V)
+    return out
+
+
+_TAYLOR_CASES = {
+    **{name: (lambda case=case: case()[0].entries)
+       for name, case in _CHAIN_CASES.items()},
+    "3-state": lambda: _NON_SYMMETRIC_Q,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAYLOR_CASES))
+@pytest.mark.parametrize("steps", [(0.25, 0.25, 0.5), (0.3, 0.4, 1.2),
+                                   (0.0, 1.0), (0.7,)])
+@pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+def test_taylor_chain_agrees_with_expm_multiply(name, steps, sparse):
+    Q = _TAYLOR_CASES[name]()
+    A = matrix_lab._csr(Q) if sparse else Q
+    V = np.random.default_rng(3).uniform(-1.0, 1.0, size=(len(Q), 2))
+    got = matrix_lab._taylor_chain(A, V, steps)
+    want = _expm_multiply_chain(matrix_lab._csr(Q), V, steps)
+    assert len(got) == len(steps)
+    for W, R in zip(got, want):
+        assert np.abs(W - R).max() <= \
+            1e-13 * max(1.0, np.abs(R).sum(axis=1).max())
+
+
+def test_taylor_chain_of_the_zero_generator_is_the_identity():
+    V = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 2))
+    for A in (np.zeros((5, 5)), matrix_lab._csr(np.zeros((5, 5)))):
+        out = matrix_lab._taylor_chain(A, V, (0.5, 2.0))
+        assert len(out) == 2
+        assert all(np.array_equal(W, V) for W in out)
+    assert matrix_lab._taylor_chain(np.zeros((5, 5)), V, ()) == []
+    # a multiple of I is all shift: exp(t c) V and no Taylor terms
+    W, = matrix_lab._taylor_chain(-2.0 * np.eye(5), V, (0.5,))
+    assert np.allclose(W, np.exp(-1.0) * V, rtol=1e-15, atol=0.0)
+
+
+def test_semigroup_check_on_a_separable_grid_runs_on_the_factors(
+        monkeypatch):
+    spec, grid = _SEPARABLE_CASES["3d-mixed"]      # 5 x 7 x 5 points
+    q = discretize(spec, grid)
+    seen = []
+    chain = matrix_lab._taylor_chain
+
+    def spy(A, V, steps):
+        seen.append((A.shape, V.shape, tuple(steps)))
+        return chain(A, V, steps)
+
+    monkeypatch.setattr(matrix_lab, "_taylor_chain", spy)
+    snaps = semigroup(q, (0.25, 0.5, 1.0))
+    assert [(a, v[0]) for a, v, _ in seen] == \
+        [((m, m), m) for m in grid.shape]
+    assert all(v[0] < q.n and steps == (0.25, 0.25, 0.5)
+               for _, v, steps in seen)
+    for snap in snaps:
+        want = scipy.linalg.expm(snap.t * q.entries)
+        assert np.abs(snap.T - want).max() <= \
+            1e-13 * max(1.0, np.abs(want).sum(axis=1).max())
+
+
+def test_semigroup_tie_catches_a_generator_that_is_not_q(monkeypatch):
+    # one off-diagonal rate of the second axis moved by 1e-6 ||Q||, the
+    # diagonal moved with it, so the factor is still a generator and its
+    # own check (expm against the Taylor chain, both on the moved
+    # generator) passes; only the tie to Q sees it
+    spec, grid = _SEPARABLE_CASES["2d-reflect"]
+    q = discretize(spec, grid)
+    delta = 1e-6 * np.abs(q.entries).sum(axis=1).max()
+    factors = matrix_lab._kronecker_factors
+
+    def moved(*args):
+        gens = factors(*args)
+        gens[1][2, 3] += delta
+        gens[1][2, 2] -= delta
+        return gens
+
+    monkeypatch.setattr(matrix_lab, "_kronecker_factors", moved)
+    with pytest.raises(Overflow, match="self-check failed"):
+        semigroup(q, (0.25, 0.5, 1.0))
+
+
 def test_snapshot_takes_factors_only():
     for kwargs in ({}, {"T": np.eye(2)}):
         with pytest.raises(TypeError):
@@ -569,9 +658,17 @@ def test_semigroup_rejects_negative_time_and_huge_systems():
     q = QMatrix(entries=np.zeros((2, 2)), state_grid=g)
     with pytest.raises(ValueError):
         semigroup(q, -1.0)
-    big = QMatrix(entries=np.zeros((4097, 4097)), state_grid=g)
+    big = QMatrix(entries=np.zeros((4097, 4097)),
+                  state_grid=build_grid([0.0], [4096.0], [1.0]))
     with pytest.raises(Overflow):
         semigroup(big, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,), (2, 2, 1)])
+def test_qmatrix_rejects_entries_not_n_by_n_for_its_grid(shape):
+    g = build_grid([0.0], [1.0], [1.0])                    # 2 points
+    with pytest.raises(DimensionMismatch, match="grid of 2 points"):
+        QMatrix(entries=np.zeros(shape), state_grid=g)
 
 
 def test_conjugation_identity_random_chains():

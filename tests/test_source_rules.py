@@ -3,8 +3,9 @@
 Invariants are raised errors, never `assert` statements, so they survive
 `python -O`; no interface method is a stub that only raises; no
 module imports scipy at its top level, so `import dualgen` loads none of
-it; and no function parameter or dataclass field has a default that no
-caller ever overrides.
+it, nor any of scipy's underscore-prefixed modules or names, which are
+not its public API; and no function parameter or dataclass field has a
+default that no caller ever overrides.
 """
 
 import ast
@@ -71,6 +72,43 @@ def test_no_top_level_scipy_import(path):
         found.extend(f"line {node.lineno}: imports {n}" for n in names
                      if n == "scipy" or n.startswith("scipy."))
     assert found == []
+
+
+def _private_scipy_imports(tree) -> list:
+    """Every import, at any depth, of a scipy module or name with a part
+    that starts with an underscore."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.extend(
+            f"line {node.lineno}: imports {n}" for n in names
+            if n.split(".")[0] == "scipy"
+            and any(part.startswith("_") for part in n.split(".")))
+    return found
+
+
+def test_private_scipy_import_rule_flags_underscore_parts():
+    flagged = ("from scipy.sparse.linalg._expm_multiply import _theta",
+               "import scipy.sparse._sputils",
+               "def f():\n    from scipy.linalg import _fblas")
+    allowed = ("from scipy.sparse.linalg import expm_multiply",
+               "import scipy.linalg", "from ._private import x",
+               "from _thread import lock")
+    assert all(len(_private_scipy_imports(ast.parse(src))) == 1
+               for src in flagged)
+    assert all(_private_scipy_imports(ast.parse(src)) == []
+               for src in allowed)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_scipy_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_scipy_imports(tree) == []
 
 
 ROOT = SRC.parent.parent
