@@ -139,7 +139,9 @@ class AtomicJumpKernel:
     """Finite list of jump channels.
 
     Each channel is (displacement, rate) or (target_map, rate); rates may
-    be constants or callables of the state.  rate_derivs, when supplied,
+    be constants or callables of the state.  A callable rate that carries
+    a `vectorized` attribute, as a scenario expression does, is evaluated
+    on all states in one call of it.  rate_derivs, when supplied,
     are the z-derivatives of the rate functions used by the dual
     construction (never differentiated numerically there).
     """
@@ -149,11 +151,15 @@ class AtomicJumpKernel:
 
     def rates_at(self, X: np.ndarray) -> np.ndarray:
         """(m, channels): the rate of each channel at the states X, (m, d);
-        a callable rate is called state by state."""
+        a callable rate is called state by state, unless it is vectorized."""
         R = np.empty((len(X), len(self.jumps)))
         for c, (_, rate) in enumerate(self.jumps):
-            R[:, c] = [float(rate(x)) for x in X] if callable(rate) \
-                else float(rate)
+            if not callable(rate):
+                R[:, c] = float(rate)
+            elif hasattr(rate, "vectorized"):
+                R[:, c] = rate.vectorized(X)
+            else:
+                R[:, c] = [float(rate(x)) for x in X]
         return R
 
     def _channels(self, X: np.ndarray):

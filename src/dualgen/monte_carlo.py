@@ -9,6 +9,10 @@ default; DUALGEN_THREADS lowers the count.  Each block advances its
 paths in place, in buffers allocated once per block.  The drift of a
 step is `ProcessSpec.drift_at` over all paths, the same evaluator
 `discretize` uses, so a compensated jump part moves both tracks alike.
+A coefficient parsed from an expression without variables is evaluated
+once per block instead of once per step; where every coefficient is
+such a constant, an absorbed path's coefficients are set to 0 when it is
+absorbed, so it costs no extra work on later steps.
 scipy is imported on use: only a full diffusion matrix needs its
 Cholesky factor.
 """
@@ -155,17 +159,24 @@ def positive_stable_sample(rng: np.random.Generator, alpha_half: float,
     return zolo / e ** ((1.0 - a) / a)
 
 
-def _sigma_into(spec: ProcessSpec, x: np.ndarray, sig: np.ndarray):
-    """sqrt(2 a_jj(x_j)) of a diagonal diffusion, written into sig;
-    returns a_00(x_0) over the paths, never a view of x, which the step
-    then changes (a coefficient may return its argument)."""
-    a = [np.asarray(ajj(x[:, j]), dtype=float)
-         for j, ajj in enumerate(spec.diffusion_diag)]
-    for j, a_j in enumerate(a):
+def _constant(coef) -> bool:
+    """Whether coef was parsed from an expression without variables, so
+    its value is the same at every state."""
+    return getattr(coef, "variables", None) == frozenset()
+
+
+def _sigma_into(spec: ProcessSpec, x: np.ndarray, sig: np.ndarray, axes):
+    """sqrt(2 a_jj(x_j)) of a diagonal diffusion on each of the axes,
+    written into those columns of sig; returns a_00(x_0) over the paths
+    when axis 0 is among them, else None."""
+    a0 = None
+    for j in axes:
+        a_j = np.asarray(spec.diffusion_diag[j](x[:, j]), dtype=float)
         np.multiply(2.0, a_j, out=sig[:, j])
         np.sqrt(sig[:, j], out=sig[:, j])
-    a0 = a[0].copy() if np.may_share_memory(a[0], x) else a[0]
-    return np.broadcast_to(a0, len(x))
+        if j == 0:
+            a0 = a_j
+    return a0
 
 
 def _require_constant_diffusion(spec: ProcessSpec, x: np.ndarray,
@@ -205,37 +216,58 @@ def _thin(jump: AtomicJumpKernel, cfg: PathConfig, x, dx, u, alive, disp):
     dx[cand] += disp[chan]
 
 
-def _bridge_hits(cfg: PathConfig, x_prev, x, a_prev, u, hit):
-    """Mark the paths positive at both ends of the step that crossed 0 in
-    between: u < exp(-x_prev x / (a dt)) with a = a_00(x_prev), per path
-    or one value for all, the Brownian-bridge crossing probability."""
-    xp, xs = x_prev[:, 0], x[:, 0]
+def _bridge_hits(cfg: PathConfig, x_prev, x, a_prev, u, hit, alive, prod):
+    """Mark the live paths that crossed 0 during the step: u < exp(arg),
+    arg = -x_prev x / (a dt) with a = a_00(x_prev), per path or one value
+    for all, the Brownian-bridge crossing probability.  prod is a buffer
+    of one value per path.
+
+    A live path was positive before the step (one that starts at or
+    below 0 is absorbed at t = 0), and one at or below 0 after it is hit
+    already, so `alive` stands for the test that both ends are positive;
+    at NaN the test fails either way."""
+    c = np.maximum(a_prev * cfg.dt, 1e-300)
+    # a path already hit may overflow exp(arg) to inf; it stays hit
     with np.errstate(over="ignore"):
-        arg = -xp * xs / np.maximum(a_prev * cfg.dt, 1e-300)
-    # u is a multiple of 2**-53, so a positive u is never below
-    # exp(arg) < 2**-53 (arg <= -37); there only u == 0 needs exp(arg) > 0.
-    # Skipping the rest also skips exp's slow subnormal and underflow range.
-    near = (arg > -37.0) | (u == 0.0)
-    near &= xs > 0.0
-    near &= xp > 0.0
-    idx = np.flatnonzero(near)
-    hit[idx[u[idx] < np.exp(arg[idx])]] = True
+        np.multiply(x_prev[:, 0], x[:, 0], out=prod)
+        # u is a multiple of 2**-53, so a positive u is never below
+        # exp(arg) < 2**-53 (arg <= -37, prod >= 37 c); there only u == 0
+        # needs exp(arg) > 0.  arg is computed for the rest alone, which
+        # also skips exp's slow subnormal and underflow range.
+        near = (prod < 37.0 * c) | (u == 0.0)
+        near &= alive
+        idx = near.nonzero()[0]
+        # -(prod / c) and prod / (-c) round alike: negation is exact
+        arg = prod[idx] / -(c[idx] if np.ndim(c) else c)
+        hit[idx[u[idx] < np.exp(arg)]] = True
 
 
-def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
+def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
                     salt: int, block: int):
-    """Advance the paths in x (filled with the start state) to t_end in
-    place, with the substream of (cfg.seed, salt, block).
+    """Advance the paths in out (filled with the start state) to t_end,
+    with the substream of (cfg.seed, salt, block).
 
     Draws per step, in this order: the normals (and the positive-stable
     mixing variables of stable_euler), the three thinning uniforms, and
     one uniform per path on an absorbing boundary (drawn also without the
-    bridge test).  Every buffer is allocated once per block."""
+    bridge test).  A path that starts at or below 0 on an absorbing half
+    line is absorbed at t = 0; it still draws, so the streams do not
+    change.  Every buffer is allocated once per block.
+
+    A drift or diagonal diffusion component parsed from an expression
+    without variables is evaluated once per block: sigma_j = sqrt(2 a_jj)
+    and b_j dt are then per-path arrays, and a drift of 0 adds nothing.
+    When every coefficient is constant, an absorbed path's entries of
+    both arrays are set to 0 once, so its increment is exactly 0 on every
+    later step.  Otherwise the increments of absorbed paths are
+    overwritten with 0 on each step.  The new state goes into the
+    increment buffer and the two buffers swap, so the bridge test reads
+    the state before the step without a copy."""
     rng = _block_rng(cfg.seed, salt, block)
+    x = out
     m = len(x)
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
-    has_drift = spec.has_drift()
     stable = spec.jump if cfg.scheme == "stable_euler" else None
     noisy = stable is not None or spec.has_diffusion()
     thinning = spec.jump if cfg.scheme == "euler_jump_thinning" else None
@@ -249,34 +281,73 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
     half = spec.domain == "half_line"
     reflecting = half and spec.boundary == "reflect"
     absorbing = half and spec.boundary == "absorb"
+    bridge = absorbing and cfg.bridge_correction
 
     dx = np.empty_like(x)
     z = np.empty_like(x) if noisy else None
+    # b dt, evaluated once per block where the drift is constant
+    bdt = None
+    drift_step = spec.has_drift()
+    if spec.drift_components is not None \
+            and all(map(_constant, spec.drift_components)) \
+            and not (spec.jump_compensated and spec.jump is not None):
+        drift_step = False
+        b_dt = np.multiply(spec.drift_at(x[:1]), dt)
+        if b_dt.any():
+            bdt = np.repeat(b_dt, m, axis=0)
     # with a drift, the noise goes to its own buffer and is added to b dt
-    noise = np.empty_like(x) if has_drift and noisy else dx
-    sig = np.empty_like(x) if diagonal else None
+    noise_buf = np.empty_like(x) if noisy and (drift_step or bdt is not None) \
+        else None
+    sig = varying = None
+    a_prev = None if diagonal else a_block[0, 0]
+    if diagonal:
+        sig = np.empty_like(x)
+        fixed = [j for j, ajj in enumerate(spec.diffusion_diag)
+                 if _constant(ajj)]
+        varying = [j for j in range(spec.dim) if j not in fixed]
+        a0 = _sigma_into(spec, x[:1], sig[:1], fixed)
+        sig[1:, fixed] = sig[0, fixed]
+        if a0 is not None:
+            a_prev = float(a0[0])
     if thinning is not None:
         u_thin = np.empty((3, m))
         disp = np.array([np.broadcast_to(np.asarray(w, dtype=float),
                                          x.shape[1:])
                          for w, _ in thinning.jumps])
-    alive = x_prev = None
-    a_prev = None if diagonal else a_block[0, 0]
+    alive = None
     if absorbing:
+        # frozen: absorbed paths have sigma = b dt = 0, so every increment
+        # of theirs is exactly 0; else `dead` lists them for the overwrite
+        frozen = stable is None and not drift_step and not varying \
+            and (diagonal or not spec.has_diffusion())
+        dead = None if frozen else np.empty(0, dtype=np.intp)
         alive = np.ones(m, dtype=bool)
-        dead = np.empty(0, dtype=np.intp)
         u = np.empty(m)
         hit = np.empty(m, dtype=bool)
-        if cfg.bridge_correction:
-            x_prev = np.empty_like(x)
+        prod = np.empty(m) if bridge else None
+
+        def absorb(x, new):
+            nonlocal dead
+            x[new] = 0.0
+            alive[new] = False
+            if frozen:
+                for coef in (sig, bdt):
+                    if coef is not None:
+                        coef[new] = 0.0
+            else:
+                dead = np.concatenate([dead, new])
+
+        absorb(x, np.flatnonzero(x[:, 0] <= 0.0))
 
     for _ in range(n_steps):
-        if x_prev is not None:
-            np.copyto(x_prev, x)
-        if has_drift:
+        noise = dx if noise_buf is None else noise_buf
+        if drift_step:
             np.multiply(spec.drift_at(x), dt, out=dx)
         elif not noisy:
-            dx.fill(0.0)
+            if bdt is None:
+                dx.fill(0.0)
+            else:
+                np.copyto(dx, bdt)
 
         if stable is not None:
             rng.standard_normal(out=z)
@@ -292,41 +363,50 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, x: np.ndarray,
         elif noisy:
             rng.standard_normal(out=z)
             if diagonal:
-                a_prev = _sigma_into(spec, x, sig)
+                if varying:
+                    a0 = _sigma_into(spec, x, sig, varying)
+                    if a0 is not None:
+                        a_prev = a0
                 np.multiply(sig, z, out=noise)
                 noise *= np.sqrt(dt)
             else:
                 _require_constant_diffusion(spec, x, a_block)
                 noise[...] = np.sqrt(dt) * z @ chol_t
         if noise is not dx:
-            dx += noise
+            if bdt is None:
+                dx += noise
+            else:
+                np.add(bdt, noise, out=dx)
 
         if thinning is not None:
             for row in u_thin:
                 rng.random(out=row)
             _thin(thinning, cfg, x, dx, u_thin, alive, disp)
 
-        if absorbing:
+        if absorbing and not frozen:
             # an absorbed path stays at 0.0; its increment is overwritten,
             # not multiplied by 0, because a coefficient singular at the
             # boundary makes it inf and inf * 0 is NaN
             dx[dead] = 0.0
-        x += dx
+        # the state before the step stays in the other buffer, so the
+        # bridge test reads it, and a_prev, evaluated on it, stays valid
+        np.add(x, dx, out=dx)
+        x, dx = dx, x
         if reflecting:
             np.abs(x, out=x)
         elif absorbing:
             rng.random(out=u)
             np.less_equal(x[:, 0], 0.0, out=hit)
             hit &= alive
-            if x_prev is not None:
-                _bridge_hits(cfg, x_prev, x, a_prev, u, hit)
+            if bridge:
+                _bridge_hits(cfg, dx, x, a_prev, u, hit, alive, prod)
             new = np.flatnonzero(hit)
             if len(new):
-                x[new] = 0.0
-                alive[new] = False
-                dead = np.concatenate([dead, new])
+                absorb(x, new)
 
-    bad = ~np.isfinite(x).all(axis=1)
+    if x is not out:
+        np.copyto(out, x)
+    bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
         raise NonFiniteState(
             f"{int(bad.sum())} of {m} paths in block {block} ended at NaN "

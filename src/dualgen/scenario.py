@@ -234,7 +234,8 @@ def _schema_fail(message: str, pointer: str):
 
 def _state_rate(src, dim: int):
     """A rate given as a number, or a state expression wrapped into
-    rate(x) -> float over one state."""
+    rate(x) -> float over one state; rate.vectorized is the expression
+    itself, over an (m, dim) array of states."""
     if isinstance(src, (int, float)):
         return float(src)
     fn = parse_expression(src, dim)
@@ -242,6 +243,7 @@ def _state_rate(src, dim: int):
     def g(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return float(fn(x.reshape(1, dim))[0])
+    g.vectorized = fn
     return g
 
 

@@ -223,6 +223,26 @@ def test_cli_exit_zero_on_pass(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_absorbed_side_started_on_the_boundary_stays_there(tmp_path):
+    # reflected BM and its dual, BM absorbed at 0: Y started at 0 is
+    # absorbed at t = 0, so x - Y_t >= 0 on every path, as X_t - y >= 0
+    doc = {
+        "name": "half-line-boundary", "mode": "mc",
+        "process": {"dim": 1, "diffusion": ["0.5"], "diffusion_deriv": ["0"],
+                    "domain": "half_line", "boundary": "reflect"},
+        "probes": [{"x": [1.0], "y": [0.0], "t": 1.0},
+                   {"x": [0.0], "y": [0.0], "t": 1.0}],
+        "path_config": {"n_paths": 20000, "dt": 0.01, "seed": 7,
+                        "bridge_correction": True},
+    }
+    code = main(["mc", _write(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert code == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    for probe in rep["results"]["probes"]:
+        assert probe["lhs_mean"] == probe["rhs_mean"] == 1.0
+        assert probe["rhs_se"] == 0.0
+
+
 def test_cli_exit_one_on_failed_tolerance(tmp_path, capsys):
     # wrong declared derivative of the diffusion coefficient: the
     # constructed dual picks up a spurious drift, so the two sides of the

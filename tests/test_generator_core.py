@@ -28,6 +28,7 @@ from dualgen.generator_core import (
     validate_qmatrix,
 )
 from dualgen.monte_carlo import StableLikeKernel
+from dualgen.scenario import load_scenario
 from dualgen.state_space import BOUNDARY_POLICIES, build_grid
 
 
@@ -525,6 +526,36 @@ def test_evaluators_match_per_state_reference(name):
     # one state given as a vector
     assert np.array_equal(spec.drift_at(X[3]), B[3])
     assert np.array_equal(spec.diffusion_at(X[3]), A[3])
+
+
+_RATE_EXPRESSIONS = (
+    "1 + 0.5*tanh(x1)", "exp(-x1*x1) + 0.1", "max(0.2, min(1, x1 + 0.5))",
+    "0.3*abs(sin(3*x1)) + pow(x1, 2)/10")
+
+
+def _expression_kernel(dim):
+    """An atomic kernel whose rates are scenario expressions, and one
+    constant, as `load_scenario` builds it."""
+    extra = " + 0.2*cos(x1 - x%d)" % dim if dim > 1 else ""
+    jumps = [{"displacement": [0.5 * (k + 1)] + [0.0] * (dim - 1),
+              "rate": src + extra}
+             for k, src in enumerate(_RATE_EXPRESSIONS)]
+    jumps.append({"displacement": [-1.0] * dim, "rate": 0.7})
+    return load_scenario({"name": "rates", "mode": "dual",
+                          "process": {"dim": dim, "jumps": jumps}}).process.jump
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATOR_CASES))
+def test_expression_rates_match_per_state_calls(name):
+    # an expression rate is evaluated on all states at once; the values
+    # are those of the per-state calls, to the bit
+    grid = _EVALUATOR_CASES[name][1]
+    kernel = _expression_kernel(grid.dim)
+    X = np.vstack([grid.points(), np.random.default_rng(grid.dim).uniform(
+        -3.0, 3.0, size=(2000, grid.dim))])
+    want = [[float(rate(x)) if callable(rate) else rate
+             for _, rate in kernel.jumps] for x in X]
+    assert np.array_equal(kernel.rates_at(X), want)
 
 
 def _outcome(fn, spec, grid, clip_cross):

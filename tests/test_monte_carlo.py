@@ -1,6 +1,7 @@
 import os
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from dualgen.monte_carlo import (
     worker_count,
 )
 from dualgen.order_transform import TranslationKernel
+from dualgen.scenario import closed_form_dual, load_scenario
 from dualgen.state_space import Cone, build_grid
 
 
@@ -369,6 +371,92 @@ def test_kernel_matches_plain_step_loop(case):
     got = simulate_paths(spec, cfg, x0, stream_salt=3)
     want = _reference_paths(spec, cfg, x0, salt=3)
     assert got.tobytes() == want.tobytes()
+
+
+def _declared(process):
+    """The spec of a scenario process: coefficients parsed from its
+    expressions, as `dualgen` runs them."""
+    return load_scenario({"name": "kernel-case", "mode": "dual",
+                          "process": process}).process
+
+
+# the mc-half-line benchmark's process: X reflected, its dual absorbed
+_HALF_LINE_BM = {"dim": 1, "diffusion": ["0.5"], "diffusion_deriv": ["0"],
+                 "domain": "half_line", "boundary": "reflect"}
+_ABSORBED_DRIFT = {"dim": 1, "drift": ["-0.4"], "diffusion": ["0.3"],
+                   "domain": "half_line", "boundary": "absorb"}
+
+# coefficients parsed from constant expressions: evaluated once per block
+_PARSED_KERNEL_CASES = {
+    # diffusion "0.5", drift a' - b = "0"
+    "bench_absorbed_dual": (closed_form_dual(_declared(_HALF_LINE_BM))
+                            .dual_spec, {"bridge_correction": True}, [0.5]),
+    "constant_drift_absorb": (_declared(_ABSORBED_DRIFT), {}, [0.6]),
+    "constant_drift_absorb_bridge": (_declared(_ABSORBED_DRIFT),
+                                     {"bridge_correction": True}, [0.6]),
+    "reflect": (_declared(_HALF_LINE_BM), {}, [0.5]),
+    "diagonal_2d": (_declared({"dim": 2, "drift": ["0.2", "-0.1"],
+                               "diffusion": ["0.5", "0.3"]}), {}, [0.1, -0.2]),
+    # one constant and one state-dependent diffusion component
+    "mixed_2d_absorb_bridge": (_declared({
+        "dim": 2, "drift": ["0", "-0.3*x2"],
+        "diffusion": ["0.4", "0.5 + 0.25*cos(x2)"],
+        "domain": "half_line", "boundary": "absorb"}),
+        {"bridge_correction": True}, [0.4, 0.2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARSED_KERNEL_CASES))
+def test_constant_coefficient_kernel_matches_plain_step_loop(case):
+    spec, extra, x0 = _PARSED_KERNEL_CASES[case]
+    cfg = PathConfig(n_paths=500, dt=0.01, t_end=1.0, seed=41, **extra)
+    got = simulate_paths(spec, cfg, x0, stream_salt=3)
+    want = _reference_paths(spec, cfg, x0, salt=3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_constant_coefficients_evaluated_once_per_block():
+    calls = []
+
+    def spy(name, coef):
+        def counted(s):
+            calls.append(name)
+            return coef(s)
+        counted.variables = coef.variables
+        return counted
+
+    spec = _PARSED_KERNEL_CASES["constant_drift_absorb_bridge"][0]
+    spied = replace(spec,
+                    drift_components=(spy("b", spec.drift_components[0]),),
+                    diffusion_diag=(spy("a", spec.diffusion_diag[0]),))
+    cfg = PathConfig(n_paths=monte_carlo.BLOCK_SIZE + 4000, dt=0.1,
+                     t_end=1.0, seed=9, bridge_correction=True)
+    got = simulate_paths(spied, cfg, [0.6])
+    # one call each for simulate_paths' step-size check, then one per
+    # block of ten steps
+    assert sorted(calls) == ["a"] * 3 + ["b"] * 3
+    assert got.tobytes() == simulate_paths(spec, cfg, [0.6]).tobytes()
+
+
+@pytest.mark.parametrize("spec", [_bm("half_line", "absorb"),
+                                  _PARSED_KERNEL_CASES["bench_absorbed_dual"][0]],
+                         ids=["callable", "parsed"])
+def test_paths_started_on_the_absorbing_boundary_stay_there(spec):
+    cfg = PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=4,
+                     bridge_correction=True)
+    for y in (0.0, -0.25):
+        xs = simulate_paths(spec, cfg, [y])
+        assert xs.tobytes() == np.zeros_like(xs).tobytes()
+    # absorbed at t = 0, a path still draws, so the other paths of its
+    # block keep their streams
+    mixed = np.full((1000, 1), 0.5)
+    mixed[::3] = 0.0
+    monte_carlo._simulate_block(spec, cfg, mixed, 0, 0)
+    alone = np.full((1000, 1), 0.5)
+    monte_carlo._simulate_block(spec, cfg, alone, 0, 0)
+    live = np.arange(1000) % 3 != 0
+    assert np.all(mixed[~live] == 0.0)
+    assert mixed[live].tobytes() == alone[live].tobytes()
 
 
 def test_worker_count_capped_at_usable_cores(monkeypatch):
