@@ -112,12 +112,16 @@ def _first_decrease(func, z_lo, z_hi, y, n_pairs: int):
 
 def _dual_drift(da, b):
     """The dual drift a' - b from the declared a' and b, either of which
-    may be None (read as 0); None when both are."""
+    may be None (read as 0); None when both are.  When every declared
+    part was parsed from an expression, the result's `variables` are the
+    union of theirs, so a' - b of two constants counts as constant too."""
     if b is None:
         return da
-    if da is None:
-        return lambda s: -b(s)
-    return lambda s: da(s) - b(s)
+    drift = (lambda s: da(s) - b(s)) if da else (lambda s: -b(s))
+    names = [getattr(f, "variables", None) for f in (da, b) if f is not None]
+    if None not in names:
+        drift.variables = frozenset().union(*names)
+    return drift
 
 
 def dual_drift(spec: ProcessSpec) -> DualReport:
@@ -445,14 +449,15 @@ def _proper_subsets(d: int):
 
 
 def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
-                       box=None) -> DualReport:
-    """Pareto dual of a d-dimensional jump kernel with supplied mixed
-    z-derivatives; admissible iff the sign conditions hold at probes.
-    A separable kernel has atomic components (its constructor raises
-    NotSeparable otherwise)."""
+                       dim: int, box=None) -> DualReport:
+    """Pareto dual of the jump kernel of a dim-dimensional process, with
+    supplied mixed z-derivatives; admissible iff the sign conditions hold
+    at probes.  The dual has the process's dimension, also when a
+    separable kernel moves only some axes.  A separable kernel has atomic
+    components (its constructor raises NotSeparable otherwise); a density
+    kernel declares smoothness = dim."""
     violated = []
     if isinstance(nu, SeparableJumpKernel):
-        dim = 1 + max(axis for axis, _ in nu.components)
         if box is None:
             box = [(-4.0, 4.0)] * dim
         # separable kernels: the order-d condition is void; admissibility
@@ -468,8 +473,7 @@ def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
                                  (float(grid_z[k]), float(grid_z[k + 1])),
                                  float(diffs[k])))
     elif isinstance(nu, DensityJumpKernel):
-        dim = nu.smoothness
-        if dim < 1:
+        if nu.smoothness != dim:
             raise MissingDerivative("density kernel must declare smoothness = d")
         if box is None:
             box = [(-4.0, 4.0)] * dim

@@ -20,7 +20,10 @@ each and then assembles each stencil move for all states at once with
 array writes, accumulating every entry in the same order as a
 state-by-state loop would, so Q is the same to the bit.  NaN or inf
 coefficients raise NonFiniteCoefficient instead of vanishing from the
-stencil.
+stencil.  Separability is decided here, from the spec: when it declares
+per-axis coefficients, separable jumps and no absorbing face, Q is the
+Kronecker sum of per-axis generators, and `discretize` hands them over
+in `QMatrix.generators`, each the 1-D discretization of its axis.
 """
 
 from __future__ import annotations
@@ -371,10 +374,17 @@ class ProcessSpec:
 @dataclass(frozen=True)
 class QMatrix:
     """Finite-state generator on the points of a grid: `entries` is
-    n x n, n the grid's number of points."""
+    n x n, n the grid's number of points.
+
+    `generators` are the terms of Q as a Kronecker sum
+    Q = Q_0 (+) ... (+) Q_{m-1}: one square term per grid axis, of that
+    axis's length, when `discretize` finds the spec separable, else the
+    one n x n term `entries` (the default).  Terms of any other shape
+    raise DimensionMismatch, as `entries` not n x n does."""
 
     entries: np.ndarray
     state_grid: Grid
+    generators: tuple = ()
 
     def __post_init__(self):
         n = self.state_grid.n_points
@@ -382,6 +392,13 @@ class QMatrix:
             raise DimensionMismatch(
                 f"entries of shape {np.shape(self.entries)} on a grid of "
                 f"{n} points")
+        if not self.generators:
+            object.__setattr__(self, "generators", (self.entries,))
+        shapes = [np.shape(G) for G in self.generators]
+        if shapes not in ([(n, n)], [(m, m) for m in self.state_grid.shape]):
+            raise DimensionMismatch(
+                f"generators of shapes {shapes} on a grid of shape "
+                f"{self.state_grid.shape}")
 
     @property
     def n(self) -> int:
@@ -409,14 +426,12 @@ def _axis_neighbor(grid: Grid, flat: np.ndarray, axis: int, step) -> np.ndarray:
 
 def _absorbing_mask(grid: Grid) -> np.ndarray:
     """Flat mask of states on faces with absorb policy (zero rows)."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    for axis, policies in enumerate(grid.boundary_policy):
-        for end, pol in zip((0, -1), policies):
-            if pol == "absorb":
-                face = [slice(None)] * grid.dim
-                face[axis] = end
-                mask[tuple(face)] = True
-    return mask.ravel(order="C")
+    k = np.indices(grid.shape).reshape(grid.dim, -1)
+    mask = np.zeros(grid.n_points, dtype=bool)
+    for axis, (lo, hi) in enumerate(grid.boundary_policy):
+        mask |= (k[axis] == 0) & (lo == "absorb")
+        mask |= (k[axis] == grid.shape[axis] - 1) & (hi == "absorb")
+    return mask
 
 
 def _require_finite(values: np.ndarray, what: str, states, pts: np.ndarray):
@@ -433,6 +448,45 @@ def _require_finite(values: np.ndarray, what: str, states, pts: np.ndarray):
             f"(state {i})")
 
 
+def _axis_generators(spec: ProcessSpec, grid: Grid,
+                     clip_cross: bool) -> tuple:
+    """The generator of each grid axis when the spec declares a generator
+    that is their Kronecker sum, else (): the 1-D `discretize` of the
+    axis's own coefficients and jump channels on its 1-D grid.
+
+    That takes d >= 2, per-axis drift (drift_components) and diagonal
+    diffusion (diffusion_diag, no diffusion_offdiag) or none, no generic
+    drift or diffusion callable, no absorbing face, and a jump part that
+    is absent, a SeparableJumpKernel, or an AtomicJumpKernel whose every
+    channel is a displacement along one axis at a numeric rate.
+    jump_compensated and the cutoff carry over to every axis; an axis
+    with no coefficient and no channel gets the zero generator."""
+    jump, d = spec.jump, grid.dim
+    if isinstance(jump, AtomicJumpKernel) and all(
+            not (callable(w) or callable(r)) and np.shape(w) == (d,)
+            and np.count_nonzero(w) == 1 for w, r in jump.jumps):
+        jump = SeparableJumpKernel(tuple(
+            (k, AtomicJumpKernel(jumps=(((w[k],), r),)))
+            for w, r in jump.jumps for k in np.flatnonzero(w)))
+    if d < 2 or spec.drift is not None or spec.diffusion is not None \
+            or spec.diffusion_offdiag \
+            or not isinstance(jump, (SeparableJumpKernel, type(None))) \
+            or any("absorb" in pols for pols in grid.boundary_policy):
+        return ()
+    b = spec.drift_components or (None,) * d
+    a = spec.diffusion_diag or (None,) * d
+    parts = getattr(jump, "components", ())
+    with warnings.catch_warnings():
+        # the d-D assembly has raised each warning once
+        warnings.simplefilter("ignore")
+        return tuple(discretize(ProcessSpec.one_dim(
+            a=a[k], b=b[k], nu=SeparableJumpKernel(tuple(
+                (0, kern) for axis, kern in parts if axis == k)),
+            jump_compensated=spec.jump_compensated,
+            compensator_cutoff=spec.compensator_cutoff),
+            grid.axis(k), clip_cross).entries for k in range(d))
+
+
 def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatrix:
     """Finite-difference / quadrature discretization of the generator.
 
@@ -443,11 +497,14 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
     `drift_at` and one `diffusion_at` call over the live states; each
     stencil move is then written for all states at once, in the same
     order per entry as a state-by-state loop, so Q does not depend on
-    how the assembly is batched.  Raises Overflow on a grid of more than
-    MAX_STATES points before anything is allocated, NonFiniteCoefficient
-    on a NaN or inf drift, diffusion or jump rate, and UnsupportedScheme
-    on a jump part with no generator rows (a simulation-only kernel) or a
-    compensated one with no compensator drift.
+    how the assembly is batched.  The QMatrix carries Q's terms as a
+    Kronecker sum (`_axis_generators`): the d per-axis generators when
+    the spec declares them, else Q alone.  Raises Overflow on a grid of
+    more than MAX_STATES points before anything is allocated,
+    NonFiniteCoefficient on a NaN or inf drift, diffusion or jump rate,
+    and UnsupportedScheme on a jump part with no generator rows (a
+    simulation-only kernel) or a compensated one with no compensator
+    drift; each from the d-D assembly, before any per-axis one.
     """
     if spec.dim != grid.dim:
         raise DimensionMismatch("spec and grid dimensions differ")
@@ -544,7 +601,8 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
     if G is not None:
         Q[live] += G[live]
 
-    return QMatrix(entries=Q, state_grid=grid)
+    return QMatrix(entries=Q, state_grid=grid,
+                   generators=_axis_generators(spec, grid, clip_cross))
 
 
 def adjoint(q: QMatrix) -> QMatrix:

@@ -9,11 +9,12 @@ axes for the Pareto cone, and a dense F with its exact Moebius inverse for
 any other lattice cone (the light cone is not a product of 1-D orders).
 Every semigroup here is a Kronecker product T = T_0 (x) ... (x) T_{m-1}
 of m = 1 or m = d factors, and every function takes it in that one form.
-Q is written once per `semigroup` call as a Kronecker sum
-Q_0 (+) ... (+) Q_{m-1} of generators: the d per-axis generators when
-per-axis coefficients on faces that reflect or truncate make Q such a
-sum, read off Q itself, and the one generator Q otherwise.  Then
-exp(tQ) = (x) exp(tQ_k) (Van Loan, J. Comput. Appl. Math. 123, 2000).
+Q comes with its terms as a Kronecker sum Q_0 (+) ... (+) Q_{m-1},
+`QMatrix.generators`: the d per-axis generators that `discretize`
+assembles on the grid axes when the spec declares per-axis coefficients
+on faces that reflect or truncate, and the one generator Q otherwise.
+Then exp(tQ) = (x) exp(tQ_k) (Van Loan, J. Comput. Appl. Math. 123,
+2000).
 `semigroup` takes all of a run's probe times in one call; a time whose
 step from the previous one is itself an earlier time is the product
 T(s) T(u) = T(s + u).  Every snapshot is checked against a separate
@@ -75,9 +76,9 @@ _CHECK_PROBES = 2
 _TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4,
                  30: 3.5, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 _UNIT_ROUNDOFF = 2.0 ** -53
-# largest row sum of |Q - K|, relative to ||Q||_inf, at which Q counts as
-# the Kronecker sum K
-_KRON_TOL = 1e-12
+# largest entry of |Q V - (Q_0 (+) ... (+) Q_{m-1}) V| on the tie's probe
+# columns V, relative to ||Q||_inf, at which the generators are Q's
+_TIE_TOL = 1e-12
 
 
 def expm(A):
@@ -160,11 +161,7 @@ class SurvivalTransform:
         self._axes = None
         if np.allclose(cone.basis, np.eye(cone.dim)):
             self._axes = (self,) if grid.dim == 1 else tuple(
-                SurvivalTransform(Grid(
-                    lower=grid.lower[k:k + 1], upper=grid.upper[k:k + 1],
-                    spacing=grid.spacing[k:k + 1],
-                    boundary_policy=grid.boundary_policy[k:k + 1]),
-                    Cone.pareto(1))
+                SurvivalTransform(grid.axis(k), Cone.pareto(1))
                 for k in range(grid.dim))
         else:
             F = duality_indicator_matrix(grid, cone).T
@@ -259,61 +256,6 @@ def _csr(Q):
                       shape=Q.shape)
 
 
-def _kronecker_factors(q: QMatrix, Qs, tol) -> list:
-    """Generators [Q_0, ..., Q_{m-1}] with Q = Q_0 (+) ... (+) Q_{m-1}:
-    the d per-axis generators if Q is their Kronecker sum, else [Q].
-
-    On a C-ordered grid of d >= 2 axes the Kronecker sum puts Q_k on the
-    grid lines of axis k.  Block k is Q read off the line through the
-    first grid point, and `_split_diagonal` turns the blocks into the
-    generators.  Their sum K is rebuilt sparsely and accepted only if the
-    largest row sum of |Q - K| is at most `tol`: this holds for per-axis
-    coefficients on reflect and truncate_mass faces, and fails for an
-    absorbing face, a jump that moves two coordinates, or a rate of one
-    axis that depends on another.  Qs is Q in CSR form.
-    """
-    shape = q.state_grid.shape
-    if len(shape) < 2:
-        return [q.entries]
-    from scipy.sparse import csr_matrix, identity, kron
-
-    blocks = []
-    for k, m in enumerate(shape):
-        line = np.arange(m) * int(np.prod(shape[k + 1:]))
-        blocks.append(Qs[line][:, line].toarray())
-    gens = _split_diagonal(blocks)
-    K = None
-    for k, G in enumerate(gens):
-        before, after = int(np.prod(shape[:k])), int(np.prod(shape[k + 1:]))
-        term = kron(kron(identity(before), csr_matrix(G)), identity(after),
-                    format="csr")
-        K = term if K is None else K + term
-    defect = float(abs(Qs - K).sum(axis=1).max())
-    return gens if defect <= tol else [q.entries]
-
-
-def _split_diagonal(blocks) -> list:
-    """The generators A_k of A = A_0 (+) ... (+) A_{d-1} from A's line
-    blocks (each holds A[0, 0] at [0, 0]), shifted in place.  The blocks
-    fix the generators only up to shifts by multiples of I that add up to
-    0.  Every generator after the first is its block shifted to largest
-    row sum 0, and the first takes the rest of A's diagonal, so its
-    largest row sum is A's.  For a generator with per-axis rates on
-    reflecting or truncating faces these are the per-axis generators
-    themselves.  Moving all of A[0, 0] onto the first one instead makes
-    one factor exp(tA_k) grow like exp(t c) while another decays like
-    exp(-t c), c the corner rate of an axis: their product turns into inf
-    times 0 once t c passes about 700 (t = 50 on the benchmark's 2-D
-    diffusion)."""
-    rest = (len(blocks) - 1) * blocks[0][0, 0]
-    for B in blocks[1:]:
-        shift = B.sum(axis=1).max()
-        B[np.diag_indices(len(B))] -= shift
-        rest -= shift
-    blocks[0][np.diag_indices(len(blocks[0]))] -= rest
-    return blocks
-
-
 def _kron_sum_apply(gens, V) -> np.ndarray:
     """(Q_0 (+) ... (+) Q_{m-1}) V = sum_k (I (x) Q_k (x) I) V, each
     generator applied along its axis of V's rows reshaped to the
@@ -391,12 +333,12 @@ def semigroup(q: QMatrix, t):
     tuple with one snapshot per time, in the order given.  The work is
     done once per call, not once per time: Q's sparse form, its norm
     ||Q||_inf (||tQ||_inf = t ||Q||_inf, capped at `_EXPM_NORM_LIMIT` for
-    every time) and its generators Q_k (`_kronecker_factors`, to a
-    tolerance relative to ||Q||_inf).  A snapshot holds the factors
-    expm(tQ_k) of T = expm(tQ_0) (x) ... (x) expm(tQ_{m-1}): d of them,
-    sum n_k^3 work instead of n^3, where Q is a Kronecker sum of per-axis
-    generators (per-axis coefficients on reflect or truncate_mass faces),
-    and the one factor expm(tQ) on every other grid, 1-D ones included.
+    every time) and the tie of its generators to Q.  A snapshot holds
+    the factors expm(tQ_k) of T = expm(tQ_0) (x) ... (x) expm(tQ_{m-1}),
+    Q_k the terms `q.generators` as given: d of them, sum n_k^3 work
+    instead of n^3, where `discretize` found the spec separable (per-axis
+    coefficients on reflect or truncate_mass faces), and the one factor
+    expm(tQ) on every other grid, 1-D ones included.
 
     The times are taken in increasing order t_1 < ... < t_m, with steps
     d_k = t_k - t_{k-1} (t_0 = 0).  When d_k is exactly an earlier time,
@@ -412,8 +354,9 @@ def semigroup(q: QMatrix, t):
     with entries in [-1, 1], to 1e-10 of max(1, ||T_j||_inf).  With d
     factors the generators are tied to Q once per call: Q V and
     (Q_0 (+) ... (+) Q_{d-1}) V, applied in the factors' axis order on
-    n-row probe columns, agree to the tolerance `_kronecker_factors`
-    accepts, at O(nnz(Q)) cost.  The checks share no step with Pade
+    n-row probe columns, agree to `_TIE_TOL` ||Q||_inf, at O(nnz(Q))
+    cost.  This is the check that the d-D assembly of Q and the per-axis
+    assemblies of its generators agree.  The checks share no step with Pade
     scaling and squaring, the factorization or the products, so an error
     in any of them shows: a wrong, transposed or stale factor in its own
     check, a misordered or altered generator in the tie.  expm(tQ / 2)
@@ -437,13 +380,12 @@ def semigroup(q: QMatrix, t):
         if not s * q_norm <= _EXPM_NORM_LIMIT:
             raise Overflow(f"||tQ|| = {s * q_norm:.3g} too large; use "
                            "smaller t or a coarser grid")
-    tol = _KRON_TOL * q_norm
-    gens = _kronecker_factors(q, Qs, tol)
+    gens = q.generators
     rng = np.random.default_rng(0)
     if len(gens) > 1:
         U = rng.uniform(-1.0, 1.0, size=(q.n, _CHECK_PROBES))
         tie = float(np.abs(Qs @ U - _kron_sum_apply(gens, U)).max())
-        if not tie <= tol:
+        if not tie <= _TIE_TOL * q_norm:
             raise Overflow(f"matrix exponential self-check failed: Q is "
                            f"not the Kronecker sum of its factors: {tie:.3g}")
     probes = [rng.uniform(-1.0, 1.0, size=(len(G), _CHECK_PROBES))
@@ -532,14 +474,9 @@ _WINDOW_FRACTION = 0.25
 
 def interior_mask(grid: Grid, margin: int = 2) -> np.ndarray:
     """Boolean mask of grid points at least `margin` cells from every face."""
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[axis] = slice(0, margin)
-        mask[tuple(sl)] = False
-        sl[axis] = slice(grid.shape[axis] - margin, None)
-        mask[tuple(sl)] = False
-    return mask.ravel(order="C")
+    k = np.indices(grid.shape).reshape(grid.dim, -1)
+    far = np.reshape(grid.shape, (-1, 1)) - margin
+    return np.all((k >= margin) & (k < far), axis=0)
 
 
 def entrywise_mismatch(qa: QMatrix, qb: QMatrix) -> float:

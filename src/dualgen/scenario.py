@@ -436,7 +436,7 @@ def closed_form_dual(spec: ProcessSpec) -> DualReport:
     if spec.has_diffusion():
         return dual_diffusion(spec)
     if spec.jump is not None:
-        return dual_jump_multidim(spec.jump)
+        return dual_jump_multidim(spec.jump, spec.dim)
     return dual_drift(spec)
 
 

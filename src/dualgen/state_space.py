@@ -58,6 +58,11 @@ class Grid:
     def n_points(self) -> int:
         return int(np.prod(self.shape))
 
+    def axis(self, k: int) -> "Grid":
+        """The 1-D grid of axis k: its range, spacing and face policies."""
+        return Grid(self.lower[k:k + 1], self.upper[k:k + 1],
+                    self.spacing[k:k + 1], self.boundary_policy[k:k + 1])
+
     def points(self) -> np.ndarray:
         """All grid points, shape (n_points, dim), row-major (axis 0 slowest)."""
         axes = [self.lower[i] + self.spacing[i] * np.arange(self.shape[i])

@@ -173,7 +173,7 @@ def _family_jump_nd():
         rate_derivs=(lambda x: -0.3 / np.cosh(x[0]) ** 2,))
     nu = SeparableJumpKernel(components=((0, up), (1, dn)))
     spec = ProcessSpec(dim=2, jump=nu)
-    rep = dual_jump_multidim(nu)
+    rep = dual_jump_multidim(nu, 2)
     cone = Cone.pareto(2)
 
     def at(h):

@@ -215,10 +215,24 @@ def test_separable_nd_dual_admissibility():
                            rate_derivs=(lambda x: 1.0 / np.cosh(x[0]) ** 2,))
     good = SeparableJumpKernel(components=((0, dec), (1, dec)))
     bad = SeparableJumpKernel(components=((0, dec), (1, inc)))
-    assert dual_jump_multidim(good).admissible
-    rep = dual_jump_multidim(bad)
+    assert dual_jump_multidim(good, 2).admissible
+    rep = dual_jump_multidim(bad, 2)
     assert not rep.admissible
     assert rep.violated_conditions[0][0] == "rate_decreasing_axis_1"
+
+
+@pytest.mark.parametrize("dim,axis", [(2, 0), (3, 1)])
+def test_separable_jump_dual_has_the_process_dimension(dim, axis):
+    # a separable kernel need not move every axis; its dual lives on the
+    # process's own grid, and there it is the conjugated generator
+    kern = AtomicJumpKernel(jumps=(((1.0,), 1.0), ((-1.0,), 0.5)))
+    spec = ProcessSpec(dim=dim, jump=SeparableJumpKernel(((axis, kern),)))
+    rep = closed_form_dual(spec)
+    assert rep.admissible and rep.dual_spec.dim == dim
+    g = build_grid([-2.0] * dim, [2.0] * dim, [1.0] * dim, "reflect")
+    want = dual_generator_via_F(discretize(spec, g), g, Cone.pareto(dim))
+    assert np.abs(discretize(rep.dual_spec, g).entries
+                  - want.entries).max() < 1e-12
 
 
 def test_closed_form_dual_refuses_a_jump_part_beside_a_drift_or_diffusion():
@@ -227,7 +241,7 @@ def test_closed_form_dual_refuses_a_jump_part_beside_a_drift_or_diffusion():
     # drift with one the jump part's dual with no drift
     dec = AtomicJumpKernel(jumps=(((1.0,), 1.0),))
     jump = SeparableJumpKernel(components=((0, dec), (1, dec)))
-    assert dual_jump_multidim(jump).admissible
+    assert dual_jump_multidim(jump, 2).admissible
     diffusion = dict(diffusion_diag=(_const(0.5), _const(0.5)),
                      diffusion_diag_deriv=(_const(0.0), _const(0.0)))
     drift = dict(drift_components=(_const(0.1), _const(-0.1)))
@@ -293,11 +307,12 @@ def _gauss_density_2d(rate, rate_d):
 
 def test_density_jump_dual_multidim_admissibility():
     # translation invariant: every mixed rate integrates to zero
-    rep = dual_jump_multidim(_gauss_density_2d(lambda z: 1.0, lambda z: 0.0))
+    rep = dual_jump_multidim(_gauss_density_2d(lambda z: 1.0, lambda z: 0.0),
+                             2)
     assert rep.admissible and rep.dual_spec.dim == 2
     # a rate that grows with z_0 breaks the first-order sign condition
     rep = dual_jump_multidim(_gauss_density_2d(
-        lambda z: 1.0 + 0.5 * np.tanh(z), lambda z: 0.5 / np.cosh(z) ** 2))
+        lambda z: 1.0 + 0.5 * np.tanh(z), lambda z: 0.5 / np.cosh(z) ** 2), 2)
     assert not rep.admissible
     assert [v[0] for v in rep.violated_conditions] == [
         "mixed_rate_nonpositive_(0,)"]

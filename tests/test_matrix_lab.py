@@ -1,14 +1,16 @@
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from dualgen import matrix_lab
-from dualgen.errors import DimensionMismatch, Overflow
+from dualgen.errors import CFLWarning, DimensionMismatch, Overflow
 from dualgen.generator_core import (
     AtomicJumpKernel,
+    DensityJumpKernel,
     ProcessSpec,
     QMatrix,
     SeparableJumpKernel,
@@ -239,20 +241,20 @@ def test_semigroup_check_catches_wrong_kronecker_factors(monkeypatch):
     with pytest.raises(Overflow, match="self-check failed"):
         semigroup(q, 0.5)
     assert calls == [(9, 9), (11, 11)]
-    # the right factors in the wrong axis order
+    # the right factors in the wrong axis order, on a square grid where
+    # the reversed generators still have the axes' lengths
     monkeypatch.setattr(matrix_lab, "expm", scipy.linalg.expm)
-    factors = matrix_lab._kronecker_factors
-    monkeypatch.setattr(matrix_lab, "_kronecker_factors",
-                        lambda *a: factors(*a)[::-1])
+    q, grid = _bench_case(6)
+    reversed_q = QMatrix(entries=q.entries, state_grid=grid,
+                         generators=q.generators[::-1])
     with pytest.raises(Overflow, match="self-check failed"):
-        semigroup(q, 0.5)
+        semigroup(reversed_q, 0.5)
 
 
 def test_semigroup_separability_test_scales_with_the_norm(monkeypatch):
     # the benchmark's 2-D diffusion at t = 500: ||tQ|| is about 5e4, and
-    # the rounding in the diagonal split of tQ reaches 3.6e-12, above an
-    # absolute bound of 1e-12; measured against ||Q||, the test is the
-    # same at every t.  The factors stay finite: none grows like
+    # the tie of the generators to Q is measured against ||Q||, so it is
+    # the same at every t.  The factors stay finite: none grows like
     # exp(t |Q[0, 0]|) while another decays like its inverse.
     q, grid = _bench_case(6)
     calls = _counting_expm(monkeypatch)
@@ -261,9 +263,10 @@ def test_semigroup_separability_test_scales_with_the_norm(monkeypatch):
     want = scipy.linalg.expm(500.0 * q.entries)
     assert np.abs(T - want).max() <= \
         1e-13 * max(1.0, np.abs(want).sum(axis=1).max())
-    # a generator 1000 times as fast: its own split rounds at 1000 times
-    # the level, still small against its norm
-    fast = QMatrix(entries=1000.0 * q.entries, state_grid=grid)
+    # a generator 1000 times as fast: its tie rounds at 1000 times the
+    # level, still small against its norm
+    fast = QMatrix(entries=1000.0 * q.entries, state_grid=grid,
+                   generators=tuple(1000.0 * G for G in q.generators))
     semigroup(fast, 0.05)
     assert calls[2:] == [(m, m) for m in grid.shape]
 
@@ -285,48 +288,53 @@ def _bench_2d(side):
     })
 
 
-def _bench_case(side):
+def _bench_spec(side):
     s = _bench_2d(side)
-    return discretize(s.process, s.grid), s.grid
+    return s.process, s.grid
+
+
+def _bench_case(side):
+    spec, grid = _bench_spec(side)
+    return discretize(spec, grid), grid
 
 
 _FACTORED_CASES = {
-    **{name: (lambda c=case: (discretize(*c), c[1]))
-       for name, case in _SEPARABLE_CASES.items()},
+    **{name: (lambda c=case: c) for name, case in _SEPARABLE_CASES.items()},
     # the benchmark's two 2-D grid shapes at its tiny scale
-    **{f"bench-{side}x{side}": (lambda side=side: _bench_case(side))
+    **{f"bench-{side}x{side}": (lambda side=side: _bench_spec(side))
        for side in (5, 6)},
 }
 
 
-def _line_factors(A, shape):
-    """The per-axis generators of a Kronecker-sum A, read off dense A
-    along the grid lines through the first point, with the diagonal split
-    as _split_diagonal splits it: every generator after the first shifted
-    to largest row sum 0, the first keeping the rest of A's diagonal."""
+def _axis_reference(spec, grid):
+    """The per-axis generators of the per-axis specs above, assembled
+    here: each axis's drift, diffusion and separable jump components as a
+    1-D spec, discretized on a 1-D grid built from that axis's range,
+    spacing and face policies."""
     out = []
-    for k, m in enumerate(shape):
-        line = np.arange(m) * int(np.prod(shape[k + 1:]))
-        out.append(A[np.ix_(line, line)].copy())
-    rest = (len(shape) - 1) * A[0, 0]
-    for f in out[1:]:
-        shift = f.sum(axis=1).max()
-        f[np.diag_indices(len(f))] -= shift
-        rest -= shift
-    out[0][np.diag_indices(len(out[0]))] -= rest
+    for k in range(grid.dim):
+        comps = [c for axis, c in getattr(spec.jump, "components", ())
+                 if axis == k]
+        axis_spec = ProcessSpec(dim=1,
+                                drift_components=(spec.drift_components[k],),
+                                diffusion_diag=(spec.diffusion_diag[k],),
+                                jump=comps[0] if comps else None)
+        axis_grid = build_grid(grid.lower[k], grid.upper[k], grid.spacing[k],
+                               [grid.boundary_policy[k]])
+        out.append(discretize(axis_spec, axis_grid).entries)
     return out
 
 
 @pytest.mark.parametrize("name", sorted(_FACTORED_CASES))
 def test_factored_and_dense_verify_agree(name):
-    q, grid = _FACTORED_CASES[name]()
+    spec, grid = _FACTORED_CASES[name]()
+    q = discretize(spec, grid)
     op = SurvivalTransform(grid, Cone.pareto(grid.dim))
     for t in (0.3, 1.0):
         T = semigroup(q, t)
         assert [A.shape for A in T.factors] == [(m, m) for m in grid.shape]
         want_T = functools.reduce(np.kron, [
-            scipy.linalg.expm(t * G) for G in _line_factors(q.entries,
-                                                            grid.shape)])
+            scipy.linalg.expm(t * G) for G in _axis_reference(spec, grid)])
         assert np.array_equal(T.T, want_T)
         TD = dual_semigroup_via_F(T, op)
         assert len(TD.factors) == grid.dim
@@ -356,7 +364,7 @@ def test_factored_check_flags_a_separable_non_monotone_chain(monkeypatch):
     Q1 = _birth_death(5, 0.7, 0.4)
     g = build_grid([0.0, 0.0], [2.0, 4.0], [1.0, 1.0], "reflect")
     q = QMatrix(entries=np.kron(Q0, np.eye(5)) + np.kron(np.eye(3), Q1),
-                state_grid=g)
+                state_grid=g, generators=(Q0, Q1))
     op = SurvivalTransform(g, Cone.pareto(2))
     calls = _counting_expm(monkeypatch)
     T = semigroup(q, 0.5)
@@ -604,7 +612,7 @@ def test_semigroup_check_on_a_separable_grid_runs_on_the_factors(
             1e-13 * max(1.0, np.abs(want).sum(axis=1).max())
 
 
-def test_semigroup_tie_catches_a_generator_that_is_not_q(monkeypatch):
+def test_semigroup_tie_catches_a_generator_that_is_not_q():
     # one off-diagonal rate of the second axis moved by 1e-6 ||Q||, the
     # diagonal moved with it, so the factor is still a generator and its
     # own check (expm against the Taylor chain, both on the moved
@@ -612,17 +620,13 @@ def test_semigroup_tie_catches_a_generator_that_is_not_q(monkeypatch):
     spec, grid = _SEPARABLE_CASES["2d-reflect"]
     q = discretize(spec, grid)
     delta = 1e-6 * np.abs(q.entries).sum(axis=1).max()
-    factors = matrix_lab._kronecker_factors
-
-    def moved(*args):
-        gens = factors(*args)
-        gens[1][2, 3] += delta
-        gens[1][2, 2] -= delta
-        return gens
-
-    monkeypatch.setattr(matrix_lab, "_kronecker_factors", moved)
+    gens = [G.copy() for G in q.generators]
+    gens[1][2, 3] += delta
+    gens[1][2, 2] -= delta
+    moved = QMatrix(entries=q.entries, state_grid=grid,
+                    generators=tuple(gens))
     with pytest.raises(Overflow, match="self-check failed"):
-        semigroup(q, (0.25, 0.5, 1.0))
+        semigroup(moved, (0.25, 0.5, 1.0))
 
 
 def test_snapshot_takes_factors_only():
@@ -669,6 +673,134 @@ def test_qmatrix_rejects_entries_not_n_by_n_for_its_grid(shape):
     g = build_grid([0.0], [1.0], [1.0])                    # 2 points
     with pytest.raises(DimensionMismatch, match="grid of 2 points"):
         QMatrix(entries=np.zeros(shape), state_grid=g)
+
+
+_ZERO_AXIS_GRID = build_grid([-1.0, -1.0], [1.0, 1.0], [0.25, 0.25],
+                             "reflect")
+
+# name -> (spec, grid) of a separable spec: d generators
+_GENERATOR_CASES = {
+    **{name: (lambda c=case: c) for name, case in _SEPARABLE_CASES.items()},
+    # the benchmark's two 2-D diffusions
+    **{f"bench-{side}x{side}": (lambda side=side: _bench_spec(side))
+       for side in (32, 45)},
+    # no coefficient and no channel on axis 0: its generator is zero
+    "2d-jump-on-axis-1": lambda: (ProcessSpec(dim=2, jump=_ONE_AXIS_JUMP),
+                                  _ZERO_AXIS_GRID),
+}
+
+
+def _grid_line(Q, shape, k):
+    """Q's block on the grid line of axis k through the first point."""
+    line = np.arange(shape[k]) * int(np.prod(shape[k + 1:]))
+    return Q[np.ix_(line, line)]
+
+
+def _kron_sum(gens):
+    """Q_0 (+) ... (+) Q_{d-1} as a sparse matrix."""
+    from scipy.sparse import identity, kron
+    sizes = [len(G) for G in gens]
+    return sum(kron(kron(identity(int(np.prod(sizes[:k]))), G),
+                    identity(int(np.prod(sizes[k + 1:]))))
+               for k, G in enumerate(gens))
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATOR_CASES))
+def test_discretize_hands_over_the_per_axis_generators(name):
+    spec, grid = _GENERATOR_CASES[name]()
+    q = discretize(spec, grid)
+    assert [G.shape for G in q.generators] == [(m, m) for m in grid.shape]
+    for k, G in enumerate(q.generators):
+        off = ~np.eye(len(G), dtype=bool)
+        assert np.array_equal(G[off], _grid_line(q.entries, grid.shape,
+                                                 k)[off])
+    norm = np.abs(q.entries).sum(axis=1).max()
+    assert np.abs(_kron_sum(q.generators) - q.entries).max() <= 1e-12 * norm
+
+
+def test_an_axis_with_nothing_on_it_gets_the_zero_generator():
+    spec, grid = _GENERATOR_CASES["2d-jump-on-axis-1"]()
+    G0, G1 = discretize(spec, grid).generators
+    assert not G0.any() and G1.any()
+
+
+def _jump_scenario(rate):
+    """A 2-D scenario with one-axis jump channels at the given rate."""
+    return load_scenario({
+        "name": "jumps-2d", "mode": "verify-matrix",
+        "process": {"dim": 2, "diffusion": ["0.5", "0.4"],
+                    "jumps": [{"displacement": [0.5, 0.0], "rate": rate},
+                              {"displacement": [0.0, -0.25], "rate": 0.4}]},
+        "grid": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0],
+                 "spacing": [0.25, 0.25], "boundary_policy": "reflect"},
+        "cone": {"type": "pareto"},
+        "probes": [{"x": [0.0, 0.0], "y": [0.0, 0.0], "t": 0.5}],
+    })
+
+
+@pytest.mark.parametrize("rate,per_time", [(0.6, 2), ("0.5 + 0.1*cos(x1)", 1)],
+                         ids=["numeric-rate", "expression-rate"])
+def test_scenario_jump_channels_factor_only_at_numeric_rates(rate, per_time,
+                                                             monkeypatch):
+    s = _jump_scenario(rate)
+    q = discretize(s.process, s.grid)
+    calls = _counting_expm(monkeypatch)
+    semigroup(q, (0.3, 0.7))
+    assert len(calls) == 2 * per_time
+
+
+def _density_2d(x, W):
+    return np.exp(-np.sum((W - x) ** 2, axis=-1))
+
+
+# name -> (spec, grid) that has the one generator Q
+_ONE_GENERATOR_CASES = {
+    "absorbing-face": (_per_axis_spec(2), build_grid(
+        [-1.0, -1.0], [1.0, 1.0], [0.25, 0.25],
+        [("reflect", "absorb"), "reflect"])),
+    "two-axis-jump": (_per_axis_spec(2, AtomicJumpKernel(
+        jumps=(((0.25, 0.25), 0.7),))), _ZERO_AXIS_GRID),
+    "offdiag-diffusion": (ProcessSpec(
+        dim=2, diffusion_diag=(_const(0.5), _const(0.4)),
+        diffusion_offdiag={(0, 1): lambda xi, xj: 0.1 + 0.0 * xi}),
+        _ZERO_AXIS_GRID),
+    "generic-callables": (ProcessSpec(
+        dim=2, drift=lambda x: -0.3 * x,
+        diffusion=lambda x: np.diag([0.5, 0.4])), _ZERO_AXIS_GRID),
+    "density-kernel": (ProcessSpec(dim=2, jump=DensityJumpKernel(
+        density=_density_2d, smoothness=2)), _ZERO_AXIS_GRID),
+    "1d-grid": (ProcessSpec.one_dim(a=0.5, b=-0.2),
+                build_grid([-1.0], [1.0], [0.25], "reflect")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_GENERATOR_CASES))
+def test_a_spec_that_is_not_separable_has_one_generator(name):
+    q = discretize(*_ONE_GENERATOR_CASES[name])
+    assert len(q.generators) == 1 and q.generators[0] is q.entries
+
+
+@pytest.mark.parametrize("shapes", [[(3, 3), (2, 2)], [(2, 2)], [(3, 3)],
+                                    [(2, 3), (3, 3)], [(6, 6), (2, 2)],
+                                    [(2, 2), (3, 3), (1, 1)], [(5, 5)]])
+def test_qmatrix_rejects_generators_of_the_wrong_shapes(shapes):
+    g = build_grid([0.0, 0.0], [1.0, 2.0], [1.0, 1.0])    # 2 x 3 points
+    with pytest.raises(DimensionMismatch, match="generators of shapes"):
+        QMatrix(entries=np.zeros((6, 6)), state_grid=g,
+                generators=tuple(np.zeros(s) for s in shapes))
+    for fine in ([(2, 2), (3, 3)], [(6, 6)]):
+        QMatrix(entries=np.zeros((6, 6)), state_grid=g,
+                generators=tuple(np.zeros(s) for s in fine))
+
+
+def test_separable_spec_warns_cfl_once():
+    spec = ProcessSpec(dim=2, drift_components=(_const(5.0), _const(-5.0)),
+                       diffusion_diag=(_const(0.01), _const(0.01)))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        q = discretize(spec, _ZERO_AXIS_GRID)
+    assert len(q.generators) == 2
+    assert [w.category for w in seen] == [CFLWarning]
 
 
 def test_conjugation_identity_random_chains():

@@ -438,6 +438,43 @@ def test_constant_coefficients_evaluated_once_per_block():
     assert got.tobytes() == simulate_paths(spec, cfg, [0.6]).tobytes()
 
 
+# the closed-form duals of drift -0.4 and of drift -0.4 x1, each with
+# diffusion 0.3 on the full line: a' - b is constant in the first only
+_CONSTANT_DUAL, _STATE_DUAL = (closed_form_dual(_declared({
+    "dim": 1, "drift": [b], "diffusion": ["0.3"],
+    "diffusion_deriv": ["0"]})).dual_spec for b in ("-0.4", "-0.4*x1"))
+
+
+def test_closed_form_dual_drift_of_constants_runs_once_per_block():
+    drift = _CONSTANT_DUAL.drift_components[0]
+    assert drift.variables == frozenset()
+    assert _STATE_DUAL.drift_components[0].variables == {"x1"}
+    calls = []
+
+    def counted(s):
+        calls.append(1)
+        return drift(s)
+    counted.variables = drift.variables
+
+    spied = replace(_CONSTANT_DUAL, drift_components=(counted,))
+    cfg = PathConfig(n_paths=monte_carlo.BLOCK_SIZE + 4000, dt=0.1,
+                     t_end=1.0, seed=9)
+    got = simulate_paths(spied, cfg, [0.6])
+    # the step-size check, then one call per block of ten steps
+    assert len(calls) == 3
+    assert got.tobytes() == simulate_paths(_CONSTANT_DUAL, cfg,
+                                           [0.6]).tobytes()
+
+
+@pytest.mark.parametrize("spec", [_CONSTANT_DUAL, _STATE_DUAL],
+                         ids=["constant", "state-dependent"])
+def test_closed_form_dual_drift_matches_plain_step_loop(spec):
+    cfg = PathConfig(n_paths=500, dt=0.01, t_end=1.0, seed=41)
+    got = simulate_paths(spec, cfg, [0.6], stream_salt=3)
+    want = _reference_paths(spec, cfg, [0.6], salt=3)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("spec", [_bm("half_line", "absorb"),
                                   _PARSED_KERNEL_CASES["bench_absorbed_dual"][0]],
                          ids=["callable", "parsed"])
