@@ -9,13 +9,14 @@ them to the closed form.
 import numpy as np
 from scipy.stats import norm
 
-from dualgen import Cone, PathConfig, ProcessSpec, dual_full_1d, estimate_duality
+from dualgen import (Cone, PathConfig, ProcessSpec, closed_form_dual,
+                     estimate_duality)
 
 
 def main():
     spec = ProcessSpec.one_dim(a=lambda x: 0.5 * np.ones_like(np.asarray(x, float)),
                                da=lambda x: np.zeros_like(np.asarray(x, float)))
-    rep = dual_full_1d(spec)
+    rep = closed_form_dual(spec)
     cfg = PathConfig(n_paths=50000, dt=1e-3, t_end=1.0, seed=2024)
 
     print(f"{'x':>5} {'y':>5} {'lhs':>8} {'rhs':>8} {'exact':>8} {'z':>6}")

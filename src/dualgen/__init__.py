@@ -5,9 +5,7 @@ from . import errors
 from .dual_builder import (
     DualReport,
     check_self_dual,
-    dual_diffusion,
-    dual_drift,
-    dual_full_1d,
+    closed_form_dual,
     dual_jump_1d,
     dual_jump_multidim,
     dual_lightcone_diffusion,

@@ -3,10 +3,14 @@
 The Siegmund-type dual of a generator under the Pareto (componentwise)
 order:  deterministic motion reverses sign, a diffusion keeps its matrix
 and picks up the derivative drift a'_jj, and jump kernels dualize through
-the monotone tail rates  z -> integral over {w >= y} of nu(z, dw).
-Admissibility is decided by sign and monotonicity conditions verified at
-quasi-random probe points; derivatives are always supplied, never
-inferred numerically.  Probe counts and quadrature sizes are module
+the monotone tail rates  z -> integral over {w >= y} of nu(z, dw).  The
+dual is linear in the generator, so `closed_form_dual`, the one builder
+of a process's dual in every dimension, adds the part duals: drift
+a'_jj - b_j, the same diffusion, and the jump part's dual; on the half
+line it swaps the face (reflected <-> absorbed at 0).  Admissibility
+is decided by sign and monotonicity conditions verified at quasi-random
+probe points; derivatives are always supplied, never inferred
+numerically.  Probe counts and quadrature sizes are module
 constants: each verdict depends on them.
 """
 
@@ -31,19 +35,18 @@ from .generator_core import (
     SeparableJumpKernel,
     _generator_rows,
     map_targets,
+    separable_jumps,
 )
 from .matrix_lab import SurvivalTransform
 from .state_space import Cone, Grid
 
 __all__ = [
     "DualReport",
-    "dual_drift",
-    "dual_diffusion",
+    "closed_form_dual",
     "dual_lightcone_diffusion",
     "lightcone_diffusion_spec",
     "dual_jump_1d",
     "dual_jump_multidim",
-    "dual_full_1d",
     "check_self_dual",
     "SiegmundDualJumpKernel1D",
     "ParetoDualJumpKernelND",
@@ -51,10 +54,10 @@ __all__ = [
 ]
 
 # probe counts of the admissibility checks: each verdict depends on them
-_DIFFUSION_PROBES = 100     # dual_diffusion, dual_lightcone_diffusion
+_DIFFUSION_PROBES = 100     # closed_form_dual, dual_lightcone_diffusion
 _JUMP_1D_PROBES = 40        # dual_jump_1d
 _JUMP_ND_PROBES = 60        # dual_jump_multidim
-_FULL_1D_PROBES = 60        # dual_full_1d, assumption A on the half line
+_HALF_LINE_PROBES = 60      # closed_form_dual, assumption A on the half line
 _SELF_DUAL_PROBES = 100     # check_self_dual
 # quadrature nodes of density kernels: the 1-D tail rates over a fixed
 # box, the d-D mixed rates per axis of the probe box
@@ -108,7 +111,7 @@ def _first_decrease(func, z_lo, z_hi, y, n_pairs: int):
 
 
 # ---------------------------------------------------------------------------
-# deterministic and diffusion duals
+# the dual drift and the light-cone diffusion dual
 
 def _dual_drift(da, b):
     """The dual drift a' - b from the declared a' and b, either of which
@@ -122,67 +125,6 @@ def _dual_drift(da, b):
     if None not in names:
         drift.variables = frozenset().union(*names)
     return drift
-
-
-def dual_drift(spec: ProcessSpec) -> DualReport:
-    """Dual of pure deterministic motion with separable drift: drift -> -drift."""
-    if spec.has_diffusion() or spec.jump is not None:
-        raise NotSeparable("dual_drift applies to pure drift specs only")
-    if spec.drift_components is None:
-        raise NotSeparable("drift must be declared separable (b_j = b_j(x_j))")
-    dual = ProcessSpec(
-        dim=spec.dim,
-        drift_components=tuple(_dual_drift(None, bj)
-                               for bj in spec.drift_components),
-        domain=spec.domain,
-        boundary=spec.boundary,
-    )
-    return DualReport(dual_spec=dual, admissible=True,
-                      notes="deterministic dual: motion reversed")
-
-
-def dual_diffusion(spec: ProcessSpec, box=None) -> DualReport:
-    """Dual of a diffusion with a_ij = a_ij(x_i, x_j): same matrix, drift
-    a'_jj(x_j) - b_j(x_j)."""
-    if spec.diffusion_diag is None:
-        raise StructureViolation(
-            "diffusion structure must be declared via diffusion_diag/offdiag")
-    if spec.diffusion_diag_deriv is None:
-        raise MissingDerivative("a'_jj callables are required")
-    if spec.drift is not None and spec.drift_components is None:
-        raise NotSeparable("drift must be declared separable")
-    violated = []
-    if box is None:
-        box = [(-2.0, 2.0)] * spec.dim
-    probes = probe_points(box, _DIFFUSION_PROBES)
-    if spec.diffusion is not None:
-        # generic callable supplied alongside the declaration: verify agreement
-        generic = replace(spec, diffusion_diag=None, diffusion_offdiag=None)
-        gap = np.abs(spec.diffusion_at(probes[:20])
-                     - generic.diffusion_at(probes[:20])).max(axis=(1, 2))
-        if np.any(gap > 1e-8):
-            raise StructureViolation(
-                f"declared structure differs from diffusion callable at "
-                f"{probes[np.argmax(gap > 1e-8)]}")
-    bad = spec.check_psd(probes)
-    if bad is not None:
-        violated.append(("diffusion_psd", tuple(bad[0]), bad[1]))
-    bcomps = spec.drift_components or (None,) * spec.dim
-    dual = ProcessSpec(
-        dim=spec.dim,
-        drift_components=tuple(
-            _dual_drift(da, bj)
-            for da, bj in zip(spec.diffusion_diag_deriv, bcomps)),
-        diffusion_diag=spec.diffusion_diag,
-        diffusion_diag_deriv=spec.diffusion_diag_deriv,
-        diffusion_offdiag=spec.diffusion_offdiag,
-        domain=spec.domain,
-        boundary=spec.boundary,
-    )
-    ok = not violated
-    return DualReport(dual_spec=dual if ok else None, admissible=ok,
-                      violated_conditions=tuple(violated),
-                      notes="diffusion dual: same matrix, drift a'_jj - b_j")
 
 
 def lightcone_diffusion_spec(alpha, beta, omega=None,
@@ -458,6 +400,7 @@ def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
     kernel declares smoothness = dim."""
     violated = []
     if isinstance(nu, SeparableJumpKernel):
+        nu.check_axes(dim)
         if box is None:
             box = [(-4.0, 4.0)] * dim
         # separable kernels: the order-d condition is void; admissibility
@@ -527,7 +470,7 @@ def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
 
 
 # ---------------------------------------------------------------------------
-# full 1-D Feller dual and self-duality
+# the closed-form dual of a process, and self-duality
 
 def _check_assumption_A(spec: ProcessSpec, probes: np.ndarray):
     """Even a, odd b, and jump support in the half line; first violation
@@ -553,49 +496,97 @@ def _check_assumption_A(spec: ProcessSpec, probes: np.ndarray):
     return None
 
 
-def dual_full_1d(spec: ProcessSpec, box=(-6.0, 6.0)) -> DualReport:
-    """Dual of a full 1-D Feller generator a g'' + b g' + jumps.
+def _drift_column(spec: ProcessSpec, j: int):
+    """b_j as `drift_at` returns it, a compensated jump part's compensator
+    included, as a callable of the axis-j coordinate alone: the drift and
+    the jump part of a spec with a closed-form dual are separable."""
+    def b(s):
+        s = np.asarray(s, dtype=float)
+        X = np.zeros((s.size, spec.dim))
+        X[:, j] = s.ravel()
+        return spec.drift_at(X)[:, j].reshape(s.shape)
+    return b
 
-    Full space: dual has the same a, drift a' - b, and the Siegmund dual
-    jump kernel.  Half line (forward reflected at 0): additionally the
-    absorption channel at the origin, and the dual is absorbed there.
+
+def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
+    """The closed-form dual of a process, in any dimension.
+
+    Conjugation by the survival transform is linear, so the dual of the
+    generator is the sum of the duals of its parts: the same diffusion
+    matrix, drift a'_jj - b_j with b as `drift_at` returns it (so with a
+    compensated jump part's compensator), and the dual of the jump part
+    (`dual_jump_1d`; in d >= 2 `dual_jump_multidim` on
+    `separable_jumps`).  The drift must be declared per axis and the
+    diffusion by diffusion_diag with its derivatives, agreeing with a
+    generic diffusion callable given beside it and PSD at the probes.
+    On the half line the face swaps: a forward process reflected at 0
+    (it must meet assumption A, and its jump dual gains the channel at
+    zero) has a dual absorbed there, and one absorbed at 0, which may
+    have no jump part, a dual reflected there.  `box` is the range of
+    the 1-D jump and half-line probes, (-6, 6) when None.
     """
+    d = spec.dim
+    lo, hi = (-6.0, 6.0) if box is None else box
+    if spec.drift is not None and spec.drift_components is None:
+        raise NotSeparable("drift must be declared separable (b_j = b_j(x_j))")
+    if spec.diffusion is not None and spec.diffusion_diag is None:
+        raise StructureViolation(
+            "diffusion structure must be declared via diffusion_diag/offdiag")
+    if spec.diffusion_diag is not None and spec.diffusion_diag_deriv is None:
+        raise MissingDerivative("a'_jj callables are required")
+    half = d == 1 and spec.domain == "half_line"
+    absorbed = half and spec.boundary == "absorb"
+    if absorbed and spec.jump is not None:
+        raise NotSeparable("no closed-form dual of a jump part absorbed at 0")
     violated = []
-    half = spec.domain == "half_line"
-    if spec.has_diffusion() and spec.diffusion_diag_deriv is None:
-        raise MissingDerivative("a' must be supplied for the full 1-D dual")
-    if half:
-        probes = probe_points([(0.05, box[1])], _FULL_1D_PROBES)
-        bad = _check_assumption_A(spec, probes)
+    if half and not absorbed:
+        bad = _check_assumption_A(
+            spec, probe_points([(0.05, hi)], _HALF_LINE_PROBES))
         if bad is not None:
             violated.append(("assumption_A:" + bad[0],) + bad[1:])
-    jump_dual_kernel = None
+    if spec.has_diffusion():
+        probes = probe_points([(0.0 if half else -2.0, 2.0)] * d,
+                              _DIFFUSION_PROBES)
+        if spec.diffusion is not None:
+            # a generic callable beside the declaration must agree with it
+            generic = replace(spec, diffusion_diag=None,
+                              diffusion_offdiag=None)
+            gap = np.abs(spec.diffusion_at(probes[:20])
+                         - generic.diffusion_at(probes[:20])).max(axis=(1, 2))
+            if np.any(gap > 1e-8):
+                raise StructureViolation(
+                    f"declared structure differs from diffusion callable at "
+                    f"{probes[np.argmax(gap > 1e-8)]}")
+        bad = spec.check_psd(probes)
+        if bad is not None:
+            violated.append(("diffusion_psd", tuple(bad[0]), bad[1]))
+    jump = None
     if spec.jump is not None:
-        jrep = dual_jump_1d(spec.jump,
-                            boundary="at_zero" if half else "none",
-                            box=(0.0, box[1]) if half else box)
+        jrep = dual_jump_1d(spec.jump, "at_zero" if half else "none",
+                            (0.0, hi) if half else (lo, hi)) if d == 1 \
+            else dual_jump_multidim(separable_jumps(spec.jump, d), d)
         violated.extend(jrep.violated_conditions)
-        if jrep.dual_spec is not None:
-            jump_dual_kernel = jrep.dual_spec.jump
-    ok = not violated
-    dual = None
-    if ok:
-        da = spec.diffusion_diag_deriv[0] if spec.diffusion_diag_deriv else None
-        b = spec.drift_components[0] if spec.drift_components else None
-        drift = _dual_drift(da, b)
-        dual = ProcessSpec(
-            dim=1,
-            drift_components=(drift,) if drift is not None else None,
-            diffusion_diag=spec.diffusion_diag,
-            diffusion_diag_deriv=spec.diffusion_diag_deriv,
-            jump=jump_dual_kernel,
-            domain="half_line" if half else "full_space",
-            boundary="absorb" if half else None,
-        )
-    return DualReport(dual_spec=dual, admissible=ok,
-                      violated_conditions=tuple(violated),
-                      notes="full 1-D Feller dual" +
-                            (" (half line, absorbed at 0)" if half else ""))
+        jump = jrep.dual_spec.jump if jrep.admissible else None
+    b = spec.drift_components or (None,) * d
+    if spec.jump_compensated and spec.jump is not None:
+        b = tuple(_drift_column(spec, j) for j in range(d))
+    drift = tuple(map(_dual_drift, spec.diffusion_diag_deriv or (None,) * d,
+                      b))
+    boundary = ("reflect" if absorbed else "absorb") if half \
+        else spec.boundary
+    notes = "closed-form dual" + (f", {boundary}ed at 0" if half else "")
+    dual = None if violated else ProcessSpec(
+        dim=d,
+        drift_components=None if drift[0] is None else drift,
+        diffusion_diag=spec.diffusion_diag,
+        diffusion_diag_deriv=spec.diffusion_diag_deriv,
+        diffusion_offdiag=spec.diffusion_offdiag,
+        jump=jump,
+        domain=spec.domain,
+        boundary=boundary,
+    )
+    return DualReport(dual_spec=dual, admissible=not violated,
+                      violated_conditions=tuple(violated), notes=notes)
 
 
 def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0), tol: float = 1e-10):

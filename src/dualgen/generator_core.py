@@ -232,6 +232,14 @@ class SeparableJumpKernel:
                     f"{type(kern).__name__}; separable kernels take 1-D "
                     f"atomic components")
 
+    def check_axes(self, dim: int):
+        """Raise DimensionMismatch unless every component moves one of the
+        axes 0..dim-1 of a dim-dimensional state."""
+        for axis, _ in self.components:
+            if not 0 <= axis < dim:
+                raise DimensionMismatch(
+                    f"a jump component on axis {axis} of a {dim}-D state")
+
     def generator_matrix(self, grid: Grid) -> np.ndarray:
         pts = grid.points()
         R = np.zeros((len(pts), len(pts)))
@@ -248,6 +256,26 @@ class SeparableJumpKernel:
         for axis, kern in self.components:
             drift[:, axis] += kern.compensator_drift(X[:, [axis]], cutoff)[:, 0]
         return drift
+
+
+def separable_jumps(jump, dim: int):
+    """The jump part of a dim-dimensional process in separable form: an
+    AtomicJumpKernel whose every channel moves one axis by a declared
+    displacement at a numeric rate becomes a SeparableJumpKernel of
+    one-channel components; any other kernel (or None) is returned as
+    it is.  Raises NotSeparable naming the first channel that is not
+    such a move."""
+    if not isinstance(jump, AtomicJumpKernel):
+        return jump
+    parts = []
+    for c, (w, r) in enumerate(jump.jumps):
+        if callable(w) or callable(r) or np.shape(w) != (dim,) \
+                or np.count_nonzero(w) != 1:
+            raise NotSeparable(f"jump channel {c} is not a move of one "
+                               f"axis at a numeric rate")
+        k = int(np.flatnonzero(w)[0])
+        parts.append((k, AtomicJumpKernel(jumps=(((w[k],), r),))))
+    return SeparableJumpKernel(tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +314,8 @@ class ProcessSpec:
             raise ValueError("at least one of drift/diffusion/jump is required")
         if self.domain not in ("full_space", "half_line"):
             raise ValueError(f"unknown domain {self.domain!r}")
+        if isinstance(self.jump, SeparableJumpKernel):
+            self.jump.check_axes(self.dim)
 
     @classmethod
     def one_dim(cls, a=None, b=None, da=None, nu=None, domain="full_space",
@@ -457,17 +487,14 @@ def _axis_generators(spec: ProcessSpec, grid: Grid,
     That takes d >= 2, per-axis drift (drift_components) and diagonal
     diffusion (diffusion_diag, no diffusion_offdiag) or none, no generic
     drift or diffusion callable, no absorbing face, and a jump part that
-    is absent, a SeparableJumpKernel, or an AtomicJumpKernel whose every
-    channel is a displacement along one axis at a numeric rate.
+    is absent or separable (`separable_jumps`).
     jump_compensated and the cutoff carry over to every axis; an axis
     with no coefficient and no channel gets the zero generator."""
-    jump, d = spec.jump, grid.dim
-    if isinstance(jump, AtomicJumpKernel) and all(
-            not (callable(w) or callable(r)) and np.shape(w) == (d,)
-            and np.count_nonzero(w) == 1 for w, r in jump.jumps):
-        jump = SeparableJumpKernel(tuple(
-            (k, AtomicJumpKernel(jumps=(((w[k],), r),)))
-            for w, r in jump.jumps for k in np.flatnonzero(w)))
+    d = grid.dim
+    try:
+        jump = separable_jumps(spec.jump, d)
+    except NotSeparable:
+        return ()
     if d < 2 or spec.drift is not None or spec.diffusion is not None \
             or spec.diffusion_offdiag \
             or not isinstance(jump, (SeparableJumpKernel, type(None))) \

@@ -18,15 +18,10 @@ from typing import Optional, Union
 import jsonschema
 import numpy as np
 
-from .dual_builder import (
-    DualReport,
-    check_self_dual,
-    dual_diffusion,
-    dual_drift,
-    dual_full_1d,
-    dual_jump_multidim,
-)
-from .errors import DualgenError, NotSeparable, SchemaError
+# closed_form_dual is called through this module's global, which
+# bench/spans.py wraps by this name to time it.
+from .dual_builder import DualReport, check_self_dual, closed_form_dual
+from .errors import DualgenError, SchemaError
 from .expressions import parse_expression
 from .generator_core import (
     AtomicJumpKernel,
@@ -419,26 +414,6 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # running
-
-def closed_form_dual(spec: ProcessSpec) -> DualReport:
-    """Dispatch to the closed-form dual construction matching the spec.
-
-    In d >= 2 each construction dualizes one part of the process, so a
-    jump part together with a drift or a diffusion raises NotSeparable
-    instead of returning the dual of one part alone."""
-    if spec.dim == 1:
-        return dual_full_1d(spec)
-    parts = [p for p, has in (("drift", spec.has_drift()),
-                              ("diffusion", spec.has_diffusion())) if has]
-    if spec.jump is not None and parts:
-        raise NotSeparable(f"no closed-form dual in d = {spec.dim} for a jump "
-                           f"part together with a {' and a '.join(parts)}")
-    if spec.has_diffusion():
-        return dual_diffusion(spec)
-    if spec.jump is not None:
-        return dual_jump_multidim(spec.jump, spec.dim)
-    return dual_drift(spec)
-
 
 def _fmt(v) -> str:
     if v is None:

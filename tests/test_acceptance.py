@@ -16,9 +16,7 @@ from scipy.stats import norm
 
 from dualgen.dual_builder import (
     check_self_dual,
-    dual_diffusion,
-    dual_drift,
-    dual_full_1d,
+    closed_form_dual,
     dual_jump_1d,
     dual_jump_multidim,
     dual_lightcone_diffusion,
@@ -104,7 +102,7 @@ def test_criterion_1_conjugation_identity():
 
 def _family_drift():
     spec = ProcessSpec.one_dim(b=lambda x: np.tanh(x))
-    rep = dual_drift(spec)
+    rep = closed_form_dual(spec)
     cone = Cone.pareto(1)
 
     def at(h):
@@ -119,7 +117,7 @@ def _family_drift():
 def _family_diffusion():
     spec = ProcessSpec.one_dim(a=lambda x: 1.0 + 0.25 * x * x,
                                da=lambda x: 0.5 * x)
-    rep = dual_diffusion(spec)
+    rep = closed_form_dual(spec)
     cone = Cone.pareto(1)
 
     def at(h):
@@ -192,7 +190,7 @@ def _family_half_line_full():
     spec = ProcessSpec.one_dim(
         a=_const(0.5), da=_const(0.0), b=lambda x: -0.2 * np.asarray(x, float),
         nu=nu, domain="half_line", boundary="reflect")
-    rep = dual_full_1d(spec, box=(0.0, 8.0))
+    rep = closed_form_dual(spec, box=(0.0, 8.0))
     cone = Cone.pareto(1)
 
     def at(h):
@@ -253,8 +251,8 @@ def test_criterion_3_involution_and_self_duality():
         self_dual_member = (k % 2 == 0)
         b = (lambda x, s=s: s * x) if self_dual_member else (lambda x: x)
         spec = ProcessSpec.one_dim(a=a, b=b, da=da)
-        once = dual_diffusion(spec)
-        twice = dual_diffusion(once.dual_spec)
+        once = closed_form_dual(spec)
+        twice = closed_form_dual(once.dual_spec)
         err = max(
             max(abs(float(twice.dual_spec.drift_components[0](x)) - float(b(x)))
                 for x in probes),
@@ -316,7 +314,7 @@ def test_criterion_5_monte_carlo_duality():
     # scenario A: Brownian self-duality, 5 probes, closed form Phi((x-y)/sqrt(t))
     t0 = time.time()
     spec = _bm_spec()
-    rep = dual_full_1d(spec)
+    rep = closed_form_dual(spec)
     ok = rep.admissible
     for x, y, t in [(1.0, 0.0, 1.0), (0.5, 0.0, 1.0), (1.0, 0.5, 1.0),
                     (1.5, 0.0, 1.0), (0.0, -1.0, 0.5)]:
@@ -333,7 +331,7 @@ def test_criterion_5_monte_carlo_duality():
     # scenario B: reflected vs absorbed, closed form by the reflection principle
     t0 = time.time()
     refl = _bm_spec(domain="half_line", boundary="reflect")
-    repb = dual_full_1d(refl, box=(0.0, 6.0))
+    repb = closed_form_dual(refl, box=(0.0, 6.0))
     ok = ok and repb.admissible
     cfgb = PathConfig(n_paths=100_000, dt=1e-3, t_end=1.0, seed=27182,
                       bridge_correction=True)

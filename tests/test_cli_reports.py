@@ -2,22 +2,28 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from dualgen import matrix_lab, scenario
 from dualgen.cli import main
-from dualgen.errors import ExpressionParseError, SchemaError
+from dualgen.dual_builder import ParetoDualJumpKernelND, closed_form_dual
+from dualgen.errors import CFLWarning, ExpressionParseError, SchemaError
+from dualgen.generator_core import discretize
+from dualgen.matrix_lab import action_mismatch, dual_generator_via_F
 from dualgen.scenario import (
     emit_plot_data,
     load_scenario,
     run_scenario,
     serialize,
 )
+from dualgen.state_space import Cone, build_grid
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -326,18 +332,65 @@ def _diffusion_2d(mode):
     }
 
 
-def test_cli_exit_two_on_a_2d_dual_that_would_drop_the_jumps(tmp_path,
-                                                             capsys):
-    # the diffusion's dual alone, with no jump part, used to pass
+def test_cli_2d_dual_holds_the_jumps(tmp_path, capsys):
+    # a 2-D dual used to refuse a jump part beside a drift and a
+    # diffusion (exit 2); it now holds all three parts and matches
+    # F Q' F^-1 by criterion 2's rule (action contraction under halving)
     doc = _diffusion_2d("dual")
-    doc["process"]["jumps"] = [{"displacement": [1.0, 0.0], "rate": 1.0}]
-    doc["output_dir"] = str(tmp_path / "out")
-    assert main(["dual", _write(tmp_path, doc)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
-    assert err[0].endswith(
-        "jump part together with a drift and a diffusion")
-    assert not (tmp_path / "out" / "report.json").exists()
+    doc["process"]["jumps"] = [{"displacement": [1.0, 0.0], "rate": 1.0},
+                               {"displacement": [0.0, -0.5], "rate": 0.5}]
+    assert main(["dual", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "diffusion-2d [dual]: pass" in capsys.readouterr().out
+    spec = load_scenario(doc).process
+    dual = closed_form_dual(spec).dual_spec
+    assert isinstance(dual.jump, ParetoDualJumpKernelND)
+    assert dual.drift_components is not None
+    assert dual.diffusion_diag is spec.diffusion_diag
+
+    def action(h):
+        g = build_grid([-3.0, -3.0], [3.0, 3.0], [h, h])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CFLWarning)
+            q = discretize(spec, g)
+        qd = dual_generator_via_F(q, g, Cone.pareto(2))
+        return action_mismatch(qd, discretize(dual, g))
+    assert action(0.5) >= 1.7 * action(0.25)
+
+
+def test_dual_mode_flags_a_negative_1d_diffusion(tmp_path):
+    # the 1-D dual used to skip the PSD check and report a pass
+    doc = {"name": "negative", "mode": "dual",
+           "process": {"dim": 1, "diffusion": ["-1"],
+                       "diffusion_deriv": ["0"]}}
+    rep = run_scenario(load_scenario(doc), out_dir=str(tmp_path))
+    assert rep["pass"] is False
+    assert [v["condition"] for v in rep["results"]["violated_conditions"]] \
+        == ["diffusion_psd"]
+    assert "violated,diffusion_psd" in \
+        (tmp_path / "report.csv").read_text().splitlines()
+
+
+def test_cli_absorbed_forward_pairs_with_a_reflected_dual(tmp_path):
+    # BM absorbed at 0 against its dual, BM reflected at 0: both sides
+    # estimate P_x(X_t >= y, X not absorbed) = Phi(x - y) - Phi(-x - y)
+    # at t = 1 (an absorbed dual read z = -41 here)
+    doc = {
+        "name": "absorbed-bm", "mode": "mc",
+        "process": {"dim": 1, "diffusion": ["0.5"], "diffusion_deriv": ["0"],
+                    "domain": "half_line", "boundary": "absorb"},
+        "probes": [{"x": [1.0], "y": [0.5], "t": 1.0}],
+        "path_config": {"n_paths": 40000, "dt": 0.01, "seed": 3,
+                        "bridge_correction": True},
+    }
+    assert main(["mc", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    probe = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "results"]["probes"][0]
+    exact = norm.cdf(0.5) - norm.cdf(-1.5)
+    assert abs(probe["z_score"]) <= 3.5
+    assert abs(probe["lhs_mean"] - exact) <= 0.01
+    assert abs(probe["rhs_mean"] - exact) <= 0.01
 
 
 def _tanh_walk(mode):

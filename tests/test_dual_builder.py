@@ -4,9 +4,7 @@ import pytest
 from dualgen.dual_builder import (
     DualReport,
     check_self_dual,
-    dual_diffusion,
-    dual_drift,
-    dual_full_1d,
+    closed_form_dual,
     dual_jump_1d,
     dual_jump_multidim,
     dual_lightcone_diffusion,
@@ -15,6 +13,7 @@ from dualgen.dual_builder import (
     probe_points,
 )
 from dualgen.errors import (
+    DimensionMismatch,
     InconsistentReport,
     MissingDerivative,
     NotSeparable,
@@ -24,11 +23,15 @@ from dualgen.generator_core import (
     AtomicJumpKernel,
     DensityJumpKernel,
     ProcessSpec,
+    QMatrix,
     SeparableJumpKernel,
     discretize,
 )
-from dualgen.matrix_lab import dual_generator_via_F, entrywise_mismatch
-from dualgen.scenario import closed_form_dual
+from dualgen.matrix_lab import (
+    action_mismatch,
+    dual_generator_via_F,
+    entrywise_mismatch,
+)
 from dualgen.state_space import Cone, build_grid
 
 
@@ -54,7 +57,7 @@ def test_dual_report_rejects_inconsistent_flag():
 
 def test_dual_drift_negates_components():
     spec = ProcessSpec.one_dim(b=lambda x: np.sin(x))
-    rep = dual_drift(spec)
+    rep = closed_form_dual(spec)
     assert rep.admissible
     for x in (-1.0, 0.3, 2.0):
         assert rep.dual_spec.drift_components[0](x) == pytest.approx(-np.sin(x))
@@ -63,7 +66,7 @@ def test_dual_drift_negates_components():
 def test_dual_drift_requires_separable_declaration():
     spec = ProcessSpec(dim=2, drift=lambda x: -x)
     with pytest.raises(NotSeparable):
-        dual_drift(spec)
+        closed_form_dual(spec)
 
 
 def test_dual_diffusion_formula_and_involution():
@@ -71,12 +74,12 @@ def test_dual_diffusion_formula_and_involution():
     da = lambda x: 0.6 * x
     b = lambda x: np.tanh(x)
     spec = ProcessSpec.one_dim(a=a, da=da, b=b)
-    rep = dual_diffusion(spec)
+    rep = closed_form_dual(spec)
     assert rep.admissible
     for x in (-1.5, 0.0, 0.7):
         assert rep.dual_spec.drift_components[0](x) == \
             pytest.approx(da(x) - b(x))
-    twice = dual_diffusion(rep.dual_spec)
+    twice = closed_form_dual(rep.dual_spec)
     for x in (-1.5, 0.0, 0.7):
         assert twice.dual_spec.drift_components[0](x) == \
             pytest.approx(float(b(x)), abs=1e-14)
@@ -85,7 +88,7 @@ def test_dual_diffusion_formula_and_involution():
 def test_dual_diffusion_requires_derivative():
     spec = ProcessSpec.one_dim(a=_const(1.0))
     with pytest.raises(MissingDerivative):
-        dual_diffusion(spec)
+        closed_form_dual(spec)
 
 
 def test_dual_diffusion_rejects_a_callable_that_disagrees_with_the_declaration():
@@ -93,23 +96,23 @@ def test_dual_diffusion_rejects_a_callable_that_disagrees_with_the_declaration()
                     diffusion_diag_deriv=(_const(0.0), _const(0.0)))
     agrees = ProcessSpec(dim=2, diffusion=lambda x: np.diag([1.0, 0.5]),
                          **declared)
-    assert dual_diffusion(agrees).admissible
+    assert closed_form_dual(agrees).admissible
     differs = ProcessSpec(dim=2, diffusion=lambda x: np.diag([1.0, 0.6]),
                           **declared)
     with pytest.raises(StructureViolation, match="differs from diffusion"):
-        dual_diffusion(differs)
+        closed_form_dual(differs)
 
 
 def test_dual_diffusion_flags_negative_diffusion():
     spec = ProcessSpec.one_dim(a=lambda x: x, da=_const(1.0))
-    rep = dual_diffusion(spec)
+    rep = closed_form_dual(spec)
     assert not rep.admissible
     assert rep.violated_conditions[0][0] == "diffusion_psd"
 
 
 def test_diffusion_dual_exact_vs_oracle():
     spec = ProcessSpec.one_dim(a=_const(0.5), da=_const(0.0))
-    rep = dual_diffusion(spec)
+    rep = closed_form_dual(spec)
     g = build_grid([-3.0], [3.0], [0.25])
     q = discretize(spec, g)
     qd = dual_generator_via_F(q, g, Cone.pareto(1))
@@ -235,23 +238,102 @@ def test_separable_jump_dual_has_the_process_dimension(dim, axis):
                   - want.entries).max() < 1e-12
 
 
-def test_closed_form_dual_refuses_a_jump_part_beside_a_drift_or_diffusion():
-    # each 2-D construction dualizes one part only: a diffusion with a
-    # jump part used to get the diffusion's dual with no jump part, and a
-    # drift with one the jump part's dual with no drift
-    dec = AtomicJumpKernel(jumps=(((1.0,), 1.0),))
+def _agrees_by_criterion_2(at, h0, h1):
+    """Criterion 2's rule: at spacing h0 the closed-form dual's generator
+    qb equals the conjugation oracle qd entrywise, to 1e-6 of the largest
+    absolute row sum of Q, or else their action mismatch contracts by at
+    least 1.7 from h0 to h1.  at(h) returns (q, qd, qb)."""
+    q, qd, qb = at(h0)
+    tol = 1e-6 * np.abs(q.entries).sum(axis=1).max()
+    if entrywise_mismatch(qd, qb) <= tol:
+        return True
+    _, qd1, qb1 = at(h1)
+    return action_mismatch(qd, qb) >= 1.7 * action_mismatch(qd1, qb1)
+
+
+def _oracle_pair(spec, dual_spec, lower, upper, policy="truncate_mass"):
+    """at(h) for criterion 2's rule: Q on a grid of spacing h, F Q' F^-1
+    and the closed-form dual's generator on the same grid."""
+    def at(h):
+        g = build_grid(lower, upper, [h] * len(lower), policy)
+        q = discretize(spec, g)
+        return (q, dual_generator_via_F(q, g, Cone.pareto(len(lower))),
+                discretize(dual_spec, g))
+    return at
+
+
+def test_closed_form_dual_composes_a_jump_part_with_a_drift_and_diffusion():
+    # the dual of a sum is the sum of the part duals: each 2-D dual holds
+    # every part of its process and matches F Q' F^-1 by criterion 2
+    dec = AtomicJumpKernel(
+        jumps=(((1.0,), lambda x: 1.0 - 0.5 * np.tanh(x[0])),),
+        rate_derivs=(lambda x: -0.5 / np.cosh(x[0]) ** 2,))
     jump = SeparableJumpKernel(components=((0, dec), (1, dec)))
-    assert dual_jump_multidim(jump, 2).admissible
-    diffusion = dict(diffusion_diag=(_const(0.5), _const(0.5)),
-                     diffusion_diag_deriv=(_const(0.0), _const(0.0)))
-    drift = dict(drift_components=(_const(0.1), _const(-0.1)))
-    for parts, named in ((diffusion, "a diffusion"), (drift, "a drift"),
-                         ({**drift, **diffusion}, "a drift and a diffusion")):
+    diffusion = dict(
+        diffusion_diag=(_const(0.5), lambda x: 0.4 + 0.1 * np.tanh(x)),
+        diffusion_diag_deriv=(_const(0.0), lambda x: 0.1 / np.cosh(x) ** 2))
+    drift = dict(drift_components=(lambda x: -0.3 * x, _const(-0.1)))
+    for parts in (diffusion, drift, {**drift, **diffusion}):
         spec = ProcessSpec(dim=2, jump=jump, **parts)
-        with pytest.raises(NotSeparable,
-                           match=f"jump part together with {named}$"):
+        rep = closed_form_dual(spec)
+        assert rep.admissible
+        dual = rep.dual_spec
+        assert isinstance(dual.jump, ParetoDualJumpKernelND)
+        assert dual.jump.base is jump
+        assert (dual.diffusion_diag is not None) == ("diffusion_diag" in parts)
+        assert dual.drift_components is not None
+        assert _agrees_by_criterion_2(
+            _oracle_pair(spec, dual, [-3.0, -3.0], [3.0, 3.0]), 0.25, 0.125)
+
+
+def test_closed_form_dual_names_a_jump_channel_it_cannot_separate():
+    # a move of both axes, and a rate that is a function of the state
+    for channels in ((((1.0, 0.0), 1.0), ((1.0, 1.0), 1.0)),
+                     (((1.0, 0.0), 1.0), ((0.0, 1.0), lambda x: 1.0))):
+        spec = ProcessSpec(dim=2, drift_components=(_const(0.1), _const(0.1)),
+                           jump=AtomicJumpKernel(jumps=channels))
+        with pytest.raises(NotSeparable, match="jump channel 1 is not"):
             closed_form_dual(spec)
-        assert closed_form_dual(ProcessSpec(dim=2, **parts)).admissible
+
+
+def test_dual_jump_multidim_rejects_a_component_beyond_the_dimension():
+    kern = AtomicJumpKernel(jumps=(((1.0,), 1.0),))
+    with pytest.raises(DimensionMismatch, match="axis 2 of a 2-D"):
+        dual_jump_multidim(SeparableJumpKernel(((2, kern),)), 2)
+
+
+def test_closed_form_dual_refuses_a_generic_1d_drift():
+    # the 1-D dual used to drop a drift given only as a generic callable
+    spec = ProcessSpec(dim=1, drift=lambda x: -x,
+                       diffusion_diag=(_const(0.5),),
+                       diffusion_diag_deriv=(_const(0.0),))
+    with pytest.raises(NotSeparable, match="drift must be declared"):
+        closed_form_dual(spec)
+
+
+def test_closed_form_dual_refuses_a_generic_1d_diffusion():
+    # ... and a diffusion given only as a generic callable
+    spec = ProcessSpec(dim=1, diffusion=lambda x: np.array([[0.5]]),
+                       diffusion_diag_deriv=(_const(0.0),))
+    with pytest.raises(StructureViolation, match="diffusion structure"):
+        closed_form_dual(spec)
+
+
+def test_compensated_jump_dual_contracts_under_halving():
+    # the dual drift is a' - b with b as drift_at returns it, so the
+    # compensator of the small jumps enters it; dropped, the action
+    # mismatch stays near 1.5 under halving
+    nu = AtomicJumpKernel(jumps=(((1.0,), 2.0), ((-0.5,), 1.0)))
+    spec = ProcessSpec.one_dim(
+        a=lambda x: 0.5 + 0.1 * np.cos(x), da=lambda x: -0.1 * np.sin(x),
+        b=lambda x: -0.2 * np.asarray(x, dtype=float), nu=nu,
+        jump_compensated=True, compensator_cutoff=1.0)
+    rep = closed_form_dual(spec)
+    assert rep.admissible and not rep.dual_spec.jump_compensated
+    at = _oracle_pair(spec, rep.dual_spec, [-8.0], [8.0])
+    q, qd, qb = at(0.25)
+    _, qd1, qb1 = at(0.125)
+    assert action_mismatch(qd, qb) >= 1.7 * action_mismatch(qd1, qb1)
 
 
 def _gauss_density_1d(center, deriv_sign):
@@ -322,20 +404,20 @@ def test_full_1d_half_line_assumption_violations():
     # odd diffusion coefficient
     spec = ProcessSpec.one_dim(a=lambda x: 1.0 + x, da=_const(1.0),
                                domain="half_line", boundary="reflect")
-    rep = dual_full_1d(spec, box=(0.0, 4.0))
+    rep = closed_form_dual(spec, box=(0.0, 4.0))
     assert not rep.admissible
     assert rep.violated_conditions[0][0] == "assumption_A:a_even"
     # even drift
     spec = ProcessSpec.one_dim(a=_const(1.0), da=_const(0.0), b=_const(1.0),
                                domain="half_line", boundary="reflect")
-    rep = dual_full_1d(spec, box=(0.0, 4.0))
+    rep = closed_form_dual(spec, box=(0.0, 4.0))
     assert not rep.admissible
     assert rep.violated_conditions[0][0] == "assumption_A:b_odd"
     # boundary-crossing jumps
     nu = AtomicJumpKernel(jumps=(((-0.7,), 1.0),))
     spec = ProcessSpec.one_dim(a=_const(1.0), da=_const(0.0), nu=nu,
                                domain="half_line", boundary="reflect")
-    rep = dual_full_1d(spec, box=(0.0, 4.0))
+    rep = closed_form_dual(spec, box=(0.0, 4.0))
     assert not rep.admissible
     assert any(v[0] == "assumption_A:jump_support"
                for v in rep.violated_conditions)
@@ -344,7 +426,7 @@ def test_full_1d_half_line_assumption_violations():
 def test_full_1d_half_line_dual_absorbed():
     spec = ProcessSpec.one_dim(a=_const(0.5), da=_const(0.0),
                                domain="half_line", boundary="reflect")
-    rep = dual_full_1d(spec, box=(0.0, 6.0))
+    rep = closed_form_dual(spec, box=(0.0, 6.0))
     assert rep.admissible
     assert rep.dual_spec.boundary == "absorb"
     g_refl = build_grid([0.0], [6.0], [0.5],
@@ -383,3 +465,50 @@ def test_check_self_dual_jump_symmetry():
     assert flag
     flag, witness = check_self_dual(make(1.0), tol=1e-8)
     assert not flag and witness[0] == "jump_condition"
+
+
+def test_half_line_absorbed_forward_has_a_reflected_dual():
+    # Siegmund's pairing: X absorbed at 0 has its dual reflected at 0.
+    # On the grid, F Q' F^-1 of the absorbed chain on {0, h, ...} is a
+    # state 0, which no other state enters, beside the reflected chain on
+    # {h, 2h, ...}
+    for kw in (dict(a=_const(0.5), da=_const(0.0)),
+               dict(a=lambda x: 0.5 + 0.1 * np.cos(x),
+                    da=lambda x: -0.1 * np.sin(x),
+                    b=lambda x: -0.2 * np.asarray(x, dtype=float))):
+        spec = ProcessSpec.one_dim(domain="half_line", boundary="absorb", **kw)
+        rep = closed_form_dual(spec)
+        assert rep.admissible
+        assert rep.dual_spec.domain == "half_line"
+        assert rep.dual_spec.boundary == "reflect"
+
+        def at(h):
+            gf = build_grid([0.0], [8.0], [h],
+                            boundary_policy=[("absorb", "truncate_mass")])
+            gd = build_grid([h], [8.0], [h],
+                            boundary_policy=[("reflect", "truncate_mass")])
+            q = discretize(spec, gf)
+            qd = dual_generator_via_F(q, gf, Cone.pareto(1)).entries
+            assert np.all(qd[1:, 0] == 0.0)
+            return (q, QMatrix(entries=qd[1:, 1:], state_grid=gd),
+                    discretize(rep.dual_spec, gd))
+        assert _agrees_by_criterion_2(at, 0.25, 0.125)
+
+
+def test_half_line_diffusion_is_probed_on_the_half_line():
+    # a Feller diffusion, a(x) = x, is PSD on the half line it lives on
+    spec = ProcessSpec.one_dim(a=lambda x: np.asarray(x, dtype=float),
+                               da=_const(1.0), domain="half_line",
+                               boundary="absorb")
+    assert closed_form_dual(spec).admissible
+    full = ProcessSpec.one_dim(a=lambda x: np.asarray(x, dtype=float),
+                               da=_const(1.0))
+    assert closed_form_dual(full).violated_conditions[0][0] == "diffusion_psd"
+
+
+def test_closed_form_dual_refuses_an_absorbed_jump_part():
+    nu = AtomicJumpKernel(jumps=(((0.5,), 1.0),))
+    spec = ProcessSpec.one_dim(a=_const(0.5), da=_const(0.0), nu=nu,
+                               domain="half_line", boundary="absorb")
+    with pytest.raises(NotSeparable, match="absorbed at 0"):
+        closed_form_dual(spec)

@@ -179,6 +179,15 @@ def test_separable_jump_moves_one_axis():
     assert Q[i, j] == pytest.approx(2.0)
 
 
+def test_separable_jump_component_beyond_the_dimension_rejected():
+    # a component on axis 2 of a 2-D process moves no axis of its states
+    up = AtomicJumpKernel(jumps=(((1.0,), 2.0),))
+    for axis in (2, -1):
+        with pytest.raises(DimensionMismatch, match=f"axis {axis} of a 2-D"):
+            ProcessSpec(dim=2, jump=SeparableJumpKernel(((axis, up),)))
+    assert ProcessSpec(dim=2, jump=SeparableJumpKernel(((1, up),))).dim == 2
+
+
 def test_compensated_jump_shifts_drift():
     nu = AtomicJumpKernel(jumps=(((1.0,), 2.0),))
     spec = ProcessSpec.one_dim(a=_const(1.0), nu=nu, jump_compensated=True,

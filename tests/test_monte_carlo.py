@@ -9,7 +9,6 @@ import scipy.linalg
 from scipy.stats import kstest, norm
 
 from dualgen import monte_carlo
-from dualgen.dual_builder import dual_full_1d
 from dualgen.errors import (
     InadmissibleDual,
     InvalidEstimate,
@@ -119,7 +118,7 @@ def test_positive_stable_laplace_transform():
 def test_standard_error_scaling():
     cone = ("cone", Cone.pareto(1))
     spec = _bm()
-    rep = dual_full_1d(spec)
+    rep = closed_form_dual(spec)
     ses = []
     for n in (10000, 40000):
         cfg = PathConfig(n_paths=n, dt=0.01, t_end=1.0, seed=5)
@@ -131,7 +130,7 @@ def test_standard_error_scaling():
 
 def test_brownian_self_duality_z_score():
     spec = _bm()
-    rep = dual_full_1d(spec)
+    rep = closed_form_dual(spec)
     cfg = PathConfig(n_paths=20000, dt=1e-3, t_end=1.0, seed=21)
     est = estimate_duality(spec, rep.dual_spec, ("cone", Cone.pareto(1)),
                            1.0, 0.0, 1.0, cfg, dual_report=rep)
@@ -538,7 +537,7 @@ def test_unsimulatable_dual_rejected_before_any_simulation(monkeypatch):
     # thinning simulates the walk, not its Siegmund dual jump kernel
     walk = ProcessSpec.one_dim(nu=AtomicJumpKernel(
         jumps=(((1.0,), 1.2), ((-1.0,), 0.8))))
-    rep = dual_full_1d(walk)
+    rep = closed_form_dual(walk)
     cfg = PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=1,
                      scheme="euler_jump_thinning", rate_bound=2.0)
     with pytest.raises(UnsupportedScheme):
@@ -552,9 +551,9 @@ def test_report_for_another_dual_rejected_before_any_simulation(monkeypatch):
     monkeypatch.setattr(monte_carlo, "simulate_paths",
                         lambda *a, **k: calls.append(a))
     spec = _bm()
-    rep = dual_full_1d(spec)
+    rep = closed_form_dual(spec)
     # the same construction run again: equal coefficients, another object
-    other = dual_full_1d(spec).dual_spec
+    other = closed_form_dual(spec).dual_spec
     cfg = PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=1)
     for specY in (spec, other):
         with pytest.raises(InadmissibleDual, match="another dual"):
