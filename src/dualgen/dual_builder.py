@@ -3,7 +3,8 @@
 The Siegmund-type dual of a generator under the Pareto (componentwise)
 order:  deterministic motion reverses sign, a diffusion keeps its matrix
 and picks up the derivative drift a'_jj, and jump kernels dualize through
-the monotone tail rates  z -> integral over {w >= y} of nu(z, dw).  The
+the monotone tail rates  z -> integral over {w >= y} of nu(z, dw), which
+are formed on whole arrays from the kernel's own rate evaluators.  The
 dual is linear in the generator, so `closed_form_dual`, the one builder
 of a process's dual in every dimension, adds the part duals: drift
 a'_jj - b_j, the same diffusion, and the jump part's dual; on the half
@@ -34,7 +35,7 @@ from .generator_core import (
     ProcessSpec,
     SeparableJumpKernel,
     _generator_rows,
-    map_targets,
+    _place,
     separable_jumps,
 )
 from .matrix_lab import SurvivalTransform
@@ -59,6 +60,7 @@ _JUMP_1D_PROBES = 40        # dual_jump_1d
 _JUMP_ND_PROBES = 60        # dual_jump_multidim
 _HALF_LINE_PROBES = 60      # closed_form_dual, assumption A on the half line
 _SELF_DUAL_PROBES = 100     # check_self_dual
+_DECREASE_PAIRS = 50        # z-pairs per probe y of a monotonicity check
 # quadrature nodes of density kernels: the 1-D tail rates over a fixed
 # box, the d-D mixed rates per axis of the probe box
 _TAIL_QUAD_BOX = (-30.0, 30.0)
@@ -99,15 +101,21 @@ def _middle_half(box) -> list:
     return [(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo)) for lo, hi in box]
 
 
-def _first_decrease(func, z_lo, z_hi, y, n_pairs: int):
-    """First probe pair z1 < z2 in [z_lo, z_hi] where z -> func(z, y)
-    decreases, as (z1, z2, f1, f2), or None."""
-    for z1, z2 in probe_points([(z_lo, z_hi), (z_lo, z_hi)], n_pairs):
-        lo, hi = (z1, z2) if z1 <= z2 else (z2, z1)
-        f1, f2 = func(lo, y), func(hi, y)
-        if f2 < f1 - 1e-10 * max(1.0, abs(f1)):
-            return lo, hi, f1, f2
-    return None
+def _first_decrease(func, z_lo, z_hi, y: np.ndarray):
+    """The first probe y, in order, at which z -> func(z, y) decreases on
+    one of _DECREASE_PAIRS probe pairs z1 < z2 in [z_lo, z_hi] (numbers,
+    or arrays aligned with y), and its first such pair, as
+    (z1, z2, y, f2 - f1); None when there is none."""
+    u = probe_points([(0.0, 1.0)] * 2, _DECREASE_PAIRS)
+    z_lo = np.reshape(np.asarray(z_lo, dtype=float), (-1, 1, 1))
+    Z = z_lo + u * (np.reshape(z_hi, (-1, 1, 1)) - z_lo)
+    z1, z2 = Z.min(axis=2), Z.max(axis=2)
+    f1, f2 = func(z1, y[:, None]), func(z2, y[:, None])
+    bad = np.argwhere(f2 < f1 - 1e-10 * np.maximum(1.0, np.abs(f1)))
+    if not len(bad):
+        return None
+    i, k = bad[0]
+    return tuple(map(float, (z1[i, k], z2[i, k], y[i], f2[i, k] - f1[i, k])))
 
 
 # ---------------------------------------------------------------------------
@@ -175,107 +183,110 @@ def dual_lightcone_diffusion(alpha, beta, omega=None, alpha_d=None,
 
 @dataclass(frozen=True)
 class JumpTails1D:
-    """Tail rates of a 1-D jump kernel and their z-derivative pieces.
+    """Tail rates of a 1-D jump kernel and the rates of its dual, on
+    whole arrays.
 
-    up(z, y)    = nu(z, [y, inf)),   lt(z, y) = nu(z, (-inf, y)).
-    The z-derivative of either tail splits into an absolutely continuous
-    density and Stieltjes atoms (from rate indicators switching).
+    up(z, y)    = nu(z, [y, inf)),   lt(z, y) = nu(z, (-inf, y)),
+    for broadcast arrays z and y.  The z-derivative of either tail splits
+    into Stieltjes atoms (from rate indicators switching) and an
+    absolutely continuous density.
     """
 
-    up: Callable                   # (z, y) -> float
+    up: Callable                   # (z, y) -> array
     lt: Callable
-    dual_atoms: Callable           # y -> ((target z, rate), ...), full-line part
-    dual_density: Callable         # (y, z array) -> intensity density
+    dual_atoms: Callable           # y (m,) -> (targets, rates), (m, channels)
+    dual_density: Callable         # (y (m,), z (n,)) -> (m, n) intensities
+
+
+def _atomic_tails(kernel: AtomicJumpKernel) -> JumpTails1D:
+    """Tails of displacement channels; every rate and rate derivative
+    comes from the kernel's `rates_at` and `rate_derivs_at`."""
+    if any(callable(where) for where, _ in kernel.jumps):
+        raise NotSeparable(
+            "dual construction needs displacement channels, not target maps")
+    c = np.array([float(np.atleast_1d(where)[0])
+                  for where, _ in kernel.jumps])
+
+    def tail(z, y, upper: bool):
+        # channels added left to right, those that land at or above y
+        # to the upper tail and the others to the lower
+        z = np.asarray(z, dtype=float)
+        rates = kernel.rates_at(z.reshape(-1, 1)).reshape(z.shape + c.shape)
+        out = np.zeros(np.broadcast_shapes(z.shape, np.shape(y)))
+        for k, ck in enumerate(c):
+            out = out + np.where((z + ck >= y - 1e-12) == upper,
+                                 rates[..., k], 0.0)
+        return out
+
+    def dual_atoms(y):
+        # indicator switches of the tails: jump from y to y - c at rate
+        # r(y - c); up-channels land below y, down-channels above.  Every
+        # channel is evaluated at every channel's targets and each keeps
+        # its own (the diagonal).
+        targets = np.subtract.outer(y, c)
+        rates = kernel.rates_at(targets.reshape(-1, 1)).reshape(
+            targets.shape + c.shape)
+        return targets, np.where(c != 0.0, np.diagonal(rates, axis1=1,
+                                                       axis2=2), 0.0)
+
+    def dual_density(y, z):
+        # each rate derivative once per point z: it enters row y from
+        # z < y when the channel's jump reaches y, with minus sign from
+        # z > y when it does not
+        Y, Z = y[:, None], z[None, :]
+        out = np.zeros((len(y), len(z)))
+        for ck, dr in zip(c, kernel.rate_derivs_at(z[:, None]).T):
+            up = Z + ck >= Y - 1e-12
+            out = np.where((Z < Y) & up, out + dr, out)
+            out = np.where((Z > Y) & ~up, out - dr, out)
+        return out
+
+    return JumpTails1D(up=lambda z, y: tail(z, y, True),
+                       lt=lambda z, y: tail(z, y, False),
+                       dual_atoms=dual_atoms, dual_density=dual_density)
+
+
+def _density_tails(kernel: DensityJumpKernel) -> JumpTails1D:
+    """Tails of a density kernel by quadrature on _TAIL_QUAD_N nodes."""
+    dnu = kernel.derivs.get((0,))
+    if dnu is None:
+        raise MissingDerivative("density kernel needs derivs[(0,)] = dnu/dz")
+    w = np.linspace(*_TAIL_QUAD_BOX, _TAIL_QUAD_N)
+    dw = w[1] - w[0]
+
+    def tail(z, y, upper: bool):
+        z, y = np.broadcast_arrays(np.asarray(z, dtype=float), y)
+        return np.array([
+            np.sum(kernel.density(np.array([zi]),
+                                  w[(w >= yi) == upper, None]) * dw)
+            for zi, yi in zip(z.ravel(), y.ravel())]).reshape(z.shape)
+
+    def dual_atoms(y):
+        return np.empty((len(y), 0)), np.empty((len(y), 0))
+
+    def dual_density(y, z):
+        # dnu/dz once per point z; from z < y its mass at or above y, from
+        # z > y minus its mass below y
+        V = np.stack([np.asarray(dnu(np.array([zi]), w[:, None]),
+                                 dtype=float).ravel() for zi in z])
+        out = np.zeros((len(y), len(z)))
+        for i, k in enumerate(np.searchsorted(w, y)):
+            below, above = z < y[i], z > y[i]
+            out[i, below] = V[below, k:].sum(axis=1) * dw
+            out[i, above] = -(V[above, :k].sum(axis=1) * dw)
+        return out
+
+    return JumpTails1D(up=lambda z, y: tail(z, y, True),
+                       lt=lambda z, y: tail(z, y, False),
+                       dual_atoms=dual_atoms, dual_density=dual_density)
 
 
 def jump_tails_1d(kernel: AtomicJumpKernel | DensityJumpKernel) -> JumpTails1D:
     """Tail-rate functions for atomic and density 1-D kernels."""
     if isinstance(kernel, AtomicJumpKernel):
-        # rate callables follow the kernel convention (1-element state
-        # array in, scalar out); tails work with plain floats
-        def scalarize(fn):
-            if not callable(fn):
-                return lambda z, _v=float(fn): _v
-            return lambda z, _f=fn: float(np.atleast_1d(_f(np.atleast_1d(z)))[0])
-
-        channels = []
-        for k, (where, rate) in enumerate(kernel.jumps):
-            if callable(where):
-                raise NotSeparable(
-                    "dual construction needs displacement channels, not target maps")
-            c = float(np.atleast_1d(where)[0])
-            r = scalarize(rate)
-            dr = scalarize(kernel.rate_derivs[k]) \
-                if kernel.rate_derivs and k < len(kernel.rate_derivs) and \
-                kernel.rate_derivs[k] is not None else None
-            channels.append((c, r, dr))
-
-        def up(z, y):
-            return sum(r(z) for c, r, _ in channels if z + c >= y - 1e-12)
-
-        def lt(z, y):
-            return sum(r(z) for c, r, _ in channels if z + c < y - 1e-12)
-
-        def dual_atoms(y):
-            # indicator switches of the tails: jump from y to y - c at rate
-            # r(y - c); up-channels land below y, down-channels above
-            out = []
-            for c, r, _ in channels:
-                if c != 0.0:
-                    out.append((y - c, r(y - c)))
-            return tuple(out)
-
-        def dual_density(y, z):
-            z = np.asarray(z, dtype=float)
-            out = np.zeros_like(z)
-            for c, r, dr in channels:
-                if dr is None:
-                    continue
-                vals = np.array([dr(zi) for zi in z])
-                below = (z < y) & (z + c >= y - 1e-12)
-                above = (z > y) & (z + c < y - 1e-12)
-                out = np.where(below, out + vals, out)
-                out = np.where(above, out - vals, out)
-            return out
-
-        return JumpTails1D(up=up, lt=lt, dual_atoms=dual_atoms,
-                           dual_density=dual_density)
-
+        return _atomic_tails(kernel)
     if isinstance(kernel, DensityJumpKernel):
-        dnu = kernel.derivs.get((0,))
-        if dnu is None:
-            raise MissingDerivative("density kernel needs derivs[(0,)] = dnu/dz")
-        w_nodes = np.linspace(*_TAIL_QUAD_BOX, _TAIL_QUAD_N)
-        dw = w_nodes[1] - w_nodes[0]
-
-        def mass(z, mask):
-            return float(np.sum(kernel.density(np.array([z]),
-                                               w_nodes[mask, None]) * dw))
-
-        def up(z, y):
-            return mass(z, w_nodes >= y)
-
-        def lt(z, y):
-            return mass(z, w_nodes < y)
-
-        def dual_atoms(y):
-            return ()
-
-        def dual_density(y, z):
-            z = np.atleast_1d(np.asarray(z, dtype=float))
-            out = np.zeros_like(z)
-            for i, zi in enumerate(z):
-                vals = np.asarray(dnu(np.array([zi]), w_nodes[:, None]),
-                                  dtype=float).ravel()
-                if zi < y:
-                    out[i] = float(np.sum(vals[w_nodes >= y]) * dw)
-                elif zi > y:
-                    out[i] = -float(np.sum(vals[w_nodes < y]) * dw)
-            return out
-
-        return JumpTails1D(up=up, lt=lt, dual_atoms=dual_atoms,
-                           dual_density=dual_density)
-
+        return _density_tails(kernel)
     raise NotSeparable(f"unsupported 1-D kernel type {type(kernel).__name__}")
 
 
@@ -291,20 +302,18 @@ class SiegmundDualJumpKernel1D:
     def generator_matrix(self, grid: Grid) -> np.ndarray:
         z = grid.points()[:, 0]
         R = np.zeros((len(z), len(z)))
-        for y, row in zip(z, R):
-            # atoms at or below the origin fold into the absorption channel
-            atoms = [(t, r) for t, r in self.tails.dual_atoms(y)
-                     if r != 0.0 and not (self.boundary_at_zero
-                                          and t <= grid.lower[0] + 1e-12)]
-            if atoms:
-                targets, rates = np.array(atoms).T
-                idx = map_targets(grid, targets)
-                np.add.at(row, idx[idx >= 0], rates[idx >= 0])
-            dens = self.tails.dual_density(y, z)
-            dens = np.where(np.abs(z - y) < 1e-12, 0.0, dens)
-            row += np.clip(dens, 0.0, None) * grid.spacing[0]
+        targets, rates = self.tails.dual_atoms(z)
+        for t, r in zip(targets.T, rates.T):
+            if self.boundary_at_zero:
+                # atoms at or below the origin fold into the absorption
+                # channel
+                r = np.where(t <= grid.lower[0] + 1e-12, 0.0, r)
+            _place(R, grid, t[:, None], r)
+        dens = self.tails.dual_density(z, z)
+        dens[np.abs(z[None, :] - z[:, None]) < 1e-12] = 0.0
+        R += np.clip(dens, 0.0, None) * grid.spacing[0]
         if self.boundary_at_zero:
-            R[:, 0] += [self.tails.up(0.0, y) for y in z]
+            R[:, 0] += self.tails.up(0.0, z)
         return _generator_rows(R)
 
 
@@ -320,44 +329,30 @@ def dual_jump_1d(nu: AtomicJumpKernel | DensityJumpKernel,
         raise ValueError("boundary must be 'none' or 'at_zero'")
     tails = jump_tails_1d(nu)
     lo, hi = box
-    y_probes = probe_points(_middle_half([box]), _JUMP_1D_PROBES).ravel()
+    y = probe_points(_middle_half([box]), _JUMP_1D_PROBES).ravel()
     violated = []
     # tail conditions at the box extremes
-    for y in y_probes[:8]:
-        v = tails.up(lo, y)
-        if abs(v) > 1e-9:
-            violated.append(("tail_at_minus_inf", (lo, float(y)), float(v)))
-            break
-    for y in y_probes[:8]:
-        v = tails.lt(hi, y)
-        if abs(v) > 1e-9:
-            violated.append(("tail_at_plus_inf", (hi, float(y)), float(v)))
-            break
+    for cond, z, tail in (("tail_at_minus_inf", lo, tails.up),
+                          ("tail_at_plus_inf", hi, tails.lt)):
+        v = tail(z, y[:8])
+        bad = np.flatnonzero(np.abs(v) > 1e-9)
+        if len(bad):
+            violated.append((cond, (z, float(y[bad[0]])), float(v[bad[0]])))
     # monotonicity of the two tail rates (probe pairs)
-    for y in y_probes:
-        bad = _first_decrease(tails.up, lo, y - 1e-9, y, 50)
+    for cond, func, z_lo, z_hi in (
+            ("up_tail_monotone", tails.up, lo, y - 1e-9),
+            ("lt_tail_monotone", lambda z, y: -tails.lt(z, y), y + 1e-9, hi)):
+        bad = _first_decrease(func, z_lo, z_hi, y)
         if bad is not None:
-            violated.append(("up_tail_monotone", (bad[0], bad[1], float(y)),
-                             bad[3] - bad[2]))
-            break
-    for y in y_probes:
-        bad = _first_decrease(lambda z, y: -tails.lt(z, y), y + 1e-9, hi, y,
-                              50)
-        if bad is not None:
-            violated.append(("lt_tail_monotone", (bad[0], bad[1], float(y)),
-                             bad[3] - bad[2]))
-            break
-    ok = not violated
-    dual = None
-    if ok:
-        dual = ProcessSpec(
-            dim=1,
-            jump=SiegmundDualJumpKernel1D(
-                tails=tails, boundary_at_zero=(boundary == "at_zero")),
-            domain="half_line" if boundary == "at_zero" else "full_space",
-            boundary="absorb" if boundary == "at_zero" else None,
-        )
-    return DualReport(dual_spec=dual, admissible=ok,
+            violated.append((cond, bad[:3], bad[3]))
+    at_zero = boundary == "at_zero"
+    dual = None if violated else ProcessSpec(
+        dim=1,
+        jump=SiegmundDualJumpKernel1D(tails=tails, boundary_at_zero=at_zero),
+        domain="half_line" if at_zero else "full_space",
+        boundary="absorb" if at_zero else None,
+    )
+    return DualReport(dual_spec=dual, admissible=not violated,
                       violated_conditions=tuple(violated),
                       notes="jump dual from Stieltjes tail derivatives")
 
@@ -488,11 +483,12 @@ def _check_assumption_A(spec: ProcessSpec, probes: np.ndarray):
         if b is not None and abs(b(x) + b(-x)) > 1e-9 * max(1.0, abs(b(x))):
             return ("b_odd", (float(x),), float(b(x) + b(-x)))
     if spec.jump is not None:
-        tails = jump_tails_1d(spec.jump)
-        for (z,) in probes[:25]:
-            mass_below = tails.lt(abs(z), 0.0)
-            if abs(mass_below) > 1e-9:
-                return ("jump_support", (float(abs(z)),), float(mass_below))
+        z = np.abs(probes[:25, 0])
+        mass_below = jump_tails_1d(spec.jump).lt(z, 0.0)
+        bad = np.flatnonzero(np.abs(mass_below) > 1e-9)
+        if len(bad):
+            return ("jump_support", (float(z[bad[0]]),),
+                    float(mass_below[bad[0]]))
     return None
 
 
@@ -522,7 +518,8 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
     On the half line the face swaps: a forward process reflected at 0
     (it must meet assumption A, and its jump dual gains the channel at
     zero) has a dual absorbed there, and one absorbed at 0, which may
-    have no jump part, a dual reflected there.  `box` is the range of
+    have no jump part, a dual reflected there; a half-line process of
+    d >= 2 has no closed form (NotSeparable).  `box` is the range of
     the 1-D jump and half-line probes, (-6, 6) when None.
     """
     d = spec.dim
@@ -534,8 +531,11 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
             "diffusion structure must be declared via diffusion_diag/offdiag")
     if spec.diffusion_diag is not None and spec.diffusion_diag_deriv is None:
         raise MissingDerivative("a'_jj callables are required")
-    half = d == 1 and spec.domain == "half_line"
-    absorbed = half and spec.boundary == "absorb"
+    half = spec.domain == "half_line"
+    if half and d > 1:
+        raise NotSeparable(f"no closed-form dual of a {d}-D process on the "
+                           f"half line")
+    absorbed = spec.boundary == "absorb"
     if absorbed and spec.jump is not None:
         raise NotSeparable("no closed-form dual of a jump part absorbed at 0")
     violated = []

@@ -34,7 +34,8 @@ class NotSeparable(DualgenError):
 
 
 class StructureViolation(DualgenError):
-    """Declared coefficient structure fails at a probe point."""
+    """Declared coefficient structure fails at a probe point, or a
+    declared domain and boundary do not go together."""
 
 
 class MissingDerivative(DualgenError):
@@ -46,9 +47,10 @@ class RateBoundExceeded(DualgenError):
 
 
 class UnsupportedScheme(DualgenError):
-    """The simulation scheme cannot simulate a part of the process, or
+    """The simulation scheme cannot simulate a part of the process,
     discretization meets a part it cannot put on a grid (a jump kernel
-    without generator rows or without the compensator it is asked for)."""
+    without generator rows), or a spec asks a jump kernel for a
+    compensator it does not have."""
 
 
 class NonFiniteState(DualgenError):

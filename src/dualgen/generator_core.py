@@ -12,9 +12,10 @@ One boundary rule (`_fold`, on integer grid coordinates) maps both the
 stencil's neighbour moves and every jump target across a face:
 `map_targets` rounds a target to its nearest grid point and folds it.
 `ProcessSpec.drift_at` and `diffusion_at` are the only coefficient
-evaluators, and `AtomicJumpKernel.rates_at` the only evaluator of channel
-rates; `discretize`, the simulator and the dual builder all call them, so
-both verification tracks see the same compensated drift.
+evaluators, and `AtomicJumpKernel.rates_at` and `rate_derivs_at` (one
+evaluator, `_evaluate`) the only evaluators of channel rates and their
+derivatives; `discretize`, the simulator and the dual builder all call
+them, so both verification tracks see the same compensated drift.
 `discretize` evaluates the coefficients at every live state in one call
 each and then assembles each stencil move for all states at once with
 array writes, accumulating every entry in the same order as a
@@ -42,6 +43,7 @@ from .errors import (
     NotSeparable,
     Overflow,
     PositivityViolation,
+    StructureViolation,
     UnsupportedScheme,
 )
 from .state_space import MAX_STATES, Grid
@@ -129,6 +131,22 @@ def _targets(where, X: np.ndarray) -> np.ndarray:
     return X + np.asarray(where, dtype=float)
 
 
+def _evaluate(fns, X: np.ndarray) -> np.ndarray:
+    """(m, len(fns)): each of fns at the states X, (m, d).  The one
+    evaluator of channel rates and their derivatives: a number is used as
+    given (None as 0), a callable with a `vectorized` form is called once
+    on all states, any other callable state by state."""
+    R = np.empty((len(X), len(fns)))
+    for c, fn in enumerate(fns):
+        if not callable(fn):
+            R[:, c] = 0.0 if fn is None else float(fn)
+        elif hasattr(fn, "vectorized"):
+            R[:, c] = fn.vectorized(X)
+        else:
+            R[:, c] = [float(fn(x)) for x in X]
+    return R
+
+
 class GridJumpKernel(Protocol):
     """A jump kernel `discretize` can assemble."""
 
@@ -146,24 +164,22 @@ class AtomicJumpKernel:
     a `vectorized` attribute, as a scenario expression does, is evaluated
     on all states in one call of it.  rate_derivs, when supplied,
     are the z-derivatives of the rate functions used by the dual
-    construction (never differentiated numerically there).
+    construction (never differentiated numerically there).  `rates_at`
+    and `rate_derivs_at` are the only callers of either.
     """
 
     jumps: tuple            # ((displacement | target_map, rate), ...)
     rate_derivs: tuple = ()  # optional, aligned with jumps
 
     def rates_at(self, X: np.ndarray) -> np.ndarray:
-        """(m, channels): the rate of each channel at the states X, (m, d);
-        a callable rate is called state by state, unless it is vectorized."""
-        R = np.empty((len(X), len(self.jumps)))
-        for c, (_, rate) in enumerate(self.jumps):
-            if not callable(rate):
-                R[:, c] = float(rate)
-            elif hasattr(rate, "vectorized"):
-                R[:, c] = rate.vectorized(X)
-            else:
-                R[:, c] = [float(rate(x)) for x in X]
-        return R
+        """(m, channels): the rate of each channel at the states X, (m, d)."""
+        return _evaluate([rate for _, rate in self.jumps], X)
+
+    def rate_derivs_at(self, X: np.ndarray) -> np.ndarray:
+        """(m, channels): the declared z-derivative of each channel's rate
+        at the states X, (m, d); 0 for a channel that declares none."""
+        derivs = tuple(self.rate_derivs) + (None,) * len(self.jumps)
+        return _evaluate(derivs[:len(self.jumps)], X)
 
     def _channels(self, X: np.ndarray):
         """(where, rates) of each channel at the states X, (m, d)."""
@@ -292,6 +308,11 @@ class ProcessSpec:
     simulation and are evaluated state by state.  With jump_compensated
     the jump part's compensator drift (its jumps no longer than
     compensator_cutoff) is part of the drift that drift_at returns.
+    Checked when built: each per-axis declaration has dim entries
+    (DimensionMismatch); the half line comes with a reflect or absorb
+    boundary and those boundaries with the half line
+    (StructureViolation); a compensated jump part has a compensator
+    drift (UnsupportedScheme).
     """
 
     dim: int
@@ -314,6 +335,24 @@ class ProcessSpec:
             raise ValueError("at least one of drift/diffusion/jump is required")
         if self.domain not in ("full_space", "half_line"):
             raise ValueError(f"unknown domain {self.domain!r}")
+        if (self.domain == "half_line") != (self.boundary in ("reflect",
+                                                              "absorb")):
+            raise StructureViolation(
+                f"domain {self.domain!r} with boundary {self.boundary!r}: "
+                f"the half line needs a reflect or absorb boundary, and "
+                f"those boundaries need the half line")
+        for name in ("drift_components", "diffusion_diag",
+                     "diffusion_diag_deriv"):
+            parts = getattr(self, name)
+            if parts is not None and len(parts) != self.dim:
+                raise DimensionMismatch(
+                    f"{name} has {len(parts)} entries for a {self.dim}-D "
+                    f"state")
+        if self.jump_compensated and self.jump is not None \
+                and not hasattr(self.jump, "compensator_drift"):
+            raise UnsupportedScheme(
+                f"a {type(self.jump).__name__} jump part has no compensator "
+                f"drift; build the spec with jump_compensated=False")
         if isinstance(self.jump, SeparableJumpKernel):
             self.jump.check_axes(self.dim)
 
@@ -530,8 +569,8 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
     more than MAX_STATES points before anything is allocated,
     NonFiniteCoefficient on a NaN or inf drift, diffusion or jump rate,
     and UnsupportedScheme on a jump part with no generator rows (a
-    simulation-only kernel) or a compensated one with no compensator
-    drift; each from the d-D assembly, before any per-axis one.
+    simulation-only kernel); each from the d-D assembly, before any
+    per-axis one.
     """
     if spec.dim != grid.dim:
         raise DimensionMismatch("spec and grid dimensions differ")
@@ -543,11 +582,6 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
         raise UnsupportedScheme(
             f"a {type(jump).__name__} jump part has no generator rows on a "
             f"grid; it can only be simulated")
-    if jump is not None and spec.jump_compensated \
-            and not hasattr(jump, "compensator_drift"):
-        raise UnsupportedScheme(
-            f"a {type(jump).__name__} jump part has no compensator drift; "
-            f"discretize it with jump_compensated=False")
     n_states = grid.n_points
     Q = np.zeros((n_states, n_states))
     live = np.flatnonzero(~_absorbing_mask(grid))

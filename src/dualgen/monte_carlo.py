@@ -278,9 +278,9 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
     a_block = None if diagonal else spec.diffusion_at(x[0])
     if stable is None and spec.has_diffusion() and not diagonal:
         chol_t = cholesky(2.0 * a_block, lower=True).T
-    half = spec.domain == "half_line"
-    reflecting = half and spec.boundary == "reflect"
-    absorbing = half and spec.boundary == "absorb"
+    # a spec has these boundaries on the half line only
+    reflecting = spec.boundary == "reflect"
+    absorbing = spec.boundary == "absorb"
     bridge = absorbing and cfg.bridge_correction
 
     dx = np.empty_like(x)
@@ -433,11 +433,6 @@ def _check_scheme(spec: ProcessSpec, cfg: PathConfig):
             raise UnsupportedScheme(
                 "euler_jump_thinning simulates displacement channels only, "
                 "not target maps")
-    if spec.jump_compensated and jump is not None \
-            and not hasattr(jump, "compensator_drift"):
-        raise UnsupportedScheme(
-            f"a {type(jump).__name__} jump part has no compensator drift; "
-            f"simulate it with jump_compensated=False")
     if cfg.scheme == "stable_euler":
         if spec.has_diffusion():
             raise UnsupportedScheme("stable_euler excludes a diffusion part")

@@ -229,6 +229,22 @@ def test_cli_exit_zero_on_pass(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_exit_two_on_a_half_line_without_a_boundary(tmp_path, capsys):
+    # before, the dual was absorbed at 0 while the forward paths ran on
+    # the whole line (42% of them below 0 at t = 1 from 0.2)
+    doc = {
+        "name": "half-line-no-boundary", "mode": "mc",
+        "process": {"dim": 1, "diffusion": ["0.5"], "diffusion_deriv": ["0"],
+                    "domain": "half_line"},
+        "probes": [{"x": [1.0], "y": [0.5], "t": 1.0}],
+        "path_config": {"n_paths": 400, "dt": 0.01, "seed": 3},
+    }
+    code = main(["mc", _write(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "reflect or absorb" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_cli_absorbed_side_started_on_the_boundary_stays_there(tmp_path):
     # reflected BM and its dual, BM absorbed at 0: Y started at 0 is
     # absorbed at t = 0, so x - Y_t >= 0 on every path, as X_t - y >= 0

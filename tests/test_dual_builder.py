@@ -512,3 +512,62 @@ def test_closed_form_dual_refuses_an_absorbed_jump_part():
                                domain="half_line", boundary="absorb")
     with pytest.raises(NotSeparable, match="absorbed at 0"):
         closed_form_dual(spec)
+
+
+def test_closed_form_dual_refuses_a_multidim_half_line():
+    # before, the face swapped only in 1-D, so this dual kept the
+    # forward's reflecting face and was reported admissible
+    spec = ProcessSpec(dim=2, drift_components=(_const(-0.2),) * 2,
+                       diffusion_diag=(_const(0.5),) * 2,
+                       diffusion_diag_deriv=(_const(0.0),) * 2,
+                       domain="half_line", boundary="reflect")
+    with pytest.raises(NotSeparable, match="2-D process on the half line"):
+        closed_form_dual(spec)
+
+
+class _PerStateCall(Exception):
+    pass
+
+
+def _whole_arrays_only(fn):
+    """A rate of one coordinate that may be evaluated on whole arrays of
+    states only, through its `vectorized` form."""
+    def per_state(x):
+        raise _PerStateCall("a channel rate was called state by state")
+    per_state.vectorized = lambda X: fn(X[:, 0])
+    return per_state
+
+
+def test_dual_builder_reads_rates_only_through_the_kernel():
+    # the tails, the dual rows and the half-line checks evaluate every
+    # channel rate and rate derivative through rates_at / rate_derivs_at
+    rates = (lambda z: 0.6 + 0.2 * np.tanh(z), lambda z: 0.4 - 0.1 * np.tanh(z))
+    derivs = (lambda z: 0.2 / np.cosh(z) ** 2, lambda z: -0.1 / np.cosh(z) ** 2)
+    whole = AtomicJumpKernel(
+        jumps=tuple(((w,), _whole_arrays_only(r))
+                    for w, r in zip((1.0, -1.0), rates)),
+        rate_derivs=tuple(map(_whole_arrays_only, derivs)))
+    plain = AtomicJumpKernel(
+        jumps=tuple(((w,), lambda x, r=r: r(x[0]))
+                    for w, r in zip((1.0, -1.0), rates)),
+        rate_derivs=tuple(lambda x, d=d: d(x[0]) for d in derivs))
+    grid = build_grid([-10.0], [10.0], [0.5], "truncate_mass")
+    for build in (dual_jump_1d,
+                  lambda nu: closed_form_dual(ProcessSpec.one_dim(nu=nu))):
+        rep, ref = build(whole), build(plain)
+        assert rep.admissible and ref.admissible
+        np.testing.assert_allclose(discretize(rep.dual_spec, grid).entries,
+                                   discretize(ref.dual_spec, grid).entries,
+                                   rtol=0.0, atol=1e-12)
+    # on the half line: assumption A's jump support and the channel at 0
+    up = AtomicJumpKernel(jumps=(((0.5,), _whole_arrays_only(rates[0])),),
+                          rate_derivs=(_whole_arrays_only(derivs[0]),))
+    rep = closed_form_dual(ProcessSpec.one_dim(
+        nu=up, domain="half_line", boundary="reflect"), box=(0.0, 8.0))
+    assert rep.admissible
+    half = build_grid([0.0], [8.0], [0.25], [("absorb", "truncate_mass")])
+    assert np.isfinite(discretize(rep.dual_spec, half).entries).all()
+    # a kernel that breaks the monotone-tail rule is flagged the same way
+    down = AtomicJumpKernel(jumps=(((1.0,), _whole_arrays_only(rates[1])),))
+    assert [v[0] for v in dual_jump_1d(down).violated_conditions] == [
+        "up_tail_monotone"]

@@ -15,6 +15,7 @@ from dualgen.errors import (
     NotSeparable,
     Overflow,
     PositivityViolation,
+    StructureViolation,
     UnsupportedScheme,
 )
 from dualgen.generator_core import (
@@ -641,9 +642,9 @@ def test_kernels_without_grid_rows_or_compensator_rejected_at_entry():
     with pytest.raises(UnsupportedScheme, match="no generator rows"):
         discretize(stable, grid)
     density = DensityJumpKernel(density=lambda x, W: np.exp(-W[:, 0] ** 2))
-    compensated = ProcessSpec.one_dim(a=_const(1.0), nu=density,
-                                      jump_compensated=True)
     with pytest.raises(UnsupportedScheme, match="no compensator drift"):
+        compensated = ProcessSpec.one_dim(a=_const(1.0), nu=density,
+                                          jump_compensated=True)
         discretize(compensated, grid)
     with pytest.raises(NotSeparable, match="axis 1 is a DensityJumpKernel"):
         SeparableJumpKernel(components=((1, density),))
@@ -684,3 +685,24 @@ def test_jump_rows_placed_for_all_states_at_once():
                 want[i, j] += r
         want[i, i] = -(want[i].sum() - want[i, i])
     assert np.array_equal(nu.generator_matrix(grid), want)
+
+
+@pytest.mark.parametrize("field", ["drift_components", "diffusion_diag",
+                                   "diffusion_diag_deriv"])
+@pytest.mark.parametrize("entries", [1, 3])
+def test_per_axis_declarations_need_one_entry_per_axis(field, entries):
+    # a 2-D spec with one drift component once read uninitialized memory
+    # as its axis-1 drift; three components raised a bare IndexError
+    kw = {"diffusion_diag": (_const(1.0),) * 2}
+    kw[field] = (_const(0.5),) * entries
+    with pytest.raises(DimensionMismatch, match=f"{field} has {entries}"):
+        ProcessSpec(dim=2, **kw)
+
+
+@pytest.mark.parametrize("domain, boundary", [
+    ("half_line", None), ("half_line", "none"), ("full_space", "reflect"),
+    ("full_space", "absorb")])
+def test_half_line_and_its_boundary_go_together(domain, boundary):
+    # a half line with no boundary was simulated on the whole line
+    with pytest.raises(StructureViolation, match="half line"):
+        ProcessSpec.one_dim(a=_const(0.5), domain=domain, boundary=boundary)

@@ -636,10 +636,10 @@ def test_thinning_simulates_the_compensated_process():
 
 
 def test_compensated_kernel_without_compensator_rejected():
-    spec = ProcessSpec(dim=1, jump=StableLikeKernel(
-        alpha=1.0, amplitude=lambda x: np.ones(len(x))),
-        jump_compensated=True)
     cfg = PathConfig(n_paths=100, dt=0.1, t_end=1.0, seed=1,
                      scheme="stable_euler")
     with pytest.raises(UnsupportedScheme, match="no compensator drift"):
+        spec = ProcessSpec(dim=1, jump=StableLikeKernel(
+            alpha=1.0, amplitude=lambda x: np.ones(len(x))),
+            jump_compensated=True)
         simulate_paths(spec, cfg, [0.0])
