@@ -8,7 +8,11 @@ are formed on whole arrays from the kernel's own rate evaluators.  The
 dual is linear in the generator, so `closed_form_dual`, the one builder
 of a process's dual in every dimension, adds the part duals: drift
 a'_jj - b_j, the same diffusion, and the jump part's dual; on the half
-line it swaps the face (reflected <-> absorbed at 0).  Admissibility
+line it swaps the face (reflected <-> absorbed at 0).  A separable jump
+part is dualized axis by axis, each axis by the 1-D Siegmund dual: the
+Pareto F is (x) F_k and the generator (+) Q_k, so F Q' F^-1 is
+(+) F_k Q_k' F_k^-1.  Only a d >= 2 density kernel's dual is the
+conjugation F Q' F^-1 itself (`ParetoDualJumpKernelND`).  Admissibility
 is decided by sign and monotonicity conditions verified at quasi-random
 probe points; derivatives are always supplied, never inferred
 numerically.  Probe counts and quadrature sizes are module
@@ -365,11 +369,11 @@ class ParetoDualJumpKernelND:
     """Dual of a d-dimensional jump kernel, realized at grid resolution.
 
     Its generator rows are the conjugation F Q' F^-1 of the base kernel's
-    generator rows Q by the Pareto survival transform, which realizes the
-    death / face / interior decomposition of the closed-form dual exactly
-    at grid resolution.  They are used in full: the dual has a genuine
-    death term, so its diagonal is not minus the off-diagonal sum on a
-    truncated grid.
+    generator rows Q by the Pareto survival transform: the matrix oracle
+    itself, not a closed form.  `closed_form_dual` builds one only for a
+    d >= 2 density kernel; a separable kernel's dual is per axis.  The
+    rows are used in full: the dual has a genuine death term, so its
+    diagonal is not minus the off-diagonal sum on a truncated grid.
     """
 
     base: GridJumpKernel
@@ -389,10 +393,16 @@ def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
                        dim: int, box=None) -> DualReport:
     """Pareto dual of the jump kernel of a dim-dimensional process, with
     supplied mixed z-derivatives; admissible iff the sign conditions hold
-    at probes.  The dual has the process's dimension, also when a
-    separable kernel moves only some axes.  A separable kernel has atomic
-    components (its constructor raises NotSeparable otherwise); a density
-    kernel declares smoothness = dim."""
+    at probes.  The dual has the process's dimension, and its rows are
+    the conjugation F Q' F^-1 (`ParetoDualJumpKernelND`).  A density
+    kernel declares smoothness = dim.
+
+    The separable branch's rule, "every per-axis total rate
+    nonincreasing", is not Siegmund's: it is the reverse of
+    `dual_jump_1d`'s and of the conjugation's sign, admitting +1 at rate
+    2 - tanh z and refusing 2 + tanh z.  `closed_form_dual` dualizes a
+    separable part per axis instead; the branch stays for acceptance
+    criterion 2's frozen N-D family, which calls it."""
     violated = []
     if isinstance(nu, SeparableJumpKernel):
         nu.check_axes(dim)
@@ -504,23 +514,57 @@ def _drift_column(spec: ProcessSpec, j: int):
     return b
 
 
+def _separable_dual(nu: SeparableJumpKernel, dim: int, box) -> DualReport:
+    """Siegmund dual of a separable jump part, axis by axis.  The Pareto
+    F is (x) F_k and the generator (+) Q_k, so F Q' F^-1 is
+    (+) F_k Q_k' F_k^-1 (Van Loan, J. Comput. Appl. Math. 123, 2000):
+    all the channels of one axis, with their declared rate derivatives,
+    go through `dual_jump_1d` together, and the verdict is per axis, its
+    violated conditions named axis_<k>:<condition>."""
+    reps = []
+    for k in sorted({axis for axis, _ in nu.components}):
+        jumps, derivs = (), ()
+        for axis, kern in nu.components:
+            if axis != k:
+                continue
+            if not isinstance(kern, AtomicJumpKernel):
+                raise NotSeparable(f"no closed-form dual of a "
+                                   f"{type(kern).__name__} component")
+            jumps += kern.jumps
+            derivs += (tuple(kern.rate_derivs)
+                       + (None,) * len(kern.jumps))[:len(kern.jumps)]
+        reps.append((k, dual_jump_1d(
+            AtomicJumpKernel(jumps=jumps, rate_derivs=derivs), "none", box)))
+    violated = tuple((f"axis_{k}:{c[0]}",) + c[1:]
+                     for k, rep in reps for c in rep.violated_conditions)
+    dual = None if violated else ProcessSpec(dim=dim, jump=SeparableJumpKernel(
+        tuple((k, rep.dual_spec.jump) for k, rep in reps)))
+    return DualReport(dual_spec=dual, admissible=not violated,
+                      violated_conditions=violated,
+                      notes="per-axis Siegmund jump dual")
+
+
 def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
     """The closed-form dual of a process, in any dimension.
 
     Conjugation by the survival transform is linear, so the dual of the
     generator is the sum of the duals of its parts: the same diffusion
     matrix, drift a'_jj - b_j with b as `drift_at` returns it (so with a
-    compensated jump part's compensator), and the dual of the jump part
-    (`dual_jump_1d`; in d >= 2 `dual_jump_multidim` on
-    `separable_jumps`).  The drift must be declared per axis and the
-    diffusion by diffusion_diag with its derivatives, agreeing with a
-    generic diffusion callable given beside it and PSD at the probes.
+    compensated jump part's compensator), and the dual of the jump part:
+    `dual_jump_1d` in 1-D; in d >= 2, on a separable part
+    (`separable_jumps`), `dual_jump_1d` per axis on all of that axis's
+    channels, a SeparableJumpKernel of SiegmundDualJumpKernel1D with
+    violated conditions named axis_<k>:<condition>, and on a density
+    kernel `dual_jump_multidim`.  The drift must be declared per axis
+    and the diffusion by diffusion_diag with its derivatives, agreeing
+    with a generic diffusion callable given beside it and PSD at the
+    probes.
     On the half line the face swaps: a forward process reflected at 0
     (it must meet assumption A, and its jump dual gains the channel at
     zero) has a dual absorbed there, and one absorbed at 0, which may
     have no jump part, a dual reflected there; a half-line process of
     d >= 2 has no closed form (NotSeparable).  `box` is the range of
-    the 1-D jump and half-line probes, (-6, 6) when None.
+    the per-axis jump and half-line probes, (-6, 6) when None.
     """
     d = spec.dim
     lo, hi = (-6.0, 6.0) if box is None else box
@@ -562,9 +606,14 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
             violated.append(("diffusion_psd", tuple(bad[0]), bad[1]))
     jump = None
     if spec.jump is not None:
-        jrep = dual_jump_1d(spec.jump, "at_zero" if half else "none",
-                            (0.0, hi) if half else (lo, hi)) if d == 1 \
-            else dual_jump_multidim(separable_jumps(spec.jump, d), d)
+        nu = spec.jump if d == 1 else separable_jumps(spec.jump, d)
+        if d == 1:
+            jrep = dual_jump_1d(nu, "at_zero" if half else "none",
+                                (0.0, hi) if half else (lo, hi))
+        elif isinstance(nu, SeparableJumpKernel):
+            jrep = _separable_dual(nu, d, (lo, hi))
+        else:
+            jrep = dual_jump_multidim(nu, d)
         violated.extend(jrep.violated_conditions)
         jump = jrep.dual_spec.jump if jrep.admissible else None
     b = spec.drift_components or (None,) * d

@@ -7,7 +7,8 @@ second differences with the positive 7-point stencil for cross terms,
 and midpoint quadrature per grid cell for jump kernels, so conditional
 positivity holds by construction.  Every kernel that lives on a grid
 supplies one thing, `generator_matrix(grid)`: its n x n jump-generator
-rows, diagonal included, which `discretize` adds to the stencil rows.
+rows, diagonal included, which `discretize` adds to the stencil rows; a
+separable kernel's are the Kronecker sum of its components' 1-D rows.
 One boundary rule (`_fold`, on integer grid coordinates) maps both the
 stencil's neighbour moves and every jump target across a face:
 `map_targets` rounds a target to its nearest grid point and folds it.
@@ -236,17 +237,23 @@ class DensityJumpKernel:
 
 @dataclass(frozen=True)
 class SeparableJumpKernel:
-    """Sum of per-axis kernels nu_j(z_j, dw_j), each moving one coordinate."""
+    """Sum of per-axis kernels nu_j(z_j, dw_j), each moving one coordinate.
 
-    components: tuple       # ((axis, 1-D AtomicJumpKernel), ...)
+    A component is any 1-D grid kernel but a density kernel: a forward
+    process's are atomic, and its closed-form dual's are the per-axis
+    Siegmund duals.  Its generator is the Kronecker sum of the
+    components' own 1-D rows on their grid axes."""
+
+    components: tuple       # ((axis, 1-D grid kernel), ...)
 
     def __post_init__(self):
         for axis, kern in self.components:
-            if not isinstance(kern, AtomicJumpKernel):
+            if isinstance(kern, DensityJumpKernel) \
+                    or not hasattr(kern, "generator_matrix"):
                 raise NotSeparable(
                     f"the component on axis {axis} is a "
                     f"{type(kern).__name__}; separable kernels take 1-D "
-                    f"atomic components")
+                    f"grid kernels without a density")
 
     def check_axes(self, dim: int):
         """Raise DimensionMismatch unless every component moves one of the
@@ -257,15 +264,16 @@ class SeparableJumpKernel:
                     f"a jump component on axis {axis} of a {dim}-D state")
 
     def generator_matrix(self, grid: Grid) -> np.ndarray:
-        pts = grid.points()
-        R = np.zeros((len(pts), len(pts)))
+        """The Kronecker sum of the components' rows: component k's 1-D
+        rows G on its axis's grid, added on every grid line along the
+        axis, by index arithmetic (no n x n Kronecker factors)."""
+        Q = np.zeros((grid.n_points, grid.n_points))
+        flat = np.arange(grid.n_points).reshape(grid.shape)
         for axis, kern in self.components:
-            # embed the 1-D channel along the given axis
-            for where, r in kern._channels(pts[:, [axis]]):
-                W = pts.copy()
-                W[:, axis] = _targets(where, pts[:, [axis]])[:, 0]
-                _place(R, grid, W, r)
-        return _generator_rows(R)
+            G = kern.generator_matrix(grid.axis(axis))
+            line = np.moveaxis(flat, axis, -1)[..., None]
+            Q[line, np.swapaxes(line, -1, -2)] += G
+        return Q
 
     def compensator_drift(self, X: np.ndarray, cutoff: float) -> np.ndarray:
         drift = np.zeros(X.shape)
@@ -311,8 +319,8 @@ class ProcessSpec:
     Checked when built: each per-axis declaration has dim entries
     (DimensionMismatch); the half line comes with a reflect or absorb
     boundary and those boundaries with the half line
-    (StructureViolation); a compensated jump part has a compensator
-    drift (UnsupportedScheme).
+    (StructureViolation); a compensated jump part, and each component
+    of a separable one, has a compensator drift (UnsupportedScheme).
     """
 
     dim: int
@@ -348,11 +356,12 @@ class ProcessSpec:
                 raise DimensionMismatch(
                     f"{name} has {len(parts)} entries for a {self.dim}-D "
                     f"state")
-        if self.jump_compensated and self.jump is not None \
-                and not hasattr(self.jump, "compensator_drift"):
-            raise UnsupportedScheme(
-                f"a {type(self.jump).__name__} jump part has no compensator "
-                f"drift; build the spec with jump_compensated=False")
+        for _, kern in getattr(self.jump, "components", ((0, self.jump),)):
+            if self.jump_compensated and kern is not None \
+                    and not hasattr(kern, "compensator_drift"):
+                raise UnsupportedScheme(
+                    f"a {type(kern).__name__} jump part has no compensator "
+                    f"drift; build the spec with jump_compensated=False")
         if isinstance(self.jump, SeparableJumpKernel):
             self.jump.check_axes(self.dim)
 

@@ -242,6 +242,13 @@ def _bridge_hits(cfg: PathConfig, x_prev, x, a_prev, u, hit, alive, prod):
         hit[idx[u[idx] < np.exp(arg)]] = True
 
 
+def _reflect(x: np.ndarray):
+    """Fold the paths x, (m, d), in place into the half line's region,
+    the half space x_0 >= 0 in every dimension: axis 0 folds, the axis
+    that absorption tests."""
+    np.abs(x[:, 0], out=x[:, 0])
+
+
 def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
                     salt: int, block: int):
     """Advance the paths in out (filled with the start state) to t_end,
@@ -393,7 +400,7 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
         np.add(x, dx, out=dx)
         x, dx = dx, x
         if reflecting:
-            np.abs(x, out=x)
+            _reflect(x)
         elif absorbing:
             rng.random(out=u)
             np.less_equal(x[:, 0], 0.0, out=hit)

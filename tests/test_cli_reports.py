@@ -13,7 +13,7 @@ from scipy.stats import norm
 
 from dualgen import matrix_lab, scenario
 from dualgen.cli import main
-from dualgen.dual_builder import ParetoDualJumpKernelND, closed_form_dual
+from dualgen.dual_builder import SiegmundDualJumpKernel1D, closed_form_dual
 from dualgen.errors import CFLWarning, ExpressionParseError, SchemaError
 from dualgen.generator_core import discretize
 from dualgen.matrix_lab import action_mismatch, dual_generator_via_F
@@ -360,7 +360,8 @@ def test_cli_2d_dual_holds_the_jumps(tmp_path, capsys):
     assert "diffusion-2d [dual]: pass" in capsys.readouterr().out
     spec = load_scenario(doc).process
     dual = closed_form_dual(spec).dual_spec
-    assert isinstance(dual.jump, ParetoDualJumpKernelND)
+    assert [(axis, type(kern)) for axis, kern in dual.jump.components] == [
+        (0, SiegmundDualJumpKernel1D), (1, SiegmundDualJumpKernel1D)]
     assert dual.drift_components is not None
     assert dual.diffusion_diag is spec.diffusion_diag
 

@@ -1,0 +1,56 @@
+"""A catalogue of known defects, each caught by a named test.
+
+Every entry patches the package back to a defect it once had and runs
+the test that must catch it: the test passes on the package as it is
+and fails with the defect in place, so the gate earns its keep (the
+idea of mutation testing: DeMillo, Lipton & Sayward, IEEE Computer
+11(4), 1978).
+"""
+
+import numpy as np
+import pytest
+
+import test_dual_builder
+import test_monte_carlo
+from dualgen import dual_builder, monte_carlo
+
+
+def _multidim_rule(nu, dim, box):
+    """The d >= 2 separable jump dual as `dual_jump_multidim` builds it:
+    admitted when every per-axis total rate falls (the reverse of
+    Siegmund's rule), its rows the conjugation F Q' F^-1 itself."""
+    return dual_builder.dual_jump_multidim(nu, dim)
+
+
+def _fold_every_axis(x):
+    """`reflect` folding every axis, while absorption tests axis 0 only."""
+    np.abs(x, out=x)
+
+
+# (defect, (module, name, the defect's stand-in), (test module, test, args))
+DEFECTS = [
+    ("separable_dual_by_dual_jump_multidim",
+     (dual_builder, "_separable_dual", _multidim_rule),
+     (test_dual_builder,
+      "test_separable_jump_dual_is_siegmund_per_axis_and_contracts", ())),
+    ("separable_dual_by_dual_jump_multidim",
+     (dual_builder, "_separable_dual", _multidim_rule),
+     (test_dual_builder,
+      "test_separable_jump_dual_names_the_axis_it_refuses", ())),
+    ("reflect_folds_every_axis",
+     (monte_carlo, "_reflect", _fold_every_axis),
+     (test_monte_carlo, "test_kernel_matches_plain_step_loop",
+      ("reflect_2d",))),
+]
+
+
+@pytest.mark.parametrize("defect, patch, catcher", DEFECTS,
+                         ids=[f"{d}-{c[1]}" for d, _, c in DEFECTS])
+def test_defect_fails_its_test(defect, patch, catcher, monkeypatch):
+    module, name, stand_in = patch
+    tests, test_name, args = catcher
+    test = getattr(tests, test_name)
+    test(*args)
+    monkeypatch.setattr(module, name, stand_in)
+    with pytest.raises(AssertionError):
+        test(*args)

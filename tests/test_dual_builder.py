@@ -10,6 +10,7 @@ from dualgen.dual_builder import (
     dual_lightcone_diffusion,
     lightcone_diffusion_spec,
     ParetoDualJumpKernelND,
+    SiegmundDualJumpKernel1D,
     probe_points,
 )
 from dualgen.errors import (
@@ -18,6 +19,7 @@ from dualgen.errors import (
     MissingDerivative,
     NotSeparable,
     StructureViolation,
+    UnsupportedScheme,
 )
 from dualgen.generator_core import (
     AtomicJumpKernel,
@@ -27,11 +29,14 @@ from dualgen.generator_core import (
     SeparableJumpKernel,
     discretize,
 )
+from dualgen import matrix_lab
 from dualgen.matrix_lab import (
     action_mismatch,
     dual_generator_via_F,
     entrywise_mismatch,
+    semigroup,
 )
+from dualgen.scenario import load_scenario
 from dualgen.state_space import Cone, build_grid
 
 
@@ -227,15 +232,15 @@ def test_separable_nd_dual_admissibility():
 @pytest.mark.parametrize("dim,axis", [(2, 0), (3, 1)])
 def test_separable_jump_dual_has_the_process_dimension(dim, axis):
     # a separable kernel need not move every axis; its dual lives on the
-    # process's own grid, and there it is the conjugated generator
+    # process's own grid, and there it is the conjugated generator away
+    # from the faces (criterion 2's interior rule)
     kern = AtomicJumpKernel(jumps=(((1.0,), 1.0), ((-1.0,), 0.5)))
     spec = ProcessSpec(dim=dim, jump=SeparableJumpKernel(((axis, kern),)))
     rep = closed_form_dual(spec)
     assert rep.admissible and rep.dual_spec.dim == dim
     g = build_grid([-2.0] * dim, [2.0] * dim, [1.0] * dim, "reflect")
     want = dual_generator_via_F(discretize(spec, g), g, Cone.pareto(dim))
-    assert np.abs(discretize(rep.dual_spec, g).entries
-                  - want.entries).max() < 1e-12
+    assert entrywise_mismatch(want, discretize(rep.dual_spec, g)) < 1e-12
 
 
 def _agrees_by_criterion_2(at, h0, h1):
@@ -265,10 +270,10 @@ def _oracle_pair(spec, dual_spec, lower, upper, policy="truncate_mass"):
 def test_closed_form_dual_composes_a_jump_part_with_a_drift_and_diffusion():
     # the dual of a sum is the sum of the part duals: each 2-D dual holds
     # every part of its process and matches F Q' F^-1 by criterion 2
-    dec = AtomicJumpKernel(
-        jumps=(((1.0,), lambda x: 1.0 - 0.5 * np.tanh(x[0])),),
-        rate_derivs=(lambda x: -0.5 / np.cosh(x[0]) ** 2,))
-    jump = SeparableJumpKernel(components=((0, dec), (1, dec)))
+    inc = AtomicJumpKernel(
+        jumps=(((1.0,), lambda x: 1.0 + 0.5 * np.tanh(x[0])),),
+        rate_derivs=(lambda x: 0.5 / np.cosh(x[0]) ** 2,))
+    jump = SeparableJumpKernel(components=((0, inc), (1, inc)))
     diffusion = dict(
         diffusion_diag=(_const(0.5), lambda x: 0.4 + 0.1 * np.tanh(x)),
         diffusion_diag_deriv=(_const(0.0), lambda x: 0.1 / np.cosh(x) ** 2))
@@ -278,12 +283,122 @@ def test_closed_form_dual_composes_a_jump_part_with_a_drift_and_diffusion():
         rep = closed_form_dual(spec)
         assert rep.admissible
         dual = rep.dual_spec
-        assert isinstance(dual.jump, ParetoDualJumpKernelND)
-        assert dual.jump.base is jump
+        assert [axis for axis, _ in dual.jump.components] == [0, 1]
+        assert all(isinstance(kern, SiegmundDualJumpKernel1D)
+                   for _, kern in dual.jump.components)
         assert (dual.diffusion_diag is not None) == ("diffusion_diag" in parts)
         assert dual.drift_components is not None
         assert _agrees_by_criterion_2(
             _oracle_pair(spec, dual, [-3.0, -3.0], [3.0, 3.0]), 0.25, 0.125)
+    # an up-channel whose rate falls has no Siegmund dual, on either axis
+    dec = AtomicJumpKernel(
+        jumps=(((1.0,), lambda x: 1.0 - 0.5 * np.tanh(x[0])),),
+        rate_derivs=(lambda x: -0.5 / np.cosh(x[0]) ** 2,))
+    rep = closed_form_dual(ProcessSpec(
+        dim=2, jump=SeparableJumpKernel(components=((0, dec), (1, dec))),
+        **drift))
+    assert not rep.admissible and rep.dual_spec is None
+    assert [c[0] for c in rep.violated_conditions] == [
+        "axis_0:up_tail_monotone", "axis_1:up_tail_monotone"]
+
+
+# criterion 2's N-D channels with the up-rate rising instead of falling
+_UP_RISING = AtomicJumpKernel(
+    jumps=(((1.0,), lambda x: 2.0 + np.tanh(x[0])),),
+    rate_derivs=(lambda x: 1.0 / np.cosh(x[0]) ** 2,))
+_UP_FALLING = AtomicJumpKernel(
+    jumps=(((1.0,), lambda x: 2.0 - np.tanh(x[0])),),
+    rate_derivs=(lambda x: -1.0 / np.cosh(x[0]) ** 2,))
+_DOWN_FALLING = AtomicJumpKernel(
+    jumps=(((-1.0,), lambda x: 0.8 - 0.3 * np.tanh(x[0])),),
+    rate_derivs=(lambda x: -0.3 / np.cosh(x[0]) ** 2,))
+
+
+def _separable(*components) -> ProcessSpec:
+    return ProcessSpec(dim=2, jump=SeparableJumpKernel(components))
+
+
+def test_separable_jump_dual_is_siegmund_per_axis_and_contracts():
+    # F Q' F^-1 of a Kronecker sum is the Kronecker sum of the per-axis
+    # F_k Q_k' F_k^-1, so each axis gets its own Siegmund dual, whose rows
+    # match the 2-D conjugation in action, contracting under halving
+    spec = _separable((0, _UP_RISING), (1, _DOWN_FALLING))
+    rep = closed_form_dual(spec)
+    assert rep.admissible
+    assert [(axis, type(kern)) for axis, kern in
+            rep.dual_spec.jump.components] == [
+        (0, SiegmundDualJumpKernel1D), (1, SiegmundDualJumpKernel1D)]
+    at = _oracle_pair(spec, rep.dual_spec, [-4.0, -4.0], [4.0, 4.0])
+    e1, e2, e3 = (action_mismatch(qd, qb)
+                  for _, qd, qb in map(at, (1.0, 0.5, 0.25)))
+    assert e1 >= 1.7 * e2 and e2 >= 1.7 * e3
+
+
+def test_separable_jump_dual_names_the_axis_it_refuses():
+    # +1 at 2 - tanh z: its up tail falls as z rises, on axis 0 as in 1-D
+    rep = closed_form_dual(_separable((0, _UP_FALLING), (1, _DOWN_FALLING)))
+    assert not rep.admissible and rep.dual_spec is None
+    assert [c[0] for c in rep.violated_conditions] == [
+        "axis_0:up_tail_monotone"]
+    assert [c[0] for c in dual_jump_1d(_UP_FALLING).violated_conditions] \
+        == ["up_tail_monotone"]
+
+
+def test_separable_jump_dual_decides_an_axis_on_all_its_channels():
+    # 2 - tanh z and 1 + 2 tanh z: neither up-channel alone has a dual,
+    # but their sum 3 + tanh z rises, and an axis's channels are dualized
+    # together
+    rising = AtomicJumpKernel(
+        jumps=(((1.0,), lambda x: 1.0 + 2.0 * np.tanh(x[0])),),
+        rate_derivs=(lambda x: 2.0 / np.cosh(x[0]) ** 2,))
+    for kern in (_UP_FALLING, rising):
+        assert not closed_form_dual(_separable((0, kern))).admissible
+    rep = closed_form_dual(_separable((0, _UP_FALLING), (1, _DOWN_FALLING),
+                                      (0, rising)))
+    assert rep.admissible
+    assert [axis for axis, _ in rep.dual_spec.jump.components] == [0, 1]
+
+
+def test_scenario_channels_are_dualized_axis_by_axis():
+    # numeric one-axis channels of a scenario: each axis's generator of
+    # the dual is the 1-D dual of that axis's channels
+    doc = {"name": "separable", "mode": "dual", "process": {
+        "dim": 2, "jumps": [{"displacement": [1.0, 0.0], "rate": 1.2},
+                            {"displacement": [0.0, -0.5], "rate": 0.5},
+                            {"displacement": [-1.0, 0.0], "rate": 0.8}]}}
+    rep = closed_form_dual(load_scenario(doc).process)
+    g = build_grid([-3.0, -2.0], [3.0, 2.0], [1.0, 0.5], "reflect")
+    q = discretize(rep.dual_spec, g)
+    for k, channels in ((0, (((1.0,), 1.2), ((-1.0,), 0.8))),
+                        (1, (((-0.5,), 0.5),))):
+        one = closed_form_dual(ProcessSpec.one_dim(
+            nu=AtomicJumpKernel(jumps=channels))).dual_spec
+        assert np.array_equal(q.generators[k],
+                              discretize(one, g.axis(k)).entries)
+
+
+def test_separable_jump_dual_factors_per_axis(monkeypatch):
+    # the dual's generator is a Kronecker sum, so its semigroup is
+    # exponentiated axis by axis
+    dual = closed_form_dual(_separable((0, _UP_RISING),
+                                       (1, _DOWN_FALLING))).dual_spec
+    q = discretize(dual, build_grid([-4.0, -4.0], [4.0, 4.0], [0.5, 0.5],
+                                    "reflect"))
+    assert [G.shape for G in q.generators] == [(17, 17), (17, 17)]
+    sizes = []
+    expm = matrix_lab.expm
+    monkeypatch.setattr(matrix_lab, "expm",
+                        lambda A: sizes.append(len(A)) or expm(A))
+    semigroup(q, 0.5)
+    assert sizes == [17, 17]
+
+
+def test_a_compensated_separable_kernel_needs_compensated_components():
+    # the per-axis Siegmund duals have grid rows and no compensator
+    dual = closed_form_dual(_separable((0, _UP_RISING))).dual_spec
+    with pytest.raises(UnsupportedScheme, match="SiegmundDualJumpKernel1D "
+                                                "jump part has no compensator"):
+        ProcessSpec(dim=2, jump=dual.jump, jump_compensated=True)
 
 
 def test_closed_form_dual_names_a_jump_channel_it_cannot_separate():

@@ -687,6 +687,34 @@ def test_jump_rows_placed_for_all_states_at_once():
     assert np.array_equal(nu.generator_matrix(grid), want)
 
 
+@pytest.mark.parametrize("policy", ["truncate_mass", "reflect", "absorb",
+                                    [("reflect", "truncate_mass"),
+                                     ("absorb", "reflect")]])
+def test_separable_rows_are_the_kronecker_sum_of_the_axis_rows(policy):
+    # two components on axis 1, one on axis 0, a callable rate: off the
+    # diagonal the rates of each state placed by the scalar rule, on it
+    # minus their sum (self-loops left out) up to rounding
+    comps = ((1, AtomicJumpKernel(jumps=(((1.0,), lambda x: 1.0 + x[0] ** 2),
+                                         ((0.5,), 0.2)))),
+             (0, AtomicJumpKernel(jumps=(((-0.5,), 0.4), ((1.0,), 0.3)))),
+             (1, AtomicJumpKernel(jumps=(((-1.0,), 0.6),))))
+    grid = build_grid([-1.0, -1.0], [1.0, 1.5], [0.5, 0.5], policy)
+    pts = grid.points()
+    want = np.zeros((len(pts), len(pts)))
+    for i, x in enumerate(pts):
+        for axis, kern in comps:
+            for (w,), r in kern.jumps:
+                y = x.copy()
+                y[axis] += w
+                j = _scalar_map_target(grid, y)
+                if j is not None and j != i:
+                    want[i, j] += r(x[[axis]]) if callable(r) else r
+    Q = SeparableJumpKernel(comps).generator_matrix(grid)
+    off = ~np.eye(len(pts), dtype=bool)
+    assert np.array_equal(Q[off], want[off])
+    assert np.abs(np.diag(Q) + want.sum(axis=1)).max() < 1e-14
+
+
 @pytest.mark.parametrize("field", ["drift_components", "diffusion_diag",
                                    "diffusion_diag_deriv"])
 @pytest.mark.parametrize("entries", [1, 3])

@@ -306,7 +306,7 @@ def _reference_paths(spec, cfg, x0, salt):
         if spec.domain != "half_line":
             continue
         if spec.boundary == "reflect":
-            np.abs(x, out=x)
+            x[:, 0] = np.abs(x[:, 0])
             continue
         hit = (x[:, 0] <= 0.0) & ~frozen
         u = rng.random(m)
@@ -329,6 +329,11 @@ def _statedep(**kw):
 
 _KERNEL_CASES = {
     "reflect": (_bm("half_line", "reflect"), {}, [0.5]),
+    # the half space x_0 >= 0: only axis 0 folds, as only axis 0 absorbs
+    "reflect_2d": (ProcessSpec(
+        dim=2, drift_components=(_const(0.0), _const(-0.2)),
+        diffusion_diag=(_const(0.5), _const(0.3)),
+        domain="half_line", boundary="reflect"), {}, [0.3, 0.2]),
     "absorb": (_bm("half_line", "absorb"), {}, [0.5]),
     "absorb_bridge": (_bm("half_line", "absorb"),
                       {"bridge_correction": True}, [0.5]),

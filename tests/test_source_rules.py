@@ -4,8 +4,10 @@ Invariants are raised errors, never `assert` statements, so they survive
 `python -O`; no interface method is a stub that only raises; no
 module imports scipy at its top level, so `import dualgen` loads none of
 it, nor any of scipy's underscore-prefixed modules or names, which are
-not its public API; and no function parameter or dataclass field has a
-default that no caller ever overrides.
+not its public API; no dual is built by the conjugation F Q' F^-1
+outside matrix_lab and the density kernel's N-D dual; and no function
+parameter or dataclass field has a default that no caller ever
+overrides.
 """
 
 import ast
@@ -109,6 +111,65 @@ def test_private_scipy_import_rule_flags_underscore_parts():
 def test_no_private_scipy_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _private_scipy_imports(tree) == []
+
+
+# F Q' F^-1 is the oracle every closed-form dual is checked against: only
+# matrix_lab, and the d >= 2 density kernel's dual, which has no closed
+# form and is that conjugation, may call it
+CONJUGATION_ALLOWED = {"ParetoDualJumpKernelND.generator_matrix"}
+
+
+def _conjugate_calls(tree, module: str) -> list:
+    """Every call of a `.conjugate` attribute, at any depth, outside
+    matrix_lab and the functions of CONJUGATION_ALLOWED (named
+    Class.method, nested functions included in the name)."""
+    if module == "matrix_lab":
+        return []
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            if isinstance(child, ast.Call) \
+                    and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "conjugate" \
+                    and where not in CONJUGATION_ALLOWED:
+                found.append(f"line {child.lineno}: {where or 'module'} "
+                             f"calls .conjugate")
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_conjugation_rule_flags_calls_outside_the_oracle():
+    flagged = ("def dual(op, q):\n    return op.conjugate(q)",
+               "rows = SurvivalTransform(g, c).conjugate(Q)",
+               "class ParetoDualJumpKernelND:\n"
+               "    def rows(self, op, q):\n        return op.conjugate(q)",
+               "class ParetoDualJumpKernelND:\n"
+               "    def generator_matrix(self, grid):\n"
+               "        def inner(op):\n            return op.conjugate(1)\n"
+               "        return inner")
+    allowed = ("class ParetoDualJumpKernelND:\n"
+               "    def generator_matrix(self, grid):\n"
+               "        return op.conjugate(self.base)",
+               "def dual(op, q):\n    return op.apply(q.T)",
+               "conjugate(q)")
+    assert all(len(_conjugate_calls(ast.parse(src), "dual_builder")) == 1
+               for src in flagged)
+    assert all(_conjugate_calls(ast.parse(src), "dual_builder") == []
+               for src in allowed)
+    assert _conjugate_calls(ast.parse(flagged[0]), "matrix_lab") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_oracle_conjugates(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _conjugate_calls(tree, path.stem) == []
 
 
 ROOT = SRC.parent.parent
