@@ -1,7 +1,12 @@
 """Generator specifications and their discretization to finite Q-matrices.
 
 A ProcessSpec declares drift, diffusion and jump parts of a Levy-type
-generator  L g = sum a_ij d2g/dxi dxj + b . grad g + integral terms.
+generator  L g = sum a_ij d2g/dxi dxj + b . grad g + integral terms,
+each part once: `ProcessSpec.__post_init__` (with
+`AtomicJumpKernel.__post_init__` for its channels) is the one place that
+decides what a spec declares, a coefficient generic or per axis and a
+jump channel a displacement of the state's dimension, so no consumer
+probes a spec for the form of a part.
 Discretization uses upwind first differences for the drift, central
 second differences with the positive 7-point stencil for cross terms,
 and midpoint quadrature per grid cell for jump kernels, so conditional
@@ -123,15 +128,6 @@ def _generator_rows(R: np.ndarray) -> np.ndarray:
     return R
 
 
-def _targets(where, X: np.ndarray) -> np.ndarray:
-    """Targets of one channel from the states X, (m, d): X + w for a
-    declared displacement w, a target map called state by state."""
-    if callable(where):
-        return np.array([np.atleast_1d(np.asarray(where(x), dtype=float))
-                         for x in X]).reshape(X.shape)
-    return X + np.asarray(where, dtype=float)
-
-
 def _evaluate(fns, X: np.ndarray) -> np.ndarray:
     """(m, len(fns)): each of fns at the states X, (m, d).  The one
     evaluator of channel rates and their derivatives: a number is used as
@@ -160,17 +156,46 @@ class GridJumpKernel(Protocol):
 class AtomicJumpKernel:
     """Finite list of jump channels.
 
-    Each channel is (displacement, rate) or (target_map, rate); rates may
-    be constants or callables of the state.  A callable rate that carries
+    Each channel is (displacement, rate): a jump from x to x + w, w a
+    vector of the state's dimension (of one entry for a component of a
+    SeparableJumpKernel; `ProcessSpec` checks the length).  Rates may be
+    constants or callables of the state.  A callable rate that carries
     a `vectorized` attribute, as a scenario expression does, is evaluated
     on all states in one call of it.  rate_derivs, when supplied,
     are the z-derivatives of the rate functions used by the dual
-    construction (never differentiated numerically there).  `rates_at`
-    and `rate_derivs_at` are the only callers of either.
+    construction (never differentiated numerically there); once built,
+    the kernel holds one per channel, None where none was declared.
+    `rates_at` and `rate_derivs_at` are the only callers of either.
+    Checked when built: a callable in place of a displacement (a target
+    map) and more rate derivatives than channels raise
+    StructureViolation.
     """
 
-    jumps: tuple            # ((displacement | target_map, rate), ...)
+    jumps: tuple            # ((displacement, rate), ...)
     rate_derivs: tuple = ()  # optional, aligned with jumps
+
+    def __post_init__(self):
+        n = len(self.jumps)
+        if len(self.rate_derivs) > n:
+            raise StructureViolation(
+                f"{len(self.rate_derivs)} rate derivatives for {n} jump "
+                f"channels")
+        for c, (where, _) in enumerate(self.jumps):
+            if callable(where):
+                raise StructureViolation(
+                    f"jump channel {c} is a target map; a channel is a "
+                    f"displacement vector")
+        object.__setattr__(self, "rate_derivs", tuple(self.rate_derivs)
+                           + (None,) * (n - len(self.rate_derivs)))
+
+    def check_length(self, n: int):
+        """Raise DimensionMismatch unless every displacement is a vector
+        of n entries."""
+        for c, (where, _) in enumerate(self.jumps):
+            if np.shape(where) != (n,):
+                raise DimensionMismatch(
+                    f"jump channel {c} has displacement {where!r}, not a "
+                    f"vector of length {n}")
 
     def rates_at(self, X: np.ndarray) -> np.ndarray:
         """(m, channels): the rate of each channel at the states X, (m, d)."""
@@ -179,18 +204,18 @@ class AtomicJumpKernel:
     def rate_derivs_at(self, X: np.ndarray) -> np.ndarray:
         """(m, channels): the declared z-derivative of each channel's rate
         at the states X, (m, d); 0 for a channel that declares none."""
-        derivs = tuple(self.rate_derivs) + (None,) * len(self.jumps)
-        return _evaluate(derivs[:len(self.jumps)], X)
+        return _evaluate(self.rate_derivs, X)
 
     def _channels(self, X: np.ndarray):
-        """(where, rates) of each channel at the states X, (m, d)."""
-        return zip((where for where, _ in self.jumps), self.rates_at(X).T)
+        """(displacement, rates) of each channel at the states X, (m, d)."""
+        return zip((np.asarray(w, dtype=float) for w, _ in self.jumps),
+                   self.rates_at(X).T)
 
     def generator_matrix(self, grid: Grid) -> np.ndarray:
         pts = grid.points()
         R = np.zeros((len(pts), len(pts)))
-        for where, r in self._channels(pts):
-            _place(R, grid, _targets(where, pts), r)
+        for w, r in self._channels(pts):
+            _place(R, grid, pts + w, r)
         return _generator_rows(R)
 
     def total_rate(self, X: np.ndarray) -> np.ndarray:
@@ -198,17 +223,14 @@ class AtomicJumpKernel:
         return self.rates_at(X).sum(axis=1)
 
     def compensator_drift(self, X: np.ndarray, cutoff: float) -> np.ndarray:
-        """(m, d): the rate-weighted displacements of the channels whose
-        jump from each state of X is no longer than cutoff.  A declared
-        displacement w is used as given ((x + w) - x rounds, which moves a
-        jump of the cutoff's length across it at some states); a target
-        map's jump is its target minus the state."""
+        """(m, d): the rate-weighted displacements of the channels no
+        longer than cutoff.  A displacement w is used as given
+        ((x + w) - x rounds, which moves a jump of the cutoff's length
+        across it at some states)."""
         drift = np.zeros(X.shape)
-        for where, r in self._channels(X):
-            dz = _targets(where, X) - X if callable(where) else \
-                np.broadcast_to(np.asarray(where, dtype=float), X.shape)
-            small = np.linalg.norm(dz, axis=1) <= cutoff
-            drift[small] += dz[small] * r[small, None]
+        for w, r in self._channels(X):
+            if np.linalg.norm(w) <= cutoff:
+                drift += w * r[:, None]
         return drift
 
 
@@ -223,7 +245,6 @@ class DensityJumpKernel:
 
     density: Callable
     derivs: dict = field(default_factory=dict)
-    smoothness: int = 0
 
     def generator_matrix(self, grid: Grid) -> np.ndarray:
         """Midpoint quadrature: the density at each grid point times the
@@ -282,19 +303,17 @@ class SeparableJumpKernel:
         return drift
 
 
-def separable_jumps(jump, dim: int):
-    """The jump part of a dim-dimensional process in separable form: an
-    AtomicJumpKernel whose every channel moves one axis by a declared
-    displacement at a numeric rate becomes a SeparableJumpKernel of
-    one-channel components; any other kernel (or None) is returned as
-    it is.  Raises NotSeparable naming the first channel that is not
-    such a move."""
+def separable_jumps(jump):
+    """The jump part of a process in separable form: an AtomicJumpKernel
+    whose every channel moves one axis at a numeric rate becomes a
+    SeparableJumpKernel of one-channel components; any other kernel (or
+    None) is returned as it is.  Raises NotSeparable naming the first
+    channel that is not such a move."""
     if not isinstance(jump, AtomicJumpKernel):
         return jump
     parts = []
     for c, (w, r) in enumerate(jump.jumps):
-        if callable(w) or callable(r) or np.shape(w) != (dim,) \
-                or np.count_nonzero(w) != 1:
+        if callable(r) or np.count_nonzero(w) != 1:
             raise NotSeparable(f"jump channel {c} is not a move of one "
                                f"axis at a numeric rate")
         k = int(np.flatnonzero(w)[0])
@@ -309,18 +328,26 @@ def separable_jumps(jump, dim: int):
 class ProcessSpec:
     """Declarative description of a Levy-type generator.
 
-    Structured coefficient declarations (drift_components, diffusion_diag,
-    diffusion_offdiag) carry the separability information that the dual
-    construction needs and are evaluated on whole coordinate columns;
-    generic callables (drift, diffusion) suffice for discretization and
-    simulation and are evaluated state by state.  With jump_compensated
-    the jump part's compensator drift (its jumps no longer than
-    compensator_cutoff) is part of the drift that drift_at returns.
-    Checked when built: each per-axis declaration has dim entries
-    (DimensionMismatch); the half line comes with a reflect or absorb
-    boundary and those boundaries with the half line
-    (StructureViolation); a compensated jump part, and each component
-    of a separable one, has a compensator drift (UnsupportedScheme).
+    Each coefficient is declared once, in one of two forms.  Per axis
+    (drift_components; diffusion_diag with, optionally, diffusion_offdiag
+    and the derivatives diffusion_diag_deriv) it carries the separability
+    information that the dual construction needs and is evaluated on
+    whole coordinate columns; generically (drift, diffusion) it suffices
+    for discretization and simulation and is evaluated state by state.
+    With jump_compensated the jump part's compensator drift (its jumps no
+    longer than compensator_cutoff) is part of the drift that drift_at
+    returns.
+
+    Checked when built, the one place that decides what a spec declares:
+    a coefficient given both generically and per axis, and an
+    off-diagonal or a derivative without its diagonal, raise
+    StructureViolation; each per-axis declaration has dim entries, each
+    separable component moves an axis below dim, and each displacement
+    of an atomic jump part has dim entries, one for a component of a
+    separable part (DimensionMismatch); the half line comes with a
+    reflect or absorb boundary and those boundaries with the half line
+    (StructureViolation); a compensated jump part, and each component of
+    a separable one, has a compensator drift (UnsupportedScheme).
     """
 
     dim: int
@@ -349,6 +376,16 @@ class ProcessSpec:
                 f"domain {self.domain!r} with boundary {self.boundary!r}: "
                 f"the half line needs a reflect or absorb boundary, and "
                 f"those boundaries need the half line")
+        for generic, per_axis in (("drift", "drift_components"),
+                                  ("diffusion", "diffusion_diag")):
+            if getattr(self, generic) is not None \
+                    and getattr(self, per_axis) is not None:
+                raise StructureViolation(
+                    f"{generic} is declared both generically and per axis "
+                    f"({per_axis}); declare it once")
+        for name in ("diffusion_offdiag", "diffusion_diag_deriv"):
+            if getattr(self, name) is not None and self.diffusion_diag is None:
+                raise StructureViolation(f"{name} needs diffusion_diag")
         for name in ("drift_components", "diffusion_diag",
                      "diffusion_diag_deriv"):
             parts = getattr(self, name)
@@ -356,14 +393,17 @@ class ProcessSpec:
                 raise DimensionMismatch(
                     f"{name} has {len(parts)} entries for a {self.dim}-D "
                     f"state")
-        for _, kern in getattr(self.jump, "components", ((0, self.jump),)):
+        if isinstance(self.jump, SeparableJumpKernel):
+            self.jump.check_axes(self.dim)
+        for axis, kern in getattr(self.jump, "components",
+                                  ((None, self.jump),)):
             if self.jump_compensated and kern is not None \
                     and not hasattr(kern, "compensator_drift"):
                 raise UnsupportedScheme(
                     f"a {type(kern).__name__} jump part has no compensator "
                     f"drift; build the spec with jump_compensated=False")
-        if isinstance(self.jump, SeparableJumpKernel):
-            self.jump.check_axes(self.dim)
+            if isinstance(kern, AtomicJumpKernel):
+                kern.check_length(self.dim if axis is None else 1)
 
     @classmethod
     def one_dim(cls, a=None, b=None, da=None, nu=None, domain="full_space",
@@ -540,7 +580,7 @@ def _axis_generators(spec: ProcessSpec, grid: Grid,
     with no coefficient and no channel gets the zero generator."""
     d = grid.dim
     try:
-        jump = separable_jumps(spec.jump, d)
+        jump = separable_jumps(spec.jump)
     except NotSeparable:
         return ()
     if d < 2 or spec.drift is not None or spec.diffusion is not None \

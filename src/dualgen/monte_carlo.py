@@ -126,7 +126,6 @@ class StableLikeKernel:
 
     alpha: float
     amplitude: Callable        # a(x) > 0, vectorized over (n, d) states
-    dim: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
@@ -318,9 +317,7 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
             a_prev = float(a0[0])
     if thinning is not None:
         u_thin = np.empty((3, m))
-        disp = np.array([np.broadcast_to(np.asarray(w, dtype=float),
-                                         x.shape[1:])
-                         for w, _ in thinning.jumps])
+        disp = np.array([w for w, _ in thinning.jumps], dtype=float)
     alive = None
     if absorbing:
         # frozen: absorbed paths have sigma = b dt = 0, so every increment
@@ -436,10 +433,6 @@ def _check_scheme(spec: ProcessSpec, cfg: PathConfig):
             raise UnsupportedScheme(
                 f"euler_jump_thinning cannot simulate a "
                 f"{type(jump).__name__} jump part, only atomic jumps")
-        if jump is not None and any(callable(w) for w, _ in jump.jumps):
-            raise UnsupportedScheme(
-                "euler_jump_thinning simulates displacement channels only, "
-                "not target maps")
     if cfg.scheme == "stable_euler":
         if spec.has_diffusion():
             raise UnsupportedScheme("stable_euler excludes a diffusion part")

@@ -270,7 +270,7 @@ def _build_jump_density(cfg: dict, dim: int):
                           "(at /process/jump_density)")
     density = _source_target(cfg["density"])
     derivs = {(0,): _source_target(cfg["deriv"])} if "deriv" in cfg else {}
-    return DensityJumpKernel(density=density, derivs=derivs, smoothness=1)
+    return DensityJumpKernel(density=density, derivs=derivs)
 
 
 def _build_process(proc: dict) -> ProcessSpec:
@@ -286,23 +286,17 @@ def _build_process(proc: dict) -> ProcessSpec:
         channels, derivs = [], []
         for ch in proc["jumps"]:
             w = np.asarray(ch["displacement"], dtype=float)
-            if len(w) != dim:
-                raise SchemaError(
-                    f"jump displacement must have {dim} entries "
-                    f"(at /process/jumps)")
             channels.append((tuple(w), _state_rate(ch["rate"], dim)))
             dr = ch.get("rate_deriv")
             derivs.append(None if dr is None else _state_rate(dr, dim))
         jump = AtomicJumpKernel(jumps=tuple(channels),
-                                rate_derivs=tuple(derivs)
-                                if any(d is not None for d in derivs) else ())
+                                rate_derivs=tuple(derivs))
     elif "jump_density" in proc:
         jump = _build_jump_density(proc["jump_density"], dim)
     elif "stable" in proc:
         st = proc["stable"]
         jump = StableLikeKernel(alpha=float(st["alpha"]),
-                                amplitude=parse_expression(st["amplitude"], dim),
-                                dim=dim)
+                                amplitude=parse_expression(st["amplitude"], dim))
 
     boundary = proc.get("boundary")
     if boundary == "none":

@@ -358,7 +358,7 @@ def test_criterion_6_stable_like_riesz():
     cfg = PathConfig(n_paths=100_000, dt=5e-3, t_end=0.5, seed=777,
                      scheme="stable_euler")
     var_a = ProcessSpec(dim=2, jump=StableLikeKernel(
-        alpha=1.0, amplitude=lambda x: 1.0 + 0.5 * np.sin(x[..., 0]), dim=2))
+        alpha=1.0, amplitude=lambda x: 1.0 + 0.5 * np.sin(x[..., 0])))
     ok = True
     for x, y in [((1.0, 0.0), (0.0, 0.0)),
                  ((0.5, 0.5), (-0.5, 0.0)),
@@ -366,7 +366,7 @@ def test_criterion_6_stable_like_riesz():
         est = estimate_duality(var_a, var_a, kern, x, y, 0.5, cfg)
         ok = ok and abs(est.z_score) <= 3.5 and est.truncation_level is not None
     const_a = ProcessSpec(dim=2, jump=StableLikeKernel(
-        alpha=1.0, amplitude=lambda x: np.ones(np.shape(x)[:-1]), dim=2))
+        alpha=1.0, amplitude=lambda x: np.ones(np.shape(x)[:-1])))
     est = estimate_duality(const_a, const_a, kern,
                            (1.0, 0.0), (0.0, 0.0), 0.5, cfg)
     ok = ok and abs(est.z_score) <= 3.5

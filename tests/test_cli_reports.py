@@ -288,6 +288,16 @@ def test_cli_exit_two_on_bad_scenario(tmp_path, capsys):
     assert main(["mc", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_exit_two_on_a_displacement_of_the_wrong_length(tmp_path, capsys):
+    # a 1-entry displacement in 2-D: one construction check refuses it
+    doc = _diffusion_2d("dual")
+    doc["process"]["jumps"] = [{"displacement": [1.0], "rate": 1.0}]
+    assert main(["dual", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "not a vector of length 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_cli_overrides(tmp_path):
     path = _write(tmp_path, _bm_mc())
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

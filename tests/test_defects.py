@@ -22,6 +22,15 @@ def _multidim_rule(nu, dim, box):
     return dual_builder.dual_jump_multidim(nu, dim)
 
 
+_dual_drift = dual_builder._dual_drift
+
+
+def _dual_drift_sign_flipped(da, b):
+    """The dual drift b - a' in place of a' - b."""
+    drift = _dual_drift(da, b)
+    return None if drift is None else (lambda s: -drift(s))
+
+
 def _fold_every_axis(x):
     """`reflect` folding every axis, while absorption tests axis 0 only."""
     np.abs(x, out=x)
@@ -37,6 +46,9 @@ DEFECTS = [
      (dual_builder, "_separable_dual", _multidim_rule),
      (test_dual_builder,
       "test_separable_jump_dual_names_the_axis_it_refuses", ())),
+    ("dual_drift_sign_flipped",
+     (dual_builder, "_dual_drift", _dual_drift_sign_flipped),
+     (test_dual_builder, "test_dual_diffusion_formula_and_involution", ())),
     ("reflect_folds_every_axis",
      (monte_carlo, "_reflect", _fold_every_axis),
      (test_monte_carlo, "test_kernel_matches_plain_step_loop",

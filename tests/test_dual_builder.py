@@ -34,6 +34,7 @@ from dualgen.matrix_lab import (
     action_mismatch,
     dual_generator_via_F,
     entrywise_mismatch,
+    interior_mask,
     semigroup,
 )
 from dualgen.scenario import load_scenario
@@ -94,18 +95,6 @@ def test_dual_diffusion_requires_derivative():
     spec = ProcessSpec.one_dim(a=_const(1.0))
     with pytest.raises(MissingDerivative):
         closed_form_dual(spec)
-
-
-def test_dual_diffusion_rejects_a_callable_that_disagrees_with_the_declaration():
-    declared = dict(diffusion_diag=(_const(1.0), _const(0.5)),
-                    diffusion_diag_deriv=(_const(0.0), _const(0.0)))
-    agrees = ProcessSpec(dim=2, diffusion=lambda x: np.diag([1.0, 0.5]),
-                         **declared)
-    assert closed_form_dual(agrees).admissible
-    differs = ProcessSpec(dim=2, diffusion=lambda x: np.diag([1.0, 0.6]),
-                          **declared)
-    with pytest.raises(StructureViolation, match="differs from diffusion"):
-        closed_form_dual(differs)
 
 
 def test_dual_diffusion_flags_negative_diffusion():
@@ -191,8 +180,16 @@ def test_jump_dual_1d_rejects_increasing_death_rate():
 
 
 def test_jump_dual_1d_rejects_target_maps():
-    nu = AtomicJumpKernel(jumps=((lambda x: -x, 1.0),))
-    with pytest.raises(NotSeparable):
+    # a target-map channel is refused when the kernel is built, so it never
+    # reaches dual_jump_1d
+    with pytest.raises(StructureViolation, match="channel 0 is a target map"):
+        dual_jump_1d(AtomicJumpKernel(jumps=((lambda x: -x, 1.0),)))
+
+
+def test_jump_dual_1d_refuses_a_displacement_of_two_entries():
+    # it used to build the dual from the first entry
+    nu = AtomicJumpKernel(jumps=(((1.0, 0.0), 1.0),))
+    with pytest.raises(DimensionMismatch, match="not a vector of length 1"):
         dual_jump_1d(nu)
 
 
@@ -233,12 +230,14 @@ def test_separable_nd_dual_admissibility():
 def test_separable_jump_dual_has_the_process_dimension(dim, axis):
     # a separable kernel need not move every axis; its dual lives on the
     # process's own grid, and there it is the conjugated generator away
-    # from the faces (criterion 2's interior rule)
+    # from the faces (criterion 2's interior rule, which on 9 points per
+    # axis compares 5^dim interior states)
     kern = AtomicJumpKernel(jumps=(((1.0,), 1.0), ((-1.0,), 0.5)))
     spec = ProcessSpec(dim=dim, jump=SeparableJumpKernel(((axis, kern),)))
     rep = closed_form_dual(spec)
     assert rep.admissible and rep.dual_spec.dim == dim
-    g = build_grid([-2.0] * dim, [2.0] * dim, [1.0] * dim, "reflect")
+    g = build_grid([-4.0] * dim, [4.0] * dim, [1.0] * dim, "reflect")
+    assert interior_mask(g).sum() == 5 ** dim
     want = dual_generator_via_F(discretize(spec, g), g, Cone.pareto(dim))
     assert entrywise_mismatch(want, discretize(rep.dual_spec, g)) < 1e-12
 
@@ -411,6 +410,42 @@ def test_closed_form_dual_names_a_jump_channel_it_cannot_separate():
             closed_form_dual(spec)
 
 
+_RISING = (lambda x: 1.0 + 0.5 * np.tanh(x[0]),
+           lambda x: 0.5 / np.cosh(x[0]) ** 2)
+_FALLING = (lambda x: 1.0 - 0.5 * np.tanh(x[0]),
+            lambda x: -0.5 / np.cosh(x[0]) ** 2)
+
+
+@pytest.mark.parametrize("channels, domain", [
+    # (displacement, rate, rate derivative) of each channel
+    ((((1.0,),) + _RISING, ((-1.0,), 0.5, None)), {}),
+    ((((1.0,),) + _FALLING, ((-1.0,), 0.5, None)), {}),
+    ((((1.0,),) + _RISING, ((0.5,), 0.3, None)),
+     dict(domain="half_line", boundary="reflect")),
+    ((((1.0,),) + _RISING, ((-0.5,), 0.3, None)),
+     dict(domain="half_line", boundary="reflect")),
+], ids=["full-line", "full-line-refused", "half-line", "half-line-refused"])
+def test_a_1d_separable_jump_part_is_dualized_as_its_channels(channels,
+                                                              domain):
+    # a 1-D SeparableJumpKernel has the closed-form dual of one atomic
+    # kernel of all its components' channels: the same verdict, and the
+    # same dual rows to the bit
+    atomic = AtomicJumpKernel(jumps=tuple((w, r) for w, r, _ in channels),
+                              rate_derivs=tuple(d for _, _, d in channels))
+    separable = SeparableJumpKernel(tuple(
+        (0, AtomicJumpKernel(jumps=((w, r),), rate_derivs=(d,)))
+        for w, r, d in channels))
+    reps = [closed_form_dual(ProcessSpec.one_dim(
+        a=_const(0.5), da=_const(0.0), nu=nu, **domain))
+        for nu in (atomic, separable)]
+    assert reps[0].admissible == reps[1].admissible
+    assert reps[0].violated_conditions == reps[1].violated_conditions
+    if reps[0].admissible:
+        g = build_grid([0.0 if domain else -4.0], [4.0], [0.25], "reflect")
+        rows = [discretize(rep.dual_spec, g).entries for rep in reps]
+        assert np.array_equal(rows[0], rows[1])
+
+
 def test_dual_jump_multidim_rejects_a_component_beyond_the_dimension():
     kern = AtomicJumpKernel(jumps=(((1.0,), 1.0),))
     with pytest.raises(DimensionMismatch, match="axis 2 of a 2-D"):
@@ -428,8 +463,7 @@ def test_closed_form_dual_refuses_a_generic_1d_drift():
 
 def test_closed_form_dual_refuses_a_generic_1d_diffusion():
     # ... and a diffusion given only as a generic callable
-    spec = ProcessSpec(dim=1, diffusion=lambda x: np.array([[0.5]]),
-                       diffusion_diag_deriv=(_const(0.0),))
+    spec = ProcessSpec(dim=1, diffusion=lambda x: np.array([[0.5]]))
     with pytest.raises(StructureViolation, match="diffusion structure"):
         closed_form_dual(spec)
 
@@ -460,7 +494,7 @@ def _gauss_density_1d(center, deriv_sign):
     def d0(x, W):
         return deriv_sign * 8.0 * (np.atleast_2d(W)[:, 0] - center(x[0])) \
             * dens(x, W)
-    return DensityJumpKernel(density=dens, derivs={(0,): d0}, smoothness=1)
+    return DensityJumpKernel(density=dens, derivs={(0,): d0})
 
 
 def test_density_jump_dual_1d_admissibility():
@@ -498,8 +532,7 @@ def _gauss_density_2d(rate, rate_d):
             (1,): lambda x, W: rate(x[0]) * 16.0 * u(x, W, 1) * g(x, W),
             (0, 1): lambda x, W: (rate_d(x[0]) + rate(x[0]) * 16.0
                                   * u(x, W, 0)) * 16.0 * u(x, W, 1) * g(x, W),
-        },
-        smoothness=2)
+        })
 
 
 def test_density_jump_dual_multidim_admissibility():
@@ -573,8 +606,7 @@ def test_check_self_dual_jump_symmetry():
             -(np.atleast_2d(W)[:, 0] - x[0] - shift) ** 2)
         deriv = lambda x, W: 2.0 * (np.atleast_2d(W)[:, 0] - x[0] - shift) \
             * np.exp(-(np.atleast_2d(W)[:, 0] - x[0] - shift) ** 2)
-        nu = DensityJumpKernel(density=density, derivs={(0,): deriv},
-                               smoothness=1)
+        nu = DensityJumpKernel(density=density, derivs={(0,): deriv})
         return ProcessSpec.one_dim(a=_const(1.0), da=_const(0.0), nu=nu)
     flag, _ = check_self_dual(make(0.0), tol=1e-8)
     assert flag

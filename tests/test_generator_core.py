@@ -669,17 +669,19 @@ def test_discretize_refuses_a_grid_above_the_state_cap():
 
 
 def test_jump_rows_placed_for_all_states_at_once():
-    # displacement and target-map channels, a callable rate and mixed
-    # faces, against the rates placed state by state by the scalar rule
+    # displacement channels, a far one among them, a callable rate and
+    # mixed faces, against the rates placed state by state by the scalar
+    # rule
     nu = AtomicJumpKernel(jumps=(((1.0, -0.5), lambda x: 1.0 + x[0] ** 2),
-                                 (lambda x: -x, 0.4),
+                                 ((-1.5, 2.5), 0.4),
                                  ((0.0, 2.0), 0.0)))
     grid = build_grid([-1.0, -1.0], [1.0, 1.5], [0.5, 0.5],
                       [("reflect", "truncate_mass"), ("absorb", "reflect")])
     pts = grid.points()
     want = np.zeros((len(pts), len(pts)))
     for i, x in enumerate(pts):
-        for w, r in ((x + (1.0, -0.5), 1.0 + x[0] ** 2), (-x, 0.4)):
+        for w, r in ((x + (1.0, -0.5), 1.0 + x[0] ** 2),
+                     (x + (-1.5, 2.5), 0.4)):
             j = _scalar_map_target(grid, w)
             if j is not None:
                 want[i, j] += r
@@ -734,3 +736,65 @@ def test_half_line_and_its_boundary_go_together(domain, boundary):
     # a half line with no boundary was simulated on the whole line
     with pytest.raises(StructureViolation, match="half line"):
         ProcessSpec.one_dim(a=_const(0.5), domain=domain, boundary=boundary)
+
+
+_UNIT_UP = (((1.0,), 1.0),)
+
+# each builds a spec that declares a part twice, or in a form no consumer
+# reads; before, each was accepted and some consumer went quietly wrong
+_REFUSED_AT_CONSTRUCTION = {
+    # discretize moved (0, 0) to (1, 1), thinning both coordinates
+    "1-entry-displacement-in-2d": (
+        lambda: ProcessSpec(dim=2, jump=AtomicJumpKernel(jumps=_UNIT_UP)),
+        DimensionMismatch, "not a vector of length 2"),
+    # the dual was built from the first entry
+    "2-entry-displacement-in-1d": (
+        lambda: ProcessSpec.one_dim(nu=AtomicJumpKernel(
+            jumps=(((1.0, 0.0), 1.0),))),
+        DimensionMismatch, "not a vector of length 1"),
+    "2-entry-displacement-in-a-separable-component": (
+        lambda: ProcessSpec(dim=2, jump=SeparableJumpKernel(
+            ((1, AtomicJumpKernel(jumps=(((0.0, 1.0), 1.0),))),))),
+        DimensionMismatch, "not a vector of length 1"),
+    # drift_at and the dual ignored the generic drift
+    "generic-drift-beside-components": (
+        lambda: ProcessSpec(dim=1, drift=lambda x: -x,
+                            drift_components=(_const(0.5),)),
+        StructureViolation, "drift is declared both"),
+    # the dual probed the generic diffusion against the declaration
+    "generic-diffusion-beside-diag": (
+        lambda: ProcessSpec(dim=1, diffusion=lambda x: np.eye(1),
+                            diffusion_diag=(_const(1.0),),
+                            diffusion_diag_deriv=(_const(0.0),)),
+        StructureViolation, "diffusion is declared both"),
+    # the dual drifted at a' = 1 with no diffusion
+    "derivative-without-diag": (
+        lambda: ProcessSpec.one_dim(b=0.0, da=1.0),
+        StructureViolation, "diffusion_diag_deriv needs diffusion_diag"),
+    # diffusion_at returned 0
+    "offdiag-without-diag": (
+        lambda: ProcessSpec(dim=2, drift_components=(_const(0.0),) * 2,
+                            diffusion_offdiag={(0, 1): lambda xi, xj: 0.1}),
+        StructureViolation, "diffusion_offdiag needs diffusion_diag"),
+    "target-map": (
+        lambda: AtomicJumpKernel(jumps=((lambda x: -x, 1.0),)),
+        StructureViolation, "channel 0 is a target map"),
+    "more-rate-derivs-than-channels": (
+        lambda: AtomicJumpKernel(jumps=_UNIT_UP, rate_derivs=(0.0, 0.0)),
+        StructureViolation, "2 rate derivatives for 1 jump channels"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSED_AT_CONSTRUCTION)
+def test_a_spec_declares_each_part_once_in_a_form_its_consumers_read(case):
+    build, error, message = _REFUSED_AT_CONSTRUCTION[case]
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_rate_derivs_are_aligned_with_the_channels_once_built():
+    nu = AtomicJumpKernel(jumps=_UNIT_UP + (((-1.0,), 0.5),),
+                          rate_derivs=(0.25,))
+    assert nu.rate_derivs == (0.25, None)
+    assert np.array_equal(nu.rate_derivs_at(np.zeros((3, 1))),
+                          [[0.25, 0.0]] * 3)

@@ -768,7 +768,7 @@ _ONE_GENERATOR_CASES = {
         dim=2, drift=lambda x: -0.3 * x,
         diffusion=lambda x: np.diag([0.5, 0.4])), _ZERO_AXIS_GRID),
     "density-kernel": (ProcessSpec(dim=2, jump=DensityJumpKernel(
-        density=_density_2d, smoothness=2)), _ZERO_AXIS_GRID),
+        density=_density_2d)), _ZERO_AXIS_GRID),
     "1d-grid": (ProcessSpec.one_dim(a=0.5, b=-0.2),
                 build_grid([-1.0], [1.0], [0.25], "reflect")),
 }

@@ -16,6 +16,7 @@ from dualgen.errors import (
     NonFiniteState,
     RateBoundExceeded,
     StepTooCoarseWarning,
+    StructureViolation,
     UnsupportedScheme,
 )
 from dualgen.generator_core import AtomicJumpKernel, ProcessSpec, discretize
@@ -160,8 +161,7 @@ def test_jump_thinning_poisson_mean_and_rate_bound():
 
 
 def test_stable_euler_alpha2_is_gaussian():
-    kern = StableLikeKernel(alpha=2.0, amplitude=lambda x: np.full(len(x), 0.5),
-                            dim=1)
+    kern = StableLikeKernel(alpha=2.0, amplitude=lambda x: np.full(len(x), 0.5))
     spec = ProcessSpec.one_dim(nu=kern)
     cfg = PathConfig(n_paths=20000, dt=5e-3, t_end=1.0, seed=7,
                      scheme="stable_euler")
@@ -172,7 +172,7 @@ def test_stable_euler_alpha2_is_gaussian():
 def test_stable_like_symmetry_control():
     kern = TranslationKernel(kind="riesz", d=2, alpha=1.0)
     spec = ProcessSpec(dim=2, jump=StableLikeKernel(
-        alpha=1.0, amplitude=lambda x: np.ones(np.shape(x)[:-1]), dim=2))
+        alpha=1.0, amplitude=lambda x: np.ones(np.shape(x)[:-1])))
     cfg = PathConfig(n_paths=20000, dt=5e-3, t_end=0.5, seed=8,
                      scheme="stable_euler")
     est = estimate_duality(spec, spec, kern, (1.0, 0.0), (0.0, 0.0), 0.5, cfg)
@@ -346,10 +346,10 @@ _KERNEL_CASES = {
                                          boundary="absorb"),
                                {"bridge_correction": True}, [0.4]),
     "stable": (ProcessSpec(dim=2, jump=StableLikeKernel(
-        alpha=1.0, amplitude=lambda x: 1.0 + 0.5 * np.sin(x[..., 0]), dim=2)),
+        alpha=1.0, amplitude=lambda x: 1.0 + 0.5 * np.sin(x[..., 0]))),
         {"scheme": "stable_euler"}, [1.0, 0.0]),
     "stable_gaussian": (ProcessSpec.one_dim(nu=StableLikeKernel(
-        alpha=2.0, amplitude=lambda x: np.full(len(x), 0.5), dim=1)),
+        alpha=2.0, amplitude=lambda x: np.full(len(x), 0.5))),
         {"scheme": "stable_euler"}, [0.0]),
     "thinning_constant": (ProcessSpec.one_dim(nu=AtomicJumpKernel(
         jumps=(((1.0,), 1.2), ((-1.0,), 0.8)))),
@@ -578,10 +578,12 @@ def test_non_finite_terminal_states_raise():
 
 
 def test_thinning_rejects_target_map_channels():
-    nu = AtomicJumpKernel(jumps=((lambda x: x + 1.0, 1.0),))
+    # a target-map channel is refused when the kernel is built, so the
+    # thinning scheme never receives one
     cfg = PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=1,
                      scheme="euler_jump_thinning", rate_bound=2.0)
-    with pytest.raises(UnsupportedScheme):
+    with pytest.raises(StructureViolation, match="channel 0 is a target map"):
+        nu = AtomicJumpKernel(jumps=((lambda x: x + 1.0, 1.0),))
         simulate_paths(ProcessSpec.one_dim(nu=nu), cfg, [0.0])
 
 
