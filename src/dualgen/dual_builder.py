@@ -15,7 +15,10 @@ separable jump part is dualized axis by axis, each axis by the 1-D
 Siegmund dual on all its channels (in 1-D too): the Pareto F is
 (x) F_k and the generator (+) Q_k, so F Q' F^-1 is
 (+) F_k Q_k' F_k^-1.  Only a d >= 2 density kernel's dual is the
-conjugation F Q' F^-1 itself (`ParetoDualJumpKernelND`).  Admissibility
+conjugation F Q' F^-1 itself (`ParetoDualJumpKernelND`).
+`check_self_dual` compares a process with that dual: its drift and face
+come from the one helper both call (`_dual_drift_and_face`), with the
+same refusals.  Admissibility
 is decided by sign and monotonicity conditions verified at quasi-random
 probe points; derivatives are always supplied, never inferred
 numerically.  Probe counts and quadrature sizes are module
@@ -314,7 +317,6 @@ class SiegmundDualJumpKernel1D:
                 r = np.where(t <= grid.lower[0] + 1e-12, 0.0, r)
             _place(R, grid, t[:, None], r)
         dens = self.tails.dual_density(z, z)
-        dens[np.abs(z[None, :] - z[:, None]) < 1e-12] = 0.0
         R += np.clip(dens, 0.0, None) * grid.spacing[0]
         if self.boundary_at_zero:
             R[:, 0] += self.tails.up(0.0, z)
@@ -547,6 +549,40 @@ def _separable_dual(nu: SeparableJumpKernel, dim: int, box) -> DualReport:
                       notes="per-axis Siegmund jump dual")
 
 
+def _dual_drift_and_face(spec: ProcessSpec):
+    """The closed-form dual's drift a'_jj - b_j on each axis, with b as
+    `drift_at` returns it (None where neither part is declared), and its
+    boundary: on the half line the face swaps (reflected <-> absorbed at
+    0), elsewhere it stays.  Raises what keeps a spec from having a
+    closed-form dual: a generic drift (NotSeparable) or diffusion
+    (StructureViolation), a diffusion_diag without its derivatives
+    (MissingDerivative), a half line in d >= 2 or a jump part absorbed
+    at 0 (NotSeparable)."""
+    d = spec.dim
+    if spec.drift is not None:
+        raise NotSeparable("drift must be declared separable (b_j = b_j(x_j))")
+    if spec.diffusion is not None:
+        raise StructureViolation(
+            "diffusion structure must be declared via diffusion_diag/offdiag")
+    if spec.diffusion_diag is not None and spec.diffusion_diag_deriv is None:
+        raise MissingDerivative("a'_jj callables are required")
+    half = spec.domain == "half_line"
+    if half and d > 1:
+        raise NotSeparable(f"no closed-form dual of a {d}-D process on the "
+                           f"half line")
+    absorbed = spec.boundary == "absorb"
+    if absorbed and spec.jump is not None:
+        raise NotSeparable("no closed-form dual of a jump part absorbed at 0")
+    b = spec.drift_components or (None,) * d
+    if spec.jump_compensated and spec.jump is not None:
+        b = tuple(_drift_column(spec, j) for j in range(d))
+    drift = tuple(map(_dual_drift, spec.diffusion_diag_deriv or (None,) * d,
+                      b))
+    boundary = ("reflect" if absorbed else "absorb") if half \
+        else spec.boundary
+    return drift, boundary
+
+
 def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
     """The closed-form dual of a process, in any dimension.
 
@@ -571,20 +607,9 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
     """
     d = spec.dim
     lo, hi = (-6.0, 6.0) if box is None else box
-    if spec.drift is not None:
-        raise NotSeparable("drift must be declared separable (b_j = b_j(x_j))")
-    if spec.diffusion is not None:
-        raise StructureViolation(
-            "diffusion structure must be declared via diffusion_diag/offdiag")
-    if spec.diffusion_diag is not None and spec.diffusion_diag_deriv is None:
-        raise MissingDerivative("a'_jj callables are required")
+    drift, boundary = _dual_drift_and_face(spec)
     half = spec.domain == "half_line"
-    if half and d > 1:
-        raise NotSeparable(f"no closed-form dual of a {d}-D process on the "
-                           f"half line")
     absorbed = spec.boundary == "absorb"
-    if absorbed and spec.jump is not None:
-        raise NotSeparable("no closed-form dual of a jump part absorbed at 0")
     nu = spec.jump
     if d == 1 and isinstance(nu, SeparableJumpKernel):
         nu = _axis_kernel(nu, 0)
@@ -613,13 +638,6 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
             jrep = dual_jump_multidim(nu, d)
         violated.extend(jrep.violated_conditions)
         jump = jrep.dual_spec.jump if jrep.admissible else None
-    b = spec.drift_components or (None,) * d
-    if spec.jump_compensated and spec.jump is not None:
-        b = tuple(_drift_column(spec, j) for j in range(d))
-    drift = tuple(map(_dual_drift, spec.diffusion_diag_deriv or (None,) * d,
-                      b))
-    boundary = ("reflect" if absorbed else "absorb") if half \
-        else spec.boundary
     notes = "closed-form dual" + (f", {boundary}ed at 0" if half else "")
     dual = None if violated else ProcessSpec(
         dim=d,
@@ -636,16 +654,30 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
 
 
 def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0), tol: float = 1e-10):
-    """Self-duality: b = a'/2 and the jump density antisymmetry
-    dnu/dy(y, z) + dnu/dz(z, y) = 0.  Returns (flag, witness)."""
-    probes = probe_points([box], _SELF_DUAL_PROBES).ravel()
-    a_d = spec.diffusion_diag_deriv[0] if spec.diffusion_diag_deriv else None
-    b = spec.drift_components[0] if spec.drift_components else None
-    for x in probes:
-        av = 0.5 * a_d(x) if a_d is not None else 0.0
-        bv = b(x) if b is not None else 0.0
-        if abs(bv - av) > tol:
-            return False, ("drift_condition", float(x), float(bv - av))
+    """Self-duality: the closed-form dual is the process itself.  Its
+    face must not swap, so no half-line process is self-dual
+    ("boundary_condition", the face, the dual's face); its drift
+    a'_jj - b_j (`_dual_drift_and_face`, with the refusals of
+    `closed_form_dual`) must be b_j, so b_j - a'_jj/2 = 0 on every axis
+    at d-D probes of the box ("drift_condition", the probe, a float in
+    1-D, and the value); and a density jump part must satisfy
+    dnu/dy(y, z) + dnu/dz(z, y) = 0 ("jump_condition").
+    Returns (flag, witness), the witness None when the flag is True."""
+    drift, boundary = _dual_drift_and_face(spec)
+    if boundary != spec.boundary:
+        return False, ("boundary_condition", spec.boundary, boundary)
+    probes = probe_points([box] * spec.dim, _SELF_DUAL_PROBES)
+    B = spec.drift_at(probes)
+    dual = np.zeros(B.shape)
+    for j, f in enumerate(drift):
+        dual[:, j] = 0.0 if f is None else f(probes[:, j])
+    gap = 0.5 * (B - dual)          # b - a'/2, as the dual drift is a' - b
+    bad = np.argwhere(np.abs(gap) > tol)
+    if len(bad):
+        i, j = bad[0]
+        p = tuple(map(float, probes[i]))
+        return False, ("drift_condition", p[0] if spec.dim == 1 else p,
+                       float(gap[i, j]))
     if spec.jump is not None:
         if not isinstance(spec.jump, DensityJumpKernel):
             return False, ("jump_condition", None,

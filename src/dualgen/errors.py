@@ -21,10 +21,6 @@ class DimensionMismatch(DualgenError):
     """Inputs defined on incompatible state spaces."""
 
 
-class SingularityUnhandled(DualgenError):
-    """A point mass coincides with an evaluation point of a singular kernel."""
-
-
 class PositivityViolation(DualgenError):
     """A discretized generator acquired a negative off-diagonal entry."""
 

@@ -89,6 +89,12 @@ class PathConfig:
             raise ValueError("n_paths must be at least 100")
         if not (0.0 < self.dt <= self.t_end):
             raise ValueError("need 0 < dt <= t_end")
+        # the paths take round(t_end / dt) steps: any other t_end would
+        # be reported but not simulated
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_end {self.t_end} is not a whole number of "
+                             f"dt = {self.dt} steps")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0.5 < self.tail_truncation_quantile <= 1.0):

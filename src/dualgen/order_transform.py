@@ -1,7 +1,10 @@
 """The dressing operator F for translation-invariant duality functions.
 
 Here F is a convolution with the Riesz, Newtonian or 2-D logarithmic
-kernel.  For cone orders F is the survival transform, implemented once
+kernel (`potential_F`).  Every grid point is an evaluation point, so a
+point mass always sits on one: the kernel's singular value at 0 is
+replaced by its average over one grid cell, the one rule for that
+term.  For cone orders F is the survival transform, implemented once
 as `matrix_lab.SurvivalTransform`.  scipy.special is imported on use,
 by the kernel constants.
 """
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Overflow, SingularityUnhandled
+from .errors import DimensionMismatch, Overflow
 from .state_space import (
     _INDICATOR_BLOCK,
     MAX_STATES,
@@ -105,15 +108,14 @@ def _check_compat(obj_len: int, grid: Grid):
             f"array of length {obj_len} on a grid of {grid.n_points} points")
 
 
-def potential_F(q: GridMeasure, grid: Grid, k: TranslationKernel,
-                cell_averaging: bool = True) -> GridFunction:
+def potential_F(q: GridMeasure, grid: Grid, k: TranslationKernel) -> GridFunction:
     """Convolution of the measure with a translation-invariant kernel.
 
-    The diagonal singular term f(0) is replaced by the cell-averaged
-    kernel value over one grid cell; with cell_averaging disabled, a
-    point mass at an evaluation point is an error.  Built over blocks of
-    rows, so no temporary holds more than _INDICATOR_BLOCK differences;
-    each row is summed on its own, so the blocks do not change the result.
+    Every grid point is an evaluation point, so the singular term f(0)
+    at each is replaced by the kernel's average over one grid cell
+    (`TranslationKernel.cell_average`).  Built over blocks of rows, so
+    no temporary holds more than _INDICATOR_BLOCK differences; each row
+    is summed on its own, so the blocks do not change the result.
     """
     _check_compat(len(q.weights), grid)
     if k.d != grid.dim:
@@ -121,12 +123,8 @@ def potential_F(q: GridMeasure, grid: Grid, k: TranslationKernel,
     n = grid.n_points
     if n > MAX_STATES:
         raise Overflow(f"{n} states exceeds the dense cap of {MAX_STATES}")
-    if not cell_averaging and np.any(q.weights != 0):
-        # every grid point is an evaluation point
-        raise SingularityUnhandled(
-            "point mass coincides with an evaluation point")
     pts = grid.points()
-    diag = k.cell_average(grid) if cell_averaging else 0.0
+    diag = k.cell_average(grid)
     out = np.empty(n)
     rows = max(1, _INDICATOR_BLOCK // (n * grid.dim))
     for r in range(0, n, rows):

@@ -376,21 +376,34 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             _schema_fail(f"probe {i} lies outside the grid box", f"/probes/{i}")
         probes.append((x, y, float(p["t"])))
 
+    mode = data["mode"]
     path_config = None
     if "path_config" in data:
         pc = data["path_config"]
+
+        def config(t_end, what: str, pointer: str) -> PathConfig:
+            # SchemaError at pointer where PathConfig refuses the run
+            try:
+                return PathConfig(
+                    n_paths=pc["n_paths"], dt=pc["dt"], t_end=float(t_end),
+                    seed=pc["seed"], scheme=pc.get("scheme", "euler_maruyama"),
+                    tail_truncation_quantile=pc.get(
+                        "tail_truncation_quantile", 0.999),
+                    rate_bound=pc.get("rate_bound"),
+                    bridge_correction=pc.get("bridge_correction", False))
+            except ValueError as exc:
+                _schema_fail(f"{what}: {exc}", pointer)
+
+        if mode == "mc":
+            # each probe is simulated to its own time t
+            for i, (_, _, t) in enumerate(probes):
+                config(t, f"probe {i} at t = {t}", f"/probes/{i}")
         t_end = pc.get("t_end")
         if t_end is None:
             t_end = max([t for _, _, t in probes], default=0.0)
             t_end = max(t_end, pc["dt"])
-        path_config = PathConfig(
-            n_paths=pc["n_paths"], dt=pc["dt"], t_end=float(t_end),
-            seed=pc["seed"], scheme=pc.get("scheme", "euler_maruyama"),
-            tail_truncation_quantile=pc.get("tail_truncation_quantile", 0.999),
-            rate_bound=pc.get("rate_bound"),
-            bridge_correction=pc.get("bridge_correction", False))
+        path_config = config(t_end, "path_config", "/path_config")
 
-    mode = data["mode"]
     if mode in ("verify-matrix",) and grid is None:
         _schema_fail("verify-matrix mode needs a grid", "/grid")
     if mode == "mc" and path_config is None:

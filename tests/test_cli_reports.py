@@ -62,12 +62,12 @@ def test_round_trip_serialize_load():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(1, 10 ** 6), st.integers(1, 100),
-       st.floats(0.1, 2.0, allow_nan=False))
-def test_round_trip_random_parameters(seed, npaths_k, t):
+@given(st.integers(1, 10 ** 6), st.integers(1, 100), st.integers(10, 200))
+def test_round_trip_random_parameters(seed, npaths_k, steps):
     doc = _bm_mc()
     doc["path_config"] = {"n_paths": 1000 * npaths_k, "dt": 0.01, "seed": seed}
-    doc["probes"][0]["t"] = t
+    # an mc probe time is a whole number of dt steps, t in [0.1, 2]
+    doc["probes"][0]["t"] = steps * 0.01
     s = load_scenario(doc)
     assert load_scenario(serialize(s)) == s
 
@@ -288,6 +288,29 @@ def test_cli_exit_two_on_bad_scenario(tmp_path, capsys):
     assert main(["mc", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("field, value, pointer", [
+    # a probe at t = 0, which the schema allows, raised a ValueError
+    ("probe_t", 0.0, "/probes/0"),
+    # so did a t_end below dt
+    ("t_end", 0.005, "/path_config"),
+    # three steps of 0.3 simulated t = 0.9 for the reported t = 1, exit 0
+    ("dt", 0.3, "/probes/0"),
+])
+def test_cli_exit_two_on_a_probe_time_off_the_step_grid(tmp_path, capsys,
+                                                        field, value,
+                                                        pointer):
+    doc = _bm_mc()
+    if field == "probe_t":
+        doc["probes"][0]["t"] = value
+    else:
+        doc["path_config"][field] = value
+    assert main(["mc", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"(at {pointer})" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_cli_exit_two_on_a_displacement_of_the_wrong_length(tmp_path, capsys):
     # a 1-entry displacement in 2-D: one construction check refuses it
     doc = _diffusion_2d("dual")
@@ -330,6 +353,34 @@ def test_self_dual_mode(tmp_path):
     assert rep["pass"] and rep["results"]["self_dual"]
     csv = (tmp_path / "report.csv").read_text().splitlines()
     assert csv == ["key,value", "self_dual,true"]
+
+
+@pytest.mark.parametrize("process, code, witness", [
+    # axis 1 was never read, and the check passed
+    ({"dim": 2, "drift": ["0", "1"], "diffusion": ["0.5", "0.5"],
+      "diffusion_deriv": ["0", "0"]},
+     1, ["drift_condition", [-3.0, -3.0], 1.0]),
+    # the missing a' was read as 0 and the check failed; dual exits 2
+    ({"dim": 1, "drift": ["x1"], "diffusion": ["1 + x1*x1"]}, 2, None),
+    # its dual is absorbed at 0, and the check passed
+    ({"dim": 1, "diffusion": ["0.5"], "diffusion_deriv": ["0"],
+      "domain": "half_line", "boundary": "reflect"},
+     1, ["boundary_condition", "reflect", "absorb"]),
+], ids=["2d-drift-on-axis-1", "no-derivative", "reflected-half-line"])
+def test_self_dual_check_reads_the_dual_that_dual_builds(tmp_path, capsys,
+                                                         process, code,
+                                                         witness):
+    path = _write(tmp_path, {"name": "sd", "mode": "self-dual-check",
+                             "process": process})
+    out = tmp_path / "out"
+    assert main(["self-dual-check", path, "--out", str(out)]) == code
+    if witness is None:
+        assert "a'_jj callables are required" in capsys.readouterr().err
+        assert main(["dual", path, "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+    else:
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["results"] == {"self_dual": False, "witness": witness}
 
 
 def test_dual_mode_reports_probe_values(tmp_path):

@@ -1,7 +1,8 @@
 """A catalogue of known defects, each caught by a named test.
 
-Every entry patches the package back to a defect it once had and runs
-the test that must catch it: the test passes on the package as it is
+Every entry patches the package back to a defect it once had, or to a
+rule a plausible fix would bring in, and runs the test that must catch
+it: the test passes on the package as it is
 and fails with the defect in place, so the gate earns its keep (the
 idea of mutation testing: DeMillo, Lipton & Sayward, IEEE Computer
 11(4), 1978).
@@ -10,9 +11,10 @@ idea of mutation testing: DeMillo, Lipton & Sayward, IEEE Computer
 import numpy as np
 import pytest
 
+import test_acceptance
 import test_dual_builder
 import test_monte_carlo
-from dualgen import dual_builder, monte_carlo
+from dualgen import dual_builder, generator_core, monte_carlo
 
 
 def _multidim_rule(nu, dim, box):
@@ -36,6 +38,20 @@ def _fold_every_axis(x):
     np.abs(x, out=x)
 
 
+def _kill_off_grid_jumps(kernel, grid):
+    """`AtomicJumpKernel.generator_matrix` with a jump off a
+    truncate_mass face killed, its rate taken from the diagonal, as a
+    stencil move off the face is, in place of left out of its row."""
+    pts = grid.points()
+    R = np.zeros((len(pts), len(pts)))
+    killed = np.zeros(len(pts))
+    for w, r in kernel._channels(pts):
+        generator_core._place(R, grid, pts + w, r)
+        killed += np.where(generator_core.map_targets(grid, pts + w) < 0,
+                           r, 0.0)
+    return generator_core._generator_rows(R) - np.diag(killed)
+
+
 # (defect, (module, name, the defect's stand-in), (test module, test, args))
 DEFECTS = [
     ("separable_dual_by_dual_jump_multidim",
@@ -53,6 +69,10 @@ DEFECTS = [
      (monte_carlo, "_reflect", _fold_every_axis),
      (test_monte_carlo, "test_kernel_matches_plain_step_loop",
       ("reflect_2d",))),
+    ("truncate_mass_jump_killed",
+     (generator_core.AtomicJumpKernel, "generator_matrix",
+      _kill_off_grid_jumps),
+     (test_acceptance, "test_criterion_2_closed_form_vs_oracle", ())),
 ]
 
 

@@ -600,6 +600,32 @@ def test_check_self_dual_drift_condition():
     assert not flag and witness[0] == "drift_condition"
 
 
+def test_check_self_dual_refuses_what_closed_form_dual_refuses():
+    # a generic drift 5 + x and diffusion 1 + x^2 were never read: the
+    # check returned (True, None)
+    spec = ProcessSpec(dim=1, drift=lambda x: 5.0 + x,
+                       diffusion=lambda x: np.array([[1.0 + x[0] ** 2]]))
+    for check in (closed_form_dual, check_self_dual):
+        with pytest.raises(NotSeparable, match="drift must be declared"):
+            check(spec)
+
+
+def test_check_self_dual_reads_every_axis_and_the_face():
+    # axis 1 (b_1 = 1, a'_11 = 0) was never read
+    spec = ProcessSpec(dim=2, drift_components=(_const(0.0), _const(1.0)),
+                       diffusion_diag=(_const(0.5),) * 2,
+                       diffusion_diag_deriv=(_const(0.0),) * 2)
+    flag, (condition, where, value) = check_self_dual(spec)
+    assert not flag and condition == "drift_condition"
+    assert len(where) == 2 and value == 1.0
+    # reflected at 0, its dual is absorbed there (criterion 5B's pair)
+    flag, witness = check_self_dual(ProcessSpec.one_dim(
+        a=_const(0.5), da=_const(0.0), domain="half_line",
+        boundary="reflect"))
+    assert not flag
+    assert witness == ("boundary_condition", "reflect", "absorb")
+
+
 def test_check_self_dual_jump_symmetry():
     def make(shift):
         density = lambda x, W: np.exp(

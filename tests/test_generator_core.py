@@ -776,6 +776,20 @@ _REFUSED_AT_CONSTRUCTION = {
         lambda: ProcessSpec(dim=2, drift_components=(_const(0.0),) * 2,
                             diffusion_offdiag={(0, 1): lambda xi, xj: 0.1}),
         StructureViolation, "diffusion_offdiag needs diffusion_diag"),
+    # discretize raised a bare IndexError
+    "offdiag-key-beyond-dim": (
+        lambda: ProcessSpec(dim=2, diffusion_diag=(_const(1.0),) * 2,
+                            diffusion_offdiag={(0, 2): lambda xi, xj: 0.1}),
+        DimensionMismatch, r"key \(0, 2\) is not a pair i < j"),
+    # discretize used it as (0, 1), its arguments swapped
+    "offdiag-key-reversed": (
+        lambda: ProcessSpec(dim=2, diffusion_diag=(_const(1.0),) * 2,
+                            diffusion_offdiag={(1, 0): lambda xi, xj: 0.1}),
+        DimensionMismatch, r"key \(1, 0\) is not a pair i < j"),
+    # every consumer ignored it
+    "unknown-boundary-name": (
+        lambda: ProcessSpec.one_dim(a=_const(0.5), boundary="reflecting"),
+        StructureViolation, "boundary 'reflecting'"),
     "target-map": (
         lambda: AtomicJumpKernel(jumps=((lambda x: -x, 1.0),)),
         StructureViolation, "channel 0 is a target map"),

@@ -55,6 +55,11 @@ def test_path_config_validation():
     with pytest.raises(ValueError):
         PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=1,
                    tail_truncation_quantile=0.3)
+    # three steps of 0.3 simulated t = 0.9 for a reported t = 1
+    with pytest.raises(ValueError, match="whole number of dt = 0.3 steps"):
+        PathConfig(n_paths=1000, dt=0.3, t_end=1.0, seed=1)
+    # 0.7 / 1e-3 is 699.9999999999999: a whole number to rounding
+    PathConfig(n_paths=1000, dt=1e-3, t_end=0.7, seed=1)
 
 
 def test_brownian_terminal_moments():

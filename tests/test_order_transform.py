@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualgen import order_transform
-from dualgen.errors import Overflow, SingularityUnhandled
+from dualgen.errors import Overflow
 from dualgen.matrix_lab import SurvivalTransform
 from dualgen.order_transform import (
     TranslationKernel,
@@ -97,13 +97,11 @@ def test_newtonian_kernel_value():
     assert float(k(np.array(2.0))) == pytest.approx(-1.0 / (8 * np.pi))
 
 
-def test_potential_F_point_mass_on_node_errors_without_averaging():
+def test_potential_F_point_mass_on_node_is_cell_averaged():
     g = build_grid([-1.0, -1.0], [1.0, 1.0], [1.0, 1.0])
     m = GridMeasure.delta(g, [0.0, 0.0])
     k = TranslationKernel(kind="log2d", d=2)
-    with pytest.raises(SingularityUnhandled):
-        potential_F(m, g, k, cell_averaging=False)
-    vals = potential_F(m, g, k).values          # cell averaging succeeds
+    vals = potential_F(m, g, k).values
     assert np.all(np.isfinite(vals))
 
 

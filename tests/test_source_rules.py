@@ -5,7 +5,8 @@ Invariants are raised errors, never `assert` statements, so they survive
 module imports scipy at its top level, so `import dualgen` loads none of
 it, nor any of scipy's underscore-prefixed modules or names, which are
 not its public API; no dual is built by the conjugation F Q' F^-1
-outside matrix_lab and the density kernel's N-D dual; and no function
+outside matrix_lab and the density kernel's N-D dual; no move on a grid
+is folded at a face outside `map_targets`; and no function
 parameter or dataclass field has a default that no caller ever
 overrides.
 """
@@ -119,12 +120,10 @@ def test_no_private_scipy_import(path):
 CONJUGATION_ALLOWED = {"ParetoDualJumpKernelND.generator_matrix"}
 
 
-def _conjugate_calls(tree, module: str) -> list:
-    """Every call of a `.conjugate` attribute, at any depth, outside
-    matrix_lab and the functions of CONJUGATION_ALLOWED (named
-    Class.method, nested functions included in the name)."""
-    if module == "matrix_lab":
-        return []
+def _calls(tree, matches) -> list:
+    """(where, line) of every call, at any depth, whose callee `matches`:
+    where names the enclosing function (Class.method, nested functions
+    included in the name), '' at module level."""
     found = []
 
     def visit(node, where):
@@ -133,16 +132,24 @@ def _conjugate_calls(tree, module: str) -> list:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef,
                                   ast.AsyncFunctionDef)):
                 inner = f"{where}.{child.name}" if where else child.name
-            if isinstance(child, ast.Call) \
-                    and isinstance(child.func, ast.Attribute) \
-                    and child.func.attr == "conjugate" \
-                    and where not in CONJUGATION_ALLOWED:
-                found.append(f"line {child.lineno}: {where or 'module'} "
-                             f"calls .conjugate")
+            if isinstance(child, ast.Call) and matches(child.func):
+                found.append((where, child.lineno))
             visit(child, inner)
 
     visit(tree, "")
     return found
+
+
+def _conjugate_calls(tree, module: str) -> list:
+    """Every call of a `.conjugate` attribute, at any depth, outside
+    matrix_lab and the functions of CONJUGATION_ALLOWED."""
+    if module == "matrix_lab":
+        return []
+    return [f"line {line}: {where or 'module'} calls .conjugate"
+            for where, line in _calls(
+                tree, lambda f: isinstance(f, ast.Attribute)
+                and f.attr == "conjugate")
+            if where not in CONJUGATION_ALLOWED]
 
 
 def test_conjugation_rule_flags_calls_outside_the_oracle():
@@ -170,6 +177,41 @@ def test_conjugation_rule_flags_calls_outside_the_oracle():
 def test_only_the_oracle_conjugates(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _conjugate_calls(tree, path.stem) == []
+
+
+# `map_targets` is the one map from a move on a grid to the state it lands
+# on, for the stencil's moves and every jump alike: the per-axis fold it
+# applies at the faces is called from nowhere else
+def _fold_calls(tree) -> list:
+    """Every call of `_fold`, by name or as an attribute, at any depth,
+    outside `map_targets` itself."""
+    return [f"line {line}: {where or 'module'} calls _fold"
+            for where, line in _calls(
+                tree, lambda f: getattr(f, "id", None) == "_fold"
+                or getattr(f, "attr", None) == "_fold")
+            if where != "map_targets"]
+
+
+def test_fold_rule_flags_calls_outside_map_targets():
+    flagged = ("def _axis_neighbor(grid, k):\n    return _fold(grid, 0, k)",
+               "k = generator_core._fold(grid, 0, k)",
+               "def discretize(spec, grid):\n"
+               "    def add(k):\n        return _fold(grid, 0, k)",
+               "def map_targets(grid, W):\n"
+               "    def inner(k):\n        return _fold(grid, 0, k)\n"
+               "    return inner")
+    allowed = ("def map_targets(grid, W):\n    return _fold(grid, 0, W)",
+               "def _fold(grid, axis, k):\n    return k",
+               "def place(grid, W):\n    return map_targets(grid, W)",
+               "fold(grid, 0, k)")
+    assert all(len(_fold_calls(ast.parse(src))) == 1 for src in flagged)
+    assert all(_fold_calls(ast.parse(src)) == [] for src in allowed)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_map_targets_folds(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _fold_calls(tree) == []
 
 
 ROOT = SRC.parent.parent
