@@ -18,7 +18,8 @@ Siegmund dual on all its channels (in 1-D too): the Pareto F is
 conjugation F Q' F^-1 itself (`ParetoDualJumpKernelND`).
 `check_self_dual` compares a process with that dual: its drift and face
 come from the one helper both call (`_dual_drift_and_face`), with the
-same refusals.  Admissibility
+same refusals, and a constant-rate atomic jump part is compared channel
+by channel with its Siegmund dual.  Admissibility
 is decided by sign and monotonicity conditions verified at quasi-random
 probe points; derivatives are always supplied, never inferred
 numerically.  Probe counts and quadrature sizes are module
@@ -653,6 +654,29 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
                       violated_conditions=tuple(violated), notes=notes)
 
 
+def _constant_rates(nu) -> dict:
+    """{(axis, c): summed rate} of an atomic or separable jump part whose
+    every channel moves one axis by c at a constant rate.  The Siegmund
+    dual of such a channel (c, r) is (-c, r): `_atomic_tails` puts its
+    dual atom at y - c with rate r(y - c) = r.  Any other jump part
+    raises: a kernel that is not atomic StructureViolation, and a
+    channel with a state-dependent rate, whose dual rate r(y - c) and
+    density terms differ from its own, or a move of several axes
+    NotSeparable, naming the channel (`separable_jumps`)."""
+    parts = nu.components if isinstance(nu, SeparableJumpKernel) \
+        else ((None, nu),)
+    rates = {}
+    for axis, kern in parts:
+        if not isinstance(kern, AtomicJumpKernel):
+            raise StructureViolation(f"no self-duality check for a "
+                                     f"{type(kern).__name__} jump part")
+        for k, one in separable_jumps(kern).components:
+            ((c,), r), = one.jumps
+            key = (k if axis is None else axis, c)
+            rates[key] = rates.get(key, 0.0) + r
+    return rates
+
+
 def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0), tol: float = 1e-10):
     """Self-duality: the closed-form dual is the process itself.  Its
     face must not swap, so no half-line process is self-dual
@@ -660,8 +684,13 @@ def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0), tol: float = 1e-10):
     a'_jj - b_j (`_dual_drift_and_face`, with the refusals of
     `closed_form_dual`) must be b_j, so b_j - a'_jj/2 = 0 on every axis
     at d-D probes of the box ("drift_condition", the probe, a float in
-    1-D, and the value); and a density jump part must satisfy
-    dnu/dy(y, z) + dnu/dz(z, y) = 0 ("jump_condition").
+    1-D, and the value); a density jump part must satisfy
+    dnu/dy(y, z) + dnu/dz(z, y) = 0 ("jump_condition", the pair); and
+    an atomic one, whose channels are (c, r) and dualize to (-c, r)
+    (`_constant_rates`, which refuses state-dependent rates), must have
+    the same rate at c as at -c on every axis ("jump_condition", c, a
+    float in 1-D and (axis, c) in d-D, and the rate at c less the rate
+    at -c).
     Returns (flag, witness), the witness None when the flag is True."""
     drift, boundary = _dual_drift_and_face(spec)
     if boundary != spec.boundary:
@@ -678,19 +707,22 @@ def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0), tol: float = 1e-10):
         p = tuple(map(float, probes[i]))
         return False, ("drift_condition", p[0] if spec.dim == 1 else p,
                        float(gap[i, j]))
-    if spec.jump is not None:
-        if not isinstance(spec.jump, DensityJumpKernel):
-            return False, ("jump_condition", None,
-                           "self-duality check needs a density kernel")
+    if isinstance(spec.jump, DensityJumpKernel):
         dnu = spec.jump.derivs.get((0,))
         if dnu is None:
             raise MissingDerivative("density kernel needs derivs[(0,)]")
-        pair = probe_points([box, box], _SELF_DUAL_PROBES)
-        for y, z in pair:
+        for y, z in probe_points([box, box], _SELF_DUAL_PROBES):
             if abs(y - z) < 1e-6:
                 continue
             r = float(np.asarray(dnu(np.array([y]), np.array([[z]]))).ravel()[0]) \
                 + float(np.asarray(dnu(np.array([z]), np.array([[y]]))).ravel()[0])
             if abs(r) > tol:
                 return False, ("jump_condition", (float(y), float(z)), r)
+    elif spec.jump is not None:
+        rates = _constant_rates(spec.jump)
+        for (k, c), r in rates.items():
+            gap = r - rates.get((k, -c), 0.0)
+            if abs(gap) > tol:
+                return False, ("jump_condition",
+                               c if spec.dim == 1 else (k, c), gap)
     return True, None

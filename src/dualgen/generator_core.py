@@ -757,18 +757,15 @@ def validate_qmatrix(q: QMatrix, conservative: bool = True) -> ValidationReport:
     viol_idx = np.argwhere(off < -OFFDIAG_TOL)
     violations = tuple((int(i), int(j), float(Q[i, j])) for i, j in viol_idx)
     rs = Q.sum(axis=1)
-    if conservative:
-        bad_rows = np.nonzero(np.abs(rs) > ROWSUM_TOL)[0]
-    else:
-        bad_rows = np.nonzero(rs > ROWSUM_TOL)[0]  # killing allowed, sums <= 0
-    defects = tuple((int(i), float(rs[i])) for i in bad_rows)
+    # killing allowed when not conservative: only sums above 0 are defects
+    excess = np.abs(rs) if conservative else np.maximum(rs, 0.0)
+    defects = tuple((int(i), float(rs[i]))
+                    for i in np.flatnonzero(excess > ROWSUM_TOL))
     max_neg = float(-off.min()) if off.size and off.min() < 0 else 0.0
-    max_defect = float(np.abs(rs).max()) if conservative else \
-        float(max(rs.max(), 0.0))
     return ValidationReport(
         passed=not violations and not defects,
         offdiag_violations=violations,
         rowsum_defects=defects,
         max_offdiag_negativity=max_neg,
-        max_rowsum_defect=max_defect,
+        max_rowsum_defect=float(excess.max()),
     )

@@ -18,13 +18,19 @@ Then exp(tQ) = (x) exp(tQ_k) (Van Loan, J. Comput. Appl. Math. 123,
 `semigroup` takes all of a run's probe times in one call; a time whose
 step from the previous one is itself an earlier time is the product
 T(s) T(u) = T(s + u).  Every snapshot is checked against a separate
-algorithm, the action of the exponential by truncated Taylor series
-(`_taylor_chain`, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
-carried from one time to the next on a few fixed probe vectors: each
-factor exp(tQ_k) on probes of its own length n_k against a chain on
-Q_k, and the generators tied to Q once per call by one sparse matvec,
-Q V = sum_k (I (x) Q_k (x) I) V.  So with d factors no Taylor work runs
-on an n-row array.  The Pareto F is the Kronecker product
+algorithm, the action of the exponential by uniformization
+(`_uniformized_chain`, Jensen 1953, Grassmann 1977): with lambda_k the
+largest |diagonal entry| of a generator Q_k, exp(tQ_k) is a Poisson
+mixture of powers of the nonnegative P_k = I + Q_k / lambda_k, summed
+with no cancellation.  Its domain is a sub-Markov generator, which every
+`discretize` output is up to rounding; a matrix whose |P_k| has a row
+sum past 1 by more than 1 / (lambda_k t) is refused.  The chain is carried
+from one time to the next on a few fixed probe vectors: each factor
+exp(tQ_k) on probes of its own length n_k against a chain on Q_k, at
+O(nnz(Q_k) (lambda_k t + sqrt(lambda_k t))) work, and the generators
+tied to Q once per call by one sparse matvec,
+Q V = sum_k (I (x) Q_k (x) I) V.  So with d factors no chain runs on an
+n-row array.  The Pareto F is the Kronecker product
 F_0 (x) ... (x) F_{d-1} of 1-D suffix sums, so with one factor per axis
 the dual is factored too, T^D = (x) F_k T_k' F_k^-1;
 `SurvivalTransform.split` pairs each factor with its transform, or
@@ -68,13 +74,9 @@ __all__ = [
 
 _EXPM_NORM_LIMIT = 1e6
 _CHECK_PROBES = 2
-# theta_m of the truncated Taylor action in double precision: m terms of
-# exp(hA) on substeps with ||hA||_1 <= theta_m have backward error at most
-# the unit roundoff 2^-53 (Al-Mohy & Higham, "Computing the action of the
-# matrix exponential, with an application to exponential integrators",
-# SIAM J. Sci. Comput. 33 (2011), Table 3.1)
-_TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4,
-                 30: 3.5, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
+# largest Poisson mean lambda h of one uniformization substep: e^-500 is
+# a normal float
+_POISSON_MEAN_CAP = 500.0
 _UNIT_ROUNDOFF = 2.0 ** -53
 # largest entry of |Q V - (Q_0 (+) ... (+) Q_{m-1}) V| on the tie's probe
 # columns V, relative to ||Q||_inf, at which the generators are Q's
@@ -176,15 +178,19 @@ class SurvivalTransform:
                                      unit_diagonal=True)
             Finv = np.empty_like(inv_p)
             Finv[np.ix_(order, order)] = inv_p
-            self._dense = (F, Finv)
+            self._dense = (F, Finv, F.T, Finv.T)
 
-    def _on_grid(self, a, step):
-        """Apply `step(array, axis)` along every grid axis of a's axis 0."""
+    def _on_grid(self, a, step, dense: int):
+        """Apply `step(array, axis)` along every grid axis of a's axis 0,
+        or on a dense transform its matrix `_dense[dense]` (F, F^-1, F'
+        or F^-T)."""
         a = np.asarray(a, dtype=float)
         if a.shape[0] != self.grid.n_points:
             raise DimensionMismatch(
                 f"array of length {a.shape[0]} on a grid of "
                 f"{self.grid.n_points} points")
+        if self._dense is not None:
+            return self._dense[dense] @ a
         v = a.reshape(self.grid.shape + a.shape[1:])
         for axis in range(self.grid.dim):
             v = step(v, axis)
@@ -192,27 +198,19 @@ class SurvivalTransform:
 
     def apply(self, w) -> np.ndarray:
         """F w: the survival function of w."""
-        if self._dense is not None:
-            return self._dense[0] @ w
-        return self._on_grid(w, _suffix_sum)
+        return self._on_grid(w, _suffix_sum, 0)
 
     def apply_transpose(self, v) -> np.ndarray:
         """F' v = f v, the pairing of v with the order indicator f (prefix
         sums along the grid axes for the Pareto cone)."""
-        if self._dense is not None:
-            return self._dense[0].T @ v
-        return self._on_grid(v, _prefix_sum)
+        return self._on_grid(v, _prefix_sum, 2)
 
     def apply_inverse(self, g) -> np.ndarray:
         """F^-1 g: the measure whose survival function is g."""
-        if self._dense is not None:
-            return self._dense[1] @ g
-        return self._on_grid(g, _forward_difference)
+        return self._on_grid(g, _forward_difference, 1)
 
     def _apply_inverse_transpose(self, a) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense[1].T @ a
-        return self._on_grid(a, _backward_difference)
+        return self._on_grid(a, _backward_difference, 3)
 
     def conjugate(self, A) -> np.ndarray:
         """F A' F^-1 for an (n, n) matrix A, as F (F^-T A)'."""
@@ -265,56 +263,53 @@ def _kron_sum_apply(gens, V) -> np.ndarray:
                for k, G in enumerate(gens)).reshape(V.shape)
 
 
-def _inf_norm(B) -> float:
-    """The largest absolute row sum of B, as a matvec with ones: numpy's
-    sum(axis=1) over the check's two columns is several times slower."""
-    return float((np.abs(B) @ np.ones(B.shape[1])).max())
-
-
-def _taylor_chain(A, V, steps) -> list:
+def _uniformized_chain(A, V, steps) -> list:
     """[W_1, ..., W_m] with W_0 = V and W_k = exp(d_k A) W_{k-1} for the
-    steps d_k >= 0: the action of the exponential by truncated Taylor
-    series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Alg. 3.2).
+    steps d_k >= 0: the action of the exponential by uniformization
+    (Jensen, Skand. Aktuarietidskr. 36, 1953; Grassmann, Comput. Oper.
+    Res. 4, 1977).
 
-    A is a square array or sparse matrix, and V has A's length in rows.
-    The series runs on A - mu I, mu the mean diagonal of A, and each
-    substep h multiplies by exp(h mu).  The degree m and the scaling s
-    are chosen once, for the longest step d: m minimises m s over
-    `_TAYLOR_THETA` with s = ceil(d ||A - mu I||_1 / theta_m), the exact
-    1-norm.  A step d_k takes s_k = ceil(s d_k / d) substeps, so every
-    substep keeps ||h (A - mu I)||_1 <= theta_m.  A substep stops adding
-    terms once two in a row have inf-norms summing to at most
-    2^-53 ||F||_inf, F the partial sum.  The work is O(nnz(A) m s) for
-    the whole chain.
+    A is a square array or CSR matrix, and V has A's length in rows.
+    With lambda = max |a_ii| and P = I + A / lambda (in CSR form
+    whichever A is), exp(hA) F is the Poisson mixture sum_k w_k P^k F,
+    w_k = e^-x x^k / k!, x = lambda h.
+    A step d is taken in ceil(lambda d / `_POISSON_MEAN_CAP`) substeps h,
+    so e^-x stays a normal float; w_k = w_{k-1} x / k, and a substep stops
+    at the first K whose Poisson tail bound w_K r / (1 - r),
+    r = x / (K + 1) < 1, is at most 2^-53: w_K x <= 2^-53 (K + 1 - x),
+    which cannot hold while K + 1 <= x.  That bounds the error by
+    2^-53 ||F||_inf when rho = ||P||_inf <= 1, as for a sub-Markov
+    generator, where P >= 0 and the sum has no cancellation; rounding
+    can lift rho just above 1, so the chain raises Overflow, naming rho,
+    only once lambda (d_1 + ... + d_m) (rho - 1) > 1, up to which the
+    bound grows by at most a factor e.  The zero generator returns V.
+    The work is O(nnz(A) (lambda d + sqrt(lambda d))) per step d.
     """
-    mu = float(A.diagonal().mean())
-    if isinstance(A, np.ndarray):
-        A = A - mu * np.eye(len(A))
-    else:
-        from scipy.sparse import identity
-        A = A - mu * identity(A.shape[0], format="csr")
-    norm = float(abs(A).sum(axis=0).max())
-    longest = max(steps, default=0.0)
-    m, s = 0, 1
-    if norm * longest > 0:
-        m, s = min(((deg, math.ceil(longest * norm / theta))
-                    for deg, theta in _TAYLOR_THETA.items()),
-                   key=lambda ms: ms[0] * ms[1])
+    lam = float(abs(A.diagonal()).max())
+    if not lam:
+        if abs(A).max():
+            raise Overflow("uniformization needs a sub-Markov generator, "
+                           "not a zero diagonal with off-diagonal entries")
+        return [V] * len(steps)
+    from scipy.sparse import csr_matrix, identity
+    P = identity(len(V), format="csr") + csr_matrix(A) / lam
+    rho = float(abs(P).sum(axis=1).max())
+    # written as `not <=` so that a NaN fails the comparison too
+    if not lam * sum(steps) * (rho - 1.0) <= 1.0:
+        raise Overflow(f"uniformization needs a sub-Markov generator: "
+                       f"||I + A/lambda||_inf = {rho:.17g} > 1")
     out, F = [], V
     for step in steps:
-        substeps = math.ceil(s * step / longest) if step else 0
+        substeps = math.ceil(lam * step / _POISSON_MEAN_CAP)
         for _ in range(substeps):
-            h = step / substeps
-            B, c1 = F, _inf_norm(F)
-            for j in range(1, m + 1):
-                B = A @ B
-                B *= h / j
-                c2 = _inf_norm(B)
-                F = F + B
-                if c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(F):
-                    break
-                c1 = c2
-            F = math.exp(h * mu) * F
+            x = lam * step / substeps
+            w, B = math.exp(-x), F
+            F, k = w * B, 0
+            while w * x > _UNIT_ROUNDOFF * (k + 1 - x):
+                k += 1
+                B = P @ B
+                w *= x / k
+                F += w * B
         out.append(F)
     return out
 
@@ -348,8 +343,8 @@ def semigroup(q: QMatrix, t):
     that scaling and squaring of expm(t_k Q) would do itself.
 
     Every snapshot is checked against an independent algorithm, factor
-    by factor: T_j(t_k) V_j is compared with `_taylor_chain` on Q_j along
-    the steps d_1, ..., d_k (the sparse Q itself when there is one
+    by factor: T_j(t_k) V_j is compared with `_uniformized_chain` on Q_j
+    along the steps d_1, ..., d_k (the sparse Q itself when there is one
     factor), on `_CHECK_PROBES` fixed random columns V_j of length n_j
     with entries in [-1, 1], to 1e-10 of max(1, ||T_j||_inf).  With d
     factors the generators are tied to Q once per call: Q V and
@@ -361,9 +356,12 @@ def semigroup(q: QMatrix, t):
     in any of them shows: a wrong, transposed or stale factor in its own
     check, a misordered or altered generator in the tie.  expm(tQ / 2)
     squared would repeat expm's own arithmetic and could not.  The
-    Taylor work is O(sum_j nnz(Q_j) max_k t_k ||Q_j||), on arrays of the
-    factors' lengths; expm's grows only with the logarithm of the norm.
-    `check_error` records the largest error over the factors.
+    chain's domain is a sub-Markov generator Q_j (it raises Overflow once
+    lambda_j t_m (||I + Q_j / lambda_j||_inf - 1) > 1, lambda_j the
+    largest |diagonal entry| of Q_j), and its work is
+    O(sum_j nnz(Q_j) (lambda_j t_m + sqrt(lambda_j t_m))), on arrays of
+    the factors' lengths; expm's grows only with the logarithm of the
+    norm.  `check_error` records the largest error over the factors.
     """
     one = np.ndim(t) == 0
     times = [float(s) for s in np.atleast_1d(t)]
@@ -392,7 +390,7 @@ def semigroup(q: QMatrix, t):
               for G in gens]
     starts = [0.0] + chain[:-1]
     steps = [s - prev for prev, s in zip(starts, chain)]
-    checks = [_taylor_chain(Qs if len(gens) == 1 else G, V, steps)
+    checks = [_uniformized_chain(Qs if len(gens) == 1 else G, V, steps)
               for G, V in zip(gens, probes)]
     snaps = {}
     for i, (prev, s, step) in enumerate(zip(starts, chain, steps)):
@@ -403,7 +401,7 @@ def semigroup(q: QMatrix, t):
         err = 0.0
         for T, V, W in zip(factors, probes, checks):
             e = float(np.abs(T @ V - W[i]).max())
-            if not e <= 1e-10 * max(1.0, _inf_norm(T)):
+            if not e <= 1e-10 * max(1.0, np.abs(T).sum(axis=1).max()):
                 raise Overflow(f"matrix exponential self-check failed at "
                                f"t = {s:g}: {e:.3g}")
             err = max(err, e)

@@ -9,6 +9,7 @@ vectors; the identity basis gives the Pareto cone R^d_+.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,10 @@ _INDICATOR_BLOCK = 1 << 18
 
 @dataclass(frozen=True)
 class Grid:
-    """Rectangular lattice on [lower, upper] with per-axis spacing."""
+    """Rectangular lattice on [lower, upper] with per-axis spacing.
+
+    The shape and the point count are computed on first use and kept:
+    `discretize` reads them dozens of times per call."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -49,12 +53,12 @@ class Grid:
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         n = np.rint((self.upper - self.lower) / self.spacing).astype(int) + 1
         return tuple(int(k) for k in n)
 
-    @property
+    @cached_property
     def n_points(self) -> int:
         return int(np.prod(self.shape))
 

@@ -383,6 +383,30 @@ def test_self_dual_check_reads_the_dual_that_dual_builds(tmp_path, capsys,
         assert rep["results"] == {"self_dual": False, "witness": witness}
 
 
+@pytest.mark.parametrize("up, down, code, witness", [
+    # the symmetric walk is self-dual; the check exited 1 on it
+    (1.0, 1.0, 0, None),
+    (1.2, 0.8, 1, ["jump_condition", 1.0, 0.3999999999999999]),
+    # a rate given as an expression is not compared: exit 2, no report
+    ("1", 1.0, 2, None),
+], ids=["symmetric", "drifting", "expression-rate"])
+def test_self_dual_check_on_a_jump_walk(tmp_path, capsys, up, down, code,
+                                        witness):
+    path = _write(tmp_path, {"name": "walk", "mode": "self-dual-check",
+                             "process": {"dim": 1, "jumps": [
+                                 {"displacement": [1.0], "rate": up},
+                                 {"displacement": [-1.0], "rate": down}]}})
+    out = tmp_path / "out"
+    assert main(["self-dual-check", path, "--out", str(out)]) == code
+    if code == 2:
+        assert "not a move of one axis at a numeric rate" in \
+            capsys.readouterr().err
+        assert not (out / "report.json").exists()
+    else:
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["results"] == {"self_dual": code == 0, "witness": witness}
+
+
 def test_dual_mode_reports_probe_values(tmp_path):
     doc = {
         "name": "ou-dual", "mode": "dual",

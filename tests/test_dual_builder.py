@@ -640,6 +640,53 @@ def test_check_self_dual_jump_symmetry():
     assert not flag and witness[0] == "jump_condition"
 
 
+def _walk(up, down):
+    """+1 at rate `up` and -1 at rate `down`."""
+    return AtomicJumpKernel(jumps=(((1.0,), up), ((-1.0,), down)))
+
+
+def test_check_self_dual_matches_constant_rate_channels_with_their_duals():
+    # the symmetric walk is its own Siegmund dual; every atomic jump part
+    # was answered False
+    spec = ProcessSpec.one_dim(nu=_walk(1.0, 1.0))
+    assert check_self_dual(spec) == (True, None)
+    grid = build_grid([-8.0], [8.0], [1.0])
+    dual = closed_form_dual(spec).dual_spec
+    assert np.array_equal(discretize(dual, grid).entries,
+                          discretize(spec, grid).entries)
+    # the walk with a drift up: its dual drifts down
+    flag, (condition, c, gap) = check_self_dual(
+        ProcessSpec.one_dim(nu=_walk(1.2, 0.8)))
+    assert not flag and condition == "jump_condition"
+    assert c == 1.0 and gap == pytest.approx(0.4)
+    # d-D: channel by channel on each axis, the witness names the axis
+    sym = ProcessSpec(dim=2, jump=AtomicJumpKernel(jumps=(
+        ((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5), ((0.0, 2.0), 0.3),
+        ((0.0, -2.0), 0.1), ((0.0, -2.0), 0.2))))
+    assert check_self_dual(sym) == (True, None)
+    one_way = ProcessSpec(dim=2, jump=SeparableJumpKernel((
+        (0, _walk(1.0, 1.0)), (1, AtomicJumpKernel(jumps=(((0.5,), 0.3),))))))
+    assert check_self_dual(one_way) == (False,
+                                        ("jump_condition", (1, 0.5), 0.3))
+
+
+def test_check_self_dual_refuses_an_atomic_part_it_cannot_compare():
+    # a state-dependent rate r has the dual rate r(y - c) and derivative
+    # terms; a two-axis move has no per-axis dual
+    for spec in (ProcessSpec.one_dim(nu=AtomicJumpKernel(jumps=(
+                     ((1.0,), lambda x: 1.0 + 0.1 * x[0]), ((-1.0,), 1.0)))),
+                 ProcessSpec(dim=2, jump=AtomicJumpKernel(jumps=(
+                     ((1.0, 1.0), 1.0), ((-1.0, -1.0), 1.0))))):
+        with pytest.raises(NotSeparable, match="jump channel 0 is not a "
+                           "move of one axis at a numeric rate"):
+            check_self_dual(spec)
+    # a dual's own jump part, whose rates come from the tails
+    dual = closed_form_dual(ProcessSpec.one_dim(nu=_walk(1.0, 1.0)))
+    with pytest.raises(StructureViolation, match="no self-duality check for "
+                       "a SiegmundDualJumpKernel1D jump part"):
+        check_self_dual(dual.dual_spec)
+
+
 def test_half_line_absorbed_forward_has_a_reflected_dual():
     # Siegmund's pairing: X absorbed at 0 has its dual reflected at 0.
     # On the grid, F Q' F^-1 of the absorbed chain on {0, h, ...} is a

@@ -569,7 +569,7 @@ def test_taylor_chain_agrees_with_expm_multiply(name, steps, sparse):
     Q = _TAYLOR_CASES[name]()
     A = matrix_lab._csr(Q) if sparse else Q
     V = np.random.default_rng(3).uniform(-1.0, 1.0, size=(len(Q), 2))
-    got = matrix_lab._taylor_chain(A, V, steps)
+    got = matrix_lab._uniformized_chain(A, V, steps)
     want = _expm_multiply_chain(matrix_lab._csr(Q), V, steps)
     assert len(got) == len(steps)
     for W, R in zip(got, want):
@@ -580,13 +580,84 @@ def test_taylor_chain_agrees_with_expm_multiply(name, steps, sparse):
 def test_taylor_chain_of_the_zero_generator_is_the_identity():
     V = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 2))
     for A in (np.zeros((5, 5)), matrix_lab._csr(np.zeros((5, 5)))):
-        out = matrix_lab._taylor_chain(A, V, (0.5, 2.0))
+        out = matrix_lab._uniformized_chain(A, V, (0.5, 2.0))
         assert len(out) == 2
         assert all(np.array_equal(W, V) for W in out)
-    assert matrix_lab._taylor_chain(np.zeros((5, 5)), V, ()) == []
-    # a multiple of I is all shift: exp(t c) V and no Taylor terms
-    W, = matrix_lab._taylor_chain(-2.0 * np.eye(5), V, (0.5,))
+    assert matrix_lab._uniformized_chain(np.zeros((5, 5)), V, ()) == []
+    # -cI uniformizes to P = 0: exactly exp(-c t) V
+    W, = matrix_lab._uniformized_chain(-2.0 * np.eye(5), V, (0.5,))
     assert np.allclose(W, np.exp(-1.0) * V, rtol=1e-15, atol=0.0)
+
+
+# the benchmark's chain1d with its coefficients unperturbed (the benchmark
+# moves each by at most 5% with its seed): a 401-state reflected 1-D chain
+# with jumps, lambda = max |q_ii| about 506
+_BENCH_CHAIN = {"dim": 1, "drift": ["-0.2*x1"],
+                "diffusion": ["0.5 + 0.1*cos(x1)"],
+                "jumps": [{"displacement": [0.5], "rate": 0.6},
+                          {"displacement": [-0.5], "rate": 0.4}]}
+_BENCH_CHAIN_TIMES = (0.25, 0.5, 1.0)
+
+
+def _bench_chain():
+    s = load_scenario({
+        "name": "chain1d", "mode": "verify-matrix", "process": _BENCH_CHAIN,
+        "grid": {"lower": [-10.0], "upper": [10.0], "spacing": [0.05],
+                 "boundary_policy": "reflect"},
+        "cone": {"type": "pareto"},
+        "probes": [{"x": [0.0], "y": [0.0], "t": t}
+                   for t in _BENCH_CHAIN_TIMES]})
+    return discretize(s.process, s.grid)
+
+
+def test_uniformized_chain_matvecs_on_the_bench_chain(monkeypatch):
+    # about lambda d + O(sqrt(lambda d)) matvecs per step d, where a
+    # truncated-Taylor action on a general matrix takes about 5 lambda d
+    import scipy.sparse
+    q = _bench_chain()
+    A = matrix_lab._csr(q.entries)
+    V = np.random.default_rng(0).uniform(-1.0, 1.0, size=(q.n, 2))
+    calls = []
+    matmul = scipy.sparse.csr_matrix.__matmul__
+
+    def counting(self, other):
+        if np.shape(other) == V.shape:
+            calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", counting)
+    steps = (0.25, 0.25, 0.5)
+    matrix_lab._uniformized_chain(A, V, steps)
+    lam = np.abs(q.entries.diagonal()).max()
+    assert 500.0 < lam < 510.0
+    bound = sum(lam * d + 10.0 * np.sqrt(lam * d) + 10.0 for d in steps)
+    assert lam * sum(steps) < len(calls) <= bound
+
+
+def test_semigroup_check_error_on_the_bench_chain():
+    snaps = semigroup(_bench_chain(), _BENCH_CHAIN_TIMES)
+    assert all(0.0 <= s.check_error < 1e-12 for s in snaps)
+
+
+def test_uniformized_chain_refuses_a_matrix_that_is_not_sub_markov():
+    # a negative off-diagonal entry: P = I + Q / 2 has ||P||_inf = 2, so
+    # lambda t (rho - 1) = 2 t passes the domain bound 1 at t > 0.5
+    Q = np.array([[-2.0, 3.0, -1.0],
+                  [1.0, -1.0, 0.0],
+                  [0.0, 1.0, -1.0]])
+    V = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 2))
+    for A in (Q, matrix_lab._csr(Q)):
+        with pytest.raises(Overflow, match="sub-Markov generator.* = 2 > 1"):
+            matrix_lab._uniformized_chain(A, V, (0.25, 0.5))
+        W, = matrix_lab._uniformized_chain(A, V, (0.25,))
+        assert np.abs(W - scipy.linalg.expm(0.25 * Q) @ V).max() < 1e-14
+    q = QMatrix(entries=Q, state_grid=build_grid([0.0], [2.0], [1.0]))
+    with pytest.raises(Overflow, match="sub-Markov generator"):
+        semigroup(q, 1.0)
+    # no diagonal at all: not a generator, and refused too
+    with pytest.raises(Overflow, match="sub-Markov generator"):
+        matrix_lab._uniformized_chain(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                      V[:2], (0.1,))
 
 
 def test_semigroup_check_on_a_separable_grid_runs_on_the_factors(
@@ -594,13 +665,13 @@ def test_semigroup_check_on_a_separable_grid_runs_on_the_factors(
     spec, grid = _SEPARABLE_CASES["3d-mixed"]      # 5 x 7 x 5 points
     q = discretize(spec, grid)
     seen = []
-    chain = matrix_lab._taylor_chain
+    chain = matrix_lab._uniformized_chain
 
     def spy(A, V, steps):
         seen.append((A.shape, V.shape, tuple(steps)))
         return chain(A, V, steps)
 
-    monkeypatch.setattr(matrix_lab, "_taylor_chain", spy)
+    monkeypatch.setattr(matrix_lab, "_uniformized_chain", spy)
     snaps = semigroup(q, (0.25, 0.5, 1.0))
     assert [(a, v[0]) for a, v, _ in seen] == \
         [((m, m), m) for m in grid.shape]

@@ -30,6 +30,33 @@ def test_grid_shape_and_points_row_major():
     assert np.array_equal(pts[:4], [[0, 0], [0, 1], [1, 0], [1, 1]])
 
 
+# the benchmark's three grids at full scale: 401 points on [-10, 10], and
+# side x side points of spacing 0.2 centred at 0 (bench/workloads.py)
+_BENCH_GRIDS = {
+    "chain1d": ([-10.0], [10.0], [0.05], (401,)),
+    **{name: ([-0.2 * (side - 1) / 2.0] * 2, [0.2 * (side - 1) / 2.0] * 2,
+              [0.2, 0.2], (side, side))
+       for name, side in (("diff2d_small", 32), ("diff2d_large", 45))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_GRIDS))
+def test_grid_shape_is_kept_and_unchanged_on_the_bench_grids(name):
+    lower, upper, spacing, shape = _BENCH_GRIDS[name]
+    g = build_grid(lower, upper, spacing, "reflect")
+    assert g.shape == shape and g.n_points == int(np.prod(shape))
+    # computed once: every read returns the same tuple
+    assert g.shape is g.shape
+    pts = g.points()
+    assert pts.shape == (g.n_points, len(shape))
+    assert np.array_equal(pts[0], lower)
+    assert np.allclose(pts[-1], upper, rtol=0.0, atol=1e-12)
+    # row-major: the last axis moves fastest, by one spacing
+    steps = np.diff(pts.reshape(shape + (len(shape),)), axis=-2)
+    assert np.allclose(steps[..., -1], spacing[-1], rtol=0.0, atol=1e-12)
+    assert g.axis(0).shape == shape[:1]
+
+
 def test_grid_index_of_round_trip():
     g = build_grid([-1.0], [1.0], [0.5])
     for i, p in enumerate(g.points()):
