@@ -330,12 +330,16 @@ def separable_jumps(jump):
     """The jump part of a process in separable form: an AtomicJumpKernel
     whose every channel moves one axis at a numeric rate becomes a
     SeparableJumpKernel of one-channel components; any other kernel (or
-    None) is returned as it is.  Raises NotSeparable naming the first
-    channel that is not such a move."""
+    None) is returned as it is.  A channel of zero displacement is no
+    move, as in `discretize` and the 1-D dual, and is left out, whatever
+    its rate: a part of only such channels has no components.  Raises
+    NotSeparable naming the first channel that is not such a move."""
     if not isinstance(jump, AtomicJumpKernel):
         return jump
     parts = []
     for c, (w, r) in enumerate(jump.jumps):
+        if not np.any(w):
+            continue
         if callable(r) or np.count_nonzero(w) != 1:
             raise NotSeparable(f"jump channel {c} is not a move of one "
                                f"axis at a numeric rate")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-import jsonschema
 import numpy as np
 
 # closed_form_dual is called through this module's global, which
@@ -223,6 +222,72 @@ def serialize(s: Scenario) -> dict:
     return json.loads(json.dumps(s.data))
 
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+
+def _schema_errors(value, schema: dict, path: tuple):
+    """Yield (path, message) for each way value breaks schema, with
+    JSON Schema 2020-12 semantics for the keywords SCENARIO_SCHEMA uses:
+    type, enum, anyOf, required, properties, additionalProperties (false
+    only), items, minItems, maxItems, minLength, minimum, maximum and
+    exclusiveMinimum.  A bool is neither a number nor an integer, an
+    integral float is an integer, and each keyword but type, enum and
+    anyOf applies only to its own JSON type.  Like a validator's
+    absolute path, path is the tuple of keys and indices down to the
+    value; `required` and `additionalProperties` report the object."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        yield path, f"{value!r} is not of type {kind!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if "anyOf" in schema and all(
+            next(_schema_errors(value, sub, path), None) is not None
+            for sub in schema["anyOf"]):
+        yield path, f"{value!r} is not valid under any of the given schemas"
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        if schema.get("additionalProperties", True) is False:
+            extra = sorted(key for key in value if key not in props)
+            if extra:
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extra))} unexpected)")
+        for key, sub in props.items():
+            if key in value:
+                yield from _schema_errors(value[key], sub, path + (key,))
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", len(value)):
+            yield path, f"{value!r} is too long"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, schema["items"], path + (i,))
+    elif isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            yield path, f"{value!r} is too short"
+    elif _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield path, (f"{value!r} is less than the minimum of "
+                         f"{schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield path, (f"{value!r} is less than or equal to the minimum "
+                         f"of {schema['exclusiveMinimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            yield path, (f"{value!r} is greater than the maximum of "
+                         f"{schema['maximum']!r}")
+
+
 def _schema_fail(message: str, pointer: str):
     raise SchemaError(f"{message} (at {pointer or '/'})")
 
@@ -274,7 +339,7 @@ def _build_jump_density(cfg: dict, dim: int):
 
 
 def _build_process(proc: dict) -> ProcessSpec:
-    dim = proc["dim"]
+    dim = int(proc["dim"])      # the schema's integers include 1.0
     drift = _per_axis(proc["drift"], dim, "drift") if "drift" in proc else None
     diff = _per_axis(proc["diffusion"], dim, "diffusion") \
         if "diffusion" in proc else None
@@ -342,12 +407,11 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     else:
         data = json.loads(json.dumps(source))
 
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errs = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
+    errs = sorted(_schema_errors(data, SCENARIO_SCHEMA, ()),
+                  key=lambda e: e[0])
     if errs:
-        e = errs[0]
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        _schema_fail(e.message, pointer)
+        path, message = errs[0]
+        _schema_fail(message, "/" + "/".join(map(str, path)))
 
     process = _build_process(data["process"])
     dim = process.dim
@@ -385,8 +449,9 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             # SchemaError at pointer where PathConfig refuses the run
             try:
                 return PathConfig(
-                    n_paths=pc["n_paths"], dt=pc["dt"], t_end=float(t_end),
-                    seed=pc["seed"], scheme=pc.get("scheme", "euler_maruyama"),
+                    n_paths=int(pc["n_paths"]), dt=pc["dt"],
+                    t_end=float(t_end), seed=int(pc["seed"]),
+                    scheme=pc.get("scheme", "euler_maruyama"),
                     tail_truncation_quantile=pc.get(
                         "tail_truncation_quantile", 0.999),
                     rate_bound=pc.get("rate_bound"),

@@ -407,6 +407,19 @@ def test_self_dual_check_on_a_jump_walk(tmp_path, capsys, up, down, code,
         assert rep["results"] == {"self_dual": code == 0, "witness": witness}
 
 
+def test_self_dual_check_on_a_walk_with_a_zero_channel(tmp_path):
+    # a channel of zero displacement is no move; the check exited 2 on it
+    # where dual reported admissible
+    path = _write(tmp_path, {"name": "lazy-walk", "mode": "self-dual-check",
+                             "process": {"dim": 1, "jumps": [
+                                 {"displacement": [d], "rate": 1.0}
+                                 for d in (1.0, -1.0, 0.0)]}})
+    out = tmp_path / "out"
+    assert main(["self-dual-check", path, "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["results"] == {"self_dual": True, "witness": None}
+
+
 def test_dual_mode_reports_probe_values(tmp_path):
     doc = {
         "name": "ou-dual", "mode": "dual",
@@ -666,6 +679,25 @@ def test_import_and_load_do_not_load_scipy():
         "print(sorted(m for m in sys.modules\n"
         "             if m == 'scipy' or m.startswith('scipy.')))\n")
     docs = json.dumps([_verify_2d({"type": "lightcone"}), _stable_riesz_mc()])
+    out = subprocess.run([sys.executable, "-c", code, docs],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, env=_env())
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_and_load_do_not_load_jsonschema():
+    # scenarios are validated by scenario._schema_errors: importing the
+    # package and the CLI and loading a scenario of each track (the dual
+    # construction, the matrix check, Monte Carlo) loads no jsonschema
+    code = (
+        "import json, sys, dualgen, dualgen.cli\n"
+        "from dualgen.scenario import load_scenario\n"
+        "for doc in json.loads(sys.argv[1]):\n"
+        "    load_scenario(doc)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'jsonschema'))\n")
+    docs = json.dumps([_diffusion_2d("dual"), _verify_2d({"type": "pareto"}),
+                       _stable_riesz_mc()])
     out = subprocess.run([sys.executable, "-c", code, docs],
                          capture_output=True, text=True, check=True,
                          timeout=120, env=_env())

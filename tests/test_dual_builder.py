@@ -670,6 +670,31 @@ def test_check_self_dual_matches_constant_rate_channels_with_their_duals():
                                         ("jump_condition", (1, 0.5), 0.3))
 
 
+def test_a_zero_jump_channel_is_no_move_in_every_dimension():
+    # discretize and the 1-D dual read a zero displacement as no move;
+    # separable_jumps refused it, so check_self_dual raised NotSeparable
+    # on a 1-D walk with one, and closed_form_dual on a 2-D part
+    spec = ProcessSpec.one_dim(nu=AtomicJumpKernel(jumps=(
+        ((1.0,), 1.0), ((-1.0,), 1.0), ((0.0,), 1.0))))
+    assert check_self_dual(spec) == (True, None)
+    grid = build_grid([0.0, 0.0], [3.0, 3.0], [1.0, 1.0], "reflect")
+    moves = (((1.0, 0.0), 1.0), ((0.0, -1.0), 0.5))
+    with_zero = closed_form_dual(ProcessSpec(dim=2, jump=AtomicJumpKernel(
+        jumps=moves[:1] + (((0.0, 0.0), 2.0),) + moves[1:])))
+    without = closed_form_dual(ProcessSpec(dim=2, jump=AtomicJumpKernel(
+        jumps=moves)))
+    assert with_zero.admissible
+    assert np.array_equal(discretize(with_zero.dual_spec, grid).entries,
+                          discretize(without.dual_spec, grid).entries)
+    # a part of zero channels only: no components, a zero generator
+    still = ProcessSpec(dim=2, jump=AtomicJumpKernel(
+        jumps=(((0.0, 0.0), 1.0),)))
+    rep = closed_form_dual(still)
+    assert rep.admissible and rep.dual_spec.jump.components == ()
+    assert not discretize(rep.dual_spec, grid).entries.any()
+    assert check_self_dual(still) == (True, None)
+
+
 def test_check_self_dual_refuses_an_atomic_part_it_cannot_compare():
     # a state-dependent rate r has the dual rate r(y - c) and derivative
     # terms; a two-axis move has no per-axis dual

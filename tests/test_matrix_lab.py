@@ -686,7 +686,7 @@ def test_semigroup_check_on_a_separable_grid_runs_on_the_factors(
 def test_semigroup_tie_catches_a_generator_that_is_not_q():
     # one off-diagonal rate of the second axis moved by 1e-6 ||Q||, the
     # diagonal moved with it, so the factor is still a generator and its
-    # own check (expm against the Taylor chain, both on the moved
+    # own check (expm against the uniformized chain, both on the moved
     # generator) passes; only the tie to Q sees it
     spec, grid = _SEPARABLE_CASES["2d-reflect"]
     q = discretize(spec, grid)
