@@ -38,8 +38,13 @@ multiplies the factors out against the whole F.
 `duality_residual` pairs both semigroups with the order indicator through
 the same operator: the indicator is f = F', so T f = (F T')' and
 f T^D' = F' T^D' cost O(n^2 d) on the Pareto path (`apply_transpose` is a
-prefix sum), and no n x n indicator matrix is built for it.  scipy is
-imported on use, so `import dualgen` loads none of it.
+prefix sum), and no n x n indicator matrix is built for it.
+The exponential is this module's `expm`, Pade scaling and squaring
+(Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005) with every product a
+numpy `@` on numpy's BLAS and the Pade system solved by
+`np.linalg.solve`; a Pareto run loads scipy.sparse for the check and no
+scipy.linalg.  scipy is imported on use, so `import dualgen` loads none
+of it.
 """
 
 from __future__ import annotations
@@ -83,11 +88,66 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _TIE_TOL = 1e-12
 
 
-def expm(A):
-    """scipy.linalg.expm, imported on use.  A module attribute, so the
-    calls can be counted or replaced."""
-    from scipy.linalg import expm
-    return expm(A)
+# Higham (2005), Table 2.3: the largest ||A||_1 at which the [m/m] Pade
+# approximant r_m(A) = (V - U)^-1 (V + U) of e^A has backward error at most
+# 2^-53, and its coefficients b_0, ..., b_m
+_PADE_LOW = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                            25200.0, 1512.0, 56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
+                           302702400.0, 30270240.0, 2162160.0, 110880.0,
+                           3960.0, 90.0, 1.0)),
+)
+_THETA_13 = 5.371920351148152e0
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+            960960.0, 16380.0, 182.0, 1.0)
+
+
+def expm(A) -> np.ndarray:
+    """e^A by Pade scaling and squaring (Higham, SIAM J. Matrix Anal.
+    Appl. 26(4), 2005), every product a numpy `@`.
+
+    With ||A||_1 at most theta_m for m = 3, 5, 7 or 9 (`_PADE_LOW`), e^A
+    is the [m/m] approximant, U and V built from the even powers of A.
+    Otherwise it is r_13(A / 2^s) squared s times, with s the exponent of
+    ||A||_1 / theta_13 (`math.frexp`), at least 0: doubling A adds
+    exactly one squaring of the same scaled matrix, so expm(2A) is
+    expm(A) @ expm(A) bit for bit once A takes the degree-13 path.  A
+    NaN or infinite entry raises Overflow before any product.  A module
+    attribute, so the calls can be counted or replaced.
+    """
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise Overflow("expm of a matrix with a NaN or infinite entry")
+    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    ident = np.eye(len(A))
+    for theta, b in _PADE_LOW:
+        if norm <= theta:
+            A2 = A @ A
+            powers = [ident, A2]
+            while len(powers) < len(b) // 2:
+                powers.append(powers[-1] @ A2)
+            U = A @ sum(c * P for c, P in zip(b[1::2], powers))
+            V = sum(c * P for c, P in zip(b[0::2], powers))
+            return np.linalg.solve(V - U, V + U)
+    s = max(0, math.frexp(norm / _THETA_13)[1])
+    A = A * 2.0 ** -s
+    b = _PADE_13
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
 
 
 @dataclass(frozen=True)
@@ -333,14 +393,17 @@ def semigroup(q: QMatrix, t):
     Q_k the terms `q.generators` as given: d of them, sum n_k^3 work
     instead of n^3, where `discretize` found the spec separable (per-axis
     coefficients on reflect or truncate_mass faces), and the one factor
-    expm(tQ) on every other grid, 1-D ones included.
+    expm(tQ) on every other grid, 1-D ones included.  Each fresh factor
+    is this module's `expm`: Pade scaling and squaring (Higham 2005) on
+    numpy's BLAS.
 
     The times are taken in increasing order t_1 < ... < t_m, with steps
     d_k = t_k - t_{k-1} (t_0 = 0).  When d_k is exactly an earlier time,
     T(t_k) = T(t_{k-1}) T(d_k), one product per factor (T(s + u) =
     T(s) T(u)), and no `expm` runs; otherwise T(t_k) is a fresh `expm`.
-    On dyadic times such as 0.25, 0.5, 1 the product repeats a squaring
-    that scaling and squaring of expm(t_k Q) would do itself.
+    On dyadic times such as 0.25, 0.5, 1 the product is the squaring
+    that scaling and squaring of expm(t_k Q) would do itself, bit for bit
+    once ||d_k Q||_1 takes `expm`'s degree-13 path.
 
     Every snapshot is checked against an independent algorithm, factor
     by factor: T_j(t_k) V_j is compared with `_uniformized_chain` on Q_j

@@ -14,14 +14,14 @@ once per block instead of once per step; where every coefficient is
 such a constant, an absorbed path's coefficients are set to 0 when it is
 absorbed, so it costs no extra work on later steps.
 scipy is imported on use: only a full diffusion matrix needs its
-Cholesky factor.
+Cholesky factor.  So is the thread pool, which only a run of more than
+one worker builds.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -480,6 +480,7 @@ def simulate_paths(spec: ProcessSpec, cfg: PathConfig, x0,
         run_share(0)
     else:
         # the calling thread runs share 0 itself
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_workers - 1) as pool:
             shares = [pool.submit(run_share, k) for k in range(1, n_workers)]
             run_share(0)

@@ -685,6 +685,32 @@ def test_import_and_load_do_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_pareto_verify_matrix_does_not_load_scipy_linalg(tmp_path):
+    # the exponential is matrix_lab's own Pade on numpy, and the Pareto F
+    # is sums and differences: a verify-matrix run needs scipy.sparse only
+    path = _write(tmp_path, {**_verify_2d({"type": "pareto"}),
+                             "output_dir": str(tmp_path / "out")})
+    code = ("import sys\n"
+            "from dualgen import cli\n"
+            "code = cli.main(['verify-matrix', sys.argv[1]])\n"
+            "print(code, 'scipy.linalg' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, path],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, env=_env())
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_import_does_not_load_concurrent_futures():
+    # monte_carlo imports its thread pool where a run of more than one
+    # worker builds it
+    code = ("import sys\n"
+            "from dualgen import cli, scenario\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=_env())
+    assert out.stdout.strip() == "False"
+
+
 def test_import_and_load_do_not_load_jsonschema():
     # scenarios are validated by scenario._schema_errors: importing the
     # package and the CLI and loading a scenario of each track (the dual

@@ -334,7 +334,7 @@ def test_factored_and_dense_verify_agree(name):
         T = semigroup(q, t)
         assert [A.shape for A in T.factors] == [(m, m) for m in grid.shape]
         want_T = functools.reduce(np.kron, [
-            scipy.linalg.expm(t * G) for G in _axis_reference(spec, grid)])
+            matrix_lab.expm(t * G) for G in _axis_reference(spec, grid)])
         assert np.array_equal(T.T, want_T)
         TD = dual_semigroup_via_F(T, op)
         assert len(TD.factors) == grid.dim
@@ -714,7 +714,7 @@ def test_semigroup_records_norm_and_check_error():
     snap = semigroup(q, 0.7)
     assert snap.norm == pytest.approx(0.7 * 6.0)    # row 3: |-3| + 3
     assert 0.0 <= snap.check_error < 1e-12
-    assert np.array_equal(snap.T, scipy.linalg.expm(0.7 * _NON_SYMMETRIC_Q))
+    assert np.array_equal(snap.T, matrix_lab.expm(0.7 * _NON_SYMMETRIC_Q))
     dual = dual_semigroup_via_F(
         snap, SurvivalTransform(q.state_grid, Cone.pareto(1)))
     assert dual.norm is None and dual.check_error is None
@@ -726,6 +726,92 @@ def test_semigroup_rejects_nan_generator():
     q = QMatrix(entries=Q, state_grid=build_grid([0.0], [2.0], [1.0]))
     with pytest.raises(Overflow):
         semigroup(q, 0.5)
+
+
+def _norm_1(A):
+    return np.abs(A).sum(axis=0).max()
+
+
+def _assert_near_scipy(got, A):
+    want = scipy.linalg.expm(A)
+    assert np.abs(got - want).max() <= \
+        1e-13 * max(1.0, np.abs(want).sum(axis=1).max())
+
+
+# ||A||_1 for each branch of expm: just under theta_3, theta_5, theta_7
+# and theta_9 (Higham 2005, Table 2.3), degree 13 unscaled, and scaled
+_BRANCH_NORMS = (1.495585217958292e-2, 2.539398330063230e-1,
+                 9.504178996162932e-1, 2.097847961257068, 4.0, 40.0)
+
+
+@pytest.mark.parametrize("norm", _BRANCH_NORMS)
+def test_expm_on_every_pade_branch(norm):
+    norm *= 1.0 - 2.0 ** -20
+    # a non-normal matrix of both signs, against scipy
+    B = np.random.default_rng(3).normal(size=(7, 7)) + 2.0 * np.eye(7, k=1)
+    A = B * (norm / _norm_1(B))
+    _assert_near_scipy(matrix_lab.expm(A), A)
+    # two 2 x 2 matrices against their closed forms: ||A^k||_1 is
+    # ||A||_1^k, the worst case the thresholds theta_m are set for.  The
+    # two-state generator decays, and the all-ones matrix grows as e^norm.
+    A = 0.5 * norm * np.array([[-1.0, 1.0], [1.0, -1.0]])
+    d = -0.5 * np.expm1(-norm)
+    assert np.abs(matrix_lab.expm(A) - [[1 - d, d], [d, 1 - d]]).max() \
+        <= 1e-15
+    A = np.full((2, 2), 0.5 * norm)
+    want = np.eye(2) + 0.5 * np.expm1(norm)
+    assert np.abs(matrix_lab.expm(A) - want).max() <= \
+        1e-13 * np.abs(want).sum(axis=1).max()
+
+
+def test_expm_matches_scipy_on_the_bench_generators():
+    q, _ = _bench_case(6)
+    for A in (0.25 * _bench_chain().entries, 500.0 * q.entries):
+        _assert_near_scipy(matrix_lab.expm(A), A)
+
+
+def _six_state_q():
+    return _random_conservative(build_grid([0.0], [5.0], [1.0]), 6).entries
+
+
+@pytest.mark.parametrize("Q", [_NON_SYMMETRIC_Q, _six_state_q()],
+                         ids=["3-state", "6-state"])
+def test_expm_against_a_40_digit_reference(Q):
+    mpmath = pytest.importorskip("mpmath")
+
+    def reference(A):
+        with mpmath.workdps(40):
+            return np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(),
+                            dtype=float)
+
+    # ||tQ||_1 from 1e-3 to 30 on a geometric ladder, then far past it
+    ladder = np.geomspace(1e-3, 30.0, 12) / _norm_1(Q)
+    for t, tol in [(t, 4e-15) for t in ladder] + [(50.0, 1e-13),
+                                                    (500.0, 1e-13)]:
+        want = reference(t * Q)
+        err = np.abs(matrix_lab.expm(t * Q) - want).max()
+        assert err <= tol * max(1.0, np.abs(want).sum(axis=1).max()), t
+
+
+def test_expm_of_zero_and_of_no_states():
+    assert np.array_equal(matrix_lab.expm(np.zeros((4, 4))), np.eye(4))
+    assert matrix_lab.expm(np.zeros((0, 0))).shape == (0, 0)
+
+
+def test_expm_of_twice_the_time_is_the_square_bit_for_bit():
+    # doubling ||A|| adds one squaring of the same scaled matrix, so the
+    # chained T(0.25) T(0.25) of `semigroup` is a fresh expm(0.5 Q)
+    Q = _bench_chain().entries
+    T = matrix_lab.expm(0.25 * Q)
+    assert np.array_equal(matrix_lab.expm(0.5 * Q), T @ T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_rejects_a_nan_or_infinite_entry(bad):
+    A = _NON_SYMMETRIC_Q.copy()
+    A[2, 0] = bad
+    with pytest.raises(Overflow, match="NaN or infinite"):
+        matrix_lab.expm(A)
 
 
 def test_semigroup_rejects_negative_time_and_huge_systems():

@@ -4,11 +4,11 @@ Invariants are raised errors, never `assert` statements, so they survive
 `python -O`; no interface method is a stub that only raises; no
 module imports scipy at its top level, so `import dualgen` loads none of
 it, nor any of scipy's underscore-prefixed modules or names, which are
-not its public API; no dual is built by the conjugation F Q' F^-1
-outside matrix_lab and the density kernel's N-D dual; no move on a grid
-is folded at a face outside `map_targets`; and no function
-parameter or dataclass field has a default that no caller ever
-overrides.
+not its public API, nor scipy.linalg's `expm`; no dual is built by the
+conjugation F Q' F^-1 outside matrix_lab and the density kernel's N-D
+dual; no move on a grid is folded at a face outside `map_targets`; and
+no function parameter or dataclass field has a default that no caller
+ever overrides.
 """
 
 import ast
@@ -112,6 +112,36 @@ def test_private_scipy_import_rule_flags_underscore_parts():
 def test_no_private_scipy_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _private_scipy_imports(tree) == []
+
+
+# the matrix exponential is matrix_lab's own Pade on numpy's `@`: scipy's
+# expm runs its products on the slower BLAS that scipy ships
+def _scipy_expm_imports(tree) -> list:
+    """Every import, at any depth, of `expm` from scipy.linalg or one of
+    its submodules."""
+    return [f"line {node.lineno}: imports expm from {node.module}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[:2] == ["scipy", "linalg"]
+            and any(a.name == "expm" for a in node.names)]
+
+
+def test_scipy_expm_rule_flags_imports_of_expm():
+    flagged = ("from scipy.linalg import expm",
+               "def f():\n    from scipy.linalg import solve, expm as e",
+               "from scipy.linalg._matfuncs import expm")
+    allowed = ("from scipy.linalg import solve_triangular",
+               "from scipy.sparse.linalg import expm_multiply",
+               "from .matrix_lab import expm")
+    assert all(len(_scipy_expm_imports(ast.parse(src))) == 1
+               for src in flagged)
+    assert all(_scipy_expm_imports(ast.parse(src)) == [] for src in allowed)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_expm_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _scipy_expm_imports(tree) == []
 
 
 # F Q' F^-1 is the oracle every closed-form dual is checked against: only
