@@ -16,7 +16,6 @@ from .generator_core import (
     ProcessSpec,
     QMatrix,
     SeparableJumpKernel,
-    adjoint,
     discretize,
     validate_qmatrix,
 )

@@ -96,13 +96,24 @@ class DualReport:
 
 
 def probe_points(box, n: int) -> np.ndarray:
-    """Deterministic quasi-random probes inside a box [(lo, hi), ...]."""
-    from scipy.stats import qmc      # costs about a second; import on use
-
+    """Deterministic quasi-random probes inside a box [(lo, hi), ...]: the
+    unscrambled Halton points, column j the radical inverse of 0..n-1 in
+    the j-th prime, its digits summed lowest first as
+    scipy.stats.qmc.Halton(d, scramble=False).random(n) sums them, so they
+    are the same to the bit without importing scipy.stats."""
     box = np.atleast_2d(np.asarray(box, dtype=float))
-    d = box.shape[0]
-    sampler = qmc.Halton(d=d, scramble=False)
-    u = sampler.random(n)
+    primes, k = [], 2
+    while len(primes) < len(box):
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    u = np.zeros((n, len(primes)))
+    for j, b in enumerate(primes):
+        q, f = np.arange(n), 1.0 / b
+        while q.any():
+            u[:, j] += (q % b) * f
+            f /= b
+            q //= b
     return box[:, 0] + u * (box[:, 1] - box[:, 0])
 
 
@@ -166,7 +177,10 @@ def lightcone_diffusion_spec(alpha, beta, omega=None,
 def dual_lightcone_diffusion(alpha, beta, omega=None, alpha_d=None,
                              beta_d=None, box=None) -> DualReport:
     """Dual of the light-cone structured 2-D diffusion: same second-order
-    part plus drift 4(al'(x+y) +- be'(x-y))."""
+    part plus drift 2(al'(x+y) +- be'(x-y)).  In u = A^-1 x, with A's
+    columns (1, 1) and (-1, 1), the diffusion (omega = 0) is
+    diag(al(2 u1), be(-2 u2)); its Pareto dual drift
+    (2 al'(2 u1), -2 be'(-2 u2)), mapped back by A, is that drift."""
     if alpha_d is None or beta_d is None:
         raise MissingDerivative("alpha' and beta' callables are required")
     if box is None:
@@ -174,8 +188,8 @@ def dual_lightcone_diffusion(alpha, beta, omega=None, alpha_d=None,
 
     def drift(x):
         s, dvar = x[0] + x[1], x[0] - x[1]
-        return np.array([4.0 * (alpha_d(s) + beta_d(dvar)),
-                         4.0 * (alpha_d(s) - beta_d(dvar))])
+        return np.array([2.0 * (alpha_d(s) + beta_d(dvar)),
+                         2.0 * (alpha_d(s) - beta_d(dvar))])
 
     forward = lightcone_diffusion_spec(alpha, beta, omega)
     dual = lightcone_diffusion_spec(alpha, beta, omega, drift=drift)

@@ -70,7 +70,6 @@ __all__ = [
     "ValidationReport",
     "discretize",
     "map_targets",
-    "adjoint",
     "validate_qmatrix",
 ]
 
@@ -746,11 +745,6 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
 
     return QMatrix(entries=Q, state_grid=grid,
                    generators=_axis_generators(spec, grid, clip_cross))
-
-
-def adjoint(q: QMatrix) -> QMatrix:
-    """Discrete standard dual L': transpose under the counting pairing."""
-    return QMatrix(entries=q.entries.T.copy(), state_grid=q.state_grid)
 
 
 def validate_qmatrix(q: QMatrix, conservative: bool = True) -> ValidationReport:

@@ -1,12 +1,10 @@
-"""The dressing operator F for translation-invariant duality functions.
+"""Translation-invariant duality kernels of the Monte Carlo pairing.
 
-Here F is a convolution with the Riesz, Newtonian or 2-D logarithmic
-kernel (`potential_F`).  Every grid point is an evaluation point, so a
-point mass always sits on one: the kernel's singular value at 0 is
-replaced by its average over one grid cell, the one rule for that
-term.  For cone orders F is the survival transform, implemented once
-as `matrix_lab.SurvivalTransform`.  scipy.special is imported on use,
-by the kernel constants.
+f(x, y) = k(x - y), k the fundamental solution of |Delta|^{a/2} (Riesz),
+of Delta in d >= 3 (Newtonian) or in d = 2 (logarithmic), evaluated on
+arrays of |x - y| that `monte_carlo.estimate_duality` pairs over the
+simulated paths.  A cone order's F is `matrix_lab.SurvivalTransform`.
+scipy.special is imported on use, by the kernel constants.
 """
 
 from __future__ import annotations
@@ -15,25 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Overflow
-from .state_space import (
-    _INDICATOR_BLOCK,
-    MAX_STATES,
-    Grid,
-    GridFunction,
-    GridMeasure,
-)
-
 __all__ = [
     "TranslationKernel",
-    "potential_F",
     "riesz_normalizer",
     "sphere_area",
 ]
-
-# subcells per axis of TranslationKernel.cell_average; an even number keeps
-# every quadrature node off the singularity at the cell's centre
-CELL_SUBDIV = 16
 
 
 def sphere_area(d: int) -> float:
@@ -90,48 +74,3 @@ class TranslationKernel:
             if self.kind == "newtonian":
                 return self.normalizer / r ** (self.d - 2)
             return np.log(r) * self.normalizer
-
-    def cell_average(self, grid: Grid) -> float:
-        """Midpoint-quadrature average of the kernel over one grid cell at
-        0, on CELL_SUBDIV subcells per axis."""
-        h = grid.spacing
-        axes = [(-0.5 + (np.arange(CELL_SUBDIV) + 0.5) / CELL_SUBDIV) * h[i]
-                for i in range(grid.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        r = np.sqrt(sum(m ** 2 for m in mesh))
-        return float(np.mean(self(r)))
-
-
-def _check_compat(obj_len: int, grid: Grid):
-    if obj_len != grid.n_points:
-        raise DimensionMismatch(
-            f"array of length {obj_len} on a grid of {grid.n_points} points")
-
-
-def potential_F(q: GridMeasure, grid: Grid, k: TranslationKernel) -> GridFunction:
-    """Convolution of the measure with a translation-invariant kernel.
-
-    Every grid point is an evaluation point, so the singular term f(0)
-    at each is replaced by the kernel's average over one grid cell
-    (`TranslationKernel.cell_average`).  Built over blocks of rows, so
-    no temporary holds more than _INDICATOR_BLOCK differences; each row
-    is summed on its own, so the blocks do not change the result.
-    """
-    _check_compat(len(q.weights), grid)
-    if k.d != grid.dim:
-        raise DimensionMismatch("kernel and grid dimensions differ")
-    n = grid.n_points
-    if n > MAX_STATES:
-        raise Overflow(f"{n} states exceeds the dense cap of {MAX_STATES}")
-    pts = grid.points()
-    diag = k.cell_average(grid)
-    out = np.empty(n)
-    rows = max(1, _INDICATOR_BLOCK // (n * grid.dim))
-    for r in range(0, n, rows):
-        diffs = pts[r:r + rows, None, :] - pts[None, :, :]      # [iy, ix]
-        dist = np.linalg.norm(diffs, axis=-1)
-        at_node = dist == 0.0
-        vals = k(np.where(at_node, 1.0, dist))
-        vals[at_node] = diag
-        out[r:r + rows] = (vals * q.weights).sum(axis=1)
-    return GridFunction(values=out)

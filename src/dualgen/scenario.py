@@ -10,7 +10,6 @@ deterministic report.json / report.csv pair.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -41,6 +40,7 @@ from .state_space import (
     Cone,
     Grid,
     build_grid,
+    cone_contains_many,
     lightcone_2d,
 )
 # Not called here: verify-matrix pairs through SurvivalTransform.  Kept as
@@ -51,7 +51,6 @@ from .state_space import duality_indicator_matrix  # noqa: F401
 __all__ = [
     "Scenario",
     "load_scenario",
-    "serialize",
     "run_scenario",
     "emit_plot_data",
     "SCENARIO_SCHEMA",
@@ -215,11 +214,6 @@ class Scenario:
     @property
     def output_dir(self) -> str:
         return self.data.get("output_dir", ".")
-
-
-def serialize(s: Scenario) -> dict:
-    """The JSON document of a scenario; load_scenario(serialize(s)) == s."""
-    return json.loads(json.dumps(s.data))
 
 
 _TYPES = {
@@ -503,7 +497,20 @@ def _violated_rows(rep: DualReport) -> list:
              "value": _jsonify(c[2])} for c in rep.violated_conditions]
 
 
+def _refuse_a_non_pareto_cone(s: Scenario) -> None:
+    """dual, mc and self-dual-check build the Pareto dual: refuse a cone
+    that is not R^d_+ as a set, whatever basis generates it."""
+    if not isinstance(s.functional, tuple):
+        return
+    cone = s.functional[1]
+    if not (cone_contains_many(cone, np.eye(cone.dim)).all()
+            and cone_contains_many(Cone.pareto(cone.dim), cone.basis.T).all()):
+        raise SchemaError(f"{s.mode} mode builds the Pareto dual and the "
+                          f"cone is not R^d_+ (at /cone)")
+
+
 def _run_dual(s: Scenario) -> dict:
+    _refuse_a_non_pareto_cone(s)
     rep = closed_form_dual(s.process)
     rows = []
     if rep.admissible and rep.dual_spec is not None and s.probes:
@@ -566,6 +573,7 @@ def _run_verify_matrix(s: Scenario) -> dict:
 
 
 def _run_mc(s: Scenario) -> dict:
+    _refuse_a_non_pareto_cone(s)
     specX = s.process
     if isinstance(s.functional, tuple):
         rep = closed_form_dual(specX)
@@ -601,6 +609,7 @@ def _run_mc(s: Scenario) -> dict:
 
 
 def _run_self_dual(s: Scenario) -> dict:
+    _refuse_a_non_pareto_cone(s)
     flag, witness = check_self_dual(s.process)
     return {
         "pass": bool(flag),

@@ -1,8 +1,9 @@
-"""State-space discretizations, ordering cones and the duality indicator.
+"""State-space grids, ordering cones and the duality indicator.
 
 Grids are finite rectangular truncations of R^d with a fixed row-major
 point ordering (axis 0 slowest), so every matrix built on top of them is
-reproducible bit-for-bit.  Cones are generated by d linearly independent
+reproducible bit-for-bit; a measure or a function on a grid is an
+array in that order.  Cones are generated by d linearly independent
 vectors; the identity basis gives the Pareto cone R^d_+.
 """
 
@@ -26,8 +27,8 @@ BOUNDARY_POLICIES = ("truncate_mass", "reflect", "absorb")
 # relative tolerance for closed-cone membership at the boundary
 _CONE_TOL = 1e-12
 
-# distance, in cells, at which a point still counts as on the lattice
-# (index_of) and, in coordinates, as inside the box (contains_point)
+# distance, in coordinates, at which a point still counts as inside the
+# box (contains_point)
 _LATTICE_TOL = 1e-9
 
 # largest grid on which dense n x n matrices are built
@@ -73,17 +74,6 @@ class Grid:
                 for i in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
-
-    def index_of(self, x):
-        """Flat index of the grid point at x, or None if x is off-lattice."""
-        idx = (np.asarray(x, dtype=float) - self.lower) / self.spacing
-        ridx = np.rint(idx)
-        if np.any(np.abs(idx - ridx) > _LATTICE_TOL):
-            return None
-        ridx = ridx.astype(int)
-        if np.any(ridx < 0) or np.any(ridx >= self.shape):
-            return None
-        return int(np.ravel_multi_index(tuple(ridx), self.shape, order="C"))
 
     def contains_point(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -164,14 +154,6 @@ def lightcone_2d() -> Cone:
     return Cone.from_vectors([1.0, 1.0], [-1.0, 1.0])
 
 
-def cone_contains(c: Cone, v) -> bool:
-    """Whether one vector lies in the cone (cone_contains_many on one row)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (c.dim,):
-        raise DimensionMismatch(f"vector of dim {v.shape} vs cone of dim {c.dim}")
-    return bool(cone_contains_many(c, v[None])[0])
-
-
 def cone_contains_many(c: Cone, vs: np.ndarray) -> np.ndarray:
     """Vectorized membership test for an (n, d) array of vectors."""
     vs = np.asarray(vs, dtype=float)
@@ -198,44 +180,3 @@ def duality_indicator_matrix(g: Grid, c: Cone) -> np.ndarray:
         out[r:r + rows] = cone_contains_many(
             c, diffs.reshape(-1, g.dim)).reshape(len(diffs), n)
     return out
-
-
-@dataclass(frozen=True)
-class GridMeasure:
-    """Signed measure on the points of a grid (weights in point order)."""
-
-    weights: np.ndarray
-    is_probability: bool = False
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel(order="C")
-        object.__setattr__(self, "weights", w)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("measure weights must be finite")
-        if self.is_probability:
-            if np.any(w < 0):
-                raise ValueError("probability measure has a negative weight")
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError(f"probability weights sum to {w.sum()}, not 1")
-
-    @classmethod
-    def delta(cls, grid: Grid, x) -> "GridMeasure":
-        idx = grid.index_of(x)
-        if idx is None:
-            raise DimensionMismatch(f"point {x} is not on the grid")
-        w = np.zeros(grid.n_points)
-        w[idx] = 1.0
-        return cls(weights=w, is_probability=True)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Real-valued function on the points of a grid (values in point order)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel(order="C")
-        object.__setattr__(self, "values", v)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("function values must be finite")

@@ -17,12 +17,7 @@ from dualgen.dual_builder import SiegmundDualJumpKernel1D, closed_form_dual
 from dualgen.errors import CFLWarning, ExpressionParseError, SchemaError
 from dualgen.generator_core import discretize
 from dualgen.matrix_lab import action_mismatch, dual_generator_via_F
-from dualgen.scenario import (
-    emit_plot_data,
-    load_scenario,
-    run_scenario,
-    serialize,
-)
+from dualgen.scenario import emit_plot_data, load_scenario, run_scenario
 from dualgen.state_space import Cone, build_grid
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -56,9 +51,9 @@ def _walk_verify():
     }
 
 
-def test_round_trip_serialize_load():
+def test_round_trip_load_of_the_data():
     s = load_scenario(_bm_mc())
-    assert load_scenario(serialize(s)) == s
+    assert load_scenario(s.data) == s
 
 
 @settings(max_examples=20, deadline=None)
@@ -69,7 +64,7 @@ def test_round_trip_random_parameters(seed, npaths_k, steps):
     # an mc probe time is a whole number of dt steps, t in [0.1, 2]
     doc["probes"][0]["t"] = steps * 0.01
     s = load_scenario(doc)
-    assert load_scenario(serialize(s)) == s
+    assert load_scenario(s.data) == s
 
 
 def test_unknown_field_rejected_with_pointer():
@@ -446,6 +441,56 @@ def _diffusion_2d(mode):
     }
 
 
+def _lightcone_diffusion(mode, cone):
+    # under the Pareto order the dual drift is (0.4, 0) at the origin; the
+    # light cone's dual is another process
+    return {
+        "name": "cone-diffusion", "mode": mode,
+        "process": {"dim": 2, "diffusion": ["0.5 + 0.4*sin(x1)", "0.5"],
+                    "diffusion_deriv": ["0.4*cos(x1)", "0"]},
+        "cone": cone,
+        "probes": [{"x": [0.0, 0.0], "y": [0.5, 0.5], "t": 0.2}],
+        "path_config": {"n_paths": 400, "dt": 0.01, "seed": 5},
+    }
+
+
+@pytest.mark.parametrize("mode", ["dual", "mc", "self-dual-check"])
+def test_cli_exit_two_on_a_cone_that_is_not_the_orthant(tmp_path, capsys,
+                                                         monkeypatch, mode):
+    # these modes build the Pareto dual: before, a light-cone scenario
+    # passed with the Pareto drift.  Refused before a dual is built or a
+    # path drawn
+    def never(*args, **kwargs):
+        raise AssertionError(f"{mode} built a dual or drew a path")
+
+    for name in ("closed_form_dual", "check_self_dual", "estimate_duality"):
+        monkeypatch.setattr(scenario, name, never)
+    doc = _lightcone_diffusion(mode, {"type": "lightcone"})
+    code = main([mode, _write(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "cone is not R^d_+ (at /cone)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_basis_that_generates_the_orthant_runs_as_pareto(tmp_path):
+    # the cone is decided as a set: the orthant by its generators in
+    # swapped order, or rescaled, is the Pareto order, and every report
+    # is the Pareto scenario's to the byte
+    for mode in ("dual", "mc", "self-dual-check"):
+        runs = []
+        for i, cone in enumerate([
+                {"type": "pareto"},
+                {"type": "vectors", "vectors": [[0.0, 1.0], [1.0, 0.0]]},
+                {"type": "vectors", "vectors": [[0.0, 0.5], [2.0, 0.0]]}]):
+            out = tmp_path / mode / str(i)
+            doc = _lightcone_diffusion(mode, cone)
+            code = main([mode, _write(tmp_path, doc), "--out", str(out)])
+            runs.append((code, (out / "report.json").read_bytes(),
+                         (out / "report.csv").read_bytes()))
+        assert runs[0][0] in (0, 1)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_cli_2d_dual_holds_the_jumps(tmp_path, capsys):
     # a 2-D dual used to refuse a jump part beside a drift and a
     # diffusion (exit 2); it now holds all three parts and matches
@@ -651,12 +696,27 @@ def _stable_riesz_mc():
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes about a second to import; only probe_points needs it
+    # scipy.stats takes about a second to import, and no run needs it
     code = "import sys, dualgen; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env=_env())
     assert out.stdout.strip() == "False"
+
+
+def test_a_dual_run_does_not_load_scipy_stats(tmp_path):
+    # probe_points draws its Halton points without scipy.stats, so the
+    # admissibility checks of a dual run load none of it
+    path = _write(tmp_path, {**_diffusion_2d("dual"),
+                             "output_dir": str(tmp_path / "out")})
+    code = ("import sys\n"
+            "from dualgen import cli\n"
+            "code = cli.main(['dual', sys.argv[1]])\n"
+            "print(code, 'scipy.stats' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, path],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, env=_env())
+    assert out.stdout.split("\n")[-2] == "0 False"
 
 
 def test_import_does_not_load_scipy_sparse_linalg():

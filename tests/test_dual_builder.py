@@ -52,6 +52,14 @@ def test_probe_points_deterministic_and_inside_box():
     assert a.min() >= -1.0 and a.max() <= 2.0
 
 
+@pytest.mark.parametrize("n", [1, 40, 60, 200])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_probe_points_are_scipys_unscrambled_halton_to_the_bit(d, n):
+    from scipy.stats import qmc
+    want = qmc.Halton(d=d, scramble=False).random(n)
+    assert np.array_equal(probe_points([(0.0, 1.0)] * d, n), want)
+
+
 def test_dual_report_rejects_inconsistent_flag():
     # a raise, not an assert, so it also holds under python -O
     with pytest.raises(InconsistentReport):
@@ -124,8 +132,41 @@ def test_lightcone_dual_drift_formula():
     x = np.array([0.7, -0.2])
     drift = rep.dual_spec.drift(x)
     s = x[0] + x[1]
-    assert drift[0] == pytest.approx(4 * 0.1 * s)
-    assert drift[1] == pytest.approx(4 * 0.1 * s)
+    assert drift[0] == pytest.approx(2 * 0.1 * s)
+    assert drift[1] == pytest.approx(2 * 0.1 * s)
+
+
+def test_lightcone_dual_drift_is_the_pareto_dual_in_cone_coordinates():
+    # u = A^-1 x, A's columns (1, 1) and (-1, 1), turns the light-cone
+    # order into the Pareto one and, with omega = 0, the diffusion into
+    # diag(al(2 u1), be(-2 u2)); its Pareto dual, mapped back by A, is the
+    # light-cone dual
+    A = np.array([[1.0, -1.0], [1.0, 1.0]])
+    cases = [
+        (lambda s: 0.6 + 0.4 * np.tanh(s), lambda s: 0.4 / np.cosh(s) ** 2,
+         lambda s: 0.3 + 0.1 * np.sin(s), lambda s: 0.1 * np.cos(s)),
+        (lambda s: 0.2 + 0.05 * s * s, lambda s: 0.1 * s,
+         lambda s: 0.5 + 0.2 * np.exp(-s * s),
+         lambda s: -0.4 * s * np.exp(-s * s)),
+    ]
+    probes = probe_points([(-1.5, 1.5)] * 2, 40)
+    for al, al_d, be, be_d in cases:
+        u_spec = ProcessSpec(
+            dim=2,
+            diffusion_diag=(lambda u: al(2.0 * u), lambda u: be(-2.0 * u)),
+            diffusion_diag_deriv=(lambda u: 2.0 * al_d(2.0 * u),
+                                  lambda u: -2.0 * be_d(-2.0 * u)))
+        u_rep = closed_form_dual(u_spec)
+        rep = dual_lightcone_diffusion(al, be, alpha_d=al_d, beta_d=be_d)
+        assert u_rep.admissible and rep.admissible
+        U = np.linalg.solve(A, probes.T).T
+        want = u_rep.dual_spec.drift_at(U) @ A.T
+        got = rep.dual_spec.drift_at(probes)
+        assert np.abs(got - want).max() <= 1e-12
+        # and A a^U A^T is the light-cone diffusion itself
+        aU = u_rep.dual_spec.diffusion_at(U)
+        assert np.abs(A @ aU @ A.T
+                      - rep.dual_spec.diffusion_at(probes)).max() <= 1e-12
 
 
 def test_lightcone_variable_dual_converges_to_operator_action():

@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualgen import order_transform
-from dualgen.errors import Overflow
 from dualgen.matrix_lab import SurvivalTransform
 from dualgen.order_transform import (
     TranslationKernel,
-    potential_F,
     riesz_normalizer,
     sphere_area,
 )
-from dualgen.state_space import Cone, GridMeasure, build_grid, lightcone_2d
+from dualgen.state_space import Cone, build_grid, lightcone_2d
 
 
 def test_sphere_area_known_values():
@@ -69,8 +66,11 @@ def test_forward_F_pareto_fast_path_equals_matrix_path():
 
 def test_forward_F_lightcone_counts_cone_points():
     g = build_grid([-2.0, -2.0], [2.0, 2.0], [1.0, 1.0])
-    m = GridMeasure.delta(g, [0.0, 0.0])
-    vals = SurvivalTransform(g, lightcone_2d()).apply(m.weights)
+    # a point mass at the origin, the grid's centre point
+    mass = np.zeros(g.n_points)
+    mass[g.n_points // 2] = 1.0
+    assert np.array_equal(g.points()[g.n_points // 2], [0.0, 0.0])
+    vals = SurvivalTransform(g, lightcone_2d()).apply(mass)
     vals = vals.reshape(g.shape)
     pts = g.points().reshape(g.shape + (2,))
     # mass at origin is seen from y iff -y lies in the cone, i.e. y2 <= -|y1|
@@ -95,41 +95,6 @@ def test_newtonian_kernel_value():
     k = TranslationKernel(kind="newtonian", d=3)
     # -1/((d-2) sigma_{d-1}) / r = -1/(4 pi r)
     assert float(k(np.array(2.0))) == pytest.approx(-1.0 / (8 * np.pi))
-
-
-def test_potential_F_point_mass_on_node_is_cell_averaged():
-    g = build_grid([-1.0, -1.0], [1.0, 1.0], [1.0, 1.0])
-    m = GridMeasure.delta(g, [0.0, 0.0])
-    k = TranslationKernel(kind="log2d", d=2)
-    vals = potential_F(m, g, k).values
-    assert np.all(np.isfinite(vals))
-
-
-@pytest.mark.parametrize("kernel", [
-    TranslationKernel(kind="log2d", d=2),
-    TranslationKernel(kind="riesz", d=2, alpha=1.5),
-])
-def test_potential_F_row_blocks_match_one_block(monkeypatch, kernel):
-    g = build_grid([-1.0, -1.0], [1.0, 1.5], [0.25, 0.5])
-    w = np.random.default_rng(5).normal(size=g.n_points)
-    m = GridMeasure(weights=w)
-    whole = potential_F(m, g, kernel).values
-    monkeypatch.setattr(order_transform, "_INDICATOR_BLOCK",
-                        7 * g.n_points * 2)
-    assert np.array_equal(potential_F(m, g, kernel).values, whole)
-    # reference: the full n x n kernel matrix applied to the weights
-    pts = g.points()
-    r = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    K = kernel(np.where(r == 0.0, 1.0, r))
-    np.fill_diagonal(K, kernel.cell_average(g))
-    assert np.abs(whole - K @ w).max() <= 1e-12 * np.abs(K @ w).max()
-
-
-def test_potential_F_state_cap():
-    g = build_grid([0.0, 0.0], [64.0, 64.0], [1.0, 1.0])
-    m = GridMeasure(weights=np.zeros(g.n_points))
-    with pytest.raises(Overflow):
-        potential_F(m, g, TranslationKernel(kind="log2d", d=2))
 
 
 @settings(max_examples=30, deadline=None)

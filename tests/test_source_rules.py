@@ -8,7 +8,8 @@ not its public API, nor scipy.linalg's `expm`; no dual is built by the
 conjugation F Q' F^-1 outside matrix_lab and the density kernel's N-D
 dual; no move on a grid is folded at a face outside `map_targets`; and
 no function parameter or dataclass field has a default that no caller
-ever overrides.
+ever overrides; and no public function or class is named only by its
+own definition and the unit tests.
 """
 
 import ast
@@ -342,3 +343,80 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 continue
             never.append(f"{path.name}: {fn}({param}=...)")
     assert sorted(never) == []
+
+
+# every public top-level function or class is named somewhere besides its
+# own definition: in its module or another module of the package, a demo,
+# the benchmark (whose tracer names what it wraps in strings) or the
+# acceptance criteria.  A re-export in __init__ is not a use, and the unit
+# tests do not count: a name that only they reach is code no run needs
+USE_FILES = sorted(
+    list((ROOT / "demos").rglob("*.py"))
+    + list((ROOT / "bench").rglob("*.py"))
+    + [ROOT / "tests" / "test_acceptance.py"])
+# name -> why it stays with no use yet
+UNUSED_ALLOWED = {"validate_qmatrix": "ROADMAP item 1"}
+
+
+def _named(nodes, strings: bool) -> set:
+    """Every identifier the nodes name, at any depth: names, attributes
+    and imported names, and, when `strings`, every string constant."""
+    found = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update((node.name.split(".")[-1], node.asname))
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _orphans(modules: dict, users: dict) -> list:
+    """'module.name' of every public top-level function or class of
+    `modules` (name -> source) that is named nowhere besides its own
+    definition: not in the rest of its module, another of `modules`, or
+    one of `users` (name -> (source, whether its strings count))."""
+    trees = {name: ast.parse(src).body for name, src in modules.items()}
+    named = {name: _named(body, False) for name, body in trees.items()}
+    named.update({name: _named([ast.parse(src)], strings)
+                  for name, (src, strings) in users.items()})
+    found = []
+    for module, body in trees.items():
+        for defn in body:
+            if not isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) \
+                    or defn.name.startswith("_"):
+                continue
+            rest = _named([n for n in body if n is not defn], False)
+            if defn.name not in rest and not any(
+                    defn.name in names for user, names in named.items()
+                    if user != module):
+                found.append(f"{module}.{defn.name}")
+    return found
+
+
+def test_orphan_rule_flags_a_name_only_its_definition_names():
+    modules = {"a": "def used():\n    pass\n\ndef orphan():\n    used()\n\n"
+                    "def recurse(n):\n    return recurse(n - 1)\n\n"
+                    "__all__ = ['orphan']\n\nclass _Private:\n    pass\n",
+               "b": "from .a import used\n\nclass Wrapped:\n    pass\n"}
+    users = {"bench": ("targets = [(b, 'Wrapped')]\n", True),
+             "demo": ("'orphan'\n", False)}
+    assert _orphans(modules, users) == ["a.orphan", "a.recurse"]
+    del users["bench"]
+    assert _orphans(modules, users) == ["a.orphan", "a.recurse", "b.Wrapped"]
+
+
+def test_every_public_definition_is_used():
+    modules = {p.stem: p.read_text() for p in MODULES
+               if p.name != "__init__.py"}
+    users = {str(p.relative_to(ROOT)): (p.read_text(), p.parts[-2] == "bench")
+             for p in USE_FILES}
+    orphans = [o.split(".")[1] for o in _orphans(modules, users)]
+    assert sorted(set(orphans) - set(UNUSED_ALLOWED)) == []
+    # an allowed name that is used again leaves the list
+    assert sorted(orphans) == sorted(UNUSED_ALLOWED)
