@@ -4,19 +4,19 @@
 
 Modes: dual, verify-matrix, mc, self-dual-check.  Flags override the
 corresponding scenario fields; --tol overrides the mode's governing
-tolerance (z_max for mc, residual_max for verify-matrix).  Exit code 0
-means every declared tolerance was met, 1 means a check failed, 2 means
-the scenario could not be run.
+tolerance (z_max for mc, residual_max for verify-matrix).  The file is
+read and validated once, with the mode and the flags written in.  Exit
+code 0 means every declared tolerance was met, 1 means a check failed,
+2 means the scenario could not be run.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import DualgenError
-from .scenario import MODES, load_scenario, run_scenario
+from .scenario import MODES, load_scenario, read_scenario, run_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,34 +38,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(data: dict, args) -> dict:
-    data = json.loads(json.dumps(data))
-    data["mode"] = args.mode
-    if args.seed is not None or args.paths is not None:
-        pc = data.setdefault("path_config", {})
-        if args.seed is not None:
-            pc["seed"] = args.seed
-        if args.paths is not None:
-            pc["n_paths"] = args.paths
-    if args.tol is not None:
-        tol = data.setdefault("tolerances", {})
-        key = "residual_max" if args.mode == "verify-matrix" else "z_max"
-        tol[key] = args.tol
-    if args.out is not None:
-        data["output_dir"] = args.out
+def _apply_overrides(data, args):
+    """The document with the mode and each given flag written in, through
+    JSON objects only: where the document has none on the way, it is left
+    as it is for `load_scenario` to refuse."""
+    tol = "residual_max" if args.mode == "verify-matrix" else "z_max"
+    for (*parents, key), value in ((("mode",), args.mode),
+                                   (("path_config", "seed"), args.seed),
+                                   (("path_config", "n_paths"), args.paths),
+                                   (("tolerances", tol), args.tol),
+                                   (("output_dir",), args.out)):
+        if value is None:
+            continue
+        node = data
+        for parent in parents:
+            node = node.setdefault(parent, {}) \
+                if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node[key] = value
     return data
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
-        scenario = load_scenario(_apply_overrides(scenario.data, args))
+        scenario = load_scenario(
+            _apply_overrides(read_scenario(args.scenario), args))
         report = run_scenario(scenario)
-    except DualgenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DualgenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status = "pass" if report["pass"] else "FAIL"

@@ -34,7 +34,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    InconsistentReport,
     MissingDerivative,
     NotSeparable,
     StructureViolation,
@@ -84,15 +83,13 @@ class DualReport:
     """Outcome of a dual construction: the dual spec plus the evidence."""
 
     dual_spec: Optional[ProcessSpec]
-    admissible: bool
     violated_conditions: tuple = ()     # ((condition_id, probe, value), ...)
     notes: str = ""
 
-    def __post_init__(self):
-        if self.admissible != (len(self.violated_conditions) == 0):
-            raise InconsistentReport(
-                f"admissible={self.admissible} with "
-                f"{len(self.violated_conditions)} violated conditions")
+    @property
+    def admissible(self) -> bool:
+        """The verdict, read off the evidence: no condition is violated."""
+        return not self.violated_conditions
 
 
 def probe_points(box, n: int) -> np.ndarray:
@@ -197,8 +194,7 @@ def dual_lightcone_diffusion(alpha, beta, omega=None, alpha_d=None,
     bad = forward.check_psd(probe_points(box, _DIFFUSION_PROBES))
     if bad is not None:
         violated.append(("lightcone_psd", tuple(bad[0]), bad[1]))
-    ok = not violated
-    return DualReport(dual_spec=dual if ok else None, admissible=ok,
+    return DualReport(dual_spec=None if violated else dual,
                       violated_conditions=tuple(violated),
                       notes="light-cone diffusion dual")
 
@@ -373,8 +369,7 @@ def dual_jump_1d(nu: AtomicJumpKernel | DensityJumpKernel,
         domain="half_line" if at_zero else "full_space",
         boundary="absorb" if at_zero else None,
     )
-    return DualReport(dual_spec=dual, admissible=not violated,
-                      violated_conditions=tuple(violated),
+    return DualReport(dual_spec=dual, violated_conditions=tuple(violated),
                       notes="jump dual from Stieltjes tail derivatives")
 
 
@@ -481,12 +476,9 @@ def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
     else:
         raise NotSeparable(
             f"unsupported multidim kernel type {type(nu).__name__}")
-    ok = not violated
-    dual = None
-    if ok:
-        dual = ProcessSpec(dim=dim, jump=ParetoDualJumpKernelND(base=nu))
-    return DualReport(dual_spec=dual, admissible=ok,
-                      violated_conditions=tuple(violated),
+    dual = None if violated else ProcessSpec(
+        dim=dim, jump=ParetoDualJumpKernelND(base=nu))
+    return DualReport(dual_spec=dual, violated_conditions=tuple(violated),
                       notes="multidimensional Pareto jump dual")
 
 
@@ -559,8 +551,7 @@ def _separable_dual(nu: SeparableJumpKernel, dim: int, box) -> DualReport:
                      for k, rep in reps for c in rep.violated_conditions)
     dual = None if violated else ProcessSpec(dim=dim, jump=SeparableJumpKernel(
         tuple((k, rep.dual_spec.jump) for k, rep in reps)))
-    return DualReport(dual_spec=dual, admissible=not violated,
-                      violated_conditions=violated,
+    return DualReport(dual_spec=dual, violated_conditions=violated,
                       notes="per-axis Siegmund jump dual")
 
 
@@ -664,8 +655,8 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
         domain=spec.domain,
         boundary=boundary,
     )
-    return DualReport(dual_spec=dual, admissible=not violated,
-                      violated_conditions=tuple(violated), notes=notes)
+    return DualReport(dual_spec=dual, violated_conditions=tuple(violated),
+                      notes=notes)
 
 
 def _constant_rates(nu) -> dict:

@@ -61,10 +61,6 @@ class InvalidEstimate(DualgenError):
     """A duality estimate has a negative standard error or a non-finite z."""
 
 
-class InconsistentReport(DualgenError):
-    """A dual report's admissible flag disagrees with its violations."""
-
-
 class InadmissibleDual(DualgenError):
     """A cone duality estimate was requested without an admissible dual."""
 

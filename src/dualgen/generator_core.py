@@ -629,6 +629,16 @@ def _axis_generators(spec: ProcessSpec, grid: Grid,
             grid.axis(k), clip_cross).entries for k in range(d))
 
 
+def _check_half_line_face(spec: ProcessSpec, grid: Grid) -> None:
+    """A half-line spec's grid lies in x_0 >= 0 with the spec's face there."""
+    lower, face = grid.lower[0], grid.boundary_policy[0][0]
+    if spec.domain == "half_line" and (lower < 0 or face != spec.boundary):
+        raise StructureViolation(
+            f"a half-line process {spec.boundary}ed at 0 needs a grid with "
+            f"lower[0] >= 0 and the axis-0 lower face {spec.boundary!r}, "
+            f"not lower[0] = {lower:g} with {face!r}")
+
+
 def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatrix:
     """Finite-difference / quadrature discretization of the generator.
 
@@ -639,7 +649,8 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
     `drift_at` and one `diffusion_at` call over the live states; each
     stencil move is then written for all states at once, in the same
     order per entry as a state-by-state loop, so Q does not depend on
-    how the assembly is batched.  The QMatrix carries Q's terms as a
+    how the assembly is batched; a half-line spec fixes the axis-0 lower
+    face (`_check_half_line_face`).  The QMatrix carries Q's terms as a
     Kronecker sum (`_axis_generators`): the d per-axis generators when
     the spec declares them, else Q alone.  Raises Overflow on a grid of
     more than MAX_STATES points before anything is allocated,
@@ -650,6 +661,7 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
     """
     if spec.dim != grid.dim:
         raise DimensionMismatch("spec and grid dimensions differ")
+    _check_half_line_face(spec, grid)
     if grid.n_points > MAX_STATES:
         raise Overflow(f"{grid.n_points} states exceeds the dense cap of "
                        f"{MAX_STATES}")

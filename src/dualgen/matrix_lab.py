@@ -5,8 +5,9 @@ invertible 0/1 matrix, so the dual semigroup T^D = F T' F^-1 and the dual
 generator Q^D = F Q' F^-1 are exact algebra, and the duality identity can
 be checked to rounding.  `SurvivalTransform` is the one implementation of
 F and F^-1, with two paths: cumulative sums and differences along the grid
-axes for the Pareto cone, and a dense F with its exact Moebius inverse for
-any other lattice cone (the light cone is not a product of 1-D orders).
+axes for the Pareto cone, whatever basis generates R^d_+
+(`Cone.is_orthant`), and a dense F with its exact Moebius inverse for any
+other lattice cone (the light cone is not a product of 1-D orders).
 Every semigroup here is a Kronecker product T = T_0 (x) ... (x) T_{m-1}
 of m = 1 or m = d factors, and every function takes it in that one form.
 Q comes with its terms as a Kronecker sum Q_0 (+) ... (+) Q_{m-1},
@@ -204,12 +205,12 @@ class SurvivalTransform:
     (F w)[y] = sum of w[x] over {x : x - y in C}.  Every method acts on
     axis 0 of an (n,) or (n, k) array, n the number of grid points.
 
-    Pareto cone: F is a suffix cumulative sum along every grid axis, F^-1
-    the forward difference g(y) - g(y + h e_axis) and F^-T the backward
-    difference, each with zero extension beyond the grid; F F^-1 = I
-    holds exactly.  So F = F_0 (x) ... (x) F_{d-1}, and `split` pairs
-    per-axis factors with the 1-D transforms F_k of the grid axes.  Other
-    cones: F = f' with f
+    Pareto cone (any basis of R^d_+, `Cone.is_orthant`): F is a suffix
+    cumulative sum along every grid axis, F^-1 the forward difference
+    g(y) - g(y + h e_axis) and F^-T the backward difference, each with
+    zero extension beyond the grid; F F^-1 = I holds exactly.  So
+    F = F_0 (x) ... (x) F_{d-1}, and `split` pairs per-axis factors with
+    the 1-D transforms F_k of the grid axes.  Other cones: F = f' with f
     the duality indicator matrix, and F^-1 by unit-triangular solve after
     sorting the states along the cone (the Moebius matrix of the finite
     order).
@@ -221,7 +222,7 @@ class SurvivalTransform:
         self.grid = grid
         self._dense = None
         self._axes = None
-        if np.allclose(cone.basis, np.eye(cone.dim)):
+        if cone.is_orthant:
             self._axes = (self,) if grid.dim == 1 else tuple(
                 SurvivalTransform(grid.axis(k), Cone.pareto(1))
                 for k in range(grid.dim))

@@ -1,10 +1,13 @@
 """Scenario files: validated JSON experiment definitions and report emission.
 
 A scenario declares a process with expression-string coefficients, a
-grid or a functional descriptor, probe points, and tolerances.  Running
-one dispatches to the dual construction, the exact matrix check, the
-Monte Carlo estimator, or the self-duality check, and writes a
-deterministic report.json / report.csv pair.
+grid or a functional descriptor, probe points, and tolerances.
+`load_scenario` refuses what cannot run, what each mode pairs included
+(`_PAIRS`): verify-matrix any cone, mc an orthant cone or a kernel, and
+dual and self-dual-check an orthant cone only, since they build the
+Pareto dual.  Running one dispatches to the dual construction, the exact
+matrix check, the Monte Carlo estimator, or the self-duality check, and
+writes a deterministic report.json / report.csv pair.
 """
 
 from __future__ import annotations
@@ -36,13 +39,7 @@ from .matrix_lab import (
 )
 from .monte_carlo import PathConfig, StableLikeKernel, estimate_duality
 from .order_transform import TranslationKernel
-from .state_space import (
-    Cone,
-    Grid,
-    build_grid,
-    cone_contains_many,
-    lightcone_2d,
-)
+from .state_space import Cone, Grid, build_grid, lightcone_2d
 # Not called here: verify-matrix pairs through SurvivalTransform.  Kept as
 # a module attribute, because bench/spans.py wraps it by this name to time
 # the indicator wherever it is still built.
@@ -390,16 +387,24 @@ def _build_functional(cfg: Optional[dict], dim: int):
     return TranslationKernel(kind=kind, d=dim)
 
 
+# mode -> (its cone must be R^d_+, it pairs a kernel too)
+_PAIRS = {"dual": (True, False), "verify-matrix": (False, False),
+          "mc": (True, True), "self-dual-check": (True, False)}
+
+
+def read_scenario(path: Union[str, Path]):
+    """The JSON document of a scenario file, not yet validated."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"not valid JSON: {exc}") from exc
+
+
 def load_scenario(source: Union[str, Path, dict]) -> Scenario:
     """Parse and fully validate a scenario file (or pre-parsed document)."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"not valid JSON: {exc}") from exc
-    else:
-        data = json.loads(json.dumps(source))
+    data = read_scenario(source) if isinstance(source, (str, Path)) \
+        else json.loads(json.dumps(source))
 
     errs = sorted(_schema_errors(data, SCENARIO_SCHEMA, ()),
                   key=lambda e: e[0])
@@ -463,8 +468,15 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             t_end = max(t_end, pc["dt"])
         path_config = config(t_end, "path_config", "/path_config")
 
-    if mode in ("verify-matrix",) and grid is None:
+    if mode == "verify-matrix" and grid is None:
         _schema_fail("verify-matrix mode needs a grid", "/grid")
+    orthant_only, kernels = _PAIRS[mode]
+    if not isinstance(functional, tuple):
+        if not kernels:
+            _schema_fail(f"{mode} mode needs a cone functional", "/cone")
+    elif orthant_only and not functional[1].is_orthant:
+        _schema_fail(f"{mode} mode builds the Pareto dual and the cone is "
+                     f"not R^d_+", "/cone")
     if mode == "mc" and path_config is None:
         _schema_fail("mc mode needs path_config", "/path_config")
     if mode == "mc" and not probes:
@@ -497,23 +509,10 @@ def _violated_rows(rep: DualReport) -> list:
              "value": _jsonify(c[2])} for c in rep.violated_conditions]
 
 
-def _refuse_a_non_pareto_cone(s: Scenario) -> None:
-    """dual, mc and self-dual-check build the Pareto dual: refuse a cone
-    that is not R^d_+ as a set, whatever basis generates it."""
-    if not isinstance(s.functional, tuple):
-        return
-    cone = s.functional[1]
-    if not (cone_contains_many(cone, np.eye(cone.dim)).all()
-            and cone_contains_many(Cone.pareto(cone.dim), cone.basis.T).all()):
-        raise SchemaError(f"{s.mode} mode builds the Pareto dual and the "
-                          f"cone is not R^d_+ (at /cone)")
-
-
 def _run_dual(s: Scenario) -> dict:
-    _refuse_a_non_pareto_cone(s)
     rep = closed_form_dual(s.process)
     rows = []
-    if rep.admissible and rep.dual_spec is not None and s.probes:
+    if rep.admissible and s.probes:
         X = np.array([x for x, _, _ in s.probes], dtype=float)
         B = rep.dual_spec.drift_at(X)
         A = rep.dual_spec.diffusion_at(X)
@@ -536,11 +535,8 @@ def _run_dual(s: Scenario) -> dict:
 
 
 def _run_verify_matrix(s: Scenario) -> dict:
-    if not isinstance(s.functional, tuple):
-        raise SchemaError("verify-matrix mode needs a cone functional (at /cone)")
-    cone = s.functional[1]
     q = discretize(s.process, s.grid)
-    op = SurvivalTransform(s.grid, cone)
+    op = SurvivalTransform(s.grid, s.functional[1])
     times = sorted({t for _, _, t in s.probes}) or [1.0]
     residual_max = s.tolerances["residual_max"]
     rows = []
@@ -573,7 +569,6 @@ def _run_verify_matrix(s: Scenario) -> dict:
 
 
 def _run_mc(s: Scenario) -> dict:
-    _refuse_a_non_pareto_cone(s)
     specX = s.process
     if isinstance(s.functional, tuple):
         rep = closed_form_dual(specX)
@@ -609,7 +604,6 @@ def _run_mc(s: Scenario) -> dict:
 
 
 def _run_self_dual(s: Scenario) -> dict:
-    _refuse_a_non_pareto_cone(s)
     flag, witness = check_self_dual(s.process)
     return {
         "pass": bool(flag),
@@ -635,29 +629,26 @@ _RUNNERS = {
 }
 
 
+# mode -> (the results key of its table rows, the columns)
+_TABLES = {
+    "mc": ("probes", ("probe_id", "x", "y", "t", "lhs_mean", "lhs_se",
+                      "rhs_mean", "rhs_se", "gap", "z_score", "n_paths",
+                      "truncation_level")),
+    "verify-matrix": ("per_time", ("t", "residual", "stochastic")),
+}
+
+
+def _cell(v) -> str:
+    return ";".join(map(_fmt, v)) if isinstance(v, list) else _fmt(v)
+
+
 def _csv_lines(s: Scenario, report: dict):
     mode = s.mode
     res = report["results"]
-    if mode == "mc":
-        header = ("probe_id,x,y,t,lhs_mean,lhs_se,rhs_mean,rhs_se,gap,"
-                  "z_score,n_paths,truncation_level")
-        lines = [header]
-        for r in res["probes"]:
-            lines.append(",".join([
-                str(r["probe_id"]),
-                ";".join(_fmt(v) for v in r["x"]),
-                ";".join(_fmt(v) for v in r["y"]),
-                _fmt(r["t"]), _fmt(r["lhs_mean"]), _fmt(r["lhs_se"]),
-                _fmt(r["rhs_mean"]), _fmt(r["rhs_se"]), _fmt(r["gap"]),
-                _fmt(r["z_score"]), str(r["n_paths"]),
-                _fmt(r["truncation_level"])]))
-        return lines
-    if mode == "verify-matrix":
-        lines = ["t,residual,stochastic"]
-        for r in res["per_time"]:
-            lines.append(",".join([_fmt(r["t"]), _fmt(r["residual"]),
-                                   _fmt(r["stochastic"])]))
-        return lines
+    if mode in _TABLES:
+        key, columns = _TABLES[mode]
+        return [",".join(columns)] + [",".join(_cell(r[c]) for c in columns)
+                                      for r in res[key]]
     if mode == "dual":
         lines = ["key,value", f"admissible,{_fmt(res['admissible'])}"]
         for v in res["violated_conditions"]:

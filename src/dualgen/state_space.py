@@ -140,6 +140,13 @@ class Cone:
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @property
+    def is_orthant(self) -> bool:
+        """Whether the cone is R^d_+ as a set, whatever basis generates it."""
+        return bool(cone_contains_many(self, np.eye(self.dim)).all()
+                    and cone_contains_many(Cone.pareto(self.dim),
+                                           self.basis.T).all())
+
     @classmethod
     def pareto(cls, dim: int) -> "Cone":
         return cls(basis=np.eye(dim))

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -472,11 +475,87 @@ def test_cli_exit_two_on_a_cone_that_is_not_the_orthant(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def _main_in_a_temporary_directory(mode, doc):
+    """(exit code, stderr) of the CLI on doc, written and run in a
+    directory of its own: for a test that takes no fixtures, which
+    tests/test_defects.py calls with a defect patched in."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(err):
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = main([mode, str(path), "--out", str(Path(tmp) / "out")])
+    return code, err.getvalue()
+
+
+def test_cli_exit_two_on_mc_with_the_light_cone():
+    # refused when the cone is loaded: the Pareto dual against the
+    # light-cone indicator read z = -4.23 here and exited 1, a failed
+    # duality where the fault is the dual built
+    doc = _lightcone_diffusion("mc", {"type": "lightcone"})
+    doc["probes"] = [{"x": [0.5, 0.5], "y": [0.0, 0.0], "t": 1.0}]
+    doc["path_config"] = {"n_paths": 40000, "dt": 0.01, "seed": 5}
+    code, err = _main_in_a_temporary_directory("mc", doc)
+    assert code == 2
+    assert "cone is not R^d_+ (at /cone)" in err
+
+
+@pytest.mark.parametrize("lower, boundary, policy", [
+    # once run as a whole-line chain, failing only through min_entry
+    (-2.0, "reflect", "truncate_mass"),
+    # once a pass for the reflected chain it ran
+    (0.0, "absorb", "reflect"),
+], ids=["reflected-from-minus-2", "absorbed-on-reflect-faces"])
+def test_cli_exit_two_on_a_grid_that_contradicts_the_half_line(
+        lower, boundary, policy):
+    doc = {"name": "half-line-bm", "mode": "verify-matrix",
+           "process": {"dim": 1, "diffusion": ["0.5"],
+                       "diffusion_deriv": ["0"], "domain": "half_line",
+                       "boundary": boundary},
+           "grid": {"lower": [lower], "upper": [2.0], "spacing": [0.1],
+                    "boundary_policy": policy},
+           "probes": [{"x": [1.0], "y": [0.5], "t": 0.5}]}
+    code, err = _main_in_a_temporary_directory("verify-matrix", doc)
+    assert code == 2
+    assert f"a half-line process {boundary}ed at 0 needs a grid" in err
+
+
+@pytest.mark.parametrize("mode", ["dual", "self-dual-check"])
+def test_cli_exit_two_on_a_kernel_in_a_mode_that_builds_the_pareto_dual(
+        tmp_path, capsys, mode):
+    # before, dual passed with the Pareto drift (0.4, 0) and
+    # self-dual-check ran the Pareto check, whatever the kernel
+    doc = _lightcone_diffusion(mode, {"type": "riesz", "alpha": 1.0})
+    code = main([mode, _write(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{mode} mode needs a cone functional (at /cone)" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_validates_the_document_it_runs(tmp_path, capsys):
+    # the file is loaded once, with the mode and the flags written in:
+    # before, a file of mode mc with no path_config was refused when run
+    # as dual ("mc mode needs path_config"), and the document checked was
+    # not the one run
+    doc = _lightcone_diffusion("mc", {"type": "pareto"})
+    del doc["path_config"]
+    assert main(["dual", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "cone-diffusion [dual]: pass" in capsys.readouterr().out
+    # a flag meets no object to write into: the schema names the place
+    doc["path_config"] = [100]
+    assert main(["mc", _write(tmp_path, doc), "--seed", "3"]) == 2
+    assert "is not of type 'object' (at /path_config)" in \
+        capsys.readouterr().err
+
+
 def test_a_basis_that_generates_the_orthant_runs_as_pareto(tmp_path):
     # the cone is decided as a set: the orthant by its generators in
     # swapped order, or rescaled, is the Pareto order, and every report
-    # is the Pareto scenario's to the byte
-    for mode in ("dual", "mc", "self-dual-check"):
+    # is the Pareto scenario's to the byte; verify-matrix too, which
+    # once took the dense Moebius path for them
+    for mode in ("dual", "mc", "self-dual-check", "verify-matrix"):
         runs = []
         for i, cone in enumerate([
                 {"type": "pareto"},
@@ -484,6 +563,9 @@ def test_a_basis_that_generates_the_orthant_runs_as_pareto(tmp_path):
                 {"type": "vectors", "vectors": [[0.0, 0.5], [2.0, 0.0]]}]):
             out = tmp_path / mode / str(i)
             doc = _lightcone_diffusion(mode, cone)
+            doc["grid"] = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0],
+                           "spacing": [0.25, 0.25],
+                           "boundary_policy": "reflect"}
             code = main([mode, _write(tmp_path, doc), "--out", str(out)])
             runs.append((code, (out / "report.json").read_bytes(),
                          (out / "report.csv").read_bytes()))
@@ -745,10 +827,10 @@ def test_import_and_load_do_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_pareto_verify_matrix_does_not_load_scipy_linalg(tmp_path):
-    # the exponential is matrix_lab's own Pade on numpy, and the Pareto F
-    # is sums and differences: a verify-matrix run needs scipy.sparse only
-    path = _write(tmp_path, {**_verify_2d({"type": "pareto"}),
+def _cold_verify_matrix_loads_scipy_linalg(tmp_path, cone) -> str:
+    """'<exit code> <scipy.linalg loaded>' of a verify-matrix run in a
+    fresh interpreter."""
+    path = _write(tmp_path, {**_verify_2d(cone),
                              "output_dir": str(tmp_path / "out")})
     code = ("import sys\n"
             "from dualgen import cli\n"
@@ -757,7 +839,23 @@ def test_pareto_verify_matrix_does_not_load_scipy_linalg(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, path],
                          capture_output=True, text=True, check=True,
                          timeout=120, env=_env())
-    assert out.stdout.splitlines()[-1] == "0 False"
+    return out.stdout.splitlines()[-1]
+
+
+def test_pareto_verify_matrix_does_not_load_scipy_linalg(tmp_path):
+    # the exponential is matrix_lab's own Pade on numpy, and the Pareto F
+    # is sums and differences: a verify-matrix run needs scipy.sparse only
+    assert _cold_verify_matrix_loads_scipy_linalg(
+        tmp_path, {"type": "pareto"}) == "0 False"
+
+
+def test_a_permuted_orthant_verify_matrix_does_not_load_scipy_linalg(
+        tmp_path):
+    # any basis of R^d_+ takes the Pareto F: before, the swapped
+    # generators took the dense Moebius path and its triangular solve
+    assert _cold_verify_matrix_loads_scipy_linalg(
+        tmp_path, {"type": "vectors",
+                   "vectors": [[0.0, 1.0], [1.0, 0.0]]}) == "0 False"
 
 
 def test_import_does_not_load_concurrent_futures():
@@ -791,11 +889,11 @@ def test_import_and_load_do_not_load_jsonschema():
 
 
 @pytest.mark.parametrize("mode,doc", [
-    # the orthant by its generators in swapped order: not the identity
-    # basis, so F is dense and reaches the triangular solve, and unlike
-    # the light cone on a box its dual is a Markov semigroup, so it passes
+    # the negative orthant, the reverse of the Pareto order: not R^d_+, so
+    # F is dense and reaches the triangular solve, and unlike the light
+    # cone on a box its dual is a Markov semigroup, so it passes
     ("verify-matrix", _verify_2d({"type": "vectors",
-                                  "vectors": [[0.0, 1.0], [1.0, 0.0]]})),
+                                  "vectors": [[-1.0, 0.0], [0.0, -1.0]]})),
     # reaches the Riesz constant's gamma
     ("mc", _stable_riesz_mc()),
 ], ids=["verify-matrix", "mc-riesz"])
@@ -869,7 +967,8 @@ def test_cli_exit_two_on_non_finite_drift_in_verify_matrix(tmp_path, capsys,
 _INVARIANT_TESTS = [
     "tests/test_monte_carlo.py::test_estimate_invariants_hold_without_asserts",
     "tests/test_monte_carlo.py::test_non_finite_terminal_states_raise",
-    "tests/test_dual_builder.py::test_dual_report_rejects_inconsistent_flag",
+    "tests/test_dual_builder.py::"
+    "test_dual_report_admissible_is_read_off_its_violations",
     "tests/test_generator_core.py::test_nan_drift_raises_naming_the_grid_point",
     "tests/test_generator_core.py::"
     "test_non_finite_diffusion_and_jump_rates_raise",

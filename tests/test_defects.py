@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_cli_reports
 import test_dual_builder
 import test_monte_carlo
-from dualgen import dual_builder, generator_core, monte_carlo
+from dualgen import dual_builder, generator_core, monte_carlo, state_space
 
 
 def _multidim_rule(nu, dim, box):
@@ -52,6 +53,21 @@ def _kill_off_grid_jumps(kernel, grid):
     return generator_core._generator_rows(R) - np.diag(killed)
 
 
+_lightcone_spec = dual_builder.lightcone_diffusion_spec
+
+
+def _lightcone_drift_doubled(alpha, beta, omega=None, drift=None):
+    """The light-cone spec with its drift doubled, so that
+    `dual_lightcone_diffusion`'s dual drift is 4(al' +- be'), twice the
+    Pareto dual's in cone coordinates."""
+    doubled = None if drift is None else (lambda x: 2.0 * drift(x))
+    return _lightcone_spec(alpha, beta, omega, drift=doubled)
+
+
+def _skip_face_check(spec, grid):
+    """`discretize` running a half-line spec on whatever grid it gets."""
+
+
 # (defect, (module, name, the defect's stand-in), (test module, test, args))
 DEFECTS = [
     ("separable_dual_by_dual_jump_multidim",
@@ -73,6 +89,20 @@ DEFECTS = [
      (generator_core.AtomicJumpKernel, "generator_matrix",
       _kill_off_grid_jumps),
      (test_acceptance, "test_criterion_2_closed_form_vs_oracle", ())),
+    ("lightcone_dual_drift_doubled",
+     (dual_builder, "lightcone_diffusion_spec", _lightcone_drift_doubled),
+     (test_dual_builder,
+      "test_lightcone_dual_drift_is_the_pareto_dual_in_cone_coordinates",
+      ())),
+    ("every_cone_taken_for_the_orthant",
+     (state_space.Cone, "is_orthant", property(lambda cone: True)),
+     (test_cli_reports, "test_cli_exit_two_on_mc_with_the_light_cone", ())),
+    # the absorbed spec's case: with the check gone it reports a pass
+    ("half_line_face_ignored",
+     (generator_core, "_check_half_line_face", _skip_face_check),
+     (test_cli_reports,
+      "test_cli_exit_two_on_a_grid_that_contradicts_the_half_line",
+      (0.0, "absorb", "reflect"))),
 ]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from dualgen.dual_builder import (
 )
 from dualgen.errors import (
     DimensionMismatch,
-    InconsistentReport,
     MissingDerivative,
     NotSeparable,
     StructureViolation,
@@ -60,13 +61,19 @@ def test_probe_points_are_scipys_unscrambled_halton_to_the_bit(d, n):
     assert np.array_equal(probe_points([(0.0, 1.0)] * d, n), want)
 
 
-def test_dual_report_rejects_inconsistent_flag():
-    # a raise, not an assert, so it also holds under python -O
-    with pytest.raises(InconsistentReport):
+def test_dual_report_admissible_is_read_off_its_violations():
+    # the verdict is the evidence: no report stores a flag that could
+    # disagree with its violations.  Giving or setting one raises, so
+    # that half holds under python -O too
+    violated = (("C1", 0.0, -1.0),)
+    assert DualReport(dual_spec=None).admissible is True
+    assert DualReport(dual_spec=None,
+                      violated_conditions=violated).admissible is False
+    with pytest.raises(TypeError):
         DualReport(dual_spec=None, admissible=True,
-                   violated_conditions=(("C1", 0.0, -1.0),))
-    with pytest.raises(InconsistentReport):
-        DualReport(dual_spec=None, admissible=False)
+                   violated_conditions=violated)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DualReport(dual_spec=None).admissible = False
 
 
 def test_dual_drift_negates_components():
@@ -482,7 +489,9 @@ def test_a_1d_separable_jump_part_is_dualized_as_its_channels(channels,
     assert reps[0].admissible == reps[1].admissible
     assert reps[0].violated_conditions == reps[1].violated_conditions
     if reps[0].admissible:
-        g = build_grid([0.0 if domain else -4.0], [4.0], [0.25], "reflect")
+        # the absorbed dual of a half-line process has an absorbing face
+        g = build_grid([0.0 if domain else -4.0], [4.0], [0.25],
+                       [("absorb", "reflect")] if domain else "reflect")
         rows = [discretize(rep.dual_spec, g).entries for rep in reps]
         assert np.array_equal(rows[0], rows[1])
 

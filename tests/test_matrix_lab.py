@@ -476,11 +476,11 @@ def test_verify_matrix_catches_F_inverse_in_place_of_its_transpose(
 
 
 def test_separable_q_under_a_dense_F_matches_the_dense_dual():
-    # the orthant by its generators in swapped order: not the identity
-    # basis, so F is dense and the factored T is multiplied out first
+    # the light cone is not a product of 1-D orders, so F is dense and
+    # the factored T is multiplied out first
     spec, grid = _SEPARABLE_CASES["2d-reflect"]
     q = discretize(spec, grid)
-    cone = Cone.from_vectors([0.0, 1.0], [1.0, 0.0])
+    cone = lightcone_2d()
     T = semigroup(q, 0.5)
     assert len(T.factors) == 2
     TD = dual_semigroup_via_F(T, SurvivalTransform(grid, cone))

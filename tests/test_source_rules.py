@@ -6,7 +6,8 @@ module imports scipy at its top level, so `import dualgen` loads none of
 it, nor any of scipy's underscore-prefixed modules or names, which are
 not its public API, nor scipy.linalg's `expm`; no dual is built by the
 conjugation F Q' F^-1 outside matrix_lab and the density kernel's N-D
-dual; no move on a grid is folded at a face outside `map_targets`; and
+dual; no move on a grid is folded at a face outside `map_targets`; no
+scenario runner refuses a document, which `load_scenario` does; and
 no function parameter or dataclass field has a default that no caller
 ever overrides; and no public function or class is named only by its
 own definition and the unit tests.
@@ -243,6 +244,52 @@ def test_fold_rule_flags_calls_outside_map_targets():
 def test_only_map_targets_folds(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _fold_calls(tree) == []
+
+
+# a scenario is refused when it is loaded, its schema and what its mode
+# pairs alike, so no runner meets a document it cannot run: no top-level
+# `_run_*` function raises SchemaError or calls `_schema_fail`
+def _runner_refusals(tree) -> list:
+    """Every `raise SchemaError` and call of `_schema_fail`, by name or as
+    an attribute and at any depth, inside a top-level `_run_*` function."""
+    found = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("_run_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Raise):
+                what, banned = "raises", "SchemaError"
+                named = getattr(node.exc, "func", node.exc)
+            elif isinstance(node, ast.Call):
+                what, banned, named = "calls", "_schema_fail", node.func
+            else:
+                continue
+            if banned in (getattr(named, "id", None),
+                          getattr(named, "attr", None)):
+                found.append(f"line {node.lineno}: {fn.name} {what} {banned}")
+    return found
+
+
+def test_runner_refusal_rule_flags_a_runner_that_refuses():
+    flagged = ("def _run_dual(s):\n    raise SchemaError('no (at /cone)')",
+               "def _run_mc(s):\n    _schema_fail('no', '/cone')",
+               "def _run_mc(s):\n    def inner():\n"
+               "        raise errors.SchemaError\n    return inner",
+               "def _run_self_dual(s):\n"
+               "    if s.mode:\n        scenario._schema_fail('no', '/')")
+    allowed = ("def load_scenario(src):\n    _schema_fail('no', '/cone')",
+               "def _build_functional(cfg, dim):\n    raise SchemaError('no')",
+               "def _run_dual(s):\n    raise StructureViolation('no')",
+               "def _run_mc(s):\n    return closed_form_dual(s.process)")
+    assert all(len(_runner_refusals(ast.parse(src))) == 1 for src in flagged)
+    assert all(_runner_refusals(ast.parse(src)) == [] for src in allowed)
+
+
+def test_no_scenario_runner_refuses_a_document():
+    path = SRC / "scenario.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _runner_refusals(tree) == []
 
 
 ROOT = SRC.parent.parent
