@@ -70,6 +70,7 @@ _JUMP_1D_PROBES = 40        # dual_jump_1d
 _JUMP_ND_PROBES = 60        # dual_jump_multidim
 _HALF_LINE_PROBES = 60      # closed_form_dual, assumption A on the half line
 _SELF_DUAL_PROBES = 100     # check_self_dual
+_SELF_DUAL_TOL = 1e-10      # check_self_dual: largest drift or jump gap
 _DECREASE_PAIRS = 50        # z-pairs per probe y of a monotonicity check
 # quadrature nodes of density kernels: the 1-D tail rates over a fixed
 # box, the d-D mixed rates per axis of the probe box
@@ -511,18 +512,6 @@ def _check_assumption_A(spec: ProcessSpec, nu, probes: np.ndarray):
     return None
 
 
-def _drift_column(spec: ProcessSpec, j: int):
-    """b_j as `drift_at` returns it, a compensated jump part's compensator
-    included, as a callable of the axis-j coordinate alone: the drift and
-    the jump part of a spec with a closed-form dual are separable."""
-    def b(s):
-        s = np.asarray(s, dtype=float)
-        X = np.zeros((s.size, spec.dim))
-        X[:, j] = s.ravel()
-        return spec.drift_at(X)[:, j].reshape(s.shape)
-    return b
-
-
 def _axis_kernel(nu: SeparableJumpKernel, k: int) -> AtomicJumpKernel:
     """The components of nu on axis k as one 1-D AtomicJumpKernel of all
     their channels, each with its declared rate derivative."""
@@ -557,13 +546,12 @@ def _separable_dual(nu: SeparableJumpKernel, dim: int, box) -> DualReport:
 
 def _dual_drift_and_face(spec: ProcessSpec):
     """The closed-form dual's drift a'_jj - b_j on each axis, with b as
-    `drift_at` returns it (None where neither part is declared), and its
-    boundary: on the half line the face swaps (reflected <-> absorbed at
-    0), elsewhere it stays.  Raises what keeps a spec from having a
-    closed-form dual: a generic drift (NotSeparable) or diffusion
-    (StructureViolation), a diffusion_diag without its derivatives
-    (MissingDerivative), a half line in d >= 2 or a jump part absorbed
-    at 0 (NotSeparable)."""
+    declared (None where neither part is declared), and its boundary: on
+    the half line the face swaps (reflected <-> absorbed at 0), elsewhere
+    it stays.  Raises what keeps a spec from having a closed-form dual: a
+    generic drift (NotSeparable) or diffusion (StructureViolation), a
+    diffusion_diag without its derivatives (MissingDerivative), a half
+    line in d >= 2 or a jump part absorbed at 0 (NotSeparable)."""
     d = spec.dim
     if spec.drift is not None:
         raise NotSeparable("drift must be declared separable (b_j = b_j(x_j))")
@@ -579,11 +567,8 @@ def _dual_drift_and_face(spec: ProcessSpec):
     absorbed = spec.boundary == "absorb"
     if absorbed and spec.jump is not None:
         raise NotSeparable("no closed-form dual of a jump part absorbed at 0")
-    b = spec.drift_components or (None,) * d
-    if spec.jump_compensated and spec.jump is not None:
-        b = tuple(_drift_column(spec, j) for j in range(d))
     drift = tuple(map(_dual_drift, spec.diffusion_diag_deriv or (None,) * d,
-                      b))
+                      spec.drift_components or (None,) * d))
     boundary = ("reflect" if absorbed else "absorb") if half \
         else spec.boundary
     return drift, boundary
@@ -594,12 +579,11 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
 
     Conjugation by the survival transform is linear, so the dual of the
     generator is the sum of the duals of its parts: the same diffusion
-    matrix, drift a'_jj - b_j with b as `drift_at` returns it (so with a
-    compensated jump part's compensator), and the dual of the jump part:
-    `dual_jump_1d` in 1-D, on all the channels of a separable part's
-    components (`_axis_kernel`) when the part is separable; in d >= 2, on
-    a separable part (`separable_jumps`), `dual_jump_1d` per axis on all
-    of that axis's channels, a SeparableJumpKernel of
+    matrix, drift a'_jj - b_j with b as declared, and the dual of the
+    jump part: `dual_jump_1d` in 1-D, on all the channels of a separable
+    part's components (`_axis_kernel`) when the part is separable; in
+    d >= 2, on a separable part (`separable_jumps`), `dual_jump_1d` per
+    axis on all of that axis's channels, a SeparableJumpKernel of
     SiegmundDualJumpKernel1D with violated conditions named
     axis_<k>:<condition>, and on a density kernel `dual_jump_multidim`.
     The drift must be declared per axis and the diffusion by
@@ -682,7 +666,7 @@ def _constant_rates(nu) -> dict:
     return rates
 
 
-def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0), tol: float = 1e-10):
+def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0)):
     """Self-duality: the closed-form dual is the process itself.  Its
     face must not swap, so no half-line process is self-dual
     ("boundary_condition", the face, the dual's face); its drift
@@ -695,7 +679,7 @@ def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0), tol: float = 1e-10):
     (`_constant_rates`, which refuses state-dependent rates), must have
     the same rate at c as at -c on every axis ("jump_condition", c, a
     float in 1-D and (axis, c) in d-D, and the rate at c less the rate
-    at -c).
+    at -c).  Each gap is allowed up to _SELF_DUAL_TOL.
     Returns (flag, witness), the witness None when the flag is True."""
     drift, boundary = _dual_drift_and_face(spec)
     if boundary != spec.boundary:
@@ -706,7 +690,7 @@ def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0), tol: float = 1e-10):
     for j, f in enumerate(drift):
         dual[:, j] = 0.0 if f is None else f(probes[:, j])
     gap = 0.5 * (B - dual)          # b - a'/2, as the dual drift is a' - b
-    bad = np.argwhere(np.abs(gap) > tol)
+    bad = np.argwhere(np.abs(gap) > _SELF_DUAL_TOL)
     if len(bad):
         i, j = bad[0]
         p = tuple(map(float, probes[i]))
@@ -721,13 +705,13 @@ def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0), tol: float = 1e-10):
                 continue
             r = float(np.asarray(dnu(np.array([y]), np.array([[z]]))).ravel()[0]) \
                 + float(np.asarray(dnu(np.array([z]), np.array([[y]]))).ravel()[0])
-            if abs(r) > tol:
+            if abs(r) > _SELF_DUAL_TOL:
                 return False, ("jump_condition", (float(y), float(z)), r)
     elif spec.jump is not None:
         rates = _constant_rates(spec.jump)
         for (k, c), r in rates.items():
             gap = r - rates.get((k, -c), 0.0)
-            if abs(gap) > tol:
+            if abs(gap) > _SELF_DUAL_TOL:
                 return False, ("jump_condition",
                                c if spec.dim == 1 else (k, c), gap)
     return True, None

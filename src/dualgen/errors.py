@@ -21,10 +21,6 @@ class DimensionMismatch(DualgenError):
     """Inputs defined on incompatible state spaces."""
 
 
-class PositivityViolation(DualgenError):
-    """A discretized generator acquired a negative off-diagonal entry."""
-
-
 class NotSeparable(DualgenError):
     """A coefficient declared separable depends on other coordinates."""
 
@@ -43,10 +39,9 @@ class RateBoundExceeded(DualgenError):
 
 
 class UnsupportedScheme(DualgenError):
-    """The simulation scheme cannot simulate a part of the process,
+    """The simulation scheme cannot simulate a part of the process, or
     discretization meets a part it cannot put on a grid (a jump kernel
-    without generator rows), or a spec asks a jump kernel for a
-    compensator it does not have."""
+    without generator rows)."""
 
 
 class NonFiniteState(DualgenError):

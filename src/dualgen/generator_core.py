@@ -27,7 +27,9 @@ row (`_place` says why).
 evaluators, and `AtomicJumpKernel.rates_at` and `rate_derivs_at` (one
 evaluator, `_evaluate`) the only evaluators of channel rates and their
 derivatives; `discretize`, the simulator and the dual builder all call
-them, so both verification tracks see the same compensated drift.
+them, so both verification tracks see the same drift.  The drift is
+declared once: a compensated jump part is declared as the uncompensated
+part with drift b - sum_{|w| <= c} r(x) w.
 `discretize` evaluates the coefficients at every live state in one call
 each and then assembles each stencil move for all states at once with
 array writes, accumulating every entry in the same order as a
@@ -54,7 +56,6 @@ from .errors import (
     NonFiniteCoefficient,
     NotSeparable,
     Overflow,
-    PositivityViolation,
     StructureViolation,
     UnsupportedScheme,
 )
@@ -244,17 +245,6 @@ class AtomicJumpKernel:
         """Summed channel rates at the states X, (m, d): one per state."""
         return self.rates_at(X).sum(axis=1)
 
-    def compensator_drift(self, X: np.ndarray, cutoff: float) -> np.ndarray:
-        """(m, d): the rate-weighted displacements of the channels no
-        longer than cutoff.  A displacement w is used as given
-        ((x + w) - x rounds, which moves a jump of the cutoff's length
-        across it at some states)."""
-        drift = np.zeros(X.shape)
-        for w, r in self._channels(X):
-            if np.linalg.norm(w) <= cutoff:
-                drift += w * r[:, None]
-        return drift
-
 
 @dataclass(frozen=True)
 class DensityJumpKernel:
@@ -318,12 +308,6 @@ class SeparableJumpKernel:
             Q[line, np.swapaxes(line, -1, -2)] += G
         return Q
 
-    def compensator_drift(self, X: np.ndarray, cutoff: float) -> np.ndarray:
-        drift = np.zeros(X.shape)
-        for axis, kern in self.components:
-            drift[:, axis] += kern.compensator_drift(X[:, [axis]], cutoff)[:, 0]
-        return drift
-
 
 def separable_jumps(jump):
     """The jump part of a process in separable form: an AtomicJumpKernel
@@ -360,9 +344,6 @@ class ProcessSpec:
     information that the dual construction needs and is evaluated on
     whole coordinate columns; generically (drift, diffusion) it suffices
     for discretization and simulation and is evaluated state by state.
-    With jump_compensated the jump part's compensator drift (its jumps no
-    longer than compensator_cutoff) is part of the drift that drift_at
-    returns.
 
     Checked when built, the one place that decides what a spec declares:
     a coefficient given both generically and per axis, and an
@@ -373,9 +354,7 @@ class ProcessSpec:
     of an atomic jump part has dim entries, one for a component of a
     separable part (DimensionMismatch); the boundary is None, reflect or
     absorb, the half line comes with a reflect or absorb boundary and
-    those boundaries with the half line (StructureViolation); a
-    compensated jump part, and each component of a separable one, has a
-    compensator drift (UnsupportedScheme).
+    those boundaries with the half line (StructureViolation).
     """
 
     dim: int
@@ -386,8 +365,6 @@ class ProcessSpec:
     diffusion_diag_deriv: Optional[tuple] = None    # a'_jj(x_j)
     diffusion_offdiag: Optional[dict] = None        # {(i, j): a_ij(x_i, x_j)}, i < j
     jump: Optional[GridJumpKernel] = None           # or simulation-only
-    jump_compensated: bool = False
-    compensator_cutoff: float = 1.0
     domain: str = "full_space"                      # 'full_space' | 'half_line'
     boundary: Optional[str] = None                  # 'reflect' | 'absorb' | None
 
@@ -434,17 +411,12 @@ class ProcessSpec:
             self.jump.check_axes(self.dim)
         for axis, kern in getattr(self.jump, "components",
                                   ((None, self.jump),)):
-            if self.jump_compensated and kern is not None \
-                    and not hasattr(kern, "compensator_drift"):
-                raise UnsupportedScheme(
-                    f"a {type(kern).__name__} jump part has no compensator "
-                    f"drift; build the spec with jump_compensated=False")
             if isinstance(kern, AtomicJumpKernel):
                 kern.check_length(self.dim if axis is None else 1)
 
     @classmethod
     def one_dim(cls, a=None, b=None, da=None, nu=None, domain="full_space",
-                boundary=None, jump_compensated=False, compensator_cutoff=1.0):
+                boundary=None):
         """Convenience constructor for 1-D specs with separable declarations."""
         def as_unary(c):
             if c is None:
@@ -457,8 +429,6 @@ class ProcessSpec:
             diffusion_diag=(a_u,) if a_u is not None else None,
             diffusion_diag_deriv=(da_u,) if da_u is not None else None,
             jump=nu,
-            jump_compensated=jump_compensated,
-            compensator_cutoff=compensator_cutoff,
             domain=domain,
             boundary=boundary,
         )
@@ -466,7 +436,7 @@ class ProcessSpec:
     def drift_at(self, X) -> np.ndarray:
         """b at each row of X, (m, d), or at one state given as a vector:
         declared b_j(x_j) on the column of axis j, a generic drift state
-        by state; a compensated jump part's compensator is subtracted."""
+        by state."""
         X, one = self._states(X)
         if self.drift_components is not None:
             B = np.empty(X.shape)
@@ -477,8 +447,6 @@ class ProcessSpec:
                           for x in X]).reshape(X.shape)
         else:
             B = np.zeros(X.shape)
-        if self.jump_compensated and self.jump is not None:
-            B = B - self.jump.compensator_drift(X, self.compensator_cutoff)
         return B[0] if one else B
 
     def diffusion_at(self, X) -> np.ndarray:
@@ -506,9 +474,7 @@ class ProcessSpec:
         return X, False
 
     def has_drift(self) -> bool:
-        """A declared or generic drift, or a compensated jump part."""
-        return self.drift_components is not None or self.drift is not None \
-            or (self.jump_compensated and self.jump is not None)
+        return self.drift_components is not None or self.drift is not None
 
     def has_diffusion(self) -> bool:
         return self.diffusion is not None or self.diffusion_diag is not None
@@ -593,8 +559,7 @@ def _require_finite(values: np.ndarray, what: str, states, pts: np.ndarray):
             f"(state {i})")
 
 
-def _axis_generators(spec: ProcessSpec, grid: Grid,
-                     clip_cross: bool) -> tuple:
+def _axis_generators(spec: ProcessSpec, grid: Grid) -> tuple:
     """The generator of each grid axis when the spec declares a generator
     that is their Kronecker sum, else (): the 1-D `discretize` of the
     axis's own coefficients and jump channels on its 1-D grid.
@@ -602,9 +567,8 @@ def _axis_generators(spec: ProcessSpec, grid: Grid,
     That takes d >= 2, per-axis drift (drift_components) and diagonal
     diffusion (diffusion_diag, no diffusion_offdiag) or none, no generic
     drift or diffusion callable, no absorbing face, and a jump part that
-    is absent or separable (`separable_jumps`).
-    jump_compensated and the cutoff carry over to every axis; an axis
-    with no coefficient and no channel gets the zero generator."""
+    is absent or separable (`separable_jumps`).  An axis with no
+    coefficient and no channel gets the zero generator."""
     d = grid.dim
     try:
         jump = separable_jumps(spec.jump)
@@ -623,10 +587,8 @@ def _axis_generators(spec: ProcessSpec, grid: Grid,
         warnings.simplefilter("ignore")
         return tuple(discretize(ProcessSpec.one_dim(
             a=a[k], b=b[k], nu=SeparableJumpKernel(tuple(
-                (0, kern) for axis, kern in parts if axis == k)),
-            jump_compensated=spec.jump_compensated,
-            compensator_cutoff=spec.compensator_cutoff),
-            grid.axis(k), clip_cross).entries for k in range(d))
+                (0, kern) for axis, kern in parts if axis == k))),
+            grid.axis(k)).entries for k in range(d))
 
 
 def _check_half_line_face(spec: ProcessSpec, grid: Grid) -> None:
@@ -639,18 +601,17 @@ def _check_half_line_face(spec: ProcessSpec, grid: Grid) -> None:
             f"not lower[0] = {lower:g} with {face!r}")
 
 
-def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatrix:
+def discretize(spec: ProcessSpec, grid: Grid) -> QMatrix:
     """Finite-difference / quadrature discretization of the generator.
 
     Upwind drift and central diffusion with the positive cross stencil,
     plus the jump kernel's own generator rows (`generator_matrix`);
-    boundary rows follow the grid's per-axis boundary policy.  Drift
-    (compensated when the spec says so) and diffusion come from one
-    `drift_at` and one `diffusion_at` call over the live states; each
-    stencil move is then written for all states at once, in the same
-    order per entry as a state-by-state loop, so Q does not depend on
-    how the assembly is batched; a half-line spec fixes the axis-0 lower
-    face (`_check_half_line_face`).  The QMatrix carries Q's terms as a
+    boundary rows follow the grid's per-axis boundary policy.  Drift and
+    diffusion come from one `drift_at` and one `diffusion_at` call over
+    the live states; each stencil move is then written for all states at
+    once, in the same order per entry as a state-by-state loop, so Q does
+    not depend on how the assembly is batched; a half-line spec fixes the
+    axis-0 lower face (`_check_half_line_face`).  The QMatrix carries Q's terms as a
     Kronecker sum (`_axis_generators`): the d per-axis generators when
     the spec declares them, else Q alone.  Raises Overflow on a grid of
     more than MAX_STATES points before anything is allocated,
@@ -723,10 +684,6 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
         if first_cfl < first_clip:
             warnings.warn(cfl_message, CFLWarning)
         if len(clipped):
-            if not clip_cross:
-                raise PositivityViolation(
-                    f"cross terms exceed diagonal at state {live[first_clip]}: "
-                    f"a = {A[first_clip]}")
             warnings.warn(
                 "cross-diffusion terms clipped to preserve positivity",
                 ClippingWarning)
@@ -756,7 +713,7 @@ def discretize(spec: ProcessSpec, grid: Grid, clip_cross: bool = True) -> QMatri
         Q[live] += G[live]
 
     return QMatrix(entries=Q, state_grid=grid,
-                   generators=_axis_generators(spec, grid, clip_cross))
+                   generators=_axis_generators(spec, grid))
 
 
 def validate_qmatrix(q: QMatrix, conservative: bool = True) -> ValidationReport:

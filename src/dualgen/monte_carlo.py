@@ -8,7 +8,7 @@ worker threads run the blocks.  The blocks run on every usable core by
 default; DUALGEN_THREADS lowers the count.  Each block advances its
 paths in place, in buffers allocated once per block.  The drift of a
 step is `ProcessSpec.drift_at` over all paths, the same evaluator
-`discretize` uses, so a compensated jump part moves both tracks alike.
+`discretize` uses, so both tracks see the drift as declared.
 A coefficient parsed from an expression without variables is evaluated
 once per block instead of once per step; where every coefficient is
 such a constant, an absorbed path's coefficients are set to 0 when it is
@@ -301,8 +301,7 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
     bdt = None
     drift_step = spec.has_drift()
     if spec.drift_components is not None \
-            and all(map(_constant, spec.drift_components)) \
-            and not (spec.jump_compensated and spec.jump is not None):
+            and all(map(_constant, spec.drift_components)):
         drift_step = False
         b_dt = np.multiply(spec.drift_at(x[:1]), dt)
         if b_dt.any():

@@ -22,7 +22,7 @@ import numpy as np
 # closed_form_dual is called through this module's global, which
 # bench/spans.py wraps by this name to time it.
 from .dual_builder import DualReport, check_self_dual, closed_form_dual
-from .errors import DualgenError, SchemaError
+from .errors import DualgenError, SchemaError, SingularBasis
 from .expressions import parse_expression
 from .generator_core import (
     AtomicJumpKernel,
@@ -330,6 +330,8 @@ def _build_jump_density(cfg: dict, dim: int):
 
 
 def _build_process(proc: dict) -> ProcessSpec:
+    """The ProcessSpec a document declares; SchemaError at /process where
+    ProcessSpec refuses it."""
     dim = int(proc["dim"])      # the schema's integers include 1.0
     drift = _per_axis(proc["drift"], dim, "drift") if "drift" in proc else None
     diff = _per_axis(proc["diffusion"], dim, "diffusion") \
@@ -357,34 +359,42 @@ def _build_process(proc: dict) -> ProcessSpec:
     boundary = proc.get("boundary")
     if boundary == "none":
         boundary = None
-    return ProcessSpec(
-        dim=dim,
-        drift_components=drift,
-        diffusion_diag=diff,
-        diffusion_diag_deriv=ddiff,
-        jump=jump,
-        domain=proc.get("domain", "full_space"),
-        boundary=boundary,
-    )
+    try:
+        return ProcessSpec(
+            dim=dim,
+            drift_components=drift,
+            diffusion_diag=diff,
+            diffusion_diag_deriv=ddiff,
+            jump=jump,
+            domain=proc.get("domain", "full_space"),
+            boundary=boundary,
+        )
+    except ValueError as exc:
+        _schema_fail(f"process: {exc}", "/process")
 
 
 def _build_functional(cfg: Optional[dict], dim: int):
+    """('cone', Cone) or the TranslationKernel a document declares;
+    SchemaError at /cone where the constructor refuses it or the cone is
+    not of the process's dimension."""
     kind = (cfg or {}).get("type", "pareto")
-    if kind == "pareto":
-        return ("cone", Cone.pareto(dim))
-    if kind == "lightcone":
-        if dim != 2:
-            raise SchemaError("lightcone cone needs dim = 2 (at /cone)")
-        return ("cone", lightcone_2d())
-    if kind == "vectors":
-        if "vectors" not in cfg:
-            raise SchemaError("cone type 'vectors' needs 'vectors' (at /cone)")
-        return ("cone", Cone.from_vectors(*cfg["vectors"]))
-    if kind == "riesz":
-        if "alpha" not in cfg:
-            raise SchemaError("riesz kernel needs 'alpha' (at /cone)")
-        return TranslationKernel(kind="riesz", d=dim, alpha=float(cfg["alpha"]))
-    return TranslationKernel(kind=kind, d=dim)
+    try:
+        if kind == "pareto":
+            cone = Cone.pareto(dim)
+        elif kind == "lightcone":
+            cone = lightcone_2d()
+        elif kind == "vectors":
+            if "vectors" not in cfg:
+                _schema_fail("cone type 'vectors' needs 'vectors'", "/cone")
+            cone = Cone.from_vectors(*cfg["vectors"])
+        else:
+            return TranslationKernel(kind=kind, d=dim,
+                                     alpha=float(cfg.get("alpha", 0.0)))
+    except (ValueError, SingularBasis) as exc:
+        _schema_fail(f"cone: {exc}", "/cone")
+    if cone.dim != dim:
+        _schema_fail(f"a {cone.dim}-D cone for a {dim}-D process", "/cone")
+    return ("cone", cone)
 
 
 # mode -> (its cone must be R^d_+, it pairs a kernel too)

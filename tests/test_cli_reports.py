@@ -963,6 +963,36 @@ def test_cli_exit_two_on_non_finite_drift_in_verify_matrix(tmp_path, capsys,
     assert len(err) == 1 and err[0].endswith(where)
 
 
+_EYE_3 = {"type": "vectors",
+          "vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("mode, doc, pointer", [
+    ("mc", _bm_mc(process={"dim": 1}), "/process"),
+    ("mc", _bm_mc(cone={"type": "riesz", "alpha": 1.0}), "/cone"),
+    ("mc", _lightcone_diffusion("mc", {"type": "newtonian"}), "/cone"),
+    ("mc", _bm_mc(process={"dim": 3, "diffusion": ["0.5"] * 3,
+                           "diffusion_deriv": ["0"] * 3},
+                  cone={"type": "log2d"},
+                  probes=[{"x": [1.0] * 3, "y": [0.0] * 3, "t": 1.0}]),
+     "/cone"),
+    ("verify-matrix", _verify_2d({"type": "vectors",
+                                  "vectors": [[1.0, 0.0], [1.0]]}), "/cone"),
+    ("mc", _lightcone_diffusion("mc", _EYE_3), "/cone"),
+    # once a pass: the 3-D identity is an orthant
+    ("dual", _lightcone_diffusion("dual", _EYE_3), "/cone"),
+], ids=["no-part", "riesz-1d", "newtonian-2d", "log2d-3d", "ragged-vectors",
+        "3d-cone-in-mc", "3d-cone-in-dual"])
+def test_cli_exit_two_on_a_malformed_process_or_cone(tmp_path, capsys, mode,
+                                                     doc, pointer):
+    # each exited 1 with a ValueError traceback from a constructor
+    code = main([mode, _write(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"(at {pointer})" in err
+    assert not (tmp_path / "out").exists()
+
+
 # tests whose invariants are raised errors, not asserts
 _INVARIANT_TESTS = [
     "tests/test_monte_carlo.py::test_estimate_invariants_hold_without_asserts",

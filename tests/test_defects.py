@@ -14,6 +14,7 @@ import pytest
 import test_acceptance
 import test_cli_reports
 import test_dual_builder
+import test_generator_core
 import test_monte_carlo
 from dualgen import dual_builder, generator_core, monte_carlo, state_space
 
@@ -68,6 +69,21 @@ def _skip_face_check(spec, grid):
     """`discretize` running a half-line spec on whatever grid it gets."""
 
 
+_fold = generator_core._fold
+
+
+def _fold_reflect_once(grid, axis, k):
+    """`_fold` with a reflect/reflect axis folded once about each face, as
+    an axis with one reflect face is, in place of periodically: a target
+    still off the axis after that is dropped."""
+    if tuple(grid.boundary_policy[axis]) != ("reflect", "reflect"):
+        return _fold(grid, axis, k)
+    n = grid.shape[axis]
+    k = np.where(k < 0, -k - 1, k)
+    k = np.where(k >= n, 2 * n - 1 - k, k)
+    return np.where((k < 0) | (k >= n), -1, k)
+
+
 # (defect, (module, name, the defect's stand-in), (test module, test, args))
 DEFECTS = [
     ("separable_dual_by_dual_jump_multidim",
@@ -103,6 +119,12 @@ DEFECTS = [
      (test_cli_reports,
       "test_cli_exit_two_on_a_grid_that_contradicts_the_half_line",
       (0.0, "absorb", "reflect"))),
+    # a jump of more than two box widths folds twice about the faces
+    ("reflect_reflect_axis_folded_once",
+     (generator_core, "_fold", _fold_reflect_once),
+     (test_generator_core,
+      "test_separable_rows_are_the_kronecker_sum_of_the_axis_rows",
+      ("reflect",))),
 ]
 
 

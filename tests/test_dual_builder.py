@@ -20,7 +20,6 @@ from dualgen.errors import (
     MissingDerivative,
     NotSeparable,
     StructureViolation,
-    UnsupportedScheme,
 )
 from dualgen.generator_core import (
     AtomicJumpKernel,
@@ -440,14 +439,6 @@ def test_separable_jump_dual_factors_per_axis(monkeypatch):
     assert sizes == [17, 17]
 
 
-def test_a_compensated_separable_kernel_needs_compensated_components():
-    # the per-axis Siegmund duals have grid rows and no compensator
-    dual = closed_form_dual(_separable((0, _UP_RISING))).dual_spec
-    with pytest.raises(UnsupportedScheme, match="SiegmundDualJumpKernel1D "
-                                                "jump part has no compensator"):
-        ProcessSpec(dim=2, jump=dual.jump, jump_compensated=True)
-
-
 def test_closed_form_dual_names_a_jump_channel_it_cannot_separate():
     # a move of both axes, and a rate that is a function of the state
     for channels in ((((1.0, 0.0), 1.0), ((1.0, 1.0), 1.0)),
@@ -519,16 +510,15 @@ def test_closed_form_dual_refuses_a_generic_1d_diffusion():
 
 
 def test_compensated_jump_dual_contracts_under_halving():
-    # the dual drift is a' - b with b as drift_at returns it, so the
-    # compensator of the small jumps enters it; dropped, the action
-    # mismatch stays near 1.5 under halving
+    # the jumps no longer than 1 compensated, declared as the drift:
+    # -0.2 x less 1.0 * 2.0 - 0.5 * 1.0.  The dual drift a' - b carries
+    # the -1.5; without it the action mismatch stays near 1.5 under halving
     nu = AtomicJumpKernel(jumps=(((1.0,), 2.0), ((-0.5,), 1.0)))
     spec = ProcessSpec.one_dim(
         a=lambda x: 0.5 + 0.1 * np.cos(x), da=lambda x: -0.1 * np.sin(x),
-        b=lambda x: -0.2 * np.asarray(x, dtype=float), nu=nu,
-        jump_compensated=True, compensator_cutoff=1.0)
+        b=lambda x: -0.2 * np.asarray(x, dtype=float) - 1.5, nu=nu)
     rep = closed_form_dual(spec)
-    assert rep.admissible and not rep.dual_spec.jump_compensated
+    assert rep.admissible
     at = _oracle_pair(spec, rep.dual_spec, [-8.0], [8.0])
     q, qd, qb = at(0.25)
     _, qd1, qb1 = at(0.125)
@@ -684,9 +674,9 @@ def test_check_self_dual_jump_symmetry():
             * np.exp(-(np.atleast_2d(W)[:, 0] - x[0] - shift) ** 2)
         nu = DensityJumpKernel(density=density, derivs={(0,): deriv})
         return ProcessSpec.one_dim(a=_const(1.0), da=_const(0.0), nu=nu)
-    flag, _ = check_self_dual(make(0.0), tol=1e-8)
+    flag, _ = check_self_dual(make(0.0))
     assert flag
-    flag, witness = check_self_dual(make(1.0), tol=1e-8)
+    flag, witness = check_self_dual(make(1.0))
     assert not flag and witness[0] == "jump_condition"
 
 

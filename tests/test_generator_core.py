@@ -14,7 +14,6 @@ from dualgen.errors import (
     NonFiniteCoefficient,
     NotSeparable,
     Overflow,
-    PositivityViolation,
     StructureViolation,
     UnsupportedScheme,
 )
@@ -188,33 +187,6 @@ def test_separable_jump_component_beyond_the_dimension_rejected():
     assert ProcessSpec(dim=2, jump=SeparableJumpKernel(((1, up),))).dim == 2
 
 
-def test_compensated_jump_shifts_drift():
-    nu = AtomicJumpKernel(jumps=(((1.0,), 2.0),))
-    spec = ProcessSpec.one_dim(a=_const(1.0), nu=nu, jump_compensated=True,
-                               compensator_cutoff=1.5)
-    g = build_grid([0.0], [8.0], [1.0])
-    Q = discretize(spec, g).entries
-    i = 4
-    # compensator drift = -2: upwind down move of rate 2 on top of diffusion
-    assert Q[i, i - 1] == pytest.approx(1.0 + 2.0)
-    assert Q[i, i + 1] == pytest.approx(1.0 + 2.0)
-
-
-def test_cutoff_length_jumps_are_always_compensated():
-    # unit jumps at the default cutoff 1.0; (x + w) - x rounds at most of
-    # these states, so a displacement rebuilt from the target fell on
-    # either side of the cutoff from state to state
-    nu = AtomicJumpKernel(jumps=(((1.0,), 2.0), ((-1.0,), 1.0)))
-    for X in (np.linspace(-3.0, 3.0, 61)[:, None],
-              np.random.default_rng(5).standard_normal((1000, 1))):
-        assert np.array_equal(nu.compensator_drift(X, 1.0), np.ones_like(X))
-    # drift -1 everywhere: upwind rate 1 / h = 10 down, never 20
-    spec = ProcessSpec.one_dim(nu=nu, jump_compensated=True)
-    Q = discretize(spec, build_grid([-3.0], [3.0], [0.1])).entries
-    assert np.diagonal(Q, -1) == pytest.approx(np.full(60, 10.0))
-    assert np.all(np.diagonal(Q, 1) == 0.0)
-
-
 def test_cross_diffusion_positive_stencil_conservative():
     spec = ProcessSpec(
         dim=2,
@@ -292,25 +264,8 @@ def _loop_absorbing(grid):
     return idx
 
 
-def _ref_compensator(jump, x, cutoff):
-    """Compensator drift at one state x, channel by channel."""
-    drift = np.zeros_like(x)
-    if isinstance(jump, SeparableJumpKernel):
-        for axis, kern in jump.components:
-            drift[axis] += _ref_compensator(kern, x[[axis]], cutoff)[0]
-        return drift
-    for where, rate in jump.jumps:
-        r = float(rate(x)) if callable(rate) else float(rate)
-        dz = np.atleast_1d(np.asarray(where(x), dtype=float)) - x \
-            if callable(where) else np.atleast_1d(np.asarray(where, float))
-        if np.linalg.norm(dz) <= cutoff:
-            drift += dz * r
-    return drift
-
-
 def _ref_drift(spec, x):
-    """b at one state x, one coefficient call per component, minus the
-    compensator of a compensated jump part."""
+    """b at one state x, one coefficient call per component."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.drift_components is not None:
         b = np.array([float(bj(x[j]))
@@ -319,8 +274,6 @@ def _ref_drift(spec, x):
         b = np.atleast_1d(np.asarray(spec.drift(x), dtype=float))
     else:
         b = np.zeros(spec.dim)
-    if spec.jump is not None and spec.jump_compensated:
-        b = b - _ref_compensator(spec.jump, x, spec.compensator_cutoff)
     return b
 
 
@@ -338,7 +291,7 @@ def _ref_diffusion(spec, x):
     return a
 
 
-def _discretize_loop(spec, grid, clip_cross=True):
+def _discretize_loop(spec, grid):
     n_states = grid.n_points
     Q = np.zeros((n_states, n_states))
     h = grid.spacing
@@ -372,9 +325,6 @@ def _discretize_loop(spec, grid, clip_cross=True):
             off_budget = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
             diag_rates = np.diag(a) - off_budget
             if np.any(diag_rates < -1e-12):
-                if not clip_cross:
-                    raise PositivityViolation(
-                        f"cross terms exceed diagonal at state {i}: a = {a}")
                 if not clip_warned:
                     warnings.warn(
                         "cross-diffusion terms clipped to preserve positivity",
@@ -441,9 +391,9 @@ _ASSEMBLY_CASES = {
     "1d-truncate-atomic": (
         ProcessSpec.one_dim(a=_const(0.3), b=lambda x: np.sin(x), nu=_UP_DOWN),
         build_grid([-2.0], [2.0], [0.25])),
+    # compensated below 0.6, declared as its drift: -x less 0.5 * 1.2
     "1d-absorb-compensated": (
-        ProcessSpec.one_dim(a=_const(0.3), b=lambda x: -x, nu=_UP_DOWN,
-                            jump_compensated=True, compensator_cutoff=0.6),
+        ProcessSpec.one_dim(a=_const(0.3), b=lambda x: -x - 0.6, nu=_UP_DOWN),
         build_grid([-2.0], [2.0], [0.25], "absorb")),
     "1d-mixed-density": (
         ProcessSpec.one_dim(b=lambda x: np.cos(3.0 * x), nu=DensityJumpKernel(
@@ -504,15 +454,17 @@ _EVALUATOR_CASES = {
     "python-scalar": (ProcessSpec(
         dim=2, drift_components=(lambda s: 0.5, lambda s: -s),
         diffusion_diag=(lambda s: 1.0, lambda s: 0.5 + 0.0 * s)), _GRID_2D),
+    # compensated below 0.6, declared as its drift: the +0.5 channel at
+    # 1.2 on axis 0 and the -0.25 channel at 0.7 on axis 1
     "2d-separable-compensated": (ProcessSpec(
-        dim=2, drift_components=(np.sin, lambda s: -0.5 * s),
+        dim=2, drift_components=(lambda s: np.sin(s) - 0.6,
+                                 lambda s: -0.5 * s + 0.175),
         diffusion_diag=(_const(0.4), _const(0.3)),
         jump=SeparableJumpKernel(components=(
             (0, _UP_DOWN),
             (1, AtomicJumpKernel(jumps=(
                 ((1.0,), lambda x: 1.0 + 0.5 * np.tanh(x[0])),
-                ((-0.25,), 0.7)))))),
-        jump_compensated=True, compensator_cutoff=0.6), _GRID_2D),
+                ((-0.25,), 0.7))))))), _GRID_2D),
 }
 
 
@@ -560,30 +512,26 @@ def test_expression_rates_match_per_state_calls(name):
     assert np.array_equal(kernel.rates_at(X), want)
 
 
-def _outcome(fn, spec, grid, clip_cross):
-    """Q, or the PositivityViolation message, and the warnings in order."""
+def _outcome(fn, spec, grid):
+    """Q and the warnings in order."""
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        try:
-            q = fn(spec, grid, clip_cross=clip_cross)
-        except PositivityViolation as exc:
-            q = str(exc)
+        q = fn(spec, grid)
     return getattr(q, "entries", q), [(w.category, str(w.message))
                                       for w in seen]
 
 
-def _same_outcome(spec, grid, clip_cross):
-    (want, want_warnings) = _outcome(_discretize_loop, spec, grid, clip_cross)
-    (got, got_warnings) = _outcome(discretize, spec, grid, clip_cross)
-    assert type(got) is type(want) and np.array_equal(got, want)
+def _same_outcome(spec, grid):
+    (want, want_warnings) = _outcome(_discretize_loop, spec, grid)
+    (got, got_warnings) = _outcome(discretize, spec, grid)
+    assert np.array_equal(got, want)
     assert got_warnings == want_warnings
     return want_warnings
 
 
-@pytest.mark.parametrize("clip_cross", [True, False])
 @pytest.mark.parametrize("name", sorted(_ASSEMBLY_CASES))
-def test_discretize_matches_state_loop(name, clip_cross):
-    _same_outcome(*_ASSEMBLY_CASES[name], clip_cross)
+def test_discretize_matches_state_loop(name):
+    _same_outcome(*_ASSEMBLY_CASES[name])
 
 
 def test_warnings_and_positivity_violation_in_state_order():
@@ -596,12 +544,8 @@ def test_warnings_and_positivity_violation_in_state_order():
     spec = ProcessSpec(dim=2, drift=lambda x: np.array([5.0, 0.0]),
                        diffusion=diffusion)
     grid = build_grid([-1.0, -1.0], [1.0, 1.0], [0.5, 0.5], "reflect")
-    assert [c for c, _ in _same_outcome(spec, grid, True)] == [
+    assert [c for c, _ in _same_outcome(spec, grid)] == [
         CFLWarning, ClippingWarning]
-    assert [c for c, _ in _same_outcome(spec, grid, False)] == [CFLWarning]
-    with pytest.warns(CFLWarning), \
-            pytest.raises(PositivityViolation, match="at state 15: a = "):
-        discretize(spec, grid, clip_cross=False)
 
 
 def test_nan_drift_raises_naming_the_grid_point():
@@ -627,17 +571,13 @@ def test_non_finite_diffusion_and_jump_rates_raise():
         discretize(bad_rate, grid)
 
 
-def test_kernels_without_grid_rows_or_compensator_rejected_at_entry():
+def test_kernels_without_grid_rows_rejected_at_entry():
     grid = build_grid([-1.0], [1.0], [0.5], "reflect")
     stable = ProcessSpec.one_dim(nu=StableLikeKernel(
         alpha=1.5, amplitude=lambda x: np.ones(len(x))))
     with pytest.raises(UnsupportedScheme, match="no generator rows"):
         discretize(stable, grid)
     density = DensityJumpKernel(density=lambda x, W: np.exp(-W[:, 0] ** 2))
-    with pytest.raises(UnsupportedScheme, match="no compensator drift"):
-        compensated = ProcessSpec.one_dim(a=_const(1.0), nu=density,
-                                          jump_compensated=True)
-        discretize(compensated, grid)
     with pytest.raises(NotSeparable, match="axis 1 is a DensityJumpKernel"):
         SeparableJumpKernel(components=((1, density),))
 
@@ -685,13 +625,14 @@ def test_jump_rows_placed_for_all_states_at_once():
                                     [("reflect", "truncate_mass"),
                                      ("absorb", "reflect")]])
 def test_separable_rows_are_the_kronecker_sum_of_the_axis_rows(policy):
-    # two components on axis 1, one on axis 0, a callable rate: off the
-    # diagonal the rates of each state placed by the scalar rule, on it
-    # minus their sum (self-loops left out) up to rounding
+    # two components on axis 1, one on axis 0, a callable rate, a jump
+    # longer than two box widths of axis 1: off the diagonal the rates of
+    # each state placed by the scalar rule, on it minus their sum
+    # (self-loops left out) up to rounding
     comps = ((1, AtomicJumpKernel(jumps=(((1.0,), lambda x: 1.0 + x[0] ** 2),
                                          ((0.5,), 0.2)))),
              (0, AtomicJumpKernel(jumps=(((-0.5,), 0.4), ((1.0,), 0.3)))),
-             (1, AtomicJumpKernel(jumps=(((-1.0,), 0.6),))))
+             (1, AtomicJumpKernel(jumps=(((-1.0,), 0.6), ((7.0,), 0.1)))))
     grid = build_grid([-1.0, -1.0], [1.0, 1.5], [0.5, 0.5], policy)
     pts = grid.points()
     want = np.zeros((len(pts), len(pts)))

@@ -632,10 +632,9 @@ def test_state_dependent_full_diffusion_raises_unsupported_scheme():
 
 
 def test_thinning_simulates_the_compensated_process():
-    # a +1 jump at rate 2 compensated below cutoff 1.5: drift -2, mean 0
-    spec = ProcessSpec.one_dim(a=_const(0.5), nu=AtomicJumpKernel(
-        jumps=(((1.0,), 2.0),)), jump_compensated=True,
-        compensator_cutoff=1.5)
+    # a +1 jump at rate 2, compensated: declared with its drift -2, mean 0
+    spec = ProcessSpec.one_dim(a=_const(0.5), b=_const(-2.0),
+                               nu=AtomicJumpKernel(jumps=(((1.0,), 2.0),)))
     grid = build_grid([-12.0], [12.0], [0.5], "reflect")
     x0 = int(np.flatnonzero(grid.points()[:, 0] == 0.0)[0])
     T = semigroup(discretize(spec, grid), 1.0).T
@@ -645,13 +644,3 @@ def test_thinning_simulates_the_compensated_process():
     xs = simulate_paths(spec, cfg, [0.0])[:, 0]
     se = xs.std(ddof=1) / np.sqrt(len(xs))
     assert abs(xs.mean() - exact) < 5.0 * se
-
-
-def test_compensated_kernel_without_compensator_rejected():
-    cfg = PathConfig(n_paths=100, dt=0.1, t_end=1.0, seed=1,
-                     scheme="stable_euler")
-    with pytest.raises(UnsupportedScheme, match="no compensator drift"):
-        spec = ProcessSpec(dim=1, jump=StableLikeKernel(
-            alpha=1.0, amplitude=lambda x: np.ones(len(x))),
-            jump_compensated=True)
-        simulate_paths(spec, cfg, [0.0])

@@ -7,9 +7,9 @@ it, nor any of scipy's underscore-prefixed modules or names, which are
 not its public API, nor scipy.linalg's `expm`; no dual is built by the
 conjugation F Q' F^-1 outside matrix_lab and the density kernel's N-D
 dual; no move on a grid is folded at a face outside `map_targets`; no
-scenario runner refuses a document, which `load_scenario` does; and
-no function parameter or dataclass field has a default that no caller
-ever overrides; and no public function or class is named only by its
+scenario runner refuses a document, which `load_scenario` does; no
+function parameter or dataclass field has a default that only the unit
+tests override; and no public function or class is named only by its
 own definition and the unit tests.
 """
 
@@ -293,11 +293,23 @@ def test_no_scenario_runner_refuses_a_document():
 
 
 ROOT = SRC.parent.parent
-CALLER_FILES = sorted(p for top in ("src", "tests", "demos", "bench")
-                      for p in (ROOT / top).rglob("*.py"))
+
+
+def _use_files(root: Path) -> list:
+    """The files under root that make the runs: its demos, its benchmark
+    and the acceptance criteria.  The unit tests do not count: a name or
+    a setting that only they reach is code no run needs."""
+    return sorted(list((root / "demos").rglob("*.py"))
+                  + list((root / "bench").rglob("*.py"))
+                  + list((root / "tests").glob("test_acceptance.py")))
+
+
 # `box` is a modelling input, the region the probes cover, not a numerical
 # knob: which box a model needs depends on where its coefficients live.
 EXEMPT_PARAMETERS = {"box"}
+# default -> why it stays with no run that sets it
+DEFAULTS_ALLOWED = {
+    "generator_core.py: validate_qmatrix(conservative=...)": "ROADMAP item 1"}
 
 
 def _defaulted_parameters(tree):
@@ -373,15 +385,16 @@ def _passed(trees):
     return keywords, positional
 
 
-def test_every_defaulted_parameter_is_passed_somewhere():
-    """A parameter no caller sets is a constant with extra steps: each
-    default in the package, of a function parameter or a dataclass field,
-    must be overridden by at least one call in the package, its tests,
-    demos or benchmark."""
-    trees = [ast.parse(p.read_text(), filename=str(p)) for p in CALLER_FILES]
-    keywords, positional = _passed(trees)
+def _never_set(root: Path) -> list:
+    """'module: function(parameter=...)' of every default in the package
+    under root/src, of a function parameter or a dataclass field, that no
+    call in the package or in a `_use_files` file overrides."""
+    modules = sorted((root / "src").rglob("*.py"))
+    keywords, positional = _passed(
+        [ast.parse(p.read_text(), filename=str(p))
+         for p in modules + _use_files(root)])
     never = []
-    for path in MODULES:
+    for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn, param, pos in _defaulted_parameters(tree):
             if param in EXEMPT_PARAMETERS or (fn, param) in keywords:
@@ -389,18 +402,38 @@ def test_every_defaulted_parameter_is_passed_somewhere():
             if pos is not None and positional.get(fn, 0) > pos:
                 continue
             never.append(f"{path.name}: {fn}({param}=...)")
-    assert sorted(never) == []
+    return never
+
+
+def test_default_rule_flags_a_default_only_a_unit_test_sets(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        "def scale(x, k=1.0):\n    return k * x\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text("scale(1.0, k=2.0)\n")
+    assert _never_set(tmp_path) == ["mod.py: scale(k=...)"]
+    for user in ("bench/run.py", "tests/test_acceptance.py"):
+        path = tmp_path / user
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("scale(1.0, 2.0)\n")
+        assert _never_set(tmp_path) == []
+        path.unlink()
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A parameter no run sets is a constant with extra steps: each
+    default in the package must be overridden by at least one call in the
+    package, a demo, the benchmark or the acceptance criteria."""
+    never = _never_set(ROOT)
+    assert sorted(set(never) - set(DEFAULTS_ALLOWED)) == []
+    # an allowed default that a run sets again leaves the list
+    assert sorted(never) == sorted(DEFAULTS_ALLOWED)
 
 
 # every public top-level function or class is named somewhere besides its
 # own definition: in its module or another module of the package, a demo,
 # the benchmark (whose tracer names what it wraps in strings) or the
-# acceptance criteria.  A re-export in __init__ is not a use, and the unit
-# tests do not count: a name that only they reach is code no run needs
-USE_FILES = sorted(
-    list((ROOT / "demos").rglob("*.py"))
-    + list((ROOT / "bench").rglob("*.py"))
-    + [ROOT / "tests" / "test_acceptance.py"])
+# acceptance criteria (`_use_files`).  A re-export in __init__ is not a use.
 # name -> why it stays with no use yet
 UNUSED_ALLOWED = {"validate_qmatrix": "ROADMAP item 1"}
 
@@ -462,7 +495,7 @@ def test_every_public_definition_is_used():
     modules = {p.stem: p.read_text() for p in MODULES
                if p.name != "__init__.py"}
     users = {str(p.relative_to(ROOT)): (p.read_text(), p.parts[-2] == "bench")
-             for p in USE_FILES}
+             for p in _use_files(ROOT)}
     orphans = [o.split(".")[1] for o in _orphans(modules, users)]
     assert sorted(set(orphans) - set(UNUSED_ALLOWED)) == []
     # an allowed name that is used again leaves the list
