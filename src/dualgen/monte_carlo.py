@@ -12,10 +12,12 @@ step is `ProcessSpec.drift_at` over all paths, the same evaluator
 A coefficient parsed from an expression without variables is evaluated
 once per block instead of once per step; where every coefficient is
 such a constant, an absorbed path's coefficients are set to 0 when it is
-absorbed, so it costs no extra work on later steps.
-scipy is imported on use: only a full diffusion matrix needs its
-Cholesky factor.  So is the thread pool, which only a run of more than
-one worker builds.
+absorbed, so it costs no extra work on later steps.  Where, besides,
+the law at t does not depend on the step size (free space, reflection
+without a drift across the boundary, absorption with the Brownian-bridge
+crossing test), the paths take one step of t instead of t / dt steps.
+The module loads no scipy; the thread pool is imported on use, as only a
+run of more than one worker builds it.
 """
 
 from __future__ import annotations
@@ -138,11 +140,10 @@ class StableLikeKernel:
             raise ValueError("alpha must lie in (0, 2]")
 
 
-def cholesky(a, lower):
-    """scipy.linalg.cholesky, imported on use.  A module attribute, so the
-    calls can be counted or replaced."""
-    from scipy.linalg import cholesky
-    return cholesky(a, lower=lower)
+def cholesky(a):
+    """The lower Cholesky factor of a, by numpy.  A module attribute, so
+    the calls can be counted or replaced."""
+    return np.linalg.cholesky(a)
 
 
 def _block_rng(seed: int, salt: int, block: int) -> np.random.Generator:
@@ -221,17 +222,17 @@ def _thin(jump: AtomicJumpKernel, cfg: PathConfig, x, dx, u, alive, disp):
     dx[cand] += disp[chan]
 
 
-def _bridge_hits(cfg: PathConfig, x_prev, x, a_prev, u, hit, alive, prod):
-    """Mark the live paths that crossed 0 during the step: u < exp(arg),
-    arg = -x_prev x / (a dt) with a = a_00(x_prev), per path or one value
-    for all, the Brownian-bridge crossing probability.  prod is a buffer
-    of one value per path.
+def _bridge_hits(dt: float, x_prev, x, a_prev, u, hit, alive, prod):
+    """Mark the live paths that crossed 0 during the step of length dt:
+    u < exp(arg), arg = -x_prev x / (a dt) with a = a_00(x_prev), per path
+    or one value for all, the Brownian-bridge crossing probability.  prod
+    is a buffer of one value per path.
 
     A live path was positive before the step (one that starts at or
     below 0 is absorbed at t = 0), and one at or below 0 after it is hit
     already, so `alive` stands for the test that both ends are positive;
     at NaN the test fails either way."""
-    c = np.maximum(a_prev * cfg.dt, 1e-300)
+    c = np.maximum(a_prev * dt, 1e-300)
     # a path already hit may overflow exp(arg) to inf; it stays hit
     with np.errstate(over="ignore"):
         np.multiply(x_prev[:, 0], x[:, 0], out=prod)
@@ -254,10 +255,46 @@ def _reflect(x: np.ndarray):
     np.abs(x[:, 0], out=x[:, 0])
 
 
+def _one_step_exact(spec: ProcessSpec, cfg: PathConfig, b) -> bool:
+    """Whether the Euler chain's law at t_end is the same for every step
+    size, so that one step of t_end simulates it exactly.  b is the drift,
+    (1, d), when every drift component is constant, else None.
+
+    In free space that holds under euler_maruyama when every coefficient
+    is declared per axis and parsed from an expression without variables:
+    the increments N(b dt, 2 a dt) of n steps sum to N(b t, 2 a t).  A Python callable
+    keeps the step loop, as nothing shows that it is constant.  On the
+    half line `reflect` needs the axis-0 drift to be 0: for a symmetric
+    increment xi, ||u| + xi| has the law of |u + xi|, so the folded chain
+    has the law of |x + sigma W_t|.  `absorb` needs the bridge test:
+    exp(-x_k x_{k+1} / (a h)) is the exact probability that the Brownian
+    bridge over a step h crosses 0, with or without drift, so the killed
+    chain has the law of the killed process at every h (Glasserman,
+    Monte Carlo Methods in Financial Engineering, 2004)."""
+    if cfg.scheme != "euler_maruyama" or spec.jump is not None \
+            or spec.drift is not None or spec.diffusion is not None \
+            or spec.diffusion_offdiag:
+        return False
+    if not all(map(_constant, (*(spec.drift_components or ()),
+                               *(spec.diffusion_diag or ())))):
+        return False
+    if spec.boundary == "reflect":
+        return b is None or b[0, 0] == 0.0
+    if spec.boundary == "absorb":
+        return cfg.bridge_correction
+    return True
+
+
 def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
                     salt: int, block: int):
     """Advance the paths in out (filled with the start state) to t_end,
     with the substream of (cfg.seed, salt, block).
+
+    The paths take one step of t_end where the law at t_end does not
+    depend on the step size (_one_step_exact: constant coefficients,
+    reflected without an axis-0 drift or absorbed with the bridge test),
+    and round(t_end / dt) steps of cfg.dt otherwise.  The loop is the same
+    either way, with one step's draws per step.
 
     Draws per step, in this order: the normals (and the positive-stable
     mixing variables of stable_euler), the three thinning uniforms, and
@@ -278,7 +315,14 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
     rng = _block_rng(cfg.seed, salt, block)
     x = out
     m = len(x)
-    dt = cfg.dt
+    # the drift, evaluated once per block where it is constant
+    b = None
+    if spec.drift_components is not None \
+            and all(map(_constant, spec.drift_components)):
+        b = spec.drift_at(x[:1])
+    drift_step = spec.has_drift() and b is None
+    # the step actually taken
+    dt = cfg.t_end if _one_step_exact(spec, cfg, b) else cfg.dt
     n_steps = int(round(cfg.t_end / dt))
     stable = spec.jump if cfg.scheme == "stable_euler" else None
     noisy = stable is not None or spec.has_diffusion()
@@ -289,7 +333,7 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
     # a_00 is the bridge test's for the whole block
     a_block = None if diagonal else spec.diffusion_at(x[0])
     if stable is None and spec.has_diffusion() and not diagonal:
-        chol_t = cholesky(2.0 * a_block, lower=True).T
+        chol_t = cholesky(2.0 * a_block).T
     # a spec has these boundaries on the half line only
     reflecting = spec.boundary == "reflect"
     absorbing = spec.boundary == "absorb"
@@ -299,11 +343,8 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
     z = np.empty_like(x) if noisy else None
     # b dt, evaluated once per block where the drift is constant
     bdt = None
-    drift_step = spec.has_drift()
-    if spec.drift_components is not None \
-            and all(map(_constant, spec.drift_components)):
-        drift_step = False
-        b_dt = np.multiply(spec.drift_at(x[:1]), dt)
+    if b is not None:
+        b_dt = np.multiply(b, dt)
         if b_dt.any():
             bdt = np.repeat(b_dt, m, axis=0)
     # with a drift, the noise goes to its own buffer and is added to b dt
@@ -408,7 +449,7 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
             np.less_equal(x[:, 0], 0.0, out=hit)
             hit &= alive
             if bridge:
-                _bridge_hits(cfg, dx, x, a_prev, u, hit, alive, prod)
+                _bridge_hits(dt, dx, x, a_prev, u, hit, alive, prod)
             new = np.flatnonzero(hit)
             if len(new):
                 absorb(x, new)

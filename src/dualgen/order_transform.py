@@ -4,11 +4,12 @@ f(x, y) = k(x - y), k the fundamental solution of |Delta|^{a/2} (Riesz),
 of Delta in d >= 3 (Newtonian) or in d = 2 (logarithmic), evaluated on
 arrays of |x - y| that `monte_carlo.estimate_duality` pairs over the
 simulated paths.  A cone order's F is `matrix_lab.SurvivalTransform`.
-scipy.special is imported on use, by the kernel constants.
+The kernel constants take the gamma function from `math`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,13 @@ __all__ = [
 
 def sphere_area(d: int) -> float:
     """Area of the unit sphere in R^d."""
-    from scipy.special import gamma
-    return 2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0)
+    return 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def riesz_normalizer(d: int, alpha: float) -> float:
     """H_d(alpha) = 2^alpha pi^{d/2} Gamma(alpha/2) / Gamma((d-alpha)/2)."""
-    from scipy.special import gamma
-    return 2.0 ** alpha * np.pi ** (d / 2.0) * gamma(alpha / 2.0) / gamma((d - alpha) / 2.0)
+    return (2.0 ** alpha * np.pi ** (d / 2.0) * math.gamma(alpha / 2.0)
+            / math.gamma((d - alpha) / 2.0))
 
 
 @dataclass(frozen=True)

@@ -801,6 +801,35 @@ def test_a_dual_run_does_not_load_scipy_stats(tmp_path):
     assert out.stdout.split("\n")[-2] == "0 False"
 
 
+def test_mc_runs_do_not_load_scipy(tmp_path):
+    # a half-line run and a stable run with its Riesz kernel: the kernel
+    # constants take math.gamma, and a full diffusion matrix is factored
+    # by numpy
+    half_line = {
+        "name": "half-line", "mode": "mc",
+        "process": {"dim": 1, "diffusion": ["0.5"], "diffusion_deriv": ["0"],
+                    "domain": "half_line", "boundary": "reflect"},
+        "probes": [{"x": [1.0], "y": [0.5], "t": 1.0}],
+        "path_config": {"n_paths": 2000, "dt": 0.01, "seed": 3,
+                        "bridge_correction": True},
+    }
+    paths = []
+    for doc in (half_line, _stable_riesz_mc()):
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps({**doc, "output_dir":
+                                    str(tmp_path / doc["name"])}))
+        paths.append(str(path))
+    code = ("import sys\n"
+            "from dualgen import cli\n"
+            "codes = [cli.main(['mc', p]) for p in sys.argv[1:]]\n"
+            "print(codes, sorted(m for m in sys.modules\n"
+            "                    if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code, *paths],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, env=_env())
+    assert out.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 def test_import_does_not_load_scipy_sparse_linalg():
     # only matrix_lab.semigroup's check needs it, and imports it on use
     code = "import sys, dualgen; print('scipy.sparse.linalg' in sys.modules)"

@@ -8,6 +8,8 @@ idea of mutation testing: DeMillo, Lipton & Sayward, IEEE Computer
 11(4), 1978).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,56 @@ def _fold_reflect_once(grid, axis, k):
     return np.where((k < 0) | (k >= n), -1, k)
 
 
+_one_step_exact = monte_carlo._one_step_exact
+
+
+def _one_step_without_bridge_test(spec, cfg, b):
+    """The one-step rule taking an absorbed path with or without the
+    bridge test."""
+    return _one_step_exact(spec, replace(cfg, bridge_correction=True), b)
+
+
+def _one_step_blind_to_drift(spec, cfg, b):
+    """The one-step rule reflecting a path whatever its axis-0 drift."""
+    return _one_step_exact(spec, cfg, None)
+
+
+def _taken_constant(coef):
+    def fixed(s):
+        return coef(s)
+    fixed.variables = frozenset()
+    return fixed
+
+
+def _one_step_blind_to_variables(spec, cfg, b):
+    """The one-step rule reading every per-axis coefficient as a
+    constant, a varying one too."""
+    def fixed(parts):
+        return None if parts is None else tuple(map(_taken_constant, parts))
+    return _one_step_exact(replace(
+        spec, drift_components=fixed(spec.drift_components),
+        diffusion_diag=fixed(spec.diffusion_diag)), cfg, b)
+
+
+_bridge_hits = monte_carlo._bridge_hits
+
+
+def _bridge_test_on_cfg_dt(dt, *rest):
+    """The bridge test over a step of cfg.dt, the law test's 0.01, while
+    the path takes one step of t_end."""
+    return _bridge_hits(test_monte_carlo._KILLED_CFG.dt, *rest)
+
+
+_positive_stable_sample = monte_carlo.positive_stable_sample
+
+
+def _stable_amplitude_scaled(rng, alpha_half, size):
+    """The stable sampler with its amplitude scaled by 1.1: sqrt(2A)
+    scaled by 1.1^(1/alpha), as (1.1 a dt)^(1/alpha) would scale it."""
+    return 1.1 ** (1.0 / alpha_half) * _positive_stable_sample(
+        rng, alpha_half, size)
+
+
 # (defect, (module, name, the defect's stand-in), (test module, test, args))
 DEFECTS = [
     ("separable_dual_by_dual_jump_multidim",
@@ -125,6 +177,31 @@ DEFECTS = [
      (test_generator_core,
       "test_separable_rows_are_the_kronecker_sum_of_the_axis_rows",
       ("reflect",))),
+    ("one_step_without_bridge_test",
+     (monte_carlo, "_one_step_exact", _one_step_without_bridge_test),
+     (test_monte_carlo,
+      "test_constant_coefficient_kernel_matches_plain_step_loop",
+      ("constant_drift_absorb",))),
+    ("one_step_reflecting_a_drift",
+     (monte_carlo, "_one_step_exact", _one_step_blind_to_drift),
+     (test_monte_carlo,
+      "test_constant_coefficient_kernel_matches_plain_step_loop",
+      ("reflect_drift",))),
+    ("one_step_with_a_varying_coefficient",
+     (monte_carlo, "_one_step_exact", _one_step_blind_to_variables),
+     (test_monte_carlo,
+      "test_constant_coefficient_kernel_matches_plain_step_loop",
+      ("mixed_2d_absorb_bridge",))),
+    ("one_step_bridge_test_on_cfg_dt",
+     (monte_carlo, "_bridge_hits", _bridge_test_on_cfg_dt),
+     (test_monte_carlo, "test_killed_brownian_motion_with_drift_law",
+      (0.0,))),
+] + [
+    (f"stable_amplitude_scaled_d{case[0]}_alpha{case[1]}",
+     (monte_carlo, "positive_stable_sample", _stable_amplitude_scaled),
+     (test_monte_carlo, "test_stable_euler_moment_matches_the_closed_form",
+      case))
+    for case in ((2, 1.0, 1.0), (2, 1.5, 0.7), (3, 1.2, 1.0))
 ]
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import threading
 import warnings
@@ -5,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.stats import kstest, norm
 
 from dualgen import monte_carlo
@@ -92,6 +92,14 @@ def test_deterministic_flow_hits_exponential():
 def test_reflected_brownian_law():
     cfg = PathConfig(n_paths=20000, dt=1e-3, t_end=1.0, seed=12)
     xs = simulate_paths(_bm("half_line", "reflect"), cfg, [0.0])[:, 0]
+    stat = kstest(xs, lambda v: 2.0 * norm.cdf(v) - 1.0).statistic
+    assert stat < 0.02
+
+
+def test_parsed_reflected_brownian_law():
+    # parsed constants with no drift: one step of t, |x + sigma W_t|
+    cfg = PathConfig(n_paths=20000, dt=1e-3, t_end=1.0, seed=12)
+    xs = simulate_paths(_declared(_HALF_LINE_BM), cfg, [0.0])[:, 0]
     stat = kstest(xs, lambda v: 2.0 * norm.cdf(v) - 1.0).statistic
     assert stat < 0.02
 
@@ -185,6 +193,26 @@ def test_stable_like_symmetry_control():
     assert est.truncation_level is not None and est.truncation_level > 0
 
 
+@pytest.mark.parametrize("d, alpha, amp", [(2, 1.0, 1.0), (2, 1.5, 0.7),
+                                           (3, 1.2, 1.0)])
+def test_stable_euler_moment_matches_the_closed_form(d, alpha, amp):
+    # E e^{ik.X_t} = exp(-a t |k|^alpha): for 0 < p < alpha
+    # E|X_t|^p = (at)^{p/alpha} 2^p G((d+p)/2) G(1-p/alpha)
+    #            / (G(d/2) G(1-p/2))  (Samorodnitsky & Taqqu 1994);
+    # p = alpha/4 keeps the variance of |X_t|^p finite
+    p, t = alpha / 4.0, 1.0
+    exact = ((amp * t) ** (p / alpha) * 2.0 ** p * math.gamma((d + p) / 2.0)
+             * math.gamma(1.0 - p / alpha)
+             / (math.gamma(d / 2.0) * math.gamma(1.0 - p / 2.0)))
+    spec = ProcessSpec(dim=d, jump=StableLikeKernel(
+        alpha=alpha, amplitude=lambda x: np.full(len(x), amp)))
+    cfg = PathConfig(n_paths=100000, dt=0.5, t_end=t, seed=4,
+                     scheme="stable_euler")
+    v = np.linalg.norm(simulate_paths(spec, cfg, np.zeros(d)), axis=1) ** p
+    z = (v.mean() - exact) / (v.std(ddof=1) / math.sqrt(len(v)))
+    assert abs(z) <= 4.0
+
+
 def test_absorption_probability_monotone_in_start():
     absorbed = _bm("half_line", "absorb")
     dead = []
@@ -209,6 +237,25 @@ def test_bridge_on_a_full_diffusion_matrix_matches_the_hitting_law():
     dead = np.mean(simulate_paths(spec, cfg, [x])[:, 0] == 0.0)
     p = 2.0 * norm.cdf(-x / np.sqrt(t))
     assert abs(dead - p) < 5.0 * np.sqrt(p * (1.0 - p) / cfg.n_paths)
+
+
+# Brownian motion with drift b = -0.4, a = 0.3, killed at 0, from x = 0.6
+_KILLED_CFG = PathConfig(n_paths=100000, dt=0.01, t_end=1.0, seed=5,
+                         bridge_correction=True)
+
+
+@pytest.mark.parametrize("y", [0.0, 0.5])
+def test_killed_brownian_motion_with_drift_law(y):
+    # P(X_t > y, tau > t) = Phi((x - y + bt) / (s sqrt t))
+    #   - exp(-2 b x / s^2) Phi((-x - y + bt) / (s sqrt t)),  s^2 = 2a;
+    # the bridge test makes one step of t exact
+    x, b, a, t = 0.6, -0.4, 0.3, _KILLED_CFG.t_end
+    s = math.sqrt(2.0 * a * t)
+    p = (norm.cdf((x - y + b * t) / s)
+         - math.exp(-2.0 * b * x / (2.0 * a)) * norm.cdf((-x - y + b * t) / s))
+    xs = simulate_paths(_declared(_ABSORBED_DRIFT), _KILLED_CFG, [x])[:, 0]
+    z = (np.mean(xs > y) - p) / math.sqrt(p * (1.0 - p) / len(xs))
+    assert abs(z) <= 4.0
 
 
 def test_regularized_ladder_constant_is_exact():
@@ -395,32 +442,47 @@ _HALF_LINE_BM = {"dim": 1, "diffusion": ["0.5"], "diffusion_deriv": ["0"],
 _ABSORBED_DRIFT = {"dim": 1, "drift": ["-0.4"], "diffusion": ["0.3"],
                    "domain": "half_line", "boundary": "absorb"}
 
-# coefficients parsed from constant expressions: evaluated once per block
+# coefficients parsed from constant expressions: evaluated once per block;
+# the last entry is the number of steps the paths take at dt = 0.01,
+# t_end = 1: one where the law at t_end is the same for every step size
 _PARSED_KERNEL_CASES = {
     # diffusion "0.5", drift a' - b = "0"
     "bench_absorbed_dual": (closed_form_dual(_declared(_HALF_LINE_BM))
-                            .dual_spec, {"bridge_correction": True}, [0.5]),
-    "constant_drift_absorb": (_declared(_ABSORBED_DRIFT), {}, [0.6]),
+                            .dual_spec, {"bridge_correction": True}, [0.5],
+                            1),
+    # without the bridge test the killed chain's law depends on dt
+    "constant_drift_absorb": (_declared(_ABSORBED_DRIFT), {}, [0.6], 100),
     "constant_drift_absorb_bridge": (_declared(_ABSORBED_DRIFT),
-                                     {"bridge_correction": True}, [0.6]),
-    "reflect": (_declared(_HALF_LINE_BM), {}, [0.5]),
+                                     {"bridge_correction": True}, [0.6], 1),
+    "reflect": (_declared(_HALF_LINE_BM), {}, [0.5], 1),
+    # a drift across the reflecting boundary: the folded chain's law
+    # depends on dt
+    "reflect_drift": (_declared({**_ABSORBED_DRIFT, "boundary": "reflect"}),
+                      {}, [0.6], 100),
+    # only axis 0 folds, and its drift is 0
+    "reflect_2d": (_declared({"dim": 2, "drift": ["0", "-0.2"],
+                              "diffusion": ["0.5", "0.3"],
+                              "domain": "half_line", "boundary": "reflect"}),
+                   {}, [0.3, 0.2], 1),
     "diagonal_2d": (_declared({"dim": 2, "drift": ["0.2", "-0.1"],
-                               "diffusion": ["0.5", "0.3"]}), {}, [0.1, -0.2]),
+                               "diffusion": ["0.5", "0.3"]}), {},
+                    [0.1, -0.2], 1),
     # one constant and one state-dependent diffusion component
     "mixed_2d_absorb_bridge": (_declared({
         "dim": 2, "drift": ["0", "-0.3*x2"],
         "diffusion": ["0.4", "0.5 + 0.25*cos(x2)"],
         "domain": "half_line", "boundary": "absorb"}),
-        {"bridge_correction": True}, [0.4, 0.2]),
+        {"bridge_correction": True}, [0.4, 0.2], 100),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PARSED_KERNEL_CASES))
 def test_constant_coefficient_kernel_matches_plain_step_loop(case):
-    spec, extra, x0 = _PARSED_KERNEL_CASES[case]
+    spec, extra, x0, steps = _PARSED_KERNEL_CASES[case]
     cfg = PathConfig(n_paths=500, dt=0.01, t_end=1.0, seed=41, **extra)
     got = simulate_paths(spec, cfg, x0, stream_salt=3)
-    want = _reference_paths(spec, cfg, x0, salt=3)
+    want = _reference_paths(spec, replace(cfg, dt=cfg.t_end / steps), x0,
+                            salt=3)
     assert got.tobytes() == want.tobytes()
 
 
@@ -434,12 +496,13 @@ def test_constant_coefficients_evaluated_once_per_block():
         counted.variables = coef.variables
         return counted
 
-    spec = _PARSED_KERNEL_CASES["constant_drift_absorb_bridge"][0]
+    # without the bridge test the absorbed paths take every step
+    spec = _PARSED_KERNEL_CASES["constant_drift_absorb"][0]
     spied = replace(spec,
                     drift_components=(spy("b", spec.drift_components[0]),),
                     diffusion_diag=(spy("a", spec.diffusion_diag[0]),))
     cfg = PathConfig(n_paths=monte_carlo.BLOCK_SIZE + 4000, dt=0.1,
-                     t_end=1.0, seed=9, bridge_correction=True)
+                     t_end=1.0, seed=9)
     got = simulate_paths(spied, cfg, [0.6])
     # one call each for simulate_paths' step-size check, then one per
     # block of ten steps
@@ -469,18 +532,22 @@ def test_closed_form_dual_drift_of_constants_runs_once_per_block():
     cfg = PathConfig(n_paths=monte_carlo.BLOCK_SIZE + 4000, dt=0.1,
                      t_end=1.0, seed=9)
     got = simulate_paths(spied, cfg, [0.6])
-    # the step-size check, then one call per block of ten steps
+    # the step-size check, then one call per block; a drift read as
+    # varying would also keep the ten steps
     assert len(calls) == 3
     assert got.tobytes() == simulate_paths(_CONSTANT_DUAL, cfg,
                                            [0.6]).tobytes()
 
 
-@pytest.mark.parametrize("spec", [_CONSTANT_DUAL, _STATE_DUAL],
+# a constant dual on the full line takes one step of t_end
+@pytest.mark.parametrize("spec, steps", [(_CONSTANT_DUAL, 1),
+                                         (_STATE_DUAL, 100)],
                          ids=["constant", "state-dependent"])
-def test_closed_form_dual_drift_matches_plain_step_loop(spec):
+def test_closed_form_dual_drift_matches_plain_step_loop(spec, steps):
     cfg = PathConfig(n_paths=500, dt=0.01, t_end=1.0, seed=41)
     got = simulate_paths(spec, cfg, [0.6], stream_salt=3)
-    want = _reference_paths(spec, cfg, [0.6], salt=3)
+    want = _reference_paths(spec, replace(cfg, dt=cfg.t_end / steps), [0.6],
+                            salt=3)
     assert got.tobytes() == want.tobytes()
 
 
@@ -605,9 +672,9 @@ _FULL_A = np.array([[0.5, 0.2], [0.2, 0.3]])
 def test_constant_full_diffusion_factored_once_per_block(monkeypatch):
     calls = []
 
-    def counting_cholesky(m, lower):
+    def counting_cholesky(m):
         calls.append(m.shape)
-        return scipy.linalg.cholesky(m, lower=lower)
+        return np.linalg.cholesky(m)
 
     monkeypatch.setattr(monte_carlo, "cholesky", counting_cholesky)
     spec = ProcessSpec(dim=2, diffusion=lambda x: _FULL_A)
