@@ -14,8 +14,8 @@ drift and diffusion per axis, the jump channels as displacements.  A
 separable jump part is dualized axis by axis, each axis by the 1-D
 Siegmund dual on all its channels (in 1-D too): the Pareto F is
 (x) F_k and the generator (+) Q_k, so F Q' F^-1 is
-(+) F_k Q_k' F_k^-1.  Only a d >= 2 density kernel's dual is the
-conjugation F Q' F^-1 itself (`ParetoDualJumpKernelND`).
+(+) F_k Q_k' F_k^-1.  A d >= 2 jump part that is not atomic (a density
+or stable-like kernel) has no closed-form dual (NotSeparable).
 `check_self_dual` compares a process with that dual: its drift and face
 come from the one helper both call (`_dual_drift_and_face`), with the
 same refusals, and a constant-rate atomic jump part is compared channel
@@ -67,16 +67,13 @@ __all__ = [
 # probe counts of the admissibility checks: each verdict depends on them
 _DIFFUSION_PROBES = 100     # closed_form_dual, dual_lightcone_diffusion
 _JUMP_1D_PROBES = 40        # dual_jump_1d
-_JUMP_ND_PROBES = 60        # dual_jump_multidim
 _HALF_LINE_PROBES = 60      # closed_form_dual, assumption A on the half line
 _SELF_DUAL_PROBES = 100     # check_self_dual
 _SELF_DUAL_TOL = 1e-10      # check_self_dual: largest drift or jump gap
 _DECREASE_PAIRS = 50        # z-pairs per probe y of a monotonicity check
-# quadrature nodes of density kernels: the 1-D tail rates over a fixed
-# box, the d-D mixed rates per axis of the probe box
+# quadrature nodes of a density kernel's 1-D tail rates, over a fixed box
 _TAIL_QUAD_BOX = (-30.0, 30.0)
 _TAIL_QUAD_N = 2000
-_ND_QUAD_N = 41
 
 
 @dataclass(frozen=True)
@@ -266,9 +263,9 @@ def _atomic_tails(kernel: AtomicJumpKernel) -> JumpTails1D:
 
 def _density_tails(kernel: DensityJumpKernel) -> JumpTails1D:
     """Tails of a density kernel by quadrature on _TAIL_QUAD_N nodes."""
-    dnu = kernel.derivs.get((0,))
+    dnu = kernel.deriv
     if dnu is None:
-        raise MissingDerivative("density kernel needs derivs[(0,)] = dnu/dz")
+        raise MissingDerivative("density kernel needs deriv = dnu/dz")
     w = np.linspace(*_TAIL_QUAD_BOX, _TAIL_QUAD_N)
     dw = w[1] - w[0]
 
@@ -383,10 +380,10 @@ class ParetoDualJumpKernelND:
 
     Its generator rows are the conjugation F Q' F^-1 of the base kernel's
     generator rows Q by the Pareto survival transform: the matrix oracle
-    itself, not a closed form.  `closed_form_dual` builds one only for a
-    d >= 2 density kernel; a separable kernel's dual is per axis.  The
-    rows are used in full: the dual has a genuine death term, so its
-    diagonal is not minus the off-diagonal sum on a truncated grid.
+    itself, not a closed form.  Only `dual_jump_multidim` builds one;
+    `closed_form_dual` dualizes a separable kernel per axis.  The rows
+    are used in full: the dual has a genuine death term, so its diagonal
+    is not minus the off-diagonal sum on a truncated grid.
     """
 
     base: GridJumpKernel
@@ -396,87 +393,33 @@ class ParetoDualJumpKernelND:
             self.base.generator_matrix(grid))
 
 
-def _proper_subsets(d: int):
-    from itertools import combinations
-    for k in range(1, d):
-        yield from combinations(range(d), k)
+def dual_jump_multidim(nu: SeparableJumpKernel, dim: int,
+                       box=None) -> DualReport:
+    """Pareto dual of the separable jump kernel of a dim-dimensional
+    process; admissible iff every per-axis total rate is nonincreasing on
+    101 points of its side of the box.  The dual has the process's
+    dimension, and its rows are the conjugation F Q' F^-1
+    (`ParetoDualJumpKernelND`).
 
-
-def dual_jump_multidim(nu: SeparableJumpKernel | DensityJumpKernel,
-                       dim: int, box=None) -> DualReport:
-    """Pareto dual of the jump kernel of a dim-dimensional process, with
-    supplied mixed z-derivatives; admissible iff the sign conditions hold
-    at probes.  The dual has the process's dimension, and its rows are
-    the conjugation F Q' F^-1 (`ParetoDualJumpKernelND`).  A density
-    kernel declares the mixed derivative density of every nonempty set of
-    axes (MissingDerivative names the first one missing).
-
-    The separable branch's rule, "every per-axis total rate
-    nonincreasing", is not Siegmund's: it is the reverse of
-    `dual_jump_1d`'s and of the conjugation's sign, admitting +1 at rate
-    2 - tanh z and refusing 2 + tanh z.  `closed_form_dual` dualizes a
-    separable part per axis instead; the branch stays for acceptance
-    criterion 2's frozen N-D family, which calls it."""
+    That rule is not Siegmund's: it is the reverse of `dual_jump_1d`'s
+    and of the conjugation's sign, admitting +1 at rate 2 - tanh z and
+    refusing 2 + tanh z.  `closed_form_dual` dualizes a separable part
+    per axis instead; this builder stays for acceptance criterion 2's
+    frozen N-D family, which calls it."""
+    nu.check_axes(dim)
+    if box is None:
+        box = [(-4.0, 4.0)] * dim
     violated = []
-    if isinstance(nu, SeparableJumpKernel):
-        nu.check_axes(dim)
-        if box is None:
-            box = [(-4.0, 4.0)] * dim
-        # separable kernels: the order-d condition is void; admissibility
-        # reduces to every per-axis total rate being nonincreasing
-        for axis, comp in nu.components:
-            lo, hi = box[axis]
-            grid_z = np.linspace(lo, hi, 101)
-            rates = comp.total_rate(grid_z[:, None])
-            diffs = np.diff(rates)
-            if np.any(diffs > 1e-10):
-                k = int(np.argmax(diffs))
-                violated.append((f"rate_decreasing_axis_{axis}",
-                                 (float(grid_z[k]), float(grid_z[k + 1])),
-                                 float(diffs[k])))
-    elif isinstance(nu, DensityJumpKernel):
-        if box is None:
-            box = [(-4.0, 4.0)] * dim
-        full = tuple(range(dim))
-        if full not in nu.derivs:
-            raise MissingDerivative(f"derivs[{full}] (order-d mixed) required")
-        w_axes = [np.linspace(lo, hi, _ND_QUAD_N) for lo, hi in box]
-        mesh = np.meshgrid(*w_axes, indexing="ij")
-        W = np.stack([m.ravel() for m in mesh], axis=-1)
-        dw = float(np.prod([ax[1] - ax[0] for ax in w_axes]))
-        # the quadrature covers the box, so the probes keep to its middle
-        inner = _middle_half(box)
-        probes = probe_points(inner, _JUMP_ND_PROBES)
-        for I in _proper_subsets(dim):
-            if I not in nu.derivs:
-                raise MissingDerivative(f"derivs[{I}] required")
-            dI = nu.derivs[I]
-            for z in probes:
-                val = float(np.sum(dI(z, W)) * dw)
-                if val > 1e-8:
-                    violated.append((f"mixed_rate_nonpositive_{I}",
-                                     tuple(z), val))
-                    break
-        dfull = nu.derivs[full]
-        pair_probes = probe_points(inner + inner, _JUMP_ND_PROBES)
-        for p in pair_probes:
-            z, y = p[:dim], p[dim:]
-            z_ge_y = bool(np.all(z >= y))
-            vals = np.asarray(dfull(z, W), dtype=float).ravel()
-            w_ge_y = np.all(W >= y - 1e-12, axis=-1)
-            if not z_ge_y:
-                v = float(np.sum(vals[w_ge_y]) * dw)
-                if v < -1e-8:
-                    violated.append(("interior_sign_upper", tuple(z) + tuple(y), v))
-                    break
-            else:
-                v = float(np.sum(vals[~w_ge_y]) * dw)
-                if v > 1e-8:
-                    violated.append(("interior_sign_lower", tuple(z) + tuple(y), v))
-                    break
-    else:
-        raise NotSeparable(
-            f"unsupported multidim kernel type {type(nu).__name__}")
+    for axis, comp in nu.components:
+        lo, hi = box[axis]
+        grid_z = np.linspace(lo, hi, 101)
+        rates = comp.total_rate(grid_z[:, None])
+        diffs = np.diff(rates)
+        if np.any(diffs > 1e-10):
+            k = int(np.argmax(diffs))
+            violated.append((f"rate_decreasing_axis_{axis}",
+                             (float(grid_z[k]), float(grid_z[k + 1])),
+                             float(diffs[k])))
     dual = None if violated else ProcessSpec(
         dim=dim, jump=ParetoDualJumpKernelND(base=nu))
     return DualReport(dual_spec=dual, violated_conditions=tuple(violated),
@@ -551,7 +494,9 @@ def _dual_drift_and_face(spec: ProcessSpec):
     it stays.  Raises what keeps a spec from having a closed-form dual: a
     generic drift (NotSeparable) or diffusion (StructureViolation), a
     diffusion_diag without its derivatives (MissingDerivative), a half
-    line in d >= 2 or a jump part absorbed at 0 (NotSeparable)."""
+    line in d >= 2, a jump part absorbed at 0, or a d >= 2 jump part
+    that is not atomic, such as a density or stable-like kernel
+    (NotSeparable)."""
     d = spec.dim
     if spec.drift is not None:
         raise NotSeparable("drift must be declared separable (b_j = b_j(x_j))")
@@ -567,6 +512,10 @@ def _dual_drift_and_face(spec: ProcessSpec):
     absorbed = spec.boundary == "absorb"
     if absorbed and spec.jump is not None:
         raise NotSeparable("no closed-form dual of a jump part absorbed at 0")
+    if d > 1 and spec.jump is not None and not isinstance(
+            spec.jump, (AtomicJumpKernel, SeparableJumpKernel)):
+        raise NotSeparable(f"no closed-form dual of a {d}-D "
+                           f"{type(spec.jump).__name__} jump part")
     drift = tuple(map(_dual_drift, spec.diffusion_diag_deriv or (None,) * d,
                       spec.drift_components or (None,) * d))
     boundary = ("reflect" if absorbed else "absorb") if half \
@@ -582,10 +531,11 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
     matrix, drift a'_jj - b_j with b as declared, and the dual of the
     jump part: `dual_jump_1d` in 1-D, on all the channels of a separable
     part's components (`_axis_kernel`) when the part is separable; in
-    d >= 2, on a separable part (`separable_jumps`), `dual_jump_1d` per
-    axis on all of that axis's channels, a SeparableJumpKernel of
-    SiegmundDualJumpKernel1D with violated conditions named
-    axis_<k>:<condition>, and on a density kernel `dual_jump_multidim`.
+    d >= 2, on an atomic or separable part (`separable_jumps`),
+    `dual_jump_1d` per axis on all of that axis's channels, a
+    SeparableJumpKernel of SiegmundDualJumpKernel1D with violated
+    conditions named axis_<k>:<condition>; any other d >= 2 jump part
+    has no closed form (NotSeparable, from `_dual_drift_and_face`).
     The drift must be declared per axis and the diffusion by
     diffusion_diag with its derivatives, PSD at the probes.
     On the half line the face swaps: a forward process reflected at 0
@@ -622,10 +572,8 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
         if d == 1:
             jrep = dual_jump_1d(nu, "at_zero" if half else "none",
                                 (0.0, hi) if half else (lo, hi))
-        elif isinstance(nu, SeparableJumpKernel):
-            jrep = _separable_dual(nu, d, (lo, hi))
         else:
-            jrep = dual_jump_multidim(nu, d)
+            jrep = _separable_dual(nu, d, (lo, hi))
         violated.extend(jrep.violated_conditions)
         jump = jrep.dual_spec.jump if jrep.admissible else None
     notes = "closed-form dual" + (f", {boundary}ed at 0" if half else "")
@@ -673,9 +621,9 @@ def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0)):
     a'_jj - b_j (`_dual_drift_and_face`, with the refusals of
     `closed_form_dual`) must be b_j, so b_j - a'_jj/2 = 0 on every axis
     at d-D probes of the box ("drift_condition", the probe, a float in
-    1-D, and the value); a density jump part must satisfy
-    dnu/dy(y, z) + dnu/dz(z, y) = 0 ("jump_condition", the pair); and
-    an atomic one, whose channels are (c, r) and dualize to (-c, r)
+    1-D, and the value); a density jump part, 1-D as every d >= 2 one is
+    refused there, must satisfy dnu/dy(y, z) + dnu/dz(z, y) = 0
+    ("jump_condition", the pair); and an atomic one, whose channels are (c, r) and dualize to (-c, r)
     (`_constant_rates`, which refuses state-dependent rates), must have
     the same rate at c as at -c on every axis ("jump_condition", c, a
     float in 1-D and (axis, c) in d-D, and the rate at c less the rate
@@ -697,9 +645,9 @@ def check_self_dual(spec: ProcessSpec, box=(-3.0, 3.0)):
         return False, ("drift_condition", p[0] if spec.dim == 1 else p,
                        float(gap[i, j]))
     if isinstance(spec.jump, DensityJumpKernel):
-        dnu = spec.jump.derivs.get((0,))
+        dnu = spec.jump.deriv
         if dnu is None:
-            raise MissingDerivative("density kernel needs derivs[(0,)]")
+            raise MissingDerivative("density kernel needs deriv = dnu/dz")
         for y, z in probe_points([box, box], _SELF_DUAL_PROBES):
             if abs(y - z) < 1e-6:
                 continue

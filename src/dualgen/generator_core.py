@@ -44,7 +44,7 @@ in `QMatrix.generators`, each the 1-D discretization of its axis.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -251,12 +251,13 @@ class DensityJumpKernel:
     """Jump kernel with a Lebesgue density nu(x, w).
 
     density(x, W) is vectorized over an (m, d) array of targets W.
-    derivs maps sorted axis tuples I to the mixed derivative densities
-    d^{|I|} nu / dz_I, supplied analytically.
+    deriv(x, W), supplied analytically, is the 1-D dnu/dz that the
+    closed-form dual reads; a d >= 2 density kernel has no closed-form
+    dual, only generator rows.
     """
 
     density: Callable
-    derivs: dict = field(default_factory=dict)
+    deriv: Optional[Callable] = None
 
     def generator_matrix(self, grid: Grid) -> np.ndarray:
         """Midpoint quadrature: the density at each grid point times the

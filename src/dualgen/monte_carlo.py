@@ -10,12 +10,11 @@ paths in place, in buffers allocated once per block.  The drift of a
 step is `ProcessSpec.drift_at` over all paths, the same evaluator
 `discretize` uses, so both tracks see the drift as declared.
 A coefficient parsed from an expression without variables is evaluated
-once per block instead of once per step; where every coefficient is
-such a constant, an absorbed path's coefficients are set to 0 when it is
-absorbed, so it costs no extra work on later steps.  Where, besides,
-the law at t does not depend on the step size (free space, reflection
-without a drift across the boundary, absorption with the Brownian-bridge
-crossing test), the paths take one step of t instead of t / dt steps.
+once per block instead of once per step.  Where every coefficient is
+such a constant and the law at t does not depend on the step size (free
+space, reflection without a drift across the boundary, absorption with
+the Brownian-bridge crossing test), the paths take one step of t
+instead of t / dt steps.
 The module loads no scipy; the thread pool is imported on use, as only a
 run of more than one worker builds it.
 """
@@ -306,12 +305,10 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
     A drift or diagonal diffusion component parsed from an expression
     without variables is evaluated once per block: sigma_j = sqrt(2 a_jj)
     and b_j dt are then per-path arrays, and a drift of 0 adds nothing.
-    When every coefficient is constant, an absorbed path's entries of
-    both arrays are set to 0 once, so its increment is exactly 0 on every
-    later step.  Otherwise the increments of absorbed paths are
-    overwritten with 0 on each step.  The new state goes into the
-    increment buffer and the two buffers swap, so the bridge test reads
-    the state before the step without a copy."""
+    The increments of absorbed paths are overwritten with 0 on each step.
+    The new state goes into the increment buffer and the two buffers
+    swap, so the bridge test reads the state before the step without a
+    copy."""
     rng = _block_rng(cfg.seed, salt, block)
     x = out
     m = len(x)
@@ -366,11 +363,7 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
         disp = np.array([w for w, _ in thinning.jumps], dtype=float)
     alive = None
     if absorbing:
-        # frozen: absorbed paths have sigma = b dt = 0, so every increment
-        # of theirs is exactly 0; else `dead` lists them for the overwrite
-        frozen = stable is None and not drift_step and not varying \
-            and (diagonal or not spec.has_diffusion())
-        dead = None if frozen else np.empty(0, dtype=np.intp)
+        dead = np.empty(0, dtype=np.intp)     # the absorbed paths
         alive = np.ones(m, dtype=bool)
         u = np.empty(m)
         hit = np.empty(m, dtype=bool)
@@ -380,12 +373,7 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
             nonlocal dead
             x[new] = 0.0
             alive[new] = False
-            if frozen:
-                for coef in (sig, bdt):
-                    if coef is not None:
-                        coef[new] = 0.0
-            else:
-                dead = np.concatenate([dead, new])
+            dead = np.concatenate([dead, new])
 
         absorb(x, np.flatnonzero(x[:, 0] <= 0.0))
 
@@ -433,7 +421,7 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
                 rng.random(out=row)
             _thin(thinning, cfg, x, dx, u_thin, alive, disp)
 
-        if absorbing and not frozen:
+        if absorbing:
             # an absorbed path stays at 0.0; its increment is overwritten,
             # not multiplied by 0, because a coefficient singular at the
             # boundary makes it inf and inf * 0 is NaN

@@ -325,8 +325,8 @@ def _build_jump_density(cfg: dict, dim: int):
         raise SchemaError("jump_density supports dim = 1 only "
                           "(at /process/jump_density)")
     density = _source_target(cfg["density"])
-    derivs = {(0,): _source_target(cfg["deriv"])} if "deriv" in cfg else {}
-    return DensityJumpKernel(density=density, derivs=derivs)
+    deriv = _source_target(cfg["deriv"]) if "deriv" in cfg else None
+    return DensityJumpKernel(density=density, deriv=deriv)
 
 
 def _build_process(proc: dict) -> ProcessSpec:

@@ -17,7 +17,12 @@ from scipy.stats import norm
 from dualgen import matrix_lab, scenario
 from dualgen.cli import main
 from dualgen.dual_builder import SiegmundDualJumpKernel1D, closed_form_dual
-from dualgen.errors import CFLWarning, ExpressionParseError, SchemaError
+from dualgen.errors import (
+    CFLWarning,
+    ExpressionParseError,
+    NotSeparable,
+    SchemaError,
+)
 from dualgen.generator_core import discretize
 from dualgen.matrix_lab import action_mismatch, dual_generator_via_F
 from dualgen.scenario import emit_plot_data, load_scenario, run_scenario
@@ -751,6 +756,27 @@ def test_cli_exit_two_on_verify_matrix_of_a_simulation_only_kernel(
     assert "StableLikeKernel jump part has no generator rows" in err[0]
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["dual", "self-dual-check"])
+def test_cli_exit_two_on_the_closed_form_dual_of_a_2d_stable_kernel(
+        tmp_path, capsys, mode):
+    # a d >= 2 jump part that is not atomic has no closed-form dual; the
+    # self-duality check raised StructureViolation on it
+    doc = {
+        "name": "stable-2d", "mode": mode,
+        "process": {"dim": 2, "stable": {"alpha": 1.5, "amplitude": "1"}},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main([mode, _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "StableLikeKernel" in err[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out" / "report.json").exists()
+    with pytest.raises(NotSeparable, match="StableLikeKernel"):
+        run_scenario(load_scenario(doc))
 
 
 def _verify_2d(cone):

@@ -534,7 +534,7 @@ def _gauss_density_1d(center, deriv_sign):
     def d0(x, W):
         return deriv_sign * 8.0 * (np.atleast_2d(W)[:, 0] - center(x[0])) \
             * dens(x, W)
-    return DensityJumpKernel(density=dens, derivs={(0,): d0})
+    return DensityJumpKernel(density=dens, deriv=d0)
 
 
 def test_density_jump_dual_1d_admissibility():
@@ -554,38 +554,6 @@ def test_density_jump_dual_1d_admissibility():
     assert [v[0] for v in rep.violated_conditions] == [
         "tail_at_minus_inf", "tail_at_plus_inf", "up_tail_monotone",
         "lt_tail_monotone"]
-
-
-def _gauss_density_2d(rate, rate_d):
-    """rate(z_0) exp(-8 |w - z|^2) with its mixed z-derivatives."""
-    def g(x, W):
-        u = np.atleast_2d(W) - x
-        return np.exp(-8.0 * np.sum(u * u, axis=-1))
-
-    def u(x, W, k):
-        return np.atleast_2d(W)[:, k] - x[k]
-    return DensityJumpKernel(
-        density=lambda x, W: rate(x[0]) * g(x, W),
-        derivs={
-            (0,): lambda x, W: (rate_d(x[0]) + rate(x[0]) * 16.0 * u(x, W, 0))
-            * g(x, W),
-            (1,): lambda x, W: rate(x[0]) * 16.0 * u(x, W, 1) * g(x, W),
-            (0, 1): lambda x, W: (rate_d(x[0]) + rate(x[0]) * 16.0
-                                  * u(x, W, 0)) * 16.0 * u(x, W, 1) * g(x, W),
-        })
-
-
-def test_density_jump_dual_multidim_admissibility():
-    # translation invariant: every mixed rate integrates to zero
-    rep = dual_jump_multidim(_gauss_density_2d(lambda z: 1.0, lambda z: 0.0),
-                             2)
-    assert rep.admissible and rep.dual_spec.dim == 2
-    # a rate that grows with z_0 breaks the first-order sign condition
-    rep = dual_jump_multidim(_gauss_density_2d(
-        lambda z: 1.0 + 0.5 * np.tanh(z), lambda z: 0.5 / np.cosh(z) ** 2), 2)
-    assert not rep.admissible
-    assert [v[0] for v in rep.violated_conditions] == [
-        "mixed_rate_nonpositive_(0,)"]
 
 
 def test_full_1d_half_line_assumption_violations():
@@ -672,7 +640,7 @@ def test_check_self_dual_jump_symmetry():
             -(np.atleast_2d(W)[:, 0] - x[0] - shift) ** 2)
         deriv = lambda x, W: 2.0 * (np.atleast_2d(W)[:, 0] - x[0] - shift) \
             * np.exp(-(np.atleast_2d(W)[:, 0] - x[0] - shift) ** 2)
-        nu = DensityJumpKernel(density=density, derivs={(0,): deriv})
+        nu = DensityJumpKernel(density=density, deriv=deriv)
         return ProcessSpec.one_dim(a=_const(1.0), da=_const(0.0), nu=nu)
     flag, _ = check_self_dual(make(0.0))
     assert flag
@@ -808,6 +776,23 @@ def test_closed_form_dual_refuses_a_multidim_half_line():
                        domain="half_line", boundary="reflect")
     with pytest.raises(NotSeparable, match="2-D process on the half line"):
         closed_form_dual(spec)
+
+
+def test_a_2d_density_jump_part_has_no_closed_form_dual():
+    # check_self_dual read this kernel at 1-entry states, as if it were
+    # 1-D, and returned a scalar witness; closed_form_dual, given every
+    # mixed derivative, returned the conjugation F Q' F^-1 as its dual
+    def density(x, W):
+        u = np.atleast_2d(W) - x - (1.0, 0.0)
+        return np.exp(-np.sum(u * u, axis=-1))
+
+    def deriv(x, W):
+        return 2.0 * (np.atleast_2d(W)[:, 0] - x[0] - 1.0) * density(x, W)
+    spec = ProcessSpec(dim=2, jump=DensityJumpKernel(density=density,
+                                                     deriv=deriv))
+    for build in (check_self_dual, closed_form_dual):
+        with pytest.raises(NotSeparable, match="2-D DensityJumpKernel"):
+            build(spec)
 
 
 class _PerStateCall(Exception):

@@ -5,12 +5,13 @@ Invariants are raised errors, never `assert` statements, so they survive
 module imports scipy at its top level, so `import dualgen` loads none of
 it, nor any of scipy's underscore-prefixed modules or names, which are
 not its public API, nor scipy.linalg's `expm`; no dual is built by the
-conjugation F Q' F^-1 outside matrix_lab and the density kernel's N-D
-dual; no move on a grid is folded at a face outside `map_targets`; no
+conjugation F Q' F^-1 outside matrix_lab and `ParetoDualJumpKernelND`;
+no move on a grid is folded at a face outside `map_targets`; no
 scenario runner refuses a document, which `load_scenario` does; no
 function parameter or dataclass field has a default that only the unit
-tests override; and no public function or class is named only by its
-own definition and the unit tests.
+tests override; no public function or class is named only by its own
+definition and the unit tests; and no module imports a name it never
+reads.
 """
 
 import ast
@@ -147,8 +148,8 @@ def test_no_scipy_expm_import(path):
 
 
 # F Q' F^-1 is the oracle every closed-form dual is checked against: only
-# matrix_lab, and the d >= 2 density kernel's dual, which has no closed
-# form and is that conjugation, may call it
+# matrix_lab, and `dual_jump_multidim`'s kernel, which acceptance
+# criterion 2 compares with that conjugation, may call it
 CONJUGATION_ALLOWED = {"ParetoDualJumpKernelND.generator_matrix"}
 
 
@@ -500,3 +501,49 @@ def test_every_public_definition_is_used():
     assert sorted(set(orphans) - set(UNUSED_ALLOWED)) == []
     # an allowed name that is used again leaves the list
     assert sorted(orphans) == sorted(UNUSED_ALLOWED)
+
+
+# every name a package module imports is read in that module: an import
+# nothing reads is a dependency nobody needs.  `__future__` imports and
+# __init__'s re-exports are not reads.
+# 'module: name' -> why it stays with no read
+IMPORTS_ALLOWED = {
+    "scenario.py: duality_indicator_matrix":
+        "bench/spans.py wraps it by this module's name (ROADMAP item 5)"}
+
+
+def _unused_imports(tree) -> list:
+    """Every name the module imports, other than from `__future__`, that
+    no `ast.Name` in the module reads."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            unused.extend(name for name in (
+                a.asname or a.name.split(".")[0] for a in node.names)
+                if name not in read)
+    return unused
+
+
+def test_unused_import_rule_flags_a_name_no_code_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import os.path\nimport numpy as np\n"
+                    "from dataclasses import dataclass, field\n"
+                    "from typing import Optional\n\n"
+                    "@dataclass\nclass A:\n    x: Optional[int] = None\n\n"
+                    "def f():\n    return np.zeros(os.sep)\n")
+    assert _unused_imports(ast.parse(path.read_text())) == ["field"]
+    path.write_text("def f():\n    import numpy\n    return 'numpy'\n")
+    assert _unused_imports(ast.parse(path.read_text())) == ["numpy"]
+
+
+def test_every_import_is_read():
+    unused = [f"{path.name}: {name}" for path in MODULES
+              if path.name != "__init__.py"
+              for name in _unused_imports(ast.parse(path.read_text()))]
+    assert sorted(set(unused) - set(IMPORTS_ALLOWED)) == []
+    # an allowed import that is read again leaves the list
+    assert sorted(unused) == sorted(IMPORTS_ALLOWED)
