@@ -14,8 +14,8 @@ drift and diffusion per axis, the jump channels as displacements.  A
 separable jump part is dualized axis by axis, each axis by the 1-D
 Siegmund dual on all its channels (in 1-D too): the Pareto F is
 (x) F_k and the generator (+) Q_k, so F Q' F^-1 is
-(+) F_k Q_k' F_k^-1.  A d >= 2 jump part that is not atomic (a density
-or stable-like kernel) has no closed-form dual (NotSeparable).
+(+) F_k Q_k' F_k^-1.  A jump part neither atomic nor separable (a
+stable-like kernel, a d >= 2 density) has no closed form (NotSeparable).
 `check_self_dual` compares a process with that dual: its drift and face
 come from the one helper both call (`_dual_drift_and_face`), with the
 same refusals, and a constant-rate atomic jump part is compared channel
@@ -494,9 +494,9 @@ def _dual_drift_and_face(spec: ProcessSpec):
     it stays.  Raises what keeps a spec from having a closed-form dual: a
     generic drift (NotSeparable) or diffusion (StructureViolation), a
     diffusion_diag without its derivatives (MissingDerivative), a half
-    line in d >= 2, a jump part absorbed at 0, or a d >= 2 jump part
-    that is not atomic, such as a density or stable-like kernel
-    (NotSeparable)."""
+    line in d >= 2, a jump part absorbed at 0, or, in any dimension, a
+    jump part that is neither atomic nor separable, such as a
+    stable-like kernel, other than a 1-D density kernel (NotSeparable)."""
     d = spec.dim
     if spec.drift is not None:
         raise NotSeparable("drift must be declared separable (b_j = b_j(x_j))")
@@ -512,8 +512,9 @@ def _dual_drift_and_face(spec: ProcessSpec):
     absorbed = spec.boundary == "absorb"
     if absorbed and spec.jump is not None:
         raise NotSeparable("no closed-form dual of a jump part absorbed at 0")
-    if d > 1 and spec.jump is not None and not isinstance(
-            spec.jump, (AtomicJumpKernel, SeparableJumpKernel)):
+    if spec.jump is not None and not isinstance(
+            spec.jump, (AtomicJumpKernel, SeparableJumpKernel)) \
+            and not (d == 1 and isinstance(spec.jump, DensityJumpKernel)):
         raise NotSeparable(f"no closed-form dual of a {d}-D "
                            f"{type(spec.jump).__name__} jump part")
     drift = tuple(map(_dual_drift, spec.diffusion_diag_deriv or (None,) * d,
@@ -534,8 +535,8 @@ def closed_form_dual(spec: ProcessSpec, box=None) -> DualReport:
     d >= 2, on an atomic or separable part (`separable_jumps`),
     `dual_jump_1d` per axis on all of that axis's channels, a
     SeparableJumpKernel of SiegmundDualJumpKernel1D with violated
-    conditions named axis_<k>:<condition>; any other d >= 2 jump part
-    has no closed form (NotSeparable, from `_dual_drift_and_face`).
+    conditions named axis_<k>:<condition>; any other part but a 1-D
+    density has no closed form (NotSeparable, `_dual_drift_and_face`).
     The drift must be declared per axis and the diffusion by
     diffusion_diag with its derivatives, PSD at the probes.
     On the half line the face swaps: a forward process reflected at 0

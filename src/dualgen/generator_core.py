@@ -37,8 +37,8 @@ state-by-state loop would, so Q is the same to the bit.  NaN or inf
 coefficients raise NonFiniteCoefficient instead of vanishing from the
 stencil.  Separability is decided here, from the spec: when it declares
 per-axis coefficients, separable jumps and no absorbing face, Q is the
-Kronecker sum of per-axis generators, and `discretize` hands them over
-in `QMatrix.generators`, each the 1-D discretization of its axis.
+Kronecker sum of per-axis generators, and `discretize` hands over only
+those, in `QMatrix.generators`, each the 1-D discretization of its axis.
 """
 
 from __future__ import annotations
@@ -298,16 +298,23 @@ class SeparableJumpKernel:
                     f"a jump component on axis {axis} of a {dim}-D state")
 
     def generator_matrix(self, grid: Grid) -> np.ndarray:
-        """The Kronecker sum of the components' rows: component k's 1-D
-        rows G on its axis's grid, added on every grid line along the
-        axis, by index arithmetic (no n x n Kronecker factors)."""
-        Q = np.zeros((grid.n_points, grid.n_points))
-        flat = np.arange(grid.n_points).reshape(grid.shape)
-        for axis, kern in self.components:
-            G = kern.generator_matrix(grid.axis(axis))
-            line = np.moveaxis(flat, axis, -1)[..., None]
-            Q[line, np.swapaxes(line, -1, -2)] += G
-        return Q
+        """The Kronecker sum of the components' 1-D rows on their axes."""
+        return _kronecker_sum(grid.shape, (
+            (axis, kern.generator_matrix(grid.axis(axis)))
+            for axis, kern in self.components))
+
+
+def _kronecker_sum(shape: tuple, terms) -> np.ndarray:
+    """The n x n Kronecker sum on a grid of `shape`, the one builder of
+    one: each (axis, G) of `terms` adds G on every grid line along the
+    axis, by index arithmetic (no n x n Kronecker factors)."""
+    n = int(np.prod(shape))
+    Q = np.zeros((n, n))
+    flat = np.arange(n).reshape(shape)
+    for axis, G in terms:
+        line = np.moveaxis(flat, axis, -1)[..., None]
+        Q[line, np.swapaxes(line, -1, -2)] += G
+    return Q
 
 
 def separable_jumps(jump):
@@ -493,38 +500,55 @@ class ProcessSpec:
 # ---------------------------------------------------------------------------
 # Q-matrices
 
-@dataclass(frozen=True)
+class _Entries:
+    """`QMatrix.entries`: Q as given, else the generators' sum."""
+
+    def __get__(self, q, owner):
+        if q is None:
+            return None                 # the field's default
+        if vars(q)["entries"] is None:
+            vars(q)["entries"] = _kronecker_sum(q.state_grid.shape,
+                                                enumerate(q.generators))
+        return vars(q)["entries"]
+
+    def __set__(self, q, Q):
+        vars(q)["entries"] = Q
+
+
+@dataclass(frozen=True, kw_only=True)
 class QMatrix:
-    """Finite-state generator on the points of a grid: `entries` is
-    n x n, n the grid's number of points.
+    """Finite-state generator on the points of a grid, given as one of
+    `entries`, Q itself (n x n, n the grid's number of points), and
+    `generators`, its terms Q_k of a Kronecker sum on the grid axes.
+    Given Q, `generators` is (Q,); given the Q_k, `entries` is their sum,
+    formed only when read, so the two never disagree.  Both raise
+    TypeError, and entries or terms of a wrong shape DimensionMismatch."""
 
-    `generators` are the terms of Q as a Kronecker sum
-    Q = Q_0 (+) ... (+) Q_{m-1}: one square term per grid axis, of that
-    axis's length, when `discretize` finds the spec separable, else the
-    one n x n term `entries` (the default).  Terms of any other shape
-    raise DimensionMismatch, as `entries` not n x n does."""
-
-    entries: np.ndarray
+    entries: np.ndarray = _Entries()
     state_grid: Grid
     generators: tuple = ()
 
     def __post_init__(self):
         n = self.state_grid.n_points
-        if np.shape(self.entries) != (n, n):
-            raise DimensionMismatch(
-                f"entries of shape {np.shape(self.entries)} on a grid of "
-                f"{n} points")
-        if not self.generators:
-            object.__setattr__(self, "generators", (self.entries,))
+        given = vars(self)["entries"]
+        if given is not None:
+            if self.generators:
+                raise TypeError("a QMatrix takes its entries or its "
+                                "generators, one of the two")
+            if np.shape(given) != (n, n):
+                raise DimensionMismatch(
+                    f"entries of shape {np.shape(given)} on a grid of "
+                    f"{n} points")
+            object.__setattr__(self, "generators", (given,))
         shapes = [np.shape(G) for G in self.generators]
-        if shapes not in ([(n, n)], [(m, m) for m in self.state_grid.shape]):
+        if given is None and shapes != [(m, m) for m in self.state_grid.shape]:
             raise DimensionMismatch(
                 f"generators of shapes {shapes} on a grid of shape "
                 f"{self.state_grid.shape}")
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.state_grid.n_points
 
 
 @dataclass(frozen=True)
@@ -569,7 +593,8 @@ def _axis_generators(spec: ProcessSpec, grid: Grid) -> tuple:
     diffusion (diffusion_diag, no diffusion_offdiag) or none, no generic
     drift or diffusion callable, no absorbing face, and a jump part that
     is absent or separable (`separable_jumps`).  An axis with no
-    coefficient and no channel gets the zero generator."""
+    coefficient and no channel gets the zero generator.  A NaN or inf
+    jump rate gives (), for the d-D assembly to name its state."""
     d = grid.dim
     try:
         jump = separable_jumps(spec.jump)
@@ -584,12 +609,14 @@ def _axis_generators(spec: ProcessSpec, grid: Grid) -> tuple:
     a = spec.diffusion_diag or (None,) * d
     parts = getattr(jump, "components", ())
     with warnings.catch_warnings():
-        # the d-D assembly has raised each warning once
-        warnings.simplefilter("ignore")
-        return tuple(discretize(ProcessSpec.one_dim(
-            a=a[k], b=b[k], nu=SeparableJumpKernel(tuple(
-                (0, kern) for axis, kern in parts if axis == k))),
-            grid.axis(k)).entries for k in range(d))
+        warnings.simplefilter("ignore")     # raised in d-D by `discretize`
+        try:
+            return tuple(discretize(ProcessSpec.one_dim(
+                a=a[k], b=b[k], nu=SeparableJumpKernel(tuple(
+                    (0, kern) for axis, kern in parts if axis == k))),
+                grid.axis(k)).entries for k in range(d))
+        except NonFiniteCoefficient:
+            return ()
 
 
 def _check_half_line_face(spec: ProcessSpec, grid: Grid) -> None:
@@ -609,17 +636,15 @@ def discretize(spec: ProcessSpec, grid: Grid) -> QMatrix:
     plus the jump kernel's own generator rows (`generator_matrix`);
     boundary rows follow the grid's per-axis boundary policy.  Drift and
     diffusion come from one `drift_at` and one `diffusion_at` call over
-    the live states; each stencil move is then written for all states at
-    once, in the same order per entry as a state-by-state loop, so Q does
-    not depend on how the assembly is batched; a half-line spec fixes the
-    axis-0 lower face (`_check_half_line_face`).  The QMatrix carries Q's terms as a
-    Kronecker sum (`_axis_generators`): the d per-axis generators when
-    the spec declares them, else Q alone.  Raises Overflow on a grid of
-    more than MAX_STATES points before anything is allocated,
-    NonFiniteCoefficient on a NaN or inf drift, diffusion or jump rate,
-    and UnsupportedScheme on a jump part with no generator rows (a
-    simulation-only kernel); each from the d-D assembly, before any
-    per-axis one.
+    the live states; a half-line spec fixes the axis-0 lower face
+    (`_check_half_line_face`).  Q has one assembly: the per-axis
+    generators of a declared Kronecker sum (`_axis_generators`), with no
+    n x n array, else Q, each stencil move written for all states at
+    once in the order of a state-by-state loop.  Raises Overflow on a grid of more than MAX_STATES points
+    before anything is allocated, NonFiniteCoefficient on a NaN or inf
+    drift, diffusion or jump rate, and UnsupportedScheme on a jump part
+    with no generator rows (a simulation-only kernel); each error and
+    warning once, at the d-D state a state-by-state loop meets first.
     """
     if spec.dim != grid.dim:
         raise DimensionMismatch("spec and grid dimensions differ")
@@ -633,7 +658,6 @@ def discretize(spec: ProcessSpec, grid: Grid) -> QMatrix:
             f"a {type(jump).__name__} jump part has no generator rows on a "
             f"grid; it can only be simulated")
     n_states = grid.n_points
-    Q = np.zeros((n_states, n_states))
     live = np.flatnonzero(~_absorbing_mask(grid))
     h = grid.spacing
     pts = grid.points()
@@ -647,29 +671,11 @@ def discretize(spec: ProcessSpec, grid: Grid) -> QMatrix:
         A = spec.diffusion_at(X)
         _require_finite(A, "diffusion a", live, pts)
 
+    generators = _axis_generators(spec, grid)
     G = None
-    if jump is not None:
+    if jump is not None and not generators:
         G = jump.generator_matrix(grid)
         _require_finite(G[live], "jump rate", live, pts)
-
-    Qf = Q.reshape(-1)
-    diag = np.zeros(len(live))
-
-    E = np.eye(d, dtype=int)
-
-    def to(step):
-        """Where each live state lands after a move of `step` cells (one
-        step for all, or one per state): its displaced point, placed by
-        `map_targets`."""
-        return map_targets(grid, X + step * h)
-
-    def add(sel, target, rate):
-        """Move `rate` from each live state where `sel` holds to `target`:
-        -1 kills the mass (truncate_mass), the state itself is no move."""
-        moved = sel & (target != live)
-        to_grid = moved & (target >= 0)
-        Qf[live[to_grid] * n_states + target[to_grid]] += rate[to_grid]
-        diag[moved] -= rate[moved]
 
     if A is not None:
         a_diag = np.diagonal(A, axis1=1, axis2=2)
@@ -692,6 +698,30 @@ def discretize(spec: ProcessSpec, grid: Grid) -> QMatrix:
             if len(cfl) and first_cfl >= first_clip:
                 warnings.warn(cfl_message, CFLWarning)
 
+    if generators:
+        return QMatrix(state_grid=grid, generators=generators)
+
+    Q = np.zeros((n_states, n_states))
+    Qf = Q.reshape(-1)
+    diag = np.zeros(len(live))
+
+    E = np.eye(d, dtype=int)
+
+    def to(step):
+        """Where each live state lands after a move of `step` cells (one
+        step for all, or one per state): its displaced point, placed by
+        `map_targets`."""
+        return map_targets(grid, X + step * h)
+
+    def add(sel, target, rate):
+        """Move `rate` from each live state where `sel` holds to `target`:
+        -1 kills the mass (truncate_mass), the state itself is no move."""
+        moved = sel & (target != live)
+        to_grid = moved & (target >= 0)
+        Qf[live[to_grid] * n_states + target[to_grid]] += rate[to_grid]
+        diag[moved] -= rate[moved]
+
+    if A is not None:
         for ax in range(d):
             r = diag_rates[:, ax] / h[ax] ** 2
             for step in (+1, -1):
@@ -713,8 +743,7 @@ def discretize(spec: ProcessSpec, grid: Grid) -> QMatrix:
     if G is not None:
         Q[live] += G[live]
 
-    return QMatrix(entries=Q, state_grid=grid,
-                   generators=_axis_generators(spec, grid))
+    return QMatrix(entries=Q, state_grid=grid)
 
 
 def validate_qmatrix(q: QMatrix, conservative: bool = True) -> ValidationReport:

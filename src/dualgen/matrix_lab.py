@@ -15,7 +15,7 @@ Q comes with its terms as a Kronecker sum Q_0 (+) ... (+) Q_{m-1},
 assembles on the grid axes when the spec declares per-axis coefficients
 on faces that reflect or truncate, and the one generator Q otherwise.
 Then exp(tQ) = (x) exp(tQ_k) (Van Loan, J. Comput. Appl. Math. 123,
-2000).
+2000); `semigroup` reads the terms alone.
 `semigroup` takes all of a run's probe times in one call; a time whose
 step from the previous one is itself an earlier time is the product
 T(s) T(u) = T(s + u).  Every snapshot is checked against a separate
@@ -28,10 +28,8 @@ with no cancellation.  Its domain is a sub-Markov generator, which every
 sum past 1 by more than 1 / (lambda_k t) is refused.  The chain is carried
 from one time to the next on a few fixed probe vectors: each factor
 exp(tQ_k) on probes of its own length n_k against a chain on Q_k, at
-O(nnz(Q_k) (lambda_k t + sqrt(lambda_k t))) work, and the generators
-tied to Q once per call by one sparse matvec,
-Q V = sum_k (I (x) Q_k (x) I) V.  So with d factors no chain runs on an
-n-row array.  The Pareto F is the Kronecker product
+O(nnz(Q_k) (lambda_k t + sqrt(lambda_k t))) work.  So with d factors no
+chain runs on an n-row array.  The Pareto F is the Kronecker product
 F_0 (x) ... (x) F_{d-1} of 1-D suffix sums, so with one factor per axis
 the dual is factored too, T^D = (x) F_k T_k' F_k^-1;
 `SurvivalTransform.split` pairs each factor with its transform, or
@@ -84,9 +82,6 @@ _CHECK_PROBES = 2
 # a normal float
 _POISSON_MEAN_CAP = 500.0
 _UNIT_ROUNDOFF = 2.0 ** -53
-# largest entry of |Q V - (Q_0 (+) ... (+) Q_{m-1}) V| on the tie's probe
-# columns V, relative to ||Q||_inf, at which the generators are Q's
-_TIE_TOL = 1e-12
 
 
 # Higham (2005), Table 2.3: the largest ||A||_1 at which the [m/m] Pade
@@ -159,7 +154,8 @@ class SemigroupSnapshot:
     factor per grid axis when Q is a Kronecker sum of per-axis
     generators, one n x n factor otherwise.  `.T` multiplies the factors
     out on access, an n x n array that verify-matrix never reads on a
-    factored snapshot.  `semigroup` also records ||tQ||_inf as `norm` and
+    factored snapshot.  `semigroup` also records t sum_k ||Q_k||_inf,
+    which bounds ||tQ||_inf, as `norm` and
     the probe-vector check's largest error over the factors as
     `check_error`; they stay None on a snapshot built another way (for
     example the dual's).
@@ -315,15 +311,6 @@ def _csr(Q):
                       shape=Q.shape)
 
 
-def _kron_sum_apply(gens, V) -> np.ndarray:
-    """(Q_0 (+) ... (+) Q_{m-1}) V = sum_k (I (x) Q_k (x) I) V, each
-    generator applied along its axis of V's rows reshaped to the
-    generator sizes."""
-    v = V.reshape(tuple(len(G) for G in gens) + V.shape[1:])
-    return sum(np.moveaxis(np.tensordot(G, v, axes=(1, k)), 0, k)
-               for k, G in enumerate(gens)).reshape(V.shape)
-
-
 def _uniformized_chain(A, V, steps) -> list:
     """[W_1, ..., W_m] with W_0 = V and W_k = exp(d_k A) W_{k-1} for the
     steps d_k >= 0: the action of the exponential by uniformization
@@ -386,17 +373,14 @@ def semigroup(q: QMatrix, t):
     probe vectors.
 
     A scalar t gives one `SemigroupSnapshot`; a sequence of times gives a
-    tuple with one snapshot per time, in the order given.  The work is
-    done once per call, not once per time: Q's sparse form, its norm
-    ||Q||_inf (||tQ||_inf = t ||Q||_inf, capped at `_EXPM_NORM_LIMIT` for
-    every time) and the tie of its generators to Q.  A snapshot holds
-    the factors expm(tQ_k) of T = expm(tQ_0) (x) ... (x) expm(tQ_{m-1}),
-    Q_k the terms `q.generators` as given: d of them, sum n_k^3 work
-    instead of n^3, where `discretize` found the spec separable (per-axis
-    coefficients on reflect or truncate_mass faces), and the one factor
-    expm(tQ) on every other grid, 1-D ones included.  Each fresh factor
-    is this module's `expm`: Pade scaling and squaring (Higham 2005) on
-    numpy's BLAS.
+    tuple with one snapshot per time, in the order given.  Once per call,
+    each term Q_k of `q.generators` is made sparse, and t sum_k ||Q_k||_inf
+    (a bound on ||tQ||_inf) is capped at `_EXPM_NORM_LIMIT`.  A snapshot
+    holds the factors expm(tQ_k) of T = (x) expm(tQ_k): d of them,
+    sum n_k^3 work instead of n^3, where `discretize` found the spec
+    separable, and the one factor expm(tQ) on every other grid;
+    `q.entries` is never read.  Each fresh factor is this module's
+    `expm`: Pade scaling and squaring (Higham 2005) on numpy's BLAS.
 
     The times are taken in increasing order t_1 < ... < t_m, with steps
     d_k = t_k - t_{k-1} (t_0 = 0).  When d_k is exactly an earlier time,
@@ -407,25 +391,16 @@ def semigroup(q: QMatrix, t):
     once ||d_k Q||_1 takes `expm`'s degree-13 path.
 
     Every snapshot is checked against an independent algorithm, factor
-    by factor: T_j(t_k) V_j is compared with `_uniformized_chain` on Q_j
-    along the steps d_1, ..., d_k (the sparse Q itself when there is one
-    factor), on `_CHECK_PROBES` fixed random columns V_j of length n_j
-    with entries in [-1, 1], to 1e-10 of max(1, ||T_j||_inf).  With d
-    factors the generators are tied to Q once per call: Q V and
-    (Q_0 (+) ... (+) Q_{d-1}) V, applied in the factors' axis order on
-    n-row probe columns, agree to `_TIE_TOL` ||Q||_inf, at O(nnz(Q))
-    cost.  This is the check that the d-D assembly of Q and the per-axis
-    assemblies of its generators agree.  The checks share no step with Pade
-    scaling and squaring, the factorization or the products, so an error
-    in any of them shows: a wrong, transposed or stale factor in its own
-    check, a misordered or altered generator in the tie.  expm(tQ / 2)
-    squared would repeat expm's own arithmetic and could not.  The
-    chain's domain is a sub-Markov generator Q_j (it raises Overflow once
-    lambda_j t_m (||I + Q_j / lambda_j||_inf - 1) > 1, lambda_j the
-    largest |diagonal entry| of Q_j), and its work is
-    O(sum_j nnz(Q_j) (lambda_j t_m + sqrt(lambda_j t_m))), on arrays of
-    the factors' lengths; expm's grows only with the logarithm of the
-    norm.  `check_error` records the largest error over the factors.
+    by factor: T_j(t_k) V_j is compared with `_uniformized_chain` on the
+    sparse Q_j along the steps d_1, ..., d_k, on `_CHECK_PROBES` fixed
+    random columns V_j of length n_j with entries in [-1, 1], to 1e-10
+    of max(1, ||T_j||_inf).  It shares no step with Pade scaling and
+    squaring or the products, so a wrong, transposed or stale factor
+    fails it; expm(tQ / 2) squared would not.  The chain's domain (a
+    sub-Markov Q_j, else Overflow) and its work are `_uniformized_chain`'s,
+    on arrays of the factors' lengths; expm's grows only with the
+    logarithm of the norm.  `check_error` records the largest error over
+    the factors.
     """
     one = np.ndim(t) == 0
     times = [float(s) for s in np.atleast_1d(t)]
@@ -434,28 +409,22 @@ def semigroup(q: QMatrix, t):
     if q.n > MAX_STATES:
         raise Overflow(f"{q.n} states exceeds the dense cap of {MAX_STATES}")
 
-    Qs = _csr(q.entries)
-    q_norm = float(abs(Qs).sum(axis=1).max()) if q.n else 0.0
+    gens = q.generators
+    sparse = [_csr(G) for G in gens]
+    q_norm = sum(float(abs(S).sum(axis=1).max()) for S in sparse)
     chain = sorted(set(times))
     for s in chain:
         # written as `not <=` so that a NaN fails the comparison too
         if not s * q_norm <= _EXPM_NORM_LIMIT:
             raise Overflow(f"||tQ|| = {s * q_norm:.3g} too large; use "
                            "smaller t or a coarser grid")
-    gens = q.generators
     rng = np.random.default_rng(0)
-    if len(gens) > 1:
-        U = rng.uniform(-1.0, 1.0, size=(q.n, _CHECK_PROBES))
-        tie = float(np.abs(Qs @ U - _kron_sum_apply(gens, U)).max())
-        if not tie <= _TIE_TOL * q_norm:
-            raise Overflow(f"matrix exponential self-check failed: Q is "
-                           f"not the Kronecker sum of its factors: {tie:.3g}")
     probes = [rng.uniform(-1.0, 1.0, size=(len(G), _CHECK_PROBES))
               for G in gens]
     starts = [0.0] + chain[:-1]
     steps = [s - prev for prev, s in zip(starts, chain)]
-    checks = [_uniformized_chain(Qs if len(gens) == 1 else G, V, steps)
-              for G, V in zip(gens, probes)]
+    checks = [_uniformized_chain(S, V, steps)
+              for S, V in zip(sparse, probes)]
     snaps = {}
     for i, (prev, s, step) in enumerate(zip(starts, chain, steps)):
         if step in snaps:

@@ -758,14 +758,16 @@ def test_cli_exit_two_on_verify_matrix_of_a_simulation_only_kernel(
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-@pytest.mark.parametrize("mode", ["dual", "self-dual-check"])
+@pytest.mark.parametrize("mode,dim", [
+    ("dual", 2), ("self-dual-check", 2), ("dual", 1), ("self-dual-check", 1)],
+    ids=["dual", "self-dual-check", "dual-1d", "self-dual-check-1d"])
 def test_cli_exit_two_on_the_closed_form_dual_of_a_2d_stable_kernel(
-        tmp_path, capsys, mode):
-    # a d >= 2 jump part that is not atomic has no closed-form dual; the
-    # self-duality check raised StructureViolation on it
+        tmp_path, capsys, mode, dim):
+    # a stable-like jump part has no closed-form dual in any dimension;
+    # in 1-D the two modes once failed with two other errors
     doc = {
-        "name": "stable-2d", "mode": mode,
-        "process": {"dim": 2, "stable": {"alpha": 1.5, "amplitude": "1"}},
+        "name": f"stable-{dim}d", "mode": mode,
+        "process": {"dim": dim, "stable": {"alpha": 1.5, "amplitude": "1"}},
         "output_dir": str(tmp_path / "out"),
     }
     assert main([mode, _write(tmp_path, doc)]) == 2
@@ -775,7 +777,8 @@ def test_cli_exit_two_on_the_closed_form_dual_of_a_2d_stable_kernel(
     assert "StableLikeKernel" in err[0]
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out" / "report.json").exists()
-    with pytest.raises(NotSeparable, match="StableLikeKernel"):
+    with pytest.raises(NotSeparable, match=f"no closed-form dual of a "
+                       f"{dim}-D StableLikeKernel"):
         run_scenario(load_scenario(doc))
 
 

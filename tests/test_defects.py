@@ -17,6 +17,7 @@ import test_acceptance
 import test_cli_reports
 import test_dual_builder
 import test_generator_core
+import test_matrix_lab
 import test_monte_carlo
 from dualgen import dual_builder, generator_core, monte_carlo, state_space
 
@@ -136,6 +137,33 @@ def _stable_amplitude_scaled(rng, alpha_half, size):
         rng, alpha_half, size)
 
 
+_axis_generators = generator_core._axis_generators
+
+
+def _axis_generators_reversed(spec, grid):
+    """`_axis_generators` with its generators in reversed axis order:
+    the generator of axis d-1-k's coefficients handed over as axis k's,
+    assembled on axis k's length, since a bare reversal of the tuple on
+    axes of different lengths is refused by QMatrix's shape check."""
+    if spec.drift_components is None or spec.diffusion_diag is None:
+        return _axis_generators(spec, grid)
+    return _axis_generators(replace(
+        spec, drift_components=spec.drift_components[::-1],
+        diffusion_diag=spec.diffusion_diag[::-1]), grid)
+
+
+def _axis_generators_shifted(spec, grid):
+    """`_axis_generators` with one rate of the second axis moved by
+    1e-6 ||Q||, its diagonal entry moved with it, so the term is still a
+    generator and its own semigroup check passes."""
+    gens = [G.copy() for G in _axis_generators(spec, grid)]
+    if len(gens) > 1:
+        delta = 1e-6 * sum(np.abs(G).sum(axis=1).max() for G in gens)
+        gens[1][2, 3] += delta
+        gens[1][2, 2] -= delta
+    return tuple(gens)
+
+
 # (defect, (module, name, the defect's stand-in), (test module, test, args))
 DEFECTS = [
     ("separable_dual_by_dual_jump_multidim",
@@ -177,6 +205,15 @@ DEFECTS = [
      (test_generator_core,
       "test_separable_rows_are_the_kronecker_sum_of_the_axis_rows",
       ("reflect",))),
+    # 9 x 11 points, each axis with its own drift and diffusion
+    ("axis_generators_in_reversed_order",
+     (generator_core, "_axis_generators", _axis_generators_reversed),
+     (test_matrix_lab, "test_discretize_hands_over_the_per_axis_generators",
+      ("2d-reflect",))),
+    ("axis_generator_rate_shifted",
+     (generator_core, "_axis_generators", _axis_generators_shifted),
+     (test_matrix_lab, "test_discretize_hands_over_the_per_axis_generators",
+      ("2d-reflect",))),
     ("one_step_without_bridge_test",
      (monte_carlo, "_one_step_exact", _one_step_without_bridge_test),
      (test_monte_carlo,

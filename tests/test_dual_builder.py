@@ -713,8 +713,15 @@ def test_check_self_dual_refuses_an_atomic_part_it_cannot_compare():
         with pytest.raises(NotSeparable, match="jump channel 0 is not a "
                            "move of one axis at a numeric rate"):
             check_self_dual(spec)
-    # a dual's own jump part, whose rates come from the tails
+    # a dual's own jump part, whose rates come from the tails: in 1-D it
+    # is refused with every part that is neither atomic nor separable, as
+    # `closed_form_dual` refuses it; in 2-D its per-axis components are
     dual = closed_form_dual(ProcessSpec.one_dim(nu=_walk(1.0, 1.0)))
+    with pytest.raises(NotSeparable, match="no closed-form dual of a 1-D "
+                       "SiegmundDualJumpKernel1D jump part"):
+        check_self_dual(dual.dual_spec)
+    dual = closed_form_dual(ProcessSpec(dim=2, jump=AtomicJumpKernel(jumps=(
+        ((1.0, 0.0), 1.0), ((-1.0, 0.0), 1.0)))))
     with pytest.raises(StructureViolation, match="no self-duality check for "
                        "a SiegmundDualJumpKernel1D jump part"):
         check_self_dual(dual.dual_spec)

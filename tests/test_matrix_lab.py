@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_matrix
 
-from dualgen import matrix_lab
+from dualgen import generator_core, matrix_lab
 from dualgen.errors import CFLWarning, DimensionMismatch, Overflow
 from dualgen.generator_core import (
     AtomicJumpKernel,
@@ -36,6 +37,7 @@ from dualgen.state_space import (
     duality_indicator_matrix,
     lightcone_2d,
 )
+from test_generator_core import _discretize_loop
 
 
 def _const(v):
@@ -241,21 +243,12 @@ def test_semigroup_check_catches_wrong_kronecker_factors(monkeypatch):
     with pytest.raises(Overflow, match="self-check failed"):
         semigroup(q, 0.5)
     assert calls == [(9, 9), (11, 11)]
-    # the right factors in the wrong axis order, on a square grid where
-    # the reversed generators still have the axes' lengths
-    monkeypatch.setattr(matrix_lab, "expm", scipy.linalg.expm)
-    q, grid = _bench_case(6)
-    reversed_q = QMatrix(entries=q.entries, state_grid=grid,
-                         generators=q.generators[::-1])
-    with pytest.raises(Overflow, match="self-check failed"):
-        semigroup(reversed_q, 0.5)
 
 
 def test_semigroup_separability_test_scales_with_the_norm(monkeypatch):
-    # the benchmark's 2-D diffusion at t = 500: ||tQ|| is about 5e4, and
-    # the tie of the generators to Q is measured against ||Q||, so it is
-    # the same at every t.  The factors stay finite: none grows like
-    # exp(t |Q[0, 0]|) while another decays like its inverse.
+    # the benchmark's 2-D diffusion at t = 500: ||tQ|| is about 5e4.  The
+    # factors stay finite: none grows like exp(t |Q[0, 0]|) while another
+    # decays like its inverse.
     q, grid = _bench_case(6)
     calls = _counting_expm(monkeypatch)
     T = semigroup(q, 500.0).T
@@ -263,12 +256,6 @@ def test_semigroup_separability_test_scales_with_the_norm(monkeypatch):
     want = scipy.linalg.expm(500.0 * q.entries)
     assert np.abs(T - want).max() <= \
         1e-13 * max(1.0, np.abs(want).sum(axis=1).max())
-    # a generator 1000 times as fast: its tie rounds at 1000 times the
-    # level, still small against its norm
-    fast = QMatrix(entries=1000.0 * q.entries, state_grid=grid,
-                   generators=tuple(1000.0 * G for G in q.generators))
-    semigroup(fast, 0.05)
-    assert calls[2:] == [(m, m) for m in grid.shape]
 
 
 _DIFFUSION_2D = {"dim": 2, "drift": ["-0.3*x1", "0.2 - 0.3*x2"],
@@ -363,8 +350,7 @@ def test_factored_check_flags_a_separable_non_monotone_chain(monkeypatch):
     Q0 = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0]])
     Q1 = _birth_death(5, 0.7, 0.4)
     g = build_grid([0.0, 0.0], [2.0, 4.0], [1.0, 1.0], "reflect")
-    q = QMatrix(entries=np.kron(Q0, np.eye(5)) + np.kron(np.eye(3), Q1),
-                state_grid=g, generators=(Q0, Q1))
+    q = QMatrix(state_grid=g, generators=(Q0, Q1))
     op = SurvivalTransform(g, Cone.pareto(2))
     calls = _counting_expm(monkeypatch)
     T = semigroup(q, 0.5)
@@ -384,12 +370,12 @@ def test_factored_check_flags_a_separable_non_monotone_chain(monkeypatch):
 
 def test_factored_verify_builds_no_n_by_n_array(tmp_path, monkeypatch):
     s = _bench_2d(32)                       # 1024 states
-    q = discretize(s.process, s.grid)
-    n = q.n
+    n = s.grid.n_points
     op = SurvivalTransform(s.grid, Cone.pareto(2))
-    semigroup(q, 0.5)                       # scipy's first-call caches
+    semigroup(discretize(s.process, s.grid), 0.5)   # scipy's first-call caches
     tracemalloc.start()
     try:
+        q = discretize(s.process, s.grid)
         T = semigroup(q, 0.5)
         TD = dual_semigroup_via_F(T, op)
         duality_residual(T, TD, op)
@@ -397,7 +383,7 @@ def test_factored_verify_builds_no_n_by_n_array(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * n * n * 8
+    assert peak <= n * n * 8
 
     product = matrix_lab.SemigroupSnapshot.T.fget
 
@@ -409,6 +395,22 @@ def test_factored_verify_builds_no_n_by_n_array(tmp_path, monkeypatch):
     monkeypatch.setattr(matrix_lab.SemigroupSnapshot, "T", property(guarded))
     with pytest.raises(RuntimeError, match="multiplied out"):
         semigroup(q, 0.5).T
+    entries = vars(QMatrix)["entries"]
+
+    class Unread:
+        """`QMatrix.entries` refusing to form a Kronecker sum."""
+
+        def __get__(self, q, owner):
+            if q is not None and len(q.generators) > 1:
+                raise RuntimeError("a separable Q was assembled")
+            return entries.__get__(q, owner)
+
+        def __set__(self, q, Q):
+            entries.__set__(q, Q)
+
+    monkeypatch.setattr(QMatrix, "entries", Unread())
+    with pytest.raises(RuntimeError, match="separable Q was assembled"):
+        discretize(s.process, s.grid).entries
     report = run_scenario(s, out_dir=str(tmp_path))
     assert report["pass"] and report["results"]["stochasticity"]["pass"]
 
@@ -567,10 +569,10 @@ _TAYLOR_CASES = {
 @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
 def test_taylor_chain_agrees_with_expm_multiply(name, steps, sparse):
     Q = _TAYLOR_CASES[name]()
-    A = matrix_lab._csr(Q) if sparse else Q
+    A = csr_matrix(Q) if sparse else Q
     V = np.random.default_rng(3).uniform(-1.0, 1.0, size=(len(Q), 2))
     got = matrix_lab._uniformized_chain(A, V, steps)
-    want = _expm_multiply_chain(matrix_lab._csr(Q), V, steps)
+    want = _expm_multiply_chain(csr_matrix(Q), V, steps)
     assert len(got) == len(steps)
     for W, R in zip(got, want):
         assert np.abs(W - R).max() <= \
@@ -579,7 +581,7 @@ def test_taylor_chain_agrees_with_expm_multiply(name, steps, sparse):
 
 def test_taylor_chain_of_the_zero_generator_is_the_identity():
     V = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 2))
-    for A in (np.zeros((5, 5)), matrix_lab._csr(np.zeros((5, 5)))):
+    for A in (np.zeros((5, 5)), csr_matrix(np.zeros((5, 5)))):
         out = matrix_lab._uniformized_chain(A, V, (0.5, 2.0))
         assert len(out) == 2
         assert all(np.array_equal(W, V) for W in out)
@@ -615,7 +617,7 @@ def test_uniformized_chain_matvecs_on_the_bench_chain(monkeypatch):
     # truncated-Taylor action on a general matrix takes about 5 lambda d
     import scipy.sparse
     q = _bench_chain()
-    A = matrix_lab._csr(q.entries)
+    A = csr_matrix(q.entries)
     V = np.random.default_rng(0).uniform(-1.0, 1.0, size=(q.n, 2))
     calls = []
     matmul = scipy.sparse.csr_matrix.__matmul__
@@ -646,7 +648,7 @@ def test_uniformized_chain_refuses_a_matrix_that_is_not_sub_markov():
                   [1.0, -1.0, 0.0],
                   [0.0, 1.0, -1.0]])
     V = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 2))
-    for A in (Q, matrix_lab._csr(Q)):
+    for A in (Q, csr_matrix(Q)):
         with pytest.raises(Overflow, match="sub-Markov generator.* = 2 > 1"):
             matrix_lab._uniformized_chain(A, V, (0.25, 0.5))
         W, = matrix_lab._uniformized_chain(A, V, (0.25,))
@@ -681,23 +683,6 @@ def test_semigroup_check_on_a_separable_grid_runs_on_the_factors(
         want = scipy.linalg.expm(snap.t * q.entries)
         assert np.abs(snap.T - want).max() <= \
             1e-13 * max(1.0, np.abs(want).sum(axis=1).max())
-
-
-def test_semigroup_tie_catches_a_generator_that_is_not_q():
-    # one off-diagonal rate of the second axis moved by 1e-6 ||Q||, the
-    # diagonal moved with it, so the factor is still a generator and its
-    # own check (expm against the uniformized chain, both on the moved
-    # generator) passes; only the tie to Q sees it
-    spec, grid = _SEPARABLE_CASES["2d-reflect"]
-    q = discretize(spec, grid)
-    delta = 1e-6 * np.abs(q.entries).sum(axis=1).max()
-    gens = [G.copy() for G in q.generators]
-    gens[1][2, 3] += delta
-    gens[1][2, 2] -= delta
-    moved = QMatrix(entries=q.entries, state_grid=grid,
-                    generators=tuple(gens))
-    with pytest.raises(Overflow, match="self-check failed"):
-        semigroup(moved, (0.25, 0.5, 1.0))
 
 
 def test_snapshot_takes_factors_only():
@@ -847,32 +832,22 @@ _GENERATOR_CASES = {
 }
 
 
-def _grid_line(Q, shape, k):
-    """Q's block on the grid line of axis k through the first point."""
-    line = np.arange(shape[k]) * int(np.prod(shape[k + 1:]))
-    return Q[np.ix_(line, line)]
-
-
-def _kron_sum(gens):
-    """Q_0 (+) ... (+) Q_{d-1} as a sparse matrix."""
-    from scipy.sparse import identity, kron
-    sizes = [len(G) for G in gens]
-    return sum(kron(kron(identity(int(np.prod(sizes[:k]))), G),
-                    identity(int(np.prod(sizes[k + 1:]))))
-               for k, G in enumerate(gens))
-
-
 @pytest.mark.parametrize("name", sorted(_GENERATOR_CASES))
 def test_discretize_hands_over_the_per_axis_generators(name):
+    # the Kronecker sum of the generators against the state-by-state
+    # reference: off the diagonal to the bit, on it to rounding, as the
+    # sum adds the axes' diagonal entries in another order
     spec, grid = _GENERATOR_CASES[name]()
     q = discretize(spec, grid)
     assert [G.shape for G in q.generators] == [(m, m) for m in grid.shape]
-    for k, G in enumerate(q.generators):
-        off = ~np.eye(len(G), dtype=bool)
-        assert np.array_equal(G[off], _grid_line(q.entries, grid.shape,
-                                                 k)[off])
-    norm = np.abs(q.entries).sum(axis=1).max()
-    assert np.abs(_kron_sum(q.generators) - q.entries).max() <= 1e-12 * norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = _discretize_loop(spec, grid)
+    off = ~np.eye(q.n, dtype=bool)
+    assert np.array_equal(q.entries[off], want[off])
+    norm = np.abs(want).sum(axis=1).max()
+    assert np.abs(np.diagonal(q.entries) - np.diagonal(want)).max() \
+        <= 1e-12 * norm
 
 
 def test_an_axis_with_nothing_on_it_gets_the_zero_generator():
@@ -939,15 +914,20 @@ def test_a_spec_that_is_not_separable_has_one_generator(name):
 
 @pytest.mark.parametrize("shapes", [[(3, 3), (2, 2)], [(2, 2)], [(3, 3)],
                                     [(2, 3), (3, 3)], [(6, 6), (2, 2)],
-                                    [(2, 2), (3, 3), (1, 1)], [(5, 5)]])
+                                    [(2, 2), (3, 3), (1, 1)], [(5, 5)],
+                                    [(6, 6)]])
 def test_qmatrix_rejects_generators_of_the_wrong_shapes(shapes):
     g = build_grid([0.0, 0.0], [1.0, 2.0], [1.0, 1.0])    # 2 x 3 points
     with pytest.raises(DimensionMismatch, match="generators of shapes"):
-        QMatrix(entries=np.zeros((6, 6)), state_grid=g,
-                generators=tuple(np.zeros(s) for s in shapes))
-    for fine in ([(2, 2), (3, 3)], [(6, 6)]):
-        QMatrix(entries=np.zeros((6, 6)), state_grid=g,
-                generators=tuple(np.zeros(s) for s in fine))
+        QMatrix(state_grid=g, generators=tuple(np.zeros(s) for s in shapes))
+    q = QMatrix(state_grid=g, generators=(np.zeros((2, 2)), np.zeros((3, 3))))
+    assert q.entries.shape == (6, 6)
+    # Q and its generators are one matrix: it takes one of the two
+    with pytest.raises(TypeError, match="one of the two"):
+        QMatrix(state_grid=g, entries=np.zeros((6, 6)),
+                generators=(np.zeros((2, 2)), np.zeros((3, 3))))
+    with pytest.raises(DimensionMismatch, match=r"shapes \[\]"):
+        QMatrix(state_grid=g)
 
 
 def test_separable_spec_warns_cfl_once():

@@ -10,8 +10,9 @@ no move on a grid is folded at a face outside `map_targets`; no
 scenario runner refuses a document, which `load_scenario` does; no
 function parameter or dataclass field has a default that only the unit
 tests override; no public function or class is named only by its own
-definition and the unit tests; and no module imports a name it never
-reads.
+definition and the unit tests; no private top-level function, class or
+constant is read only by its own definition and the unit tests; and no
+module imports a name it never reads.
 """
 
 import ast
@@ -501,6 +502,69 @@ def test_every_public_definition_is_used():
     assert sorted(set(orphans) - set(UNUSED_ALLOWED)) == []
     # an allowed name that is used again leaves the list
     assert sorted(orphans) == sorted(UNUSED_ALLOWED)
+
+
+# every private top-level function, class or constant of the package is
+# read by package code outside its own definition: the unit tests do not
+# count, so a helper, a tolerance or a fast path that only tests reach is
+# code no run needs
+def _unread_private(root: Path) -> list:
+    """'module: name' of every top-level function, class or assigned
+    constant of a module under root/src whose name starts with one
+    underscore and that no code under root/src reads outside its own
+    definition, as a name or an attribute."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((root / "src").rglob("*.py"))}
+    defined = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", [getattr(node, "target",
+                                                            None)])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.extend((path, node, name) for name in names
+                           if name.startswith("_")
+                           and not name.startswith("__"))
+    found = []
+    for path, defn, name in defined:
+        read = any(
+            name in (getattr(n, "id", None), getattr(n, "attr", None))
+            and not isinstance(getattr(n, "ctx", None), ast.Store)
+            for tree in trees.values()
+            for top in tree.body if top is not defn
+            for n in ast.walk(top))
+        if not read:
+            found.append(f"{path.name}: {name}")
+    return found
+
+
+def test_unread_private_rule_flags_a_name_only_tests_read(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text(
+        "_TOL = 1e-12\n_USED = 2\n__all__ = []\n\n"
+        "def _recurse(n):\n    return _recurse(n - 1)\n\n"
+        "class _Spare:\n    pass\n\n"
+        "def _helper():\n    return _USED\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text(
+        "from . import a\n\ndef run():\n    return a._helper()\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "from pkg import a\na._TOL, a._Spare, a._recurse\n")
+    assert _unread_private(tmp_path) == [
+        "a.py: _TOL", "a.py: _recurse", "a.py: _Spare"]
+    (tmp_path / "src" / "pkg" / "b.py").write_text(
+        "from .a import _TOL, _Spare, _helper, _recurse\n\n"
+        "def run():\n    return _helper(), _Spare, _recurse(_TOL)\n")
+    assert _unread_private(tmp_path) == []
+
+
+def test_every_private_definition_is_read():
+    assert _unread_private(ROOT) == []
 
 
 # every name a package module imports is read in that module: an import
