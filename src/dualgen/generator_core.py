@@ -351,7 +351,9 @@ class ProcessSpec:
     and the derivatives diffusion_diag_deriv) it carries the separability
     information that the dual construction needs and is evaluated on
     whole coordinate columns; generically (drift, diffusion) it suffices
-    for discretization and simulation and is evaluated state by state.
+    to discretize and is evaluated state by state.  The simulator takes
+    a generic drift but only a diffusion_diag without diffusion_offdiag:
+    a generic or cross diffusion is discretized, not simulated.
 
     Checked when built, the one place that decides what a spec declares:
     a coefficient given both generically and per axis, and an

@@ -8,7 +8,11 @@ worker threads run the blocks.  The blocks run on every usable core by
 default; DUALGEN_THREADS lowers the count.  Each block advances its
 paths in place, in buffers allocated once per block.  The drift of a
 step is `ProcessSpec.drift_at` over all paths, the same evaluator
-`discretize` uses, so both tracks see the drift as declared.
+`discretize` uses, so both tracks see the drift as declared.  The
+noise of axis j is sqrt(2 a_jj) times a normal: a diffusion is
+simulated only as declared per axis (diffusion_diag), the one form a
+scenario can declare.  A generic or off-diagonal diffusion, which
+`discretize` still puts on a grid, is refused before any draw.
 A coefficient parsed from an expression without variables is evaluated
 once per block instead of once per step.  Where every coefficient is
 such a constant and the law at t does not depend on the step size (free
@@ -100,6 +104,9 @@ class PathConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0.5 < self.tail_truncation_quantile <= 1.0):
             raise ValueError("tail_truncation_quantile must be in (0.5, 1]")
+        if self.rate_bound is not None and not 0.0 < self.rate_bound < np.inf:
+            raise ValueError(f"rate_bound {self.rate_bound} is not a finite "
+                             f"positive number")
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,6 @@ class DualityEstimate:
     gap: float
     z_score: float
     n_paths: int
-    functional_descriptor: str
     truncation_level: Optional[float] = None
 
     def __post_init__(self):
@@ -137,12 +143,6 @@ class StableLikeKernel:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError("alpha must lie in (0, 2]")
-
-
-def cholesky(a):
-    """The lower Cholesky factor of a, by numpy.  A module attribute, so
-    the calls can be counted or replaced."""
-    return np.linalg.cholesky(a)
 
 
 def _block_rng(seed: int, salt: int, block: int) -> np.random.Generator:
@@ -184,15 +184,15 @@ def _sigma_into(spec: ProcessSpec, x: np.ndarray, sig: np.ndarray, axes):
     return a0
 
 
-def _require_constant_diffusion(spec: ProcessSpec, x: np.ndarray,
-                                a_block: np.ndarray):
-    """Raise UnsupportedScheme unless the full diffusion matrix at every
-    probed path is still a_block, the matrix the block factored."""
-    probes = x[:: max(1, len(x) // 7)]
-    if np.abs(spec.diffusion_at(probes) - a_block).max() > 1e-12:
-        raise UnsupportedScheme(
-            "state-dependent full diffusion matrices are not simulated; "
-            "declare diagonal structure or use a constant matrix")
+def _require_within_bound(total: np.ndarray, bound: float):
+    """Raise RateBoundExceeded at the first summed rate in total that is
+    above the thinning bound, or NaN: thinning drops the jumps of such a
+    rate without a trace.  Written as `not total <= bound` so that NaN
+    fails too."""
+    over = np.flatnonzero(~(total <= bound * (1 + 1e-12)))
+    if len(over):
+        raise RateBoundExceeded(
+            f"rate {total[over[0]]:.4g} exceeds bound {bound:.4g}")
 
 
 def _thin(jump: AtomicJumpKernel, cfg: PathConfig, x, dx, u, alive, disp):
@@ -211,10 +211,7 @@ def _thin(jump: AtomicJumpKernel, cfg: PathConfig, x, dx, u, alive, disp):
         return
     running = np.cumsum(jump.rates_at(x[cand]), axis=1)
     total = running[:, -1]
-    over = np.flatnonzero(total > cfg.rate_bound * (1 + 1e-12))
-    if len(over):
-        raise RateBoundExceeded(
-            f"rate {total[over[0]]:.4g} exceeds bound {cfg.rate_bound:.4g}")
+    _require_within_bound(total, cfg.rate_bound)
     acc = u_acc[cand] * cfg.rate_bound < total
     cand, running, total = cand[acc], running[acc], total[acc]
     chan = np.argmax((u_chan[cand] * total)[:, None] <= running, axis=1)
@@ -271,8 +268,7 @@ def _one_step_exact(spec: ProcessSpec, cfg: PathConfig, b) -> bool:
     chain has the law of the killed process at every h (Glasserman,
     Monte Carlo Methods in Financial Engineering, 2004)."""
     if cfg.scheme != "euler_maruyama" or spec.jump is not None \
-            or spec.drift is not None or spec.diffusion is not None \
-            or spec.diffusion_offdiag:
+            or spec.drift is not None:
         return False
     if not all(map(_constant, (*(spec.drift_components or ()),
                                *(spec.diffusion_diag or ())))):
@@ -302,9 +298,11 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
     line is absorbed at t = 0; it still draws, so the streams do not
     change.  Every buffer is allocated once per block.
 
-    A drift or diagonal diffusion component parsed from an expression
-    without variables is evaluated once per block: sigma_j = sqrt(2 a_jj)
-    and b_j dt are then per-path arrays, and a drift of 0 adds nothing.
+    The noise of axis j is sigma_j = sqrt(2 a_jj) times a normal; the
+    diffusion is diagonal, as _check_scheme admits no other.  A drift or
+    diffusion component parsed from an expression without variables is
+    evaluated once per block: sigma_j and b_j dt are then per-path
+    arrays, and a drift of 0 adds nothing.
     The increments of absorbed paths are overwritten with 0 on each step.
     The new state goes into the increment buffer and the two buffers
     swap, so the bridge test reads the state before the step without a
@@ -324,13 +322,6 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
     stable = spec.jump if cfg.scheme == "stable_euler" else None
     noisy = stable is not None or spec.has_diffusion()
     thinning = spec.jump if cfg.scheme == "euler_jump_thinning" else None
-    diagonal = spec.diffusion_diag is not None and not spec.diffusion_offdiag
-    # a full diffusion matrix is factored once, at the start state that
-    # every path of the block shares, and checked at every step, so its
-    # a_00 is the bridge test's for the whole block
-    a_block = None if diagonal else spec.diffusion_at(x[0])
-    if stable is None and spec.has_diffusion() and not diagonal:
-        chol_t = cholesky(2.0 * a_block).T
     # a spec has these boundaries on the half line only
     reflecting = spec.boundary == "reflect"
     absorbing = spec.boundary == "absorb"
@@ -348,8 +339,9 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
     noise_buf = np.empty_like(x) if noisy and (drift_step or bdt is not None) \
         else None
     sig = varying = None
-    a_prev = None if diagonal else a_block[0, 0]
-    if diagonal:
+    # the bridge test's a_00: 0 without a diffusion
+    a_prev = 0.0
+    if spec.diffusion_diag is not None:
         sig = np.empty_like(x)
         fixed = [j for j, ajj in enumerate(spec.diffusion_diag)
                  if _constant(ajj)]
@@ -400,16 +392,12 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
             noise *= ((amp * dt) ** (1.0 / stable.alpha))[:, None]
         elif noisy:
             rng.standard_normal(out=z)
-            if diagonal:
-                if varying:
-                    a0 = _sigma_into(spec, x, sig, varying)
-                    if a0 is not None:
-                        a_prev = a0
-                np.multiply(sig, z, out=noise)
-                noise *= np.sqrt(dt)
-            else:
-                _require_constant_diffusion(spec, x, a_block)
-                noise[...] = np.sqrt(dt) * z @ chol_t
+            if varying:
+                a0 = _sigma_into(spec, x, sig, varying)
+                if a0 is not None:
+                    a_prev = a0
+            np.multiply(sig, z, out=noise)
+            noise *= np.sqrt(dt)
         if noise is not dx:
             if bdt is None:
                 dx += noise
@@ -451,9 +439,16 @@ def _simulate_block(spec: ProcessSpec, cfg: PathConfig, out: np.ndarray,
             f"or inf; a coefficient is not finite where they went")
 
 
-def _check_scheme(spec: ProcessSpec, cfg: PathConfig):
+def _check_scheme(spec: ProcessSpec, cfg: PathConfig, x0: np.ndarray):
     """Raise UnsupportedScheme unless cfg.scheme simulates every part of
-    spec; a part the scheme skipped would bias the estimate silently."""
+    spec, and RateBoundExceeded where the thinning bound is below the
+    summed rate at the start state x0; a part the scheme skipped, or
+    jumps the bound thinned away, would bias the estimate silently.
+    Called before any random number is drawn."""
+    if spec.diffusion is not None or spec.diffusion_offdiag:
+        raise UnsupportedScheme(
+            "only a diffusion declared per axis (diffusion_diag) is "
+            "simulated; a generic or off-diagonal diffusion is not")
     jump = spec.jump
     if cfg.scheme == "euler_maruyama" and jump is not None:
         raise UnsupportedScheme(
@@ -467,6 +462,9 @@ def _check_scheme(spec: ProcessSpec, cfg: PathConfig):
             raise UnsupportedScheme(
                 f"euler_jump_thinning cannot simulate a "
                 f"{type(jump).__name__} jump part, only atomic jumps")
+        if jump is not None:
+            _require_within_bound(jump.rates_at(x0[None, :]).sum(axis=1),
+                                  cfg.rate_bound)
     if cfg.scheme == "stable_euler":
         if spec.has_diffusion():
             raise UnsupportedScheme("stable_euler excludes a diffusion part")
@@ -485,7 +483,7 @@ def simulate_paths(spec: ProcessSpec, cfg: PathConfig, x0,
     terminal state is NaN or inf.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    _check_scheme(spec, cfg)
+    _check_scheme(spec, cfg, x0)
     b0 = spec.drift_at(x0)
     if spec.has_diffusion():
         a0 = np.diag(spec.diffusion_at(x0))
@@ -556,8 +554,8 @@ def estimate_duality(specX: ProcessSpec, specY: ProcessSpec, f_descriptor,
     if dual_report is not None and dual_report.dual_spec is not specY:
         raise InadmissibleDual(
             "the DualReport is for another dual than specY")
-    _check_scheme(specX, run)
-    _check_scheme(specY, run)
+    _check_scheme(specX, run, x)
+    _check_scheme(specY, run, y)
     xs = simulate_paths(specX, run, x, stream_salt=_LHS_SALT)
     ys = simulate_paths(specY, run, y, stream_salt=_RHS_SALT)
 
@@ -566,7 +564,6 @@ def estimate_duality(specX: ProcessSpec, specY: ProcessSpec, f_descriptor,
         cone: Cone = f_descriptor[1]
         lhs_vals = cone_contains_many(cone, xs - y).astype(float)
         rhs_vals = cone_contains_many(cone, x - ys).astype(float)
-        label = "cone"
     elif isinstance(f_descriptor, TranslationKernel):
         lhs_vals = _kernel_values(f_descriptor, xs - y)
         rhs_vals = _kernel_values(f_descriptor, x - ys)
@@ -577,7 +574,6 @@ def estimate_duality(specX: ProcessSpec, specY: ProcessSpec, f_descriptor,
                            -trunc, trunc)
         rhs_vals = np.clip(np.nan_to_num(rhs_vals, posinf=trunc, neginf=-trunc),
                            -trunc, trunc)
-        label = f_descriptor.kind
     else:
         raise ValueError("f_descriptor must be ('cone', Cone) or a "
                          "TranslationKernel")
@@ -590,7 +586,7 @@ def estimate_duality(specX: ProcessSpec, specY: ProcessSpec, f_descriptor,
     return DualityEstimate(
         lhs_mean=lhs_mean, lhs_se=lhs_se, rhs_mean=rhs_mean, rhs_se=rhs_se,
         gap=gap, z_score=float(z), n_paths=cfg.n_paths,
-        functional_descriptor=label, truncation_level=trunc)
+        truncation_level=trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +594,8 @@ def estimate_duality(specX: ProcessSpec, specY: ProcessSpec, f_descriptor,
 
 @dataclass(frozen=True)
 class RegularizedDistribution:
-    x_grid: np.ndarray
     cdf: np.ndarray                 # extrapolated values at the boundary
     ladder_cdfs: np.ndarray         # (n_levels, n_x) raw ladder values
-    epsilons: np.ndarray
     rate: str                       # 'exact' | observed contraction factor
 
 
@@ -632,9 +626,8 @@ def regularized_boundary_distribution(
 
     diffs = np.abs(np.diff(cdfs, axis=0)).max(axis=1)
     if np.all(diffs <= noise):
-        return RegularizedDistribution(
-            x_grid=x_grid, cdf=cdfs[-1], ladder_cdfs=cdfs, epsilons=eps,
-            rate="exact")
+        return RegularizedDistribution(cdf=cdfs[-1], ladder_cdfs=cdfs,
+                                       rate="exact")
     ratios = diffs[1:] / np.maximum(diffs[:-1], 1e-300)
     meaningful = diffs[:-1] > noise
     if np.any(meaningful & (ratios > 1.0 / 1.3)):
@@ -647,5 +640,5 @@ def regularized_boundary_distribution(
     last_step = cdfs[-1] - cdfs[-2]
     extr = cdfs[-1] + last_step * r / (1.0 - r)
     return RegularizedDistribution(
-        x_grid=x_grid, cdf=np.clip(extr, 0.0, 1.0), ladder_cdfs=cdfs,
-        epsilons=eps, rate=f"{1.0 / max(r, 1e-300):.3g}")
+        cdf=np.clip(extr, 0.0, 1.0), ladder_cdfs=cdfs,
+        rate=f"{1.0 / max(r, 1e-300):.3g}")

@@ -162,7 +162,6 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "n_paths": {"type": "integer", "minimum": 100},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
-                "t_end": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer", "minimum": 0},
                 "scheme": {"enum": ["euler_maruyama", "euler_jump_thinning",
                                     "stable_euler"]},
@@ -402,19 +401,33 @@ _PAIRS = {"dual": (True, False), "verify-matrix": (False, False),
           "mc": (True, True), "self-dual-check": (True, False)}
 
 
+def _refuse_constant(token: str):
+    raise SchemaError(f"not valid JSON: {token} is not a JSON number "
+                      f"(RFC 8259)")
+
+
 def read_scenario(path: Union[str, Path]):
-    """The JSON document of a scenario file, not yet validated."""
+    """The JSON document of a scenario file, not yet validated.  It is
+    RFC 8259 JSON: the NaN and Infinity tokens that `json.load` takes by
+    default raise SchemaError."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
 
 
 def load_scenario(source: Union[str, Path, dict]) -> Scenario:
-    """Parse and fully validate a scenario file (or pre-parsed document)."""
-    data = read_scenario(source) if isinstance(source, (str, Path)) \
-        else json.loads(json.dumps(source))
+    """Parse and fully validate a scenario file (or pre-parsed document,
+    which must be RFC 8259 JSON too: a NaN or inf number raises
+    SchemaError)."""
+    if isinstance(source, (str, Path)):
+        data = read_scenario(source)
+    else:
+        try:
+            data = json.loads(json.dumps(source, allow_nan=False))
+        except ValueError as exc:
+            raise SchemaError(f"not valid JSON: {exc}") from exc
 
     errs = sorted(_schema_errors(data, SCENARIO_SCHEMA, ()),
                   key=lambda e: e[0])
@@ -472,10 +485,8 @@ def load_scenario(source: Union[str, Path, dict]) -> Scenario:
             # each probe is simulated to its own time t
             for i, (_, _, t) in enumerate(probes):
                 config(t, f"probe {i} at t = {t}", f"/probes/{i}")
-        t_end = pc.get("t_end")
-        if t_end is None:
-            t_end = max([t for _, _, t in probes], default=0.0)
-            t_end = max(t_end, pc["dt"])
+        # the file sets no t_end: it is the largest probe time, or dt
+        t_end = max([pc["dt"], *(t for _, _, t in probes)])
         path_config = config(t_end, "path_config", "/path_config")
 
     if mode == "verify-matrix" and grid is None:

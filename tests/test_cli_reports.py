@@ -294,7 +294,7 @@ def test_cli_exit_two_on_bad_scenario(tmp_path, capsys):
 @pytest.mark.parametrize("field, value, pointer", [
     # a probe at t = 0, which the schema allows, raised a ValueError
     ("probe_t", 0.0, "/probes/0"),
-    # so did a t_end below dt
+    # a t_end, which the format no longer has: each probe's t sets it
     ("t_end", 0.005, "/path_config"),
     # three steps of 0.3 simulated t = 0.9 for the reported t = 1, exit 0
     ("dt", 0.3, "/probes/0"),
@@ -483,13 +483,15 @@ def test_cli_exit_two_on_a_cone_that_is_not_the_orthant(tmp_path, capsys,
 def _main_in_a_temporary_directory(mode, doc):
     """(exit code, stderr) of the CLI on doc, written and run in a
     directory of its own: for a test that takes no fixtures, which
-    tests/test_defects.py calls with a defect patched in."""
+    tests/test_defects.py calls with a defect patched in.  A run that
+    exits 2 must have written no report."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stderr(err):
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(doc))
         code = main([mode, str(path), "--out", str(Path(tmp) / "out")])
+        assert code != 2 or not (Path(tmp) / "out" / "report.json").exists()
     return code, err.getvalue()
 
 
@@ -723,6 +725,56 @@ def test_cli_exit_two_on_jumps_the_scheme_cannot_simulate(tmp_path, capsys,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def _walk_2d_mc(rate_bound):
+    return {
+        "name": "walk-2d", "mode": "mc",
+        "process": {"dim": 2,
+                    "jumps": [{"displacement": [1.0, 0.0], "rate": 1.2},
+                              {"displacement": [-1.0, 0.0], "rate": 0.8},
+                              {"displacement": [0.0, 1.0], "rate": 1.0}]},
+        "cone": {"type": "log2d"},
+        "probes": [{"x": [0.0, 0.0], "y": [1.0, 0.0], "t": 1.0}],
+        "path_config": {"n_paths": 1000, "dt": 0.01, "seed": 3,
+                        "scheme": "euler_jump_thinning",
+                        "rate_bound": rate_bound},
+    }
+
+
+def test_cli_exit_two_on_a_rate_bound_below_the_start_rate():
+    # the walk's summed rate is 3; a bound of 1e-6 drew no candidate
+    # event, so the run reported a pass with lhs = rhs = 0 and z = 0
+    code, err = _main_in_a_temporary_directory("mc", _walk_2d_mc(1e-6))
+    assert code == 2
+    assert err.startswith("error:") and "rate 3 exceeds bound 1e-06" in err
+
+
+@pytest.mark.parametrize("edit, args", [
+    # an OverflowError traceback with exit 1, the code of a failed check
+    (lambda doc: doc["probes"][0].update(t=float("inf")), []),
+    (lambda doc: doc["probes"][0].update(x=[float("nan"), 0.0]), []),
+    # passed with no jump simulated
+    (lambda doc: doc["path_config"].update(rate_bound=float("inf")), []),
+    # each written into the report unchecked
+    (None, ["--tol", "inf"]),
+    (None, ["--tol", "nan"]),
+], ids=["probe-t-infinity", "probe-x-nan", "rate-bound-infinity", "tol-inf",
+        "tol-nan"])
+def test_cli_exit_two_on_nan_or_infinity(tmp_path, capsys, edit, args):
+    # a scenario is RFC 8259 JSON, which has no NaN or Infinity token
+    doc = _walk_2d_mc(3.0)
+    if edit is not None:
+        edit(doc)
+    code = main(["mc", _write(tmp_path, doc), "--out", str(tmp_path / "out"),
+                 *args])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: not valid JSON")
+    assert not (tmp_path / "out" / "report.json").exists()
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        load_scenario(doc if edit is not None
+                      else {**doc, "tolerances": {"z_max": float(args[1])}})
+
+
 def test_cli_exit_two_on_non_finite_paths(tmp_path, capsys):
     # log(x1) is NaN once a path goes negative
     doc = _bm_mc(process={"dim": 1, "drift": ["log(x1)"],
@@ -831,9 +883,8 @@ def test_a_dual_run_does_not_load_scipy_stats(tmp_path):
 
 
 def test_mc_runs_do_not_load_scipy(tmp_path):
-    # a half-line run and a stable run with its Riesz kernel: the kernel
-    # constants take math.gamma, and a full diffusion matrix is factored
-    # by numpy
+    # a half-line run and a stable run with its Riesz kernel, whose
+    # constants take math.gamma
     half_line = {
         "name": "half-line", "mode": "mc",
         "process": {"dim": 1, "diffusion": ["0.5"], "diffusion_deriv": ["0"],
@@ -966,26 +1017,6 @@ def test_cli_runs_from_a_cold_interpreter(tmp_path, mode, doc):
     assert out.stdout.strip().endswith(": pass")
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["pass"]
-
-
-def test_full_diffusion_runs_from_a_cold_interpreter():
-    # the scenario format has no full diffusion matrix, so the lazy
-    # Cholesky factor is reached through the library
-    code = (
-        "import numpy as np\n"
-        "from dualgen.generator_core import ProcessSpec\n"
-        "from dualgen.monte_carlo import PathConfig, estimate_duality\n"
-        "from dualgen.order_transform import TranslationKernel\n"
-        "a = np.array([[0.5, 0.2], [0.2, 0.3]])\n"
-        "spec = ProcessSpec(dim=2, diffusion=lambda x: a)\n"
-        "cfg = PathConfig(n_paths=2000, dt=0.05, t_end=0.5, seed=5)\n"
-        "est = estimate_duality(spec, spec, TranslationKernel('log2d', d=2),\n"
-        "                       [0.5, 0.0], [0.0, 0.0], 0.5, cfg)\n"
-        "print(abs(est.z_score) <= 3.5)\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120, env=_env())
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.strip() == "True"
 
 
 def test_passing_verify_matrix_reports_no_worst_entry(tmp_path):

@@ -20,6 +20,7 @@ import test_generator_core
 import test_matrix_lab
 import test_monte_carlo
 from dualgen import dual_builder, generator_core, monte_carlo, state_space
+from dualgen.errors import UnsupportedScheme
 
 
 def _multidim_rule(nu, dim, box):
@@ -164,6 +165,28 @@ def _axis_generators_shifted(spec, grid):
     return tuple(gens)
 
 
+_check_scheme = monte_carlo._check_scheme
+
+
+def _check_scheme_without_the_start_rate(spec, cfg, x0):
+    """`_check_scheme` with its start-state rate check patched out: the
+    thinning bound taken as 1e300 there, while the paths run at the bound
+    they were given."""
+    if cfg.rate_bound is not None:
+        cfg = replace(cfg, rate_bound=1e300)
+    return _check_scheme(spec, cfg, x0)
+
+
+def _check_scheme_admitting_any_diffusion(spec, cfg, x0):
+    """`_check_scheme` letting a generic or off-diagonal diffusion through
+    to the step kernel, which simulates a diagonal one only."""
+    try:
+        _check_scheme(spec, cfg, x0)
+    except UnsupportedScheme as exc:
+        if "declared per axis" not in str(exc):
+            raise
+
+
 # (defect, (module, name, the defect's stand-in), (test module, test, args))
 DEFECTS = [
     ("separable_dual_by_dual_jump_multidim",
@@ -229,6 +252,17 @@ DEFECTS = [
      (test_monte_carlo,
       "test_constant_coefficient_kernel_matches_plain_step_loop",
       ("mixed_2d_absorb_bridge",))),
+    # a bound too small for any candidate event passes with no jump
+    ("thinning_bound_unchecked_at_the_start",
+     (monte_carlo, "_check_scheme", _check_scheme_without_the_start_rate),
+     (test_cli_reports,
+      "test_cli_exit_two_on_a_rate_bound_below_the_start_rate", ())),
+    # the step kernel opens a stream for a diffusion it cannot simulate
+    ("generic_diffusion_admitted",
+     (monte_carlo, "_check_scheme", _check_scheme_admitting_any_diffusion),
+     (test_monte_carlo,
+      "test_state_dependent_full_diffusion_raises_unsupported_scheme",
+      ())),
     ("one_step_bridge_test_on_cfg_dt",
      (monte_carlo, "_bridge_hits", _bridge_test_on_cfg_dt),
      (test_monte_carlo, "test_killed_brownian_motion_with_drift_law",

@@ -58,6 +58,11 @@ def test_path_config_validation():
     # three steps of 0.3 simulated t = 0.9 for a reported t = 1
     with pytest.raises(ValueError, match="whole number of dt = 0.3 steps"):
         PathConfig(n_paths=1000, dt=0.3, t_end=1.0, seed=1)
+    # each of these thinning bounds left every path where it started
+    for bound in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="not a finite positive number"):
+            PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=1,
+                       scheme="euler_jump_thinning", rate_bound=bound)
     # 0.7 / 1e-3 is 699.9999999999999: a whole number to rounding
     PathConfig(n_paths=1000, dt=1e-3, t_end=0.7, seed=1)
 
@@ -223,20 +228,6 @@ def test_absorption_probability_monotone_in_start():
         dead.append(np.mean(xs == 0.0))
     se = 2.0 / np.sqrt(20000)
     assert dead[0] >= dead[1] - 2 * se >= dead[2] - 4 * se
-
-
-def test_bridge_on_a_full_diffusion_matrix_matches_the_hitting_law():
-    # a = 1/2 given as a generic matrix: Brownian motion, absorbed at 0 by
-    # time t with probability 2 Phi(-x / sqrt(t)); on a step this coarse
-    # only the bridge test recovers the crossings between steps
-    spec = ProcessSpec(dim=1, diffusion=lambda x: [[0.5]],
-                       domain="half_line", boundary="absorb")
-    cfg = PathConfig(n_paths=20000, dt=0.05, t_end=1.0, seed=21,
-                     bridge_correction=True)
-    x, t = 1.0, 1.0
-    dead = np.mean(simulate_paths(spec, cfg, [x])[:, 0] == 0.0)
-    p = 2.0 * norm.cdf(-x / np.sqrt(t))
-    assert abs(dead - p) < 5.0 * np.sqrt(p * (1.0 - p) / cfg.n_paths)
 
 
 # Brownian motion with drift b = -0.4, a = 0.3, killed at 0, from x = 0.6
@@ -662,40 +653,58 @@ def test_thinning_rejects_target_map_channels():
 def test_estimate_invariants_hold_without_asserts():
     with pytest.raises(InvalidEstimate):
         DualityEstimate(lhs_mean=0.5, lhs_se=-0.1, rhs_mean=0.5, rhs_se=0.1,
-                        gap=0.0, z_score=0.0, n_paths=1000,
-                        functional_descriptor="cone")
+                        gap=0.0, z_score=0.0, n_paths=1000)
 
 
 _FULL_A = np.array([[0.5, 0.2], [0.2, 0.3]])
 
 
-def test_constant_full_diffusion_factored_once_per_block(monkeypatch):
-    calls = []
-
-    def counting_cholesky(m):
-        calls.append(m.shape)
-        return np.linalg.cholesky(m)
-
-    monkeypatch.setattr(monte_carlo, "cholesky", counting_cholesky)
-    spec = ProcessSpec(dim=2, diffusion=lambda x: _FULL_A)
-    cfg = PathConfig(n_paths=monte_carlo.BLOCK_SIZE + 4000, dt=0.1,
-                     t_end=1.0, seed=9)
-    xs = simulate_paths(spec, cfg, [0.0, 0.0])
-    assert calls == [(2, 2)] * 2            # two blocks of ten steps each
-    # Brownian motion with generator a : D^2 has covariance 2 a t
-    assert np.abs(np.cov(xs.T) - 2.0 * _FULL_A).max() < 0.05
+def _no_draws(*args):
+    raise AssertionError("a random stream was opened")
 
 
 def test_state_dependent_full_diffusion_raises_unsupported_scheme():
-    def diffusion(x):
-        return _FULL_A + np.diag([0.2 * np.sin(x[0]), 0.0])
-
-    spec = ProcessSpec(dim=2, diffusion=diffusion)
+    # a constant full matrix, a varying one and a declared cross term:
+    # each is refused before any random number is drawn, on either side.
+    # No fixtures: tests/test_defects.py calls it with a defect patched in.
+    diagonal = ProcessSpec(dim=2, diffusion_diag=(_const(0.5), _const(0.3)))
+    kern = TranslationKernel(kind="log2d", d=2)
     cfg = PathConfig(n_paths=1000, dt=0.01, t_end=0.5, seed=2)
-    with pytest.raises(UnsupportedScheme,
-                       match="state-dependent full diffusion"):
-        estimate_duality(spec, spec, TranslationKernel(kind="log2d", d=2),
-                         [0.5, 0.0], [0.0, 0.0], 0.5, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monte_carlo, "_block_rng", _no_draws)
+        for spec in (
+                ProcessSpec(dim=2, diffusion=lambda x: _FULL_A),
+                ProcessSpec(dim=2, diffusion=lambda x: _FULL_A + np.diag(
+                    [0.2 * np.sin(x[0]), 0.0])),
+                replace(diagonal,
+                        diffusion_offdiag={(0, 1): lambda u, v: 0.2})):
+            with pytest.raises(UnsupportedScheme, match="declared per axis"):
+                simulate_paths(spec, cfg, [0.5, 0.0])
+            for specX, specY in ((spec, diagonal), (diagonal, spec)):
+                with pytest.raises(UnsupportedScheme,
+                                   match="declared per axis"):
+                    estimate_duality(specX, specY, kern, [0.5, 0.0],
+                                     [0.0, 0.0], 0.5, cfg)
+
+
+# walks of summed rate 2 and 3
+_WALK_1D = ProcessSpec.one_dim(nu=AtomicJumpKernel(
+    jumps=(((1.0,), 1.2), ((-1.0,), 0.8))))
+_WALK_2D = ProcessSpec(dim=2, jump=AtomicJumpKernel(
+    jumps=(((1.0, 0.0), 1.2), ((-1.0, 0.0), 0.8), ((0.0, 1.0), 1.0))))
+
+
+def test_thinning_refuses_a_bound_below_the_start_rate(monkeypatch):
+    # a bound of 1e-6 once left every path at 0 with no error: no
+    # candidate event came in 100 steps, so it was never compared
+    monkeypatch.setattr(monte_carlo, "_block_rng", _no_draws)
+    cfg = PathConfig(n_paths=1000, dt=0.01, t_end=1.0, seed=3,
+                     scheme="euler_jump_thinning", rate_bound=1e-6)
+    with pytest.raises(RateBoundExceeded, match="rate 2 exceeds bound"):
+        simulate_paths(_WALK_1D, cfg, [0.0])
+    with pytest.raises(RateBoundExceeded, match="rate 3 exceeds bound"):
+        estimate_duality(_WALK_2D, _WALK_2D, TranslationKernel("log2d", d=2),
+                         [0.0, 0.0], [1.0, 0.0], 1.0, cfg)
 
 
 def test_thinning_simulates_the_compensated_process():

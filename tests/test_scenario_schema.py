@@ -47,7 +47,7 @@ BASES = [
      "cone": {"type": "pareto"},
      "probes": [{"x": [0.5], "y": [0.3], "t": 0.5}],
      "path_config": {"n_paths": 2000, "dt": 0.01, "seed": 5,
-                     "t_end": 0.5, "bridge_correction": True},
+                     "bridge_correction": True},
      "tolerances": {"z_max": 4.0}},
     {"name": "walk", "mode": "self-dual-check",
      "process": {"dim": 1, "jumps": [{"displacement": [1.0], "rate": 1.0},

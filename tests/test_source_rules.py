@@ -11,8 +11,9 @@ scenario runner refuses a document, which `load_scenario` does; no
 function parameter or dataclass field has a default that only the unit
 tests override; no public function or class is named only by its own
 definition and the unit tests; no private top-level function, class or
-constant is read only by its own definition and the unit tests; and no
-module imports a name it never reads.
+constant is read only by its own definition and the unit tests; no
+dataclass field is read only by the unit tests; and no module imports a
+name it never reads.
 """
 
 import ast
@@ -565,6 +566,66 @@ def test_unread_private_rule_flags_a_name_only_tests_read(tmp_path):
 
 def test_every_private_definition_is_read():
     assert _unread_private(ROOT) == []
+
+
+# every field of a package dataclass is read, as an attribute, by package
+# code or a `_use_files` file: the unit tests do not count, so a field
+# only they read is state no run needs.  'Class.field' -> why it stays
+# with no read
+FIELDS_ALLOWED = {
+    **{f"ValidationReport.{name}": "ROADMAP item 1: validate_qmatrix's "
+       "report, which no run calls yet"
+       for name in ("offdiag_violations", "rowsum_defects",
+                    "max_offdiag_negativity")},
+    "SemigroupSnapshot.check_error": "ROADMAP item 5: the expm "
+    "self-check error a run is to report",
+    "RegularizedDistribution.ladder_cdfs": "the evidence behind the "
+    "extrapolated limit: the raw law at each rung",
+}
+
+
+def _unread_fields(root: Path) -> list:
+    """'Class.field' of every field of a dataclass under root/src that no
+    code under root/src or in a `_use_files` file reads as an attribute.
+    The match is by name, whatever object the attribute is read from."""
+    def parse(paths):
+        return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+
+    package = parse(sorted((root / "src").rglob("*.py")))
+    read = {n.attr for tree in package + parse(_use_files(root))
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{cls.name}.{node.target.id}"
+            for tree in package
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            and any(_names_dataclass(d) for d in cls.decorator_list)
+            for node in cls.body if isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and node.target.id not in read]
+
+
+def test_unread_field_rule_flags_a_field_only_tests_read(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Report:\n"
+        "    value: float\n    label: str\n    spare: int = 0\n\n"
+        "class Plain:\n    note: str\n\n"
+        "def run():\n    return Report(1.0, 'x').value\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "from pkg.a import Report\nReport(1.0, 'x').label\n")
+    assert _unread_fields(tmp_path) == ["Report.label", "Report.spare"]
+    (tmp_path / "tests" / "test_acceptance.py").write_text(
+        "from pkg.a import Report\nr = Report(1.0, 'x')\nr.label, r.spare\n")
+    assert _unread_fields(tmp_path) == []
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields(ROOT)
+    assert sorted(set(unread) - set(FIELDS_ALLOWED)) == []
+    # an allowed field that a run reads again leaves the list
+    assert sorted(unread) == sorted(FIELDS_ALLOWED)
 
 
 # every name a package module imports is read in that module: an import
